@@ -292,10 +292,6 @@ class TrapSets:
     resolved: bool
     stats: dict = field(default_factory=dict)
 
-    @property
-    def core_nonempty(self) -> bool:
-        return bool(self.trap_core)
-
 
 def trap_interval(k: int) -> Interval:
     return Interval(2 ** (2 * k + 1) + 1, 2 ** (2 * k + 2))

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from .agents import build_default_registry, make_basic_agents
 from .experiments import EXPERIMENTS, run_experiment
@@ -72,14 +73,20 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_suite(args.suite)
-    failed = 0
-    for result in results:
-        mark = "PASS" if result.passed else "FAIL"
-        note = f"  [{result.note}]" if result.note else ""
-        print(f"{mark}  {result.name} ({result.cases} cases){note}")
-        if not result.passed:
-            failed += 1
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    results = []
+    for suite in suites:
+        start = time.perf_counter()
+        suite_results = verify_suite(suite)
+        elapsed = time.perf_counter() - start
+        for result in suite_results:
+            mark = "PASS" if result.passed else "FAIL"
+            note = f"  [{result.note}]" if result.note else ""
+            print(f"{mark}  {result.name} ({result.cases} cases){note}")
+        passed = sum(result.passed for result in suite_results)
+        print(f"{suite}: {passed}/{len(suite_results)} checks in {elapsed:.2f} s")
+        results.extend(suite_results)
+    failed = sum(not result.passed for result in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 

@@ -57,9 +57,6 @@ class IndexedFamily:
     def member(self, n: int) -> SetSpec:
         raise NotImplementedError
 
-    def exact_membership(self, n: int, x: int) -> bool:
-        return self.member(n).contains(x)
-
     def min_index(self, n: int) -> int:
         raise NotImplementedError
 

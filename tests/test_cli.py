@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -65,6 +66,8 @@ def test_verify_suite_exit_codes(capsys):
     assert main(["verify", "--suite", "engine"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+    assert re.search(r"^engine: 5/5 checks in \d+\.\d\d s$", out, re.MULTILINE)
+    assert out.endswith("5/5 checks passed\n")
 
 
 def test_exhausted_trap_budget_reports_partial(tmp_path, capsys):

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import pytest
 
-from txtex_lab.verify import SUITES, verify_suite
+from txtex_lab import verify
+from txtex_lab.descriptor import StepResult, recognizer_step
+from txtex_lab.verify import SUITES, verify_descriptor, verify_suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -14,3 +18,43 @@ def test_suite_passes(suite):
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         verify_suite("nope")
+
+
+def test_descriptor_suite_reports_orderings_covered():
+    [result] = verify_descriptor()
+    assert result.passed
+    assert result.cases == 676_164
+    assert result.note == "268 descriptors"
+
+
+def _value_depends_on_order(state, code):
+    """Completes with n + 1 whenever the smallest code arrives last."""
+    nxt, res = recognizer_step(state, code)
+    if res.status == "complete" and state.seen and code < min(state.seen):
+        return nxt, StepResult("complete", res.value + 1)
+    return nxt, res
+
+
+def _fires_early_on_some_orders(state, code):
+    """Completes early when the second distinct element exceeds the first."""
+    nxt, res = recognizer_step(state, code)
+    if res.status == "partial" and len(state.seen) == 1 and code > min(state.seen):
+        return nxt, StepResult("complete", nxt.x_sum)
+    return nxt, res
+
+
+def _state_depends_on_order(state, code):
+    """Stores a shifted sum, without showing it yet, when the second element exceeds the first."""
+    nxt, res = recognizer_step(state, code)
+    if res.status == "partial" and len(state.seen) == 1 and code > min(state.seen):
+        return replace(nxt, x_sum=nxt.x_sum + 1), res
+    return nxt, res
+
+
+@pytest.mark.parametrize(
+    "faulty", [_value_depends_on_order, _fires_early_on_some_orders, _state_depends_on_order]
+)
+def test_descriptor_suite_catches_order_dependent_recognizer(monkeypatch, faulty):
+    monkeypatch.setattr(verify, "recognizer_step", faulty)
+    [result] = verify_descriptor()
+    assert not result.passed
