@@ -454,11 +454,6 @@ SUITES = {
 
 
 def verify_suite(name: str) -> list[CheckResult]:
-    if name == "all":
-        results = []
-        for suite in SUITES.values():
-            results.extend(suite())
-        return results
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name]()
