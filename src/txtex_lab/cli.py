@@ -13,7 +13,7 @@ import sys
 import time
 
 from .agents import build_default_registry, make_basic_agents
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, ConfigError, run_experiment
 from .families import BASIC_KINDS
 from .verify import SUITES, verify_suite
 
@@ -66,7 +66,11 @@ def _cmd_run(args) -> int:
         except ValueError:
             print(f"TXTEX_SEED must be an integer, got {seed_override!r}", file=sys.stderr)
             return 2
-    code = run_experiment(args.experiment, config, args.out)
+    try:
+        code = run_experiment(args.experiment, config, args.out)
+    except ConfigError as exc:
+        print(f"bad config for {args.experiment}: {exc}", file=sys.stderr)
+        return 2
     status = {0: "ok", 1: "FAILED", 3: "partial (budget)"}[code]
     print(f"{args.experiment}: {status} -> {args.out}")
     return code

@@ -156,6 +156,12 @@ class StepResult:
     value: int | None = None
 
 
+# Shared results for the statuses that carry no value; StepResult is frozen.
+_IGNORED = StepResult("ignored")
+_PARTIAL = StepResult("partial")
+_CORRUPT = StepResult("corrupt")
+
+
 def new_recognizer(column: int) -> RecognizerState:
     return RecognizerState(column=column)
 
@@ -164,25 +170,30 @@ def recognizer_step(state: RecognizerState, code: int) -> tuple[RecognizerState,
     """Feed one stream element; fire ``complete(n)`` exactly when the set closes.
 
     Elements that do not decode to the recognizer's column shape, and
-    duplicates, are ignored.  Any further descriptor-shaped element after
-    completion marks the stream corrupt.
+    duplicates, are ignored.  Duplicates are rejected before the code is
+    decoded: ``seen`` only ever holds column-shaped codes, so the order of the
+    two tests does not change the result, and a completed recognizer fed its
+    own elements again does no decoding at all.  Any further descriptor-shaped
+    element after completion marks the stream corrupt, and corrupt is sticky.
     """
     if state.corrupt:
-        return state, StepResult("corrupt")
+        return state, _CORRUPT
+    if code in state.seen:
+        return state, _IGNORED
     parts = element_parts(code, state.column)
-    if parts is None or code in state.seen:
-        return state, StepResult("ignored")
+    if parts is None:
+        return state, _IGNORED
     if state.complete:
-        bad = replace(state, corrupt=True)
-        return bad, StepResult("corrupt")
+        return replace(state, corrupt=True), _CORRUPT
     x, c = parts
+    completion_sum = state.completion_sum + signed_int(c)
     nxt = RecognizerState(
         column=state.column,
         seen=state.seen | {code},
-        completion_sum=state.completion_sum + signed_int(c),
+        completion_sum=completion_sum,
         x_sum=state.x_sum + signed_int(x),
-        complete=state.completion_sum + signed_int(c) == 0,
+        complete=completion_sum == 0,
     )
     if nxt.complete:
         return nxt, StepResult("complete", nxt.x_sum)
-    return nxt, StepResult("partial")
+    return nxt, _PARTIAL

@@ -18,6 +18,10 @@ from .session import Budget, MembershipOracle, compose_pair, run_session
 from .text import make_text
 
 
+class ConfigError(ValueError):
+    """An experiment config value is out of range; raised before any file is written."""
+
+
 @dataclass
 class ExperimentResult:
     columns: list[str]
@@ -589,12 +593,23 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _check_config(config: dict) -> None:
+    max_n = config.get("max_n")
+    if max_n is not None and (type(max_n) is not int or max_n < 0):
+        raise ConfigError(f"max_n must be a natural number, got {max_n!r}")
+
+
 def run_experiment(name: str, config: dict | None, out_dir) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    Raises :class:`ConfigError` for an out-of-range config before the output
+    directory is created.
+    """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
     merged = {**spec.defaults, **(config or {})}
+    _check_config(merged)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

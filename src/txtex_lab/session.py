@@ -154,7 +154,7 @@ class ResourceLedger:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     step: int
     kind: str  # read | skip | query | emit | teach | work | abort
@@ -214,46 +214,50 @@ class ContractViolation(Exception):
 
 
 class _TeacherConduit:
-    """Feeds raw text through a teacher into a buffer the learner reads from."""
+    """Feeds raw text through a teacher into a buffer the learner reads from.
 
-    def __init__(self, teacher: Teacher, source: Iterator[int]):
+    Every batch of items the teacher passes on is logged as a ``teach`` event
+    once it has passed the contract check.
+    """
+
+    def __init__(self, teacher: Teacher, source: Iterator[int], log: Callable[..., None]):
         self.teacher = teacher
         self.source = source
+        self.log = log
         self.buffer: deque[int] = deque()
         self.seen: set[int] = set()
         self.raw_consumed = 0
-        self.emission_log: list[tuple[int, list[int]]] = []
 
-    def _admit(self, items: Sequence[int]) -> None:
+    def _admit(self, datum: int | None, items: tuple[int, ...]) -> None:
         for item in items:
             if item not in self.seen:
                 raise ContractViolation(f"teacher emitted unseen element {item}")
         self.buffer.extend(items)
+        self.log("teach", datum, items)
 
-    def feed_query_response(self, x: int, answer: bool) -> list[int]:
-        items = list(self.teacher.on_query_response(x, answer))
-        self._admit(items)
-        return items
+    def feed_query_response(self, x: int, answer: bool) -> None:
+        items = tuple(self.teacher.on_query_response(x, answer))
+        if items:
+            self._admit(None, items)
 
-    def pull(self, raw_limit: int) -> tuple[int | None, list[tuple[int, list[int]]]]:
+    def pull(self, raw_limit: int) -> int | None:
         """Next buffered element; pumps raw data through the teacher as needed.
 
-        Returns (element or None, list of (raw datum, emitted items) pumped).
+        Returns None once the buffer is empty and the raw text or
+        ``raw_limit`` is used up.
         """
-        pumped = []
-        while not self.buffer and self.raw_consumed < raw_limit:
+        buffer = self.buffer
+        while not buffer and self.raw_consumed < raw_limit:
             try:
                 datum = next(self.source)
             except StopIteration:
                 break
             self.raw_consumed += 1
             self.seen.add(datum)
-            items = list(self.teacher.on_input(datum))
-            self._admit(items)
-            pumped.append((datum, items))
-        if self.buffer:
-            return self.buffer.popleft(), pumped
-        return None, pumped
+            items = tuple(self.teacher.on_input(datum))
+            if items:
+                self._admit(datum, items)
+        return buffer.popleft() if buffer else None
 
 
 def run_session(
@@ -274,10 +278,11 @@ def run_session(
     end_reason = "idle"
 
     source = text.stream()
-    conduit = _TeacherConduit(teacher, source) if teacher is not None else None
 
     def log(kind: str, *payload) -> None:
         events.append(Event(len(events), kind, payload))
+
+    conduit = _TeacherConduit(teacher, source, log) if teacher is not None else None
 
     def position() -> int:
         """Raw text positions consumed; the axis for convergence stability."""
@@ -286,10 +291,7 @@ def run_session(
     def next_input() -> int | None:
         nonlocal consumed
         if conduit is not None:
-            element, pumped = conduit.pull(budget.horizon)
-            for datum, items in pumped:
-                if items:
-                    log("teach", datum, tuple(items))
+            element = conduit.pull(budget.horizon)
             if element is None:
                 return None
             consumed += 1
@@ -300,6 +302,8 @@ def run_session(
         return next(source)
 
     program = learner.program()
+    send = program.send
+    append = events.append
     result: object = None
     try:
         while True:
@@ -307,15 +311,13 @@ def run_session(
                 end_reason = "ticks"
                 break
             try:
-                action = program.send(result)
+                action = send(result)
             except StopIteration:
                 end_reason = "idle"
                 break
             result = None
-            if isinstance(action, Work):
-                ledger.ticks += action.units
-                log("work", action.units)
-            elif isinstance(action, Read):
+            kind = type(action)
+            if kind is Read:
                 element = next_input()
                 if element is None:
                     end_reason = "horizon"
@@ -324,33 +326,13 @@ def run_session(
                 if element not in seen_data:
                     seen_data.add(element)
                     ledger.distinct_data += 1
-                log("read", element)
+                append(Event(len(events), "read", (element,)))
                 result = element
-            elif isinstance(action, Skip):
-                element = next_input()
-                if element is None:
-                    end_reason = "horizon"
-                    break
-                ledger.ticks += 1
-                ledger.skips += 1
-                log("skip")
-            elif isinstance(action, Query):
-                if oracle is None:
-                    raise ValueError(f"learner {learner.name} queried without an oracle")
-                answer = oracle.answer(action.x)
-                ledger.ticks += 1
-                ledger.oracle_queries += 1
-                log("query", action.x, answer)
-                if conduit is not None:
-                    items = conduit.feed_query_response(action.x, answer)
-                    if items:
-                        log("teach", None, tuple(items))
-                result = answer
-            elif isinstance(action, Emit):
+            elif kind is Emit:
                 ledger.ticks += 1
                 if emissions and emissions[-1].hypothesis != action.hypothesis:
                     ledger.mind_changes += 1
-                log("emit", action.hypothesis)
+                append(Event(len(events), "emit", (action.hypothesis,)))
                 emissions.append(
                     EmissionSnapshot(
                         hypothesis=action.hypothesis,
@@ -361,6 +343,27 @@ def run_session(
                         event_index=len(events) - 1,
                     )
                 )
+            elif kind is Query:
+                if oracle is None:
+                    raise ValueError(f"learner {learner.name} queried without an oracle")
+                answer = oracle.answer(action.x)
+                ledger.ticks += 1
+                ledger.oracle_queries += 1
+                log("query", action.x, answer)
+                if conduit is not None:
+                    conduit.feed_query_response(action.x, answer)
+                result = answer
+            elif kind is Work:
+                ledger.ticks += action.units
+                log("work", action.units)
+            elif kind is Skip:
+                element = next_input()
+                if element is None:
+                    end_reason = "horizon"
+                    break
+                ledger.ticks += 1
+                ledger.skips += 1
+                log("skip")
             else:
                 raise TypeError(f"unknown action {action!r}")
     except ContractViolation as violation:
@@ -439,7 +442,10 @@ def run_on_sequence(
     before it requests an element past the end of ``sequence``.
     """
     program = learner.program()
-    pending = deque(sequence)
+    send = program.send
+    items = tuple(sequence)
+    size = len(items)
+    pos = 0
     emissions: list[int] = []
     queries: list[tuple[int, bool]] = []
     actions = 0
@@ -451,28 +457,27 @@ def run_on_sequence(
                 PrefixRun(emissions, queries, actions, exhausted_input=False, idled=False),
             )
         try:
-            action = program.send(result)
+            action = send(result)
         except StopIteration:
             return PrefixRun(emissions, queries, actions, exhausted_input=False, idled=True)
         actions += 1
         result = None
-        if isinstance(action, (Read, Skip)):
-            if not pending:
+        kind = type(action)
+        if kind is Read or kind is Skip:
+            if pos == size:
                 return PrefixRun(emissions, queries, actions, exhausted_input=True, idled=False)
-            element = pending.popleft()
-            if isinstance(action, Read):
-                result = element
-        elif isinstance(action, Query):
+            if kind is Read:
+                result = items[pos]
+            pos += 1
+        elif kind is Emit:
+            emissions.append(action.hypothesis)
+        elif kind is Query:
             if oracle is None:
                 raise ValueError(f"learner {learner.name} queried without an oracle")
             answer = oracle.answer(action.x)
             queries.append((action.x, answer))
             result = answer
-        elif isinstance(action, Emit):
-            emissions.append(action.hypothesis)
-        elif isinstance(action, Work):
-            pass
-        else:
+        elif kind is not Work:
             raise TypeError(f"unknown action {action!r}")
 
 

@@ -32,6 +32,18 @@ def test_run_bad_config_is_usage_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("experiment", ["msd-linear", "conversions-roundtrip"])
+def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, experiment):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_n": -5}))
+    out = tmp_path / "never"
+    code = main(["run", "--experiment", experiment, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err == f"bad config for {experiment}: max_n must be a natural number, got -5"
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "halting"
     config = tmp_path / "config.json"

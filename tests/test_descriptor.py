@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from txtex_lab.codec import encode_tuple, signed_int_inv
 from txtex_lab.descriptor import (
     Descriptor,
+    StepResult,
     SubsetBudgetError,
     build_descriptor,
     described_number,
@@ -136,6 +138,60 @@ def test_recognizer_corrupt_after_complete():
     assert res.status == "corrupt"
 
 
+def _completed(descriptor):
+    state = new_recognizer(descriptor.column)
+    for code in descriptor.sorted_elements():
+        state, res = recognizer_step(state, code)
+    assert res.status == "complete" and state.complete
+    return state
+
+
+def test_recognizer_duplicate_after_complete_is_ignored():
+    d = build_descriptor(2, 0, 5, {MARKER})
+    done = _completed(d)
+    for code in d.sorted_elements():
+        state, res = recognizer_step(done, code)
+        assert res == StepResult("ignored")
+        assert state == done and not state.corrupt
+
+
+def test_recognizer_corrupt_is_sticky():
+    d = build_descriptor(2, 0, 5, {MARKER})
+    state, res = recognizer_step(_completed(d), elem(100, 2))
+    assert res == StepResult("corrupt") and state.corrupt
+    # duplicates, off-column codes, non-elements and fresh elements alike
+    for code in [*d.sorted_elements(), elem(100, 2), elem(3, 2, column=1), 16, elem(102, 1)]:
+        nxt, res = recognizer_step(state, code)
+        assert res == StepResult("corrupt")
+        assert nxt == state
+
+
+def test_recognizer_off_column_ignored_before_and_after_complete():
+    d = build_descriptor(2, 0, 5, {MARKER})
+    off_column = [elem(3, 2, column=1), elem(100, 2, column=1), 16]
+    fresh = new_recognizer(0)
+    for state in (fresh, _completed(d)):
+        for code in off_column:
+            nxt, res = recognizer_step(state, code)
+            assert res == StepResult("ignored")
+            assert nxt == state
+
+
+def test_recognizer_results_equal_fresh_results():
+    d = build_descriptor(2, 0, 5, {MARKER})
+    first, *middle, final = d.sorted_elements()
+    state, res = recognizer_step(new_recognizer(0), first)
+    assert res == StepResult("partial") and res.value is None
+    assert recognizer_step(state, 16)[1] == StepResult("ignored")
+    assert recognizer_step(state, first)[1] == StepResult("ignored")
+    for code in middle:
+        state, res = recognizer_step(state, code)
+        assert res == StepResult("partial")
+    state, res = recognizer_step(state, final)
+    assert res == StepResult("complete", 2)
+    assert recognizer_step(state, elem(100, 2))[1] == StepResult("corrupt")
+
+
 def test_recognizer_all_orders_fire_on_last_element():
     d = build_descriptor(1, 0, 5, {MARKER})
     elements = d.sorted_elements()
@@ -151,17 +207,44 @@ def test_recognizer_all_orders_fire_on_last_element():
 
 
 def _check_recognizer_fires_last(descriptor: Descriptor, rng: random.Random):
+    """Every ordering completes exactly at its last element, with the described value.
+
+    Up to 8 elements all k! orderings are replayed, depth first over the
+    permutation tree: ``recognizer_step`` is pure and its states are frozen,
+    so each prefix state is computed once and shared by the orderings that
+    extend it.  Above 8 elements, 100 sampled orderings are replayed.
+    """
     elements = descriptor.sorted_elements()
-    if len(elements) <= 8:
-        perms = itertools.permutations(elements)
-    else:
-        perms = (rng.sample(elements, len(elements)) for _ in range(100))
-    for perm in perms:
-        state = new_recognizer(descriptor.column)
-        for pos, code in enumerate(perm):
-            state, res = recognizer_step(state, code)
-            assert (res.status == "complete") == (pos == len(perm) - 1)
-        assert res.value == descriptor.described
+    k = len(elements)
+
+    def step(state, code, last):
+        state, res = recognizer_step(state, code)
+        assert (res.status == "complete") == last
+        if last:
+            assert res.value == descriptor.described
+        return state
+
+    if k > 8:
+        for _ in range(100):
+            state = new_recognizer(descriptor.column)
+            for pos, code in enumerate(rng.sample(elements, k)):
+                state = step(state, code, pos == k - 1)
+        return
+
+    leaves = 0
+
+    def walk(state, remaining):
+        nonlocal leaves
+        last = len(remaining) == 1
+        for i, code in enumerate(remaining):
+            nxt = step(state, code, last)
+            if last:
+                leaves += 1
+            else:
+                walk(nxt, remaining[:i] + remaining[i + 1 :])
+
+    walk(new_recognizer(descriptor.column), tuple(elements))
+    assert leaves == math.factorial(k)
 
 
 def test_built_descriptors_properties_sweep():

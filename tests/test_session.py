@@ -1,5 +1,10 @@
+import hashlib
+
 import pytest
 
+from txtex_lab.agents import build_default_registry, make_csd_learner, make_msd_pair
+from txtex_lab.codec import poly_encode
+from txtex_lab.families import make_csd, make_msd
 from txtex_lab.session import (
     ActionBudgetExceeded,
     Budget,
@@ -217,6 +222,106 @@ def test_run_on_sequence_action_budget():
     with pytest.raises(ActionBudgetExceeded) as exc_info:
         run_on_sequence(GenLearner("spinner", spinner), [], max_actions=50)
     assert exc_info.value.partial.actions == 50
+
+
+class Shout:
+    """Not an action the interpreters know."""
+
+
+def shouting_learner():
+    def program():
+        yield Emit(1)
+        yield Shout()
+
+    return GenLearner("shouter", program)
+
+
+def test_unknown_action_raises_type_error():
+    with pytest.raises(TypeError, match="unknown action"):
+        run_session(shouting_learner(), make_text("canonical", Interval(0, 3)))
+    with pytest.raises(TypeError, match="unknown action"):
+        run_on_sequence(shouting_learner(), [1, 2])
+
+
+def test_run_on_sequence_skip_consumes_without_observing():
+    def program():
+        skipped = yield Skip()
+        datum = yield Read()
+        yield Emit(datum)
+        yield Emit(-1 if skipped is None else skipped)
+        yield Skip()
+
+    learner = GenLearner("skip-read", program)
+    run = run_on_sequence(learner, [7, 8])
+    assert run.emissions == [8, -1]
+    assert run.exhausted_input and not run.idled
+    assert run.actions == 5  # the Skip past the end counts as an action
+
+
+def test_run_on_sequence_work_counts_as_action():
+    def program():
+        yield Work(5)
+        yield Work(0)
+        yield Emit(3)
+
+    run = run_on_sequence(GenLearner("worker", program), [])
+    assert run.actions == 3 and run.idled and run.emissions == [3]
+    with pytest.raises(ActionBudgetExceeded) as exc_info:
+        run_on_sequence(GenLearner("worker", program), [], max_actions=2)
+    assert exc_info.value.partial.actions == 2
+    assert exc_info.value.partial.emissions == []
+
+
+def test_run_on_sequence_tuple_and_list_inputs_agree():
+    def oracle_fn(x):
+        return x % 3 == 0
+
+    for sequence in ([4, 4, 7], [], [0, 1, 2, 3, 4, 5]):
+        as_list = run_on_sequence(echo_counter_learner(), list(sequence))
+        as_tuple = run_on_sequence(echo_counter_learner(), tuple(sequence))
+        assert as_list == as_tuple
+        scan_list = run_on_sequence(scan_learner(), list(sequence), oracle=FnOracle(oracle_fn))
+        scan_tuple = run_on_sequence(scan_learner(), tuple(sequence), oracle=FnOracle(oracle_fn))
+        assert scan_list == scan_tuple
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_teacher_session_transcript_is_pinned():
+    family = make_msd(build_default_registry(), 0, poly_encode([0, 1]))
+    learner, teacher_factory = make_msd_pair()
+    transcript = run_session(
+        learner,
+        make_text("seeded", family.member(5), seed=3),
+        teacher=teacher_factory(),
+        budget=Budget(horizon=65, window=20),
+    )
+    assert transcript.final_hypothesis == 5 and transcript.converged
+    assert _sha256(transcript.events_jsonl()) == (
+        "776a3cdc7c675002697f76a0e00a90895ba117331d9268e8227d3a754cc7962a"
+    )
+    assert _sha256(transcript.ledger_json()) == (
+        "9a47d957f7ffb8e1b73b17760e80060ae4c1530f88e45e038bbae91eebf2c78c"
+    )
+
+
+def test_oracle_session_transcript_is_pinned():
+    family = make_csd()
+    transcript = run_session(
+        make_csd_learner(),
+        family.canonical_text(9),
+        oracle=MembershipOracle(family.member(9)),
+        budget=Budget(horizon=80),
+    )
+    assert transcript.final_hypothesis == 9 and transcript.end_reason == "idle"
+    assert _sha256(transcript.events_jsonl()) == (
+        "4f17a13172e9ec26c03be513288fdf6b3bf93bef1341cbc0f84aeae7e010b422"
+    )
+    assert _sha256(transcript.ledger_json()) == (
+        "1996a361b7f7bd23a8bf8b6b6ec627f410a7673549d3b03f246bc7d2a0014911"
+    )
 
 
 def test_tick_budget_marks_non_converged():
