@@ -16,7 +16,7 @@ from .codec import canonical_encode, encode_tuple, pair, poly_eval, unpair
 from .descriptor import new_recognizer, recognizer_step
 from .families import CsdTable, PcsFFamily
 from .registry import LearnerRegistry
-from .session import Emit, GenLearner, Learner, Query, Read, Skip, Teacher, Work
+from .session import Emit, GenLearner, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
 
 
 # ---------------------------------------------------------------------------
@@ -270,30 +270,14 @@ def make_csd_learner(table: CsdTable | None = None) -> Learner:
 
 def make_merged_learner() -> Learner:
     """One probe for 0 picks the branch: chain logic doubled, or the
-    descriptor count pair (simulated inline) doubled plus one."""
+    descriptor count pair (simulated by ``simulate_pair``) doubled plus one."""
 
     def program():
         if (yield Query(0)):
             index = yield from _csd_core(CsdTable(3))
             yield Emit(2 * index)
             return
-        teacher = DescriptorTeacher(0)
-        buffer: deque[int] = deque()
-        counting = _count_core(lambda c: 2 * c + 1)
-        feed: object = None
-        while True:
-            try:
-                action = counting.send(feed)
-            except StopIteration:
-                return
-            feed = None
-            if isinstance(action, Read):
-                while not buffer:
-                    datum = yield Read()
-                    buffer.extend(teacher.on_input(datum))
-                feed = buffer.popleft()
-            else:
-                yield action
+        yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher(0))
 
     return GenLearner("merged-branch", program)
 
@@ -406,58 +390,30 @@ def make_basic_agents() -> dict:
 
 
 def convert_psdT_to_pmc(learner: Learner, teacher_factory: Callable[[], Teacher]) -> Learner:
-    """Simulate the pair internally; re-emit only when the teacher extends."""
+    """Simulate the pair internally; emit its latest hypothesis, if it changed,
+    just before each raw read and once when the pair ends."""
 
     def program():
-        teacher = teacher_factory()
-        inner = learner.program()
-        buffer: deque[int] = deque()
-        inner_done = False
-        blocked_read = False
-        blocked_skip = False
-        pending: object = None
+        simulated = simulate_pair(learner.program(), teacher_factory())
         latest: int | None = None
         emitted: int | None = None
+        result: object = None
         while True:
-            while not inner_done and not blocked_read and not blocked_skip:
-                try:
-                    action = inner.send(pending)
-                except StopIteration:
-                    inner_done = True
-                    break
-                pending = None
-                if isinstance(action, Read):
-                    if buffer:
-                        pending = buffer.popleft()
-                    else:
-                        blocked_read = True
-                elif isinstance(action, Skip):
-                    if buffer:
-                        buffer.popleft()
-                    else:
-                        blocked_skip = True
-                elif isinstance(action, Query):
-                    answer = yield action
-                    buffer.extend(teacher.on_query_response(action.x, answer))
-                    pending = answer
-                elif isinstance(action, Emit):
-                    latest = action.hypothesis
-                elif isinstance(action, Work):
-                    yield action
-            if latest is not None and latest != emitted:
+            try:
+                action = simulated.send(result)
+            except StopIteration:
+                break
+            result = None
+            kind = type(action)
+            if kind is Emit:
+                latest = action.hypothesis
+                continue
+            if kind is Read and latest != emitted:
                 yield Emit(latest)
                 emitted = latest
-            if inner_done:
-                return
-            datum = yield Read()
-            buffer.extend(teacher.on_input(datum))
-            if buffer:
-                if blocked_read:
-                    pending = buffer.popleft()
-                    blocked_read = False
-                elif blocked_skip:
-                    buffer.popleft()
-                    blocked_skip = False
+            result = yield action
+        if latest != emitted:
+            yield Emit(latest)
 
     return GenLearner(f"extension-gated({learner.name})", program)
 

@@ -593,10 +593,17 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _is_natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def _check_config(config: dict) -> None:
-    max_n = config.get("max_n")
-    if max_n is not None and (type(max_n) is not int or max_n < 0):
-        raise ConfigError(f"max_n must be a natural number, got {max_n!r}")
+    if "max_n" in config and not _is_natural(config["max_n"]):
+        raise ConfigError(f"max_n must be a natural number, got {config['max_n']!r}")
+    n_range = config.get("n_range", [0, 0])
+    well_formed = type(n_range) is list and len(n_range) == 2 and all(map(_is_natural, n_range))
+    if not well_formed or n_range[0] > n_range[1]:
+        raise ConfigError(f"n_range must be [lo, hi] with natural lo <= hi, got {n_range!r}")
 
 
 def run_experiment(name: str, config: dict | None, out_dir) -> int:

@@ -16,6 +16,7 @@ action's result back::
 
 Teachers are stream transducers: per input datum they return the finite list
 of elements they pass on, which must all have occurred in their input so far.
+``simulate_pair`` folds a (learner, teacher) pair into one learner program.
 """
 
 from __future__ import annotations
@@ -109,14 +110,12 @@ class Teacher:
 
 
 class MembershipOracle:
-    """Answers membership in a fixed target; counts every query."""
+    """Answers membership in a fixed target; the interpreters count the queries."""
 
     def __init__(self, target: SetSpec):
         self.target = target
-        self.queries = 0
 
     def answer(self, x: int) -> bool:
-        self.queries += 1
         return self.target.contains(x)
 
 
@@ -125,10 +124,8 @@ class FnOracle(MembershipOracle):
 
     def __init__(self, fn: Callable[[int], bool]):
         self.fn = fn
-        self.queries = 0
 
     def answer(self, x: int) -> bool:
-        self.queries += 1
         return self.fn(x)
 
 
@@ -482,53 +479,46 @@ def run_on_sequence(
 
 
 # ---------------------------------------------------------------------------
-# pair composition
+# pair simulation
 
 
-class ComposedLearner(Learner):
-    """One learner that simulates a (learner, teacher) pair internally.
+def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
+    """One learner program that runs ``inner`` behind its own ``teacher``.
 
-    Reads raw data itself, feeds its private teacher copy, and runs the inner
-    learner on the teacher's output; queries are forwarded both ways.  Its
-    hypothesis stream equals the pair's.
+    Raw data are read only while the teacher's buffer is empty, and each goes
+    through ``teacher.on_input``; queries are forwarded both ways; an inner
+    ``Skip`` drops one buffered item and costs one ``Work(1)``; ``Emit`` and
+    ``Work`` pass through unchanged.  Its hypothesis stream equals the pair's.
     """
-
-    def __init__(self, make_learner: Callable[[], Learner], make_teacher: Callable[[], Teacher]):
-        self.make_learner = make_learner
-        self.make_teacher = make_teacher
-        self.name = f"composed({make_learner().name})"
-
-    def program(self) -> LearnerProgram:
-        inner = self.make_learner().program()
-        teacher = self.make_teacher()
-        buffer: deque[int] = deque()
-        result: object = None
-        while True:
-            try:
-                action = inner.send(result)
-            except StopIteration:
-                return
-            result = None
-            if isinstance(action, Read):
-                while not buffer:
-                    datum = yield Read()
-                    buffer.extend(teacher.on_input(datum))
-                result = buffer.popleft()
-            elif isinstance(action, Skip):
-                while not buffer:
-                    datum = yield Read()
-                    buffer.extend(teacher.on_input(datum))
-                buffer.popleft()
-                yield Work(1)
-            elif isinstance(action, Query):
-                answer = yield action
-                buffer.extend(teacher.on_query_response(action.x, answer))
-                result = answer
+    buffer: deque[int] = deque()
+    result: object = None
+    while True:
+        try:
+            action = inner.send(result)
+        except StopIteration:
+            return
+        result = None
+        kind = type(action)
+        if kind is Read or kind is Skip:
+            while not buffer:
+                buffer.extend(teacher.on_input((yield Read())))
+            item = buffer.popleft()
+            if kind is Read:
+                result = item
             else:
-                yield action
+                yield Work(1)
+        elif kind is Query:
+            result = yield action
+            buffer.extend(teacher.on_query_response(action.x, result))
+        else:
+            yield action
 
 
 def compose_pair(
     make_learner: Callable[[], Learner], make_teacher: Callable[[], Teacher]
-) -> ComposedLearner:
-    return ComposedLearner(make_learner, make_teacher)
+) -> Learner:
+    """One learner that simulates a (learner, teacher) pair internally."""
+    return GenLearner(
+        f"composed({make_learner().name})",
+        lambda: simulate_pair(make_learner().program(), make_teacher()),
+    )

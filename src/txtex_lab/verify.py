@@ -180,17 +180,16 @@ def verify_engine() -> list[CheckResult]:
     )
 
     target = family.member(5)
-    oracle = MembershipOracle(target)
     q = run_session(
         catalog["pow2_oracle_learner"],
         family.canonical_text(5),
-        oracle=oracle,
+        oracle=MembershipOracle(target),
         budget=Budget(horizon=80),
     )
     fidelity = all(
         e.payload[1] == target.contains(e.payload[0]) for e in q.events if e.kind == "query"
     )
-    out.append(_check("oracle answers match exact membership", fidelity, oracle.queries))
+    out.append(_check("oracle answers match exact membership", fidelity, q.ledger.oracle_queries))
 
     learner, teacher_factory = catalog["pow2_teacher_pair"]
     contract_cases = 0

@@ -1,9 +1,21 @@
+import hashlib
+
 import pytest
 
 from txtex_lab import agents, families
 from txtex_lab.codec import encode_tuple, pair, poly_encode
 from txtex_lab.evaluate import evaluate_run
-from txtex_lab.session import Budget, MembershipOracle, compose_pair, run_on_sequence, run_session
+from txtex_lab.session import (
+    Budget,
+    Emit,
+    GenLearner,
+    MembershipOracle,
+    Read,
+    Skip,
+    compose_pair,
+    run_on_sequence,
+    run_session,
+)
 from txtex_lab.sets import FiniteSet, Interval
 from txtex_lab.text import make_text
 
@@ -276,6 +288,24 @@ def test_convert_psdT_to_pmc_silent_teacher():
     assert transcript.hypothesis_stream() == [0]
 
 
+def test_convert_psdT_to_pmc_gates_emits_and_charges_skips():
+    def program():
+        yield Emit(1)
+        yield Emit(2)
+        yield Read()
+        yield Skip()
+
+    gated = agents.convert_psdT_to_pmc(GenLearner("scripted", program), agents.DistinctTeacher)
+    transcript = run_session(
+        gated, make_text("canonical", FiniteSet({3, 8})), budget=Budget(horizon=10)
+    )
+    logged = [(event.kind, event.payload) for event in transcript.events]
+    # both inner emissions precede the first raw read: only the latest goes out
+    assert logged[:2] == [("emit", (2,)), ("read", (3,))]
+    # the inner Skip pulls one more raw datum and costs one unit of work
+    assert logged[2:] == [("read", (8,)), ("work", (1,))]
+
+
 def test_convert_pmc_to_psdT_dataset_bound():
     family = families.make_basic_family("pow2")
     decoder, encoder_factory = agents.convert_pmc_to_psdT(agents.make_pow2_pmc_learner())
@@ -298,6 +328,50 @@ def test_conversion_roundtrip_preserves_hypotheses():
             text = make_text("seeded", family.member(n), seed=seed)
             transcript = run_session(roundtrip, text, budget=Budget(horizon=2**n + 50, window=15))
             assert transcript.final_hypothesis == n
+
+
+def _pinned_session(case, registry):
+    """The session behind one pinned transcript of a pair-simulating agent."""
+    if case.startswith("merged"):
+        n = 7 if case == "merged-odd" else 20
+        family = families.make_merged(registry, 0, poly_encode([0, 1]))
+        return run_session(
+            agents.make_merged_learner(),
+            family.canonical_text(n),
+            oracle=MembershipOracle(family.member(n)),
+            budget=Budget(horizon=120, window=15),
+        )
+    if case == "composed-msd":
+        family = families.make_msd(registry, 0, poly_encode([0, 1]))
+        learner, teacher_factory = agents.make_msd_pair()
+        return run_session(
+            compose_pair(lambda: learner, teacher_factory),
+            make_text("seeded", family.member(5), seed=3),
+            budget=Budget(horizon=65, window=20),
+        )
+    if case == "gated-pow2":
+        learner = agents.convert_psdT_to_pmc(*agents.make_pow2_teacher_pair())
+    else:  # the pmc -> psdT -> pmc round trip
+        decoder, encoder_factory = agents.convert_pmc_to_psdT(agents.make_pow2_pmc_learner())
+        learner = agents.convert_psdT_to_pmc(decoder, encoder_factory)
+    text = make_text("seeded", families.make_basic_family("pow2").member(5), seed=2)
+    return run_session(learner, text, budget=Budget(horizon=2**5 + 60, window=20))
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("merged-odd", "8f5ab3335da5524e8625686d66125779d75e85f1e6fa1626573306b2a2edef27"),
+        ("merged-even", "d46e78891677d4b0df36a24ea05d6f47eb43c791232f8ba0e90c34905e18edc4"),
+        ("composed-msd", "4e76bd7f248eec4fbba74817a8de383ba4e44d3d2af02601425b899b721938d8"),
+        ("gated-pow2", "db4339c6045ba9d3acb59c8f1f3986cbca24e2b1e0eb1aef632664ac4f2d667b"),
+        ("roundtrip-pow2", "184b6956b010dddb7034d573fabada7d64343f590cde521417fd905f93d2eb12"),
+    ],
+)
+def test_pair_simulating_transcripts_are_pinned(registry, case, digest):
+    transcript = _pinned_session(case, registry)
+    logged = transcript.events_jsonl() + "\n" + transcript.ledger_json()
+    assert hashlib.sha256(logged.encode()).hexdigest() == digest
 
 
 def test_pcsG_learner_behavior():

@@ -44,6 +44,20 @@ def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, experiment):
     assert err == f"bad config for {experiment}: max_n must be a natural number, got -5"
 
 
+@pytest.mark.parametrize("n_range", ["oops", [3, 1]])
+def test_run_malformed_n_range_is_usage_error(tmp_path, capsys, n_range):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_range": n_range}))
+    out = tmp_path / "never"
+    code = main(["run", "--experiment", "pow2-gap", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.strip()
+    assert err == (
+        f"bad config for pow2-gap: n_range must be [lo, hi] with natural lo <= hi, got {n_range!r}"
+    )
+
+
 def test_run_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "halting"
     config = tmp_path / "config.json"
