@@ -318,6 +318,9 @@ def search_trap_sets(
     of E.  Decoys D extend E with the first p(2k+1) interval members the
     learner queries while reading E in increasing order, padded with the
     least unused interval elements.
+
+    One learner and one stateless interval oracle serve every run of the
+    search; each run starts a fresh program of the learner.
     """
     interval = trap_interval(k)
     elements = list(interval.iter_increasing())
@@ -340,19 +343,16 @@ def search_trap_sets(
     stats["exhaustive_arrangements"] = exhaustive
     stats["arrangements_per_candidate"] = perm_count if exhaustive else sample_size
 
+    learner = registry.make(m_id)
+    oracle = MembershipOracle(interval)
+
     def candidate_passes(core: tuple[int, ...]) -> bool:
         if exhaustive:
             arrangements = itertools.permutations(core)
         else:
             arrangements = (rng.sample(core, len(core)) for _ in range(sample_size))
-        oracle_set = interval
         for arrangement in arrangements:
-            run = run_on_sequence(
-                registry.make(m_id),
-                list(arrangement),
-                oracle=MembershipOracle(oracle_set),
-                max_actions=max_actions,
-            )
+            run = run_on_sequence(learner, arrangement, oracle=oracle, max_actions=max_actions)
             if run.last_hypothesis != 2 * k:
                 return False
         return True
@@ -376,12 +376,7 @@ def search_trap_sets(
         return TrapSets(frozenset(), frozenset(), resolved=True, stats=stats)
 
     # decoys: core plus first pk interval members queried on the increasing core
-    run = run_on_sequence(
-        registry.make(m_id),
-        sorted(found),
-        oracle=MembershipOracle(interval),
-        max_actions=max_actions,
-    )
+    run = run_on_sequence(learner, sorted(found), oracle=oracle, max_actions=max_actions)
     queried_members: list[int] = []
     for x, _answer in run.queries:
         if interval.contains(x) and x not in queried_members:

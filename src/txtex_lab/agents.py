@@ -687,9 +687,8 @@ def make_trap_parity_learner(offset: int) -> Learner:
     def program():
         while True:
             datum = yield Read()
-            k = 0
-            while 2 ** (2 * k + 2) < datum:
-                k += 1
+            # least k >= 0 with datum <= 4**(k+1)
+            k = max(0, ((datum - 1).bit_length() - 1) // 2)
             yield Emit(2 * k + offset)
 
     return GenLearner(f"trap-parity-{offset}", program)

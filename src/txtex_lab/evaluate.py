@@ -111,7 +111,7 @@ def _sampled_sequences(
             rng.shuffle(positions)
             for x, pos in zip(sample, itertools.cycle(positions)):
                 seq[pos % len(seq)] = x
-        yield seq
+        yield tuple(seq)
 
 
 def check_characteristic_sample(
@@ -132,6 +132,13 @@ def check_characteristic_sample(
     <= max_universe (exhaustively when that space is small, seeded-sampled
     otherwise); on every sequence whose content covers ``sample`` the learner
     must output one fixed correct index of the target.
+
+    ``make_learner`` is called once per check: the one learner and one
+    stateless oracle serve every run, since each run starts a fresh program.
+    A deterministic learner gives the same output on the same sequence, so a
+    sampled check runs each distinct covering sequence once; a repeat still
+    counts in ``covering_prefixes_checked``.  Exhaustive sequences are
+    distinct, so that mode keeps no record of them.
     """
     target = family.member(target_index)
     sample = sorted(set(sample))
@@ -157,14 +164,20 @@ def check_characteristic_sample(
         sequences = _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS)
 
     sample_set = set(sample)
+    learner = make_learner()
+    oracle = MembershipOracle(target) if use_oracle else None
+    already_run: set[tuple[int, ...]] | None = None if exhaustive else set()
     locked: int | None = None
     checked = 0
     for seq in sequences:
-        if not sample_set <= set(seq):
+        if not sample_set.issubset(seq):
             continue
-        oracle = MembershipOracle(target) if use_oracle else None
-        run = run_on_sequence(make_learner(), list(seq), oracle=oracle)
         checked += 1
+        if already_run is not None:
+            if seq in already_run:
+                continue
+            already_run.add(seq)
+        run = run_on_sequence(learner, seq, oracle=oracle)
         output = run.last_hypothesis
         if output is None:
             return Verdict(False, "no-output", {"prefix": list(seq)})

@@ -9,7 +9,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import adversary, agents, families
 from .codec import poly_encode
@@ -19,7 +19,10 @@ from .text import make_text
 
 
 class ConfigError(ValueError):
-    """An experiment config value is out of range; raised before any file is written."""
+    """An experiment config has an unknown key or a mistyped or out-of-range value.
+
+    Raised before any file is written.
+    """
 
 
 @dataclass
@@ -32,12 +35,20 @@ class ExperimentResult:
     extra_files: dict = field(default_factory=dict)  # filename -> text content
 
 
+class ConfigType(NamedTuple):
+    """What a config value must be, and the check that decides it."""
+
+    description: str
+    check: Callable[[object], bool]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     description: str
     defaults: dict
     fn: Callable[[dict], ExperimentResult]
+    schema: dict[str, ConfigType]  # every accepted key; a superset of ``defaults``
 
 
 def _teacher_item_count(transcript) -> int:
@@ -514,6 +525,53 @@ def _halting(config: dict) -> ExperimentResult:
     )
 
 
+def _is_natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _list_of(check: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: type(value) is list and all(map(check, value))
+
+
+_is_naturals = _list_of(_is_natural)
+
+
+def _is_poly(value) -> bool:
+    return _is_naturals(value) and len(value) > 0
+
+
+def _is_learner_id(value) -> bool:
+    return _is_natural(value) and value in agents.build_default_registry().ids()
+
+
+def _is_trap_learner(value) -> bool:
+    """``[learner id, coefficients]``."""
+    return (
+        type(value) is list and len(value) == 2 and _is_learner_id(value[0]) and _is_poly(value[1])
+    )
+
+
+SEARCH_BUDGETS = ("max_candidates", "arrangement_limit", "sample_size", "max_actions")
+
+INTEGER = ConfigType("an integer", lambda v: type(v) is int)
+NATURAL = ConfigType("a natural number", _is_natural)
+NATURALS = ConfigType("a list of natural numbers", _is_naturals)
+POLY = ConfigType("a nonempty list of natural coefficients", _is_poly)
+N_RANGE = ConfigType(
+    "[lo, hi] with natural lo <= hi", lambda v: _is_naturals(v) and len(v) == 2 and v[0] <= v[1]
+)
+LEARNER_ID = ConfigType("a registered learner id", _is_learner_id)
+LEARNER_IDS = ConfigType("a list of registered learner ids", _list_of(_is_learner_id))
+NATURAL_SETS = ConfigType("a list of lists of natural numbers", _list_of(_is_naturals))
+NATURAL_SET_PAIR = ConfigType(
+    "two lists of natural numbers", lambda v: NATURAL_SETS.check(v) and len(v) == 2
+)
+TRAP_LEARNERS = ConfigType("a list of [learner id, coefficients] pairs", _list_of(_is_trap_learner))
+TRAP_BUDGETS = ConfigType(
+    f"an object mapping some of {list(SEARCH_BUDGETS)} to natural numbers",
+    lambda v: type(v) is dict and all(k in SEARCH_BUDGETS and _is_natural(n) for k, n in v.items()),
+)
+
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.name: spec
     for spec in [
@@ -522,30 +580,46 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             "distinct-data vs oracle-query vs teacher-item costs on dyadic intervals",
             {"n_range": [1, 12], "seed": 0},
             _pow2_gap,
+            {"n_range": N_RANGE, "seed": INTEGER},
         ),
         ExperimentSpec(
             "msd-linear",
             "descriptor teacher pair: hypothesis = index, ticks linear in index",
             {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10, "seed": 0},
             _msd_linear,
+            {
+                "max_n": NATURAL,
+                "learner_id": LEARNER_ID,
+                "poly": POLY,
+                "seeds": NATURAL,
+                "seed": INTEGER,
+            },
         ),
         ExperimentSpec(
             "msd-defeat",
             "marker-trapped descriptor family defeats registered oracle learners",
             {"learner_ids": [3, 4, 0], "poly": [0, 1], "seed": 0},
             _msd_defeat,
+            {"learner_ids": LEARNER_IDS, "poly": POLY, "seed": INTEGER},
         ),
         ExperimentSpec(
             "csd-chain",
             "chain-column family: oracle learner exact, forced mind changes on chains",
             {"max_anchor": 5, "chain_anchor": 5, "chain_length": 2, "seed": 0},
             _csd_chain,
+            {
+                "max_anchor": NATURAL,
+                "chain_anchor": NATURAL,
+                "chain_length": NATURAL,
+                "seed": INTEGER,
+            },
         ),
         ExperimentSpec(
             "merged-split",
             "parity-merged family: one oracle probe picks the branch",
             {"learner_id": 0, "poly": [0, 1], "max_index": 24, "seed": 0},
             _merged_split,
+            {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL, "seed": INTEGER},
         ),
         ExperimentSpec(
             "psd-finite",
@@ -558,12 +632,20 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "seed": 0,
             },
             _psd_finite,
+            {
+                "poly": POLY,
+                "sets": NATURAL_SETS,
+                "overlap_pair": NATURAL_SET_PAIR,
+                "shared_element": NATURAL,
+                "seed": INTEGER,
+            },
         ),
         ExperimentSpec(
             "conversions-roundtrip",
             "teacher-dataset and mind-change conversions preserve learning",
             {"max_n": 10, "seeds_per_n": 5, "seed": 0},
             _conversions,
+            {"max_n": NATURAL, "seeds_per_n": NATURAL, "seed": INTEGER},
         ),
         ExperimentSpec(
             "pcs-suite",
@@ -577,12 +659,22 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "seed": 0,
             },
             _pcs_suite,
+            {
+                "max_g": NATURAL,
+                "max_thm64": NATURAL,
+                "max_join": NATURAL,
+                "max_k": NATURAL,
+                "trap_learners": TRAP_LEARNERS,
+                "trap_budgets": TRAP_BUDGETS,  # optional: absent means the search defaults
+                "seed": INTEGER,
+            },
         ),
         ExperimentSpec(
             "halting-psd",
             "two distinct data suffice on the staged pair family",
             {"max_i": 10, "w_set": [1, 3], "seed": 0},
             _halting,
+            {"max_i": NATURAL, "w_set": NATURALS, "seed": INTEGER},
         ),
     ]
 }
@@ -593,30 +685,26 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _is_natural(value) -> bool:
-    return type(value) is int and value >= 0
-
-
-def _check_config(config: dict) -> None:
-    if "max_n" in config and not _is_natural(config["max_n"]):
-        raise ConfigError(f"max_n must be a natural number, got {config['max_n']!r}")
-    n_range = config.get("n_range", [0, 0])
-    well_formed = type(n_range) is list and len(n_range) == 2 and all(map(_is_natural, n_range))
-    if not well_formed or n_range[0] > n_range[1]:
-        raise ConfigError(f"n_range must be [lo, hi] with natural lo <= hi, got {n_range!r}")
+def _check_config(schema: dict[str, ConfigType], config: dict) -> None:
+    unknown = sorted(set(config) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r}; expected one of {sorted(schema)}")
+    for key, value in config.items():
+        if not schema[key].check(value):
+            raise ConfigError(f"{key} must be {schema[key].description}, got {value!r}")
 
 
 def run_experiment(name: str, config: dict | None, out_dir) -> int:
     """Execute one experiment; returns the process exit code.
 
-    Raises :class:`ConfigError` for an out-of-range config before the output
-    directory is created.
+    Raises :class:`ConfigError` for an unknown key or a value outside its
+    schema type before the output directory is created.
     """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
     merged = {**spec.defaults, **(config or {})}
-    _check_config(merged)
+    _check_config(spec.schema, merged)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -17,6 +17,11 @@ action's result back::
 Teachers are stream transducers: per input datum they return the finite list
 of elements they pass on, which must all have occurred in their input so far.
 ``simulate_pair`` folds a (learner, teacher) pair into one learner program.
+
+``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
+A learner object only makes programs and oracles hold no state, so a search
+holds one learner and one oracle per call and starts a fresh program for
+each run.
 """
 
 from __future__ import annotations
@@ -33,12 +38,13 @@ from .sets import SetSpec
 # actions
 
 
-@dataclass(frozen=True)
+# Field-less actions skip the generated ``__init__``: ``Read()`` runs no Python code.
+@dataclass(frozen=True, init=False)
 class Read:
     """Consume and observe the next element of the learner's input stream."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Skip:
     """Advance the input stream without observing the element (fixed cost 1)."""
 
@@ -436,7 +442,10 @@ def run_on_sequence(
     """Run ``learner`` over a finite input, stopping when it wants more.
 
     The learner's output on the finite string is the last hypothesis emitted
-    before it requests an element past the end of ``sequence``.
+    before it requests an element past the end of ``sequence``.  A run that
+    has taken ``max_actions`` actions without idling or reading past the end
+    raises :class:`ActionBudgetExceeded`, even if the next step would idle.
+    A tuple input is used as it is; anything else is copied into one.
     """
     program = learner.program()
     send = program.send
@@ -445,19 +454,12 @@ def run_on_sequence(
     pos = 0
     emissions: list[int] = []
     queries: list[tuple[int, bool]] = []
-    actions = 0
     result: object = None
-    while True:
-        if actions >= max_actions:
-            raise ActionBudgetExceeded(
-                f"{learner.name} exceeded {max_actions} actions",
-                PrefixRun(emissions, queries, actions, exhausted_input=False, idled=False),
-            )
+    for actions in range(1, max_actions + 1):  # the number of the action about to run
         try:
             action = send(result)
         except StopIteration:
-            return PrefixRun(emissions, queries, actions, exhausted_input=False, idled=True)
-        actions += 1
+            return PrefixRun(emissions, queries, actions - 1, exhausted_input=False, idled=True)
         result = None
         kind = type(action)
         if kind is Read or kind is Skip:
@@ -476,6 +478,10 @@ def run_on_sequence(
             result = answer
         elif kind is not Work:
             raise TypeError(f"unknown action {action!r}")
+    raise ActionBudgetExceeded(
+        f"{learner.name} exceeded {max_actions} actions",
+        PrefixRun(emissions, queries, max(max_actions, 0), exhausted_input=False, idled=False),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -182,3 +182,25 @@ def test_alpha_prefix():
         for n in range(0, 21, 4):
             member = family.member(n)
             assert all(member.contains(x) for x in prefix)
+
+
+INTERVAL_K2 = list(range(33, 65))
+
+# (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked) at k=2, seed 0
+TRAP_SEARCHES_K2 = {
+    (1, (2, 1)): (INTERVAL_K2[:8], INTERVAL_K2[:15], True, 1),
+    (1, (3, 1)): (INTERVAL_K2[:9], INTERVAL_K2[:17], True, 1),
+    (2, (2, 1)): ([], [], False, 2001),
+    (2, (3, 1)): ([], [], False, 2001),
+}
+
+
+@pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))
+def test_search_trap_sets_k2_is_pinned(registry, m_id, p_coeffs):
+    trap = adversary.search_trap_sets(registry, m_id, poly_encode(list(p_coeffs)), 2, seed=0)
+    core, decoys, resolved, candidates = TRAP_SEARCHES_K2[m_id, p_coeffs]
+    assert sorted(trap.trap_core) == core
+    assert sorted(trap.decoys) == decoys
+    assert trap.resolved is resolved
+    assert trap.stats["candidates_checked"] == candidates
+    assert trap.stats["exhaustive_arrangements"] is (p_coeffs == (2, 1))

@@ -439,3 +439,18 @@ def test_join_evens_learner():
     learner = agents.make_join_evens_learner()
     run = run_on_sequence(learner, [1, 3, 10, 7])
     assert run.emissions == [5]
+
+
+def _bracket_by_loop(datum):
+    k = 0
+    while 2 ** (2 * k + 2) < datum:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_trap_parity_learner_bracket_matches_power_loop(offset):
+    data = range(2**16)
+    run = run_on_sequence(agents.make_trap_parity_learner(offset), data, max_actions=2**18)
+    assert run.exhausted_input
+    assert run.emissions == [2 * _bracket_by_loop(datum) + offset for datum in data]

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from txtex_lab.cli import main
-from txtex_lab.experiments import EXPERIMENTS, config_hash, run_experiment
+from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash, run_experiment
 
 
 def test_list_commands(capsys):
@@ -56,6 +56,65 @@ def test_run_malformed_n_range_is_usage_error(tmp_path, capsys, n_range):
     assert err == (
         f"bad config for pow2-gap: n_range must be [lo, hi] with natural lo <= hi, got {n_range!r}"
     )
+
+
+@pytest.mark.parametrize(
+    "experiment,config,message",
+    [
+        ("msd-linear", {"seeds": "x"}, "seeds must be a natural number, got 'x'"),
+        (
+            "halting-psd",
+            {"typo_key": 1},
+            "unknown key 'typo_key'; expected one of ['max_i', 'seed', 'w_set']",
+        ),
+        ("pcs-suite", {"max_g": -3}, "max_g must be a natural number, got -3"),
+        ("halting-psd", {"seed": True}, "seed must be an integer, got True"),
+        (
+            "msd-defeat",
+            {"learner_ids": [3, 99]},
+            "learner_ids must be a list of registered learner ids, got [3, 99]",
+        ),
+        (
+            "psd-finite",
+            {"poly": []},
+            "poly must be a nonempty list of natural coefficients, got []",
+        ),
+        (
+            "psd-finite",
+            {"sets": [[0], [-1]]},
+            "sets must be a list of lists of natural numbers, got [[0], [-1]]",
+        ),
+        (
+            "pcs-suite",
+            {"trap_learners": [[1]]},
+            "trap_learners must be a list of [learner id, coefficients] pairs, got [[1]]",
+        ),
+        (
+            "pcs-suite",
+            {"trap_budgets": {"max_candidates": -1}},
+            "trap_budgets must be an object mapping some of ['max_candidates', "
+            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers, "
+            "got {'max_candidates': -1}",
+        ),
+    ],
+)
+def test_run_config_outside_schema_is_usage_error(tmp_path, capsys, experiment, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "never"
+    code = main(["run", "--experiment", experiment, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad config for {experiment}: {message}\n"
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_default_configs_match_their_schema(name):
+    spec = EXPERIMENTS[name]
+    assert set(spec.defaults) <= set(spec.schema)
+    _check_config(spec.schema, spec.defaults)
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

@@ -2,7 +2,13 @@ import pytest
 
 from txtex_lab import agents, families
 from txtex_lab.codec import poly_encode
-from txtex_lab.evaluate import check_characteristic_sample, evaluate_run, hypothesis_correct
+from txtex_lab.evaluate import (
+    SAMPLED_ARRANGEMENTS,
+    _sampled_sequences,
+    check_characteristic_sample,
+    evaluate_run,
+    hypothesis_correct,
+)
 from txtex_lab.session import Budget, Emit, GenLearner, MembershipOracle, Read, run_session
 from txtex_lab.text import make_text
 
@@ -191,3 +197,94 @@ def test_char_sample_sampled_mode_flagged():
     )
     assert verdict.passed
     assert verdict.details["exhaustive"] is False
+
+
+def _offset_power_check(n, seed, make_learner=agents.make_thm64_pcs_learner):
+    return check_characteristic_sample(
+        make_learner,
+        families.make_thm64_g(),
+        2 * n,
+        [2 * n, 2 * 2**n + 1],
+        poly_encode([2, 1]),
+        max_text_len=3,
+        max_universe=2 * 2**n + 2,
+        use_oracle=False,
+        seed=seed,
+    )
+
+
+# (seed, n) -> covering_prefixes_checked of the sampled offset-power checks
+SAMPLED_COVERING_COUNTS = {
+    (0, 6): 3224,
+    (0, 7): 3227,
+    (0, 8): 3251,
+    (11, 6): 3353,
+    (11, 7): 3394,
+    (11, 8): 3403,
+}
+
+
+@pytest.mark.parametrize("seed,n", sorted(SAMPLED_COVERING_COUNTS))
+def test_sampled_char_sample_verdicts_are_pinned(seed, n):
+    verdict = _offset_power_check(n, seed)
+    assert verdict.passed and verdict.reason == "ok"
+    assert verdict.details == {
+        "locked_output": 2 * n,
+        "covering_prefixes_checked": SAMPLED_COVERING_COUNTS[seed, n],
+        "exhaustive": False,
+        "sample_size": 2,
+    }
+
+
+class CountingFactory:
+    """Learner factory that counts learners made and programs started."""
+
+    def __init__(self, make_learner):
+        self.make_learner = make_learner
+        self.learners = 0
+        self.programs = 0
+
+    def __call__(self):
+        self.learners += 1
+        inner = self.make_learner()
+
+        def program():
+            self.programs += 1
+            return inner.program()
+
+        return GenLearner(inner.name, program)
+
+
+def _distinct_covering_sequences(n, seed):
+    universe = families.make_thm64_g().member(2 * n).elements_up_to(2 * 2**n + 2)
+    sample = sorted({2 * n, 2 * 2**n + 1})
+    sequences = _sampled_sequences(universe, sample, 3, seed, SAMPLED_ARRANGEMENTS)
+    return {tuple(seq) for seq in sequences if set(sample) <= set(seq)}
+
+
+@pytest.mark.parametrize("seed,n", sorted(SAMPLED_COVERING_COUNTS))
+def test_sampled_char_sample_runs_each_distinct_sequence_once(seed, n):
+    factory = CountingFactory(agents.make_thm64_pcs_learner)
+    verdict = _offset_power_check(n, seed, factory)
+    assert verdict.passed
+    assert factory.learners == 1
+    distinct = _distinct_covering_sequences(n, seed)
+    assert factory.programs == len(distinct) < SAMPLED_COVERING_COUNTS[seed, n]
+    if (seed, n) == (11, 6):
+        assert len(distinct) == 388
+
+
+def test_exhaustive_char_sample_runs_every_covering_sequence():
+    factory = CountingFactory(agents.make_pcsG_oracle_learner)
+    verdict = check_characteristic_sample(
+        factory,
+        families.make_basic_family("pcs-G"),
+        3,
+        [3],
+        poly_encode([2, 1]),
+        max_text_len=3,
+        max_universe=10,
+    )
+    assert verdict.passed and verdict.details["exhaustive"]
+    assert factory.learners == 1
+    assert factory.programs == verdict.details["covering_prefixes_checked"]

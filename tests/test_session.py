@@ -336,3 +336,58 @@ def test_agent_spec_json():
     assert spec["kind"] == "learner" and spec["name"] == "constant-3"
     assert "constant-3" in learner.spec_json()
     assert FirstOccurrenceTeacher().spec()["kind"] == "teacher"
+
+
+def emitter_learner(count):
+    """Emits 0..count-1 and idles: exactly ``count`` actions."""
+
+    def program():
+        for value in range(count):
+            yield Emit(value)
+
+    return GenLearner(f"emitter-{count}", program)
+
+
+def test_run_on_sequence_zero_budget_raises_before_any_action():
+    for learner in (emitter_learner(0), emitter_learner(3), echo_counter_learner()):
+        with pytest.raises(ActionBudgetExceeded) as exc_info:
+            run_on_sequence(learner, [1, 2], max_actions=0)
+        partial = exc_info.value.partial
+        assert partial.actions == 0
+        assert partial.emissions == [] and partial.queries == []
+        assert not partial.exhausted_input and not partial.idled
+
+
+def test_run_on_sequence_budget_spent_on_last_action_still_raises():
+    # the learner would idle right after its third action, but the budget is
+    # checked before the interpreter learns that
+    with pytest.raises(ActionBudgetExceeded) as exc_info:
+        run_on_sequence(emitter_learner(3), [], max_actions=3)
+    partial = exc_info.value.partial
+    assert partial.actions == 3
+    assert partial.emissions == [0, 1, 2]
+    assert not partial.exhausted_input and not partial.idled
+
+
+def test_run_on_sequence_read_past_end_on_last_budgeted_action():
+    run = run_on_sequence(echo_counter_learner(), [5], max_actions=3)
+    assert run.exhausted_input and not run.idled
+    assert run.actions == 3
+    assert run.emissions == [1]
+
+
+def test_run_on_sequence_idle_reports_true_action_count():
+    for count in (0, 1, 4):
+        for max_actions in (count + 1, count + 2, 100_000):
+            run = run_on_sequence(emitter_learner(count), [9], max_actions=max_actions)
+            assert run.idled and not run.exhausted_input
+            assert run.actions == count
+            assert run.emissions == list(range(count))
+
+
+def test_read_and_skip_are_frozen_equal_and_hashable():
+    assert Read() == Read() and Skip() == Skip()
+    assert Read() != Skip()
+    assert len({Read(), Read(), Skip()}) == 2
+    with pytest.raises(AttributeError):
+        Read().x = 1
