@@ -49,6 +49,8 @@ class ExperimentSpec:
     defaults: dict
     fn: Callable[[dict], ExperimentResult]
     schema: dict[str, ConfigType]  # every accepted key; a superset of ``defaults``
+    # checks that relate values of a well-typed config; raises ConfigError
+    check_values: Callable[[dict], None] | None = None
 
 
 def _teacher_item_count(transcript) -> int:
@@ -551,10 +553,25 @@ def _is_trap_learner(value) -> bool:
     )
 
 
+def _psd_finite_values(config: dict) -> None:
+    """Every set has a text, and the overlap pair is two sets sharing the element."""
+    if [] in config["sets"]:
+        raise ConfigError("sets must not contain an empty set")
+    first, second = config["overlap_pair"]
+    shared = config["shared_element"]
+    if shared not in first or shared not in second:
+        raise ConfigError(
+            f"shared_element {shared} must be in both overlap_pair sets {first} and {second}"
+        )
+    if set(first) == set(second):
+        raise ConfigError(f"overlap_pair must be two different sets, got {first} and {second}")
+
+
 SEARCH_BUDGETS = ("max_candidates", "arrangement_limit", "sample_size", "max_actions")
 
 INTEGER = ConfigType("an integer", lambda v: type(v) is int)
 NATURAL = ConfigType("a natural number", _is_natural)
+POSITIVE = ConfigType("a positive integer", lambda v: type(v) is int and v >= 1)
 NATURALS = ConfigType("a list of natural numbers", _is_naturals)
 POLY = ConfigType("a nonempty list of natural coefficients", _is_poly)
 N_RANGE = ConfigType(
@@ -610,7 +627,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {
                 "max_anchor": NATURAL,
                 "chain_anchor": NATURAL,
-                "chain_length": NATURAL,
+                "chain_length": POSITIVE,  # an empty chain forces nothing
                 "seed": INTEGER,
             },
         ),
@@ -639,6 +656,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "shared_element": NATURAL,
                 "seed": INTEGER,
             },
+            _psd_finite_values,
         ),
         ExperimentSpec(
             "conversions-roundtrip",
@@ -697,14 +715,17 @@ def _check_config(schema: dict[str, ConfigType], config: dict) -> None:
 def run_experiment(name: str, config: dict | None, out_dir) -> int:
     """Execute one experiment; returns the process exit code.
 
-    Raises :class:`ConfigError` for an unknown key or a value outside its
-    schema type before the output directory is created.
+    Raises :class:`ConfigError` for an unknown key, a value outside its
+    schema type or values the spec's ``check_values`` rejects, before the
+    output directory is created.
     """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
     merged = {**spec.defaults, **(config or {})}
     _check_config(spec.schema, merged)
+    if spec.check_values is not None:
+        spec.check_values(merged)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -16,7 +16,10 @@ action's result back::
 
 Teachers are stream transducers: per input datum they return the finite list
 of elements they pass on, which must all have occurred in their input so far.
-``simulate_pair`` folds a (learner, teacher) pair into one learner program.
+``run_session`` pumps a teacher inline, feeding it raw data while its buffer
+is empty; ``simulate_pair`` folds a (learner, teacher) pair into one learner
+program.  Events and emission snapshots are named tuples, and the ledger is
+built once, when the session ends.
 
 ``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
 A learner object only makes programs and oracles hold no state, so a search
@@ -29,7 +32,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 from .sets import SetSpec
 
@@ -157,8 +160,7 @@ class ResourceLedger:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     step: int
     kind: str  # read | skip | query | emit | teach | work | abort
     payload: tuple
@@ -167,12 +169,11 @@ class Event:
         return {"step": self.step, "kind": self.kind, "payload": list(self.payload)}
 
 
-@dataclass(frozen=True)
-class EmissionSnapshot:
+class EmissionSnapshot(NamedTuple):
     """Ledger state at the moment a hypothesis was emitted."""
 
     hypothesis: int
-    position: int  # input elements consumed so far
+    position: int  # raw text positions consumed so far
     ticks: int
     distinct_data: int
     oracle_queries: int
@@ -216,53 +217,6 @@ class ContractViolation(Exception):
     """Teacher emitted an element it has not received."""
 
 
-class _TeacherConduit:
-    """Feeds raw text through a teacher into a buffer the learner reads from.
-
-    Every batch of items the teacher passes on is logged as a ``teach`` event
-    once it has passed the contract check.
-    """
-
-    def __init__(self, teacher: Teacher, source: Iterator[int], log: Callable[..., None]):
-        self.teacher = teacher
-        self.source = source
-        self.log = log
-        self.buffer: deque[int] = deque()
-        self.seen: set[int] = set()
-        self.raw_consumed = 0
-
-    def _admit(self, datum: int | None, items: tuple[int, ...]) -> None:
-        for item in items:
-            if item not in self.seen:
-                raise ContractViolation(f"teacher emitted unseen element {item}")
-        self.buffer.extend(items)
-        self.log("teach", datum, items)
-
-    def feed_query_response(self, x: int, answer: bool) -> None:
-        items = tuple(self.teacher.on_query_response(x, answer))
-        if items:
-            self._admit(None, items)
-
-    def pull(self, raw_limit: int) -> int | None:
-        """Next buffered element; pumps raw data through the teacher as needed.
-
-        Returns None once the buffer is empty and the raw text or
-        ``raw_limit`` is used up.
-        """
-        buffer = self.buffer
-        while not buffer and self.raw_consumed < raw_limit:
-            try:
-                datum = next(self.source)
-            except StopIteration:
-                break
-            self.raw_consumed += 1
-            self.seen.add(datum)
-            items = tuple(self.teacher.on_input(datum))
-            if items:
-                self._admit(datum, items)
-        return buffer.popleft() if buffer else None
-
-
 def run_session(
     learner: Learner,
     text,
@@ -271,46 +225,45 @@ def run_session(
     oracle: MembershipOracle | None = None,
     budget: Budget | None = None,
 ) -> SessionTranscript:
-    """Drive the action loop to completion and return the full transcript."""
+    """Drive the action loop to completion and return the full transcript.
+
+    With a teacher, the loop pumps raw data through it while its buffer is
+    empty: each datum is marked seen and given to ``teacher.on_input``, and
+    whatever the teacher passes on is checked against the data seen so far,
+    logged as one ``teach`` event and buffered for the learner.  Query
+    responses go through the same check.  Convergence is judged on raw text
+    positions.
+    """
     budget = budget or Budget()
-    ledger = ResourceLedger()
+    max_ticks = budget.max_ticks
+    horizon = budget.horizon
     events: list[Event] = []
     emissions: list[EmissionSnapshot] = []
+    append = events.append
     seen_data: set[int] = set()
-    consumed = 0
+    ticks = mind_changes = queries = skips = 0
+    consumed = raw = 0  # elements the learner took; raw text positions a teacher took
     end_reason = "idle"
-
     source = text.stream()
 
-    def log(kind: str, *payload) -> None:
-        events.append(Event(len(events), kind, payload))
+    if teacher is not None:
+        on_input = teacher.on_input
+        buffer: deque[int] = deque()
+        seen: set[int] = set()
 
-    conduit = _TeacherConduit(teacher, source, log) if teacher is not None else None
-
-    def position() -> int:
-        """Raw text positions consumed; the axis for convergence stability."""
-        return conduit.raw_consumed if conduit is not None else consumed
-
-    def next_input() -> int | None:
-        nonlocal consumed
-        if conduit is not None:
-            element = conduit.pull(budget.horizon)
-            if element is None:
-                return None
-            consumed += 1
-            return element
-        if consumed >= budget.horizon:
-            return None
-        consumed += 1
-        return next(source)
+        def admit(datum: int | None, items: tuple[int, ...]) -> None:
+            for item in items:
+                if item not in seen:
+                    raise ContractViolation(f"teacher emitted unseen element {item}")
+            append(Event(len(events), "teach", (datum, items)))
+            buffer.extend(items)
 
     program = learner.program()
     send = program.send
-    append = events.append
     result: object = None
     try:
         while True:
-            if ledger.ticks >= budget.max_ticks:
+            if ticks >= max_ticks:
                 end_reason = "ticks"
                 break
             try:
@@ -320,59 +273,73 @@ def run_session(
                 break
             result = None
             kind = type(action)
-            if kind is Read:
-                element = next_input()
-                if element is None:
-                    end_reason = "horizon"
-                    break
-                ledger.ticks += 1
-                if element not in seen_data:
+            if kind is Read or kind is Skip:
+                if teacher is None:
+                    if consumed >= horizon:
+                        end_reason = "horizon"
+                        break
+                    element = next(source)
+                else:
+                    while not buffer and raw < horizon:
+                        datum = next(source, None)
+                        if datum is None:
+                            break
+                        raw += 1
+                        seen.add(datum)
+                        items = tuple(on_input(datum))
+                        if items:
+                            admit(datum, items)
+                    if not buffer:
+                        end_reason = "horizon"
+                        break
+                    element = buffer.popleft()
+                consumed += 1
+                ticks += 1
+                if kind is Read:
                     seen_data.add(element)
-                    ledger.distinct_data += 1
-                append(Event(len(events), "read", (element,)))
-                result = element
+                    append(Event(len(events), "read", (element,)))
+                    result = element
+                else:
+                    skips += 1
+                    append(Event(len(events), "skip", ()))
             elif kind is Emit:
-                ledger.ticks += 1
-                if emissions and emissions[-1].hypothesis != action.hypothesis:
-                    ledger.mind_changes += 1
-                append(Event(len(events), "emit", (action.hypothesis,)))
+                hypothesis = action.hypothesis
+                ticks += 1
+                if emissions and emissions[-1].hypothesis != hypothesis:
+                    mind_changes += 1
+                append(Event(len(events), "emit", (hypothesis,)))
                 emissions.append(
                     EmissionSnapshot(
-                        hypothesis=action.hypothesis,
-                        position=position(),
-                        ticks=ledger.ticks,
-                        distinct_data=ledger.distinct_data,
-                        oracle_queries=ledger.oracle_queries,
-                        event_index=len(events) - 1,
+                        hypothesis,
+                        consumed if teacher is None else raw,
+                        ticks,
+                        len(seen_data),
+                        queries,
+                        len(events) - 1,
                     )
                 )
             elif kind is Query:
                 if oracle is None:
                     raise ValueError(f"learner {learner.name} queried without an oracle")
                 answer = oracle.answer(action.x)
-                ledger.ticks += 1
-                ledger.oracle_queries += 1
-                log("query", action.x, answer)
-                if conduit is not None:
-                    conduit.feed_query_response(action.x, answer)
+                ticks += 1
+                queries += 1
+                append(Event(len(events), "query", (action.x, answer)))
+                if teacher is not None:
+                    items = tuple(teacher.on_query_response(action.x, answer))
+                    if items:
+                        admit(None, items)
                 result = answer
             elif kind is Work:
-                ledger.ticks += action.units
-                log("work", action.units)
-            elif kind is Skip:
-                element = next_input()
-                if element is None:
-                    end_reason = "horizon"
-                    break
-                ledger.ticks += 1
-                ledger.skips += 1
-                log("skip")
+                ticks += action.units
+                append(Event(len(events), "work", (action.units,)))
             else:
                 raise TypeError(f"unknown action {action!r}")
     except ContractViolation as violation:
-        log("abort", str(violation))
+        append(Event(len(events), "abort", (str(violation),)))
         end_reason = "contract-violation"
 
+    position = consumed if teacher is None else raw
     final_hypothesis = emissions[-1].hypothesis if emissions else None
     convergence = _convergence_point(emissions)
     converged = False
@@ -380,10 +347,10 @@ def run_session(
         if end_reason == "idle":
             converged = True
         elif end_reason == "horizon":
-            converged = position() - convergence.position >= budget.effective_window()
+            converged = position - convergence.position >= budget.effective_window()
     return SessionTranscript(
         events=events,
-        ledger=ledger,
+        ledger=ResourceLedger(ticks, len(seen_data), mind_changes, queries, skips),
         emissions=emissions,
         consumed=consumed,
         end_reason=end_reason,

@@ -96,6 +96,23 @@ def test_run_malformed_n_range_is_usage_error(tmp_path, capsys, n_range):
             "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers, "
             "got {'max_candidates': -1}",
         ),
+        (
+            "psd-finite",
+            {"shared_element": 7},
+            "shared_element 7 must be in both overlap_pair sets [0, 2] and [0, 5]",
+        ),
+        (
+            "psd-finite",
+            {"overlap_pair": [[], [0]]},
+            "shared_element 0 must be in both overlap_pair sets [] and [0]",
+        ),
+        (
+            "psd-finite",
+            {"overlap_pair": [[0, 2], [2, 0]]},
+            "overlap_pair must be two different sets, got [0, 2] and [2, 0]",
+        ),
+        ("psd-finite", {"sets": [[0], []]}, "sets must not contain an empty set"),
+        ("csd-chain", {"chain_length": 0}, "chain_length must be a positive integer, got 0"),
     ],
 )
 def test_run_config_outside_schema_is_usage_error(tmp_path, capsys, experiment, config, message):
@@ -115,6 +132,8 @@ def test_default_configs_match_their_schema(name):
     spec = EXPERIMENTS[name]
     assert set(spec.defaults) <= set(spec.schema)
     _check_config(spec.schema, spec.defaults)
+    if spec.check_values is not None:
+        spec.check_values(spec.defaults)
 
 
 def test_run_writes_artifacts(tmp_path, capsys):

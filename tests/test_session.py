@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from txtex_lab import adversary, experiments
 from txtex_lab.agents import build_default_registry, make_csd_learner, make_msd_pair
 from txtex_lab.codec import poly_encode
 from txtex_lab.families import make_csd, make_msd
@@ -9,6 +10,8 @@ from txtex_lab.session import (
     ActionBudgetExceeded,
     Budget,
     Emit,
+    EmissionSnapshot,
+    Event,
     FnOracle,
     GenLearner,
     MembershipOracle,
@@ -391,3 +394,261 @@ def test_read_and_skip_are_frozen_equal_and_hashable():
     assert len({Read(), Read(), Skip()}) == 2
     with pytest.raises(AttributeError):
         Read().x = 1
+
+
+# ---------------------------------------------------------------------------
+# teacher-session edge cases, pinned byte for byte
+
+
+class BatchTeacher(Teacher):
+    """Holds its input back and passes it on three data at a time."""
+
+    name = "batch-3"
+
+    def __init__(self):
+        self.held = []
+
+    def on_input(self, datum):
+        self.held.append(datum)
+        if len(self.held) < 3:
+            return []
+        batch, self.held = self.held, []
+        return batch
+
+
+class QueryEchoTeacher(Teacher):
+    """Passes each datum on; the first yes for an element passes it on once more."""
+
+    name = "query-echo"
+
+    def __init__(self):
+        self.echoed = set()
+
+    def on_input(self, datum):
+        return [datum]
+
+    def on_query_response(self, x, answer):
+        if not answer or x in self.echoed:
+            return []
+        self.echoed.add(x)
+        return [x]
+
+
+class QueryCheatingTeacher(Teacher):
+    """Honest on its input; answers a query with an element it never received."""
+
+    name = "query-cheater"
+
+    def on_input(self, datum):
+        return [datum]
+
+    def on_query_response(self, x, answer):
+        return [x + 100]
+
+
+def read_query_learner():
+    """Reads a datum, asks the oracle about it, emits it."""
+
+    def program():
+        while True:
+            datum = yield Read()
+            yield Query(datum)
+            yield Emit(datum)
+
+    return GenLearner("read-query", program)
+
+
+def skip_read_learner():
+    """Skips one element, then reads one and emits it, forever."""
+
+    def program():
+        while True:
+            yield Skip()
+            datum = yield Read()
+            yield Emit(datum)
+
+    return GenLearner("skip-read", program)
+
+
+def _teacher_edge_session(case):
+    if case == "skip-through-teacher":
+        text = make_text("repeat-pad", FiniteSet({5, 9, 12, 20}), pad_element=5, pad_count=3)
+        return run_session(
+            skip_read_learner(), text, teacher=FirstOccurrenceTeacher(), budget=Budget(horizon=30)
+        )
+    if case == "batch-teacher":
+        text = make_text("seeded", Interval(0, 20), seed=5)
+        return run_session(
+            echo_counter_learner(), text, teacher=BatchTeacher(), budget=Budget(horizon=14)
+        )
+    if case == "query-response-items":
+        target = Interval(2, 9)
+        return run_session(
+            read_query_learner(),
+            make_text("canonical", target),
+            teacher=QueryEchoTeacher(),
+            oracle=MembershipOracle(target),
+            budget=Budget(horizon=6, window=2),
+        )
+    if case == "query-response-violation":
+        target = Interval(0, 9)
+        return run_session(
+            read_query_learner(),
+            make_text("canonical", target),
+            teacher=QueryCheatingTeacher(),
+            oracle=MembershipOracle(target),
+            budget=Budget(horizon=6),
+        )
+    if case == "max-ticks-mid-teacher":
+        text = make_text("canonical", Interval(0, None))
+        return run_session(
+            echo_counter_learner(),
+            text,
+            teacher=BatchTeacher(),
+            budget=Budget(max_ticks=8, horizon=30),
+        )
+    # the horizon falls on the datum that completes the last batch, so the
+    # learner drains the buffer and then finds the raw text used up
+    text = make_text("canonical", FiniteSet({2, 5, 7}))
+    return run_session(
+        echo_counter_learner(), text, teacher=BatchTeacher(), budget=Budget(horizon=6, window=3)
+    )
+
+
+# case -> (events digest, ledger digest, (end reason, consumed, converged, emission positions))
+TEACHER_EDGE_PINS = {
+    "skip-through-teacher": (
+        "d0dcc55ff779c8078850ec09d6328c33f9e969b0c36fbe277c5cb60736a06f7f",
+        "b27692782f364757e4cb5cd440c02a40df1c944d5f8cedf4f6452c46fb15f426",
+        ("horizon", 4, True, [5, 7]),
+    ),
+    "batch-teacher": (
+        "a8acc4b75c31a7977789cd33875450ba973b774bce0ac1109bca78d6686f3d47",
+        "435a9aaf9b2cc747a2dddff75c56943acefe6aceaf8f2eb6cb612559f40dca60",
+        ("horizon", 12, False, [3, 3, 3, 6, 6, 6, 9, 9, 9, 12, 12, 12]),
+    ),
+    "query-response-items": (
+        "7b363c88f31ff194a439ef1db9cd0b0fb5314d2b4b9e3d728bfd276e59d6cbc3",
+        "9244363ff17feea78476f235371d275a2eb7613e6e9b4b73fb6f74e29c7642c6",
+        ("horizon", 12, False, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]),
+    ),
+    "query-response-violation": (
+        "e4a75e1cf17b2cfaec2ebb5d0276c3aeaa8f3ab2c5138ff2ed10dfad8b49cd94",
+        "29a33e17bc1e0f4ac206ba133fe7dacb3202fca65e6cf1138fb25b1ed348582d",
+        ("contract-violation", 1, False, []),
+    ),
+    "max-ticks-mid-teacher": (
+        "d4ca9ae3c86e7f6eab777df290d7bba07df4e74bf7480541b1c7fbbad6b0c080",
+        "7507986f2f1a39c9797b99e5eb6a56fe7bdc578e2030bb4c3f10373055c3f7ea",
+        ("ticks", 4, False, [3, 3, 3, 6]),
+    ),
+    "horizon-when-buffer-empties": (
+        "8777f25960ae7fc58096cad7743709b0d33401c5806485deb2040e149c0f6266",
+        "1a2b84d3de3fbc6c567dc35362749eaed938b73df204ed33247521bcd71ff168",
+        ("horizon", 6, True, [3, 3, 3, 6, 6, 6]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TEACHER_EDGE_PINS))
+def test_teacher_edge_sessions_are_pinned(case):
+    """Digests recorded before the teacher pump moved inline into ``run_session``."""
+    events_digest, ledger_digest, end = TEACHER_EDGE_PINS[case]
+    transcript = _teacher_edge_session(case)
+    assert _sha256(transcript.events_jsonl()) == events_digest
+    assert _sha256(transcript.ledger_json()) == ledger_digest
+    positions = [emission.position for emission in transcript.emissions]
+    assert (transcript.end_reason, transcript.consumed, transcript.converged, positions) == end
+
+
+def test_event_and_snapshot_are_immutable_records_read_by_name():
+    event = Event(3, "teach", (7, (7, 8)))
+    assert (event.step, event.kind, event.payload) == (3, "teach", (7, (7, 8)))
+    assert event.as_dict() == {"step": 3, "kind": "teach", "payload": [7, (7, 8)]}
+    snapshot = EmissionSnapshot(5, 9, 12, 4, 1, 30)
+    assert (
+        snapshot.hypothesis,
+        snapshot.position,
+        snapshot.ticks,
+        snapshot.distinct_data,
+        snapshot.oracle_queries,
+        snapshot.event_index,
+    ) == (5, 9, 12, 4, 1, 30)
+    for record, field in ((event, "kind"), (snapshot, "ticks")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert event == Event(3, "teach", (7, (7, 8))) and snapshot == EmissionSnapshot(5, 9, 12, 4, 1, 30)
+    assert len({event, Event(3, "teach", (7, (7, 8))), snapshot}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the event log is the record: the ledger folds back out of it
+
+
+def _fold_events(events):
+    """The ledger, and a snapshot at every emit, recomputed from the events alone.
+
+    Snapshot positions count reads and skips, the raw positions of a session
+    without a teacher.
+    """
+    ticks = queries = skips = mind_changes = position = 0
+    read_payloads = set()
+    snapshots = []
+    for index, event in enumerate(events):
+        kind = event.kind
+        if kind == "read":
+            ticks += 1
+            position += 1
+            read_payloads.add(event.payload[0])
+        elif kind == "skip":
+            ticks += 1
+            position += 1
+            skips += 1
+        elif kind == "query":
+            ticks += 1
+            queries += 1
+        elif kind == "work":
+            ticks += event.payload[0]
+        elif kind == "emit":
+            ticks += 1
+            hypothesis = event.payload[0]
+            if snapshots and snapshots[-1][0] != hypothesis:
+                mind_changes += 1
+            snapshots.append((hypothesis, position, ticks, len(read_payloads), queries, index))
+    ledger = {
+        "ticks": ticks,
+        "distinct_data": len(read_payloads),
+        "mind_changes": mind_changes,
+        "oracle_queries": queries,
+        "skips": skips,
+    }
+    return ledger, snapshots
+
+
+def test_ledger_folds_from_events_in_every_default_session(tmp_path, monkeypatch):
+    sessions = []
+
+    def recording_run_session(learner, text, **kwargs):
+        transcript = run_session(learner, text, **kwargs)
+        sessions.append((kwargs.get("teacher") is None, transcript))
+        return transcript
+
+    monkeypatch.setattr(experiments, "run_session", recording_run_session)
+    monkeypatch.setattr(adversary, "run_session", recording_run_session)
+    for name in experiments.EXPERIMENTS:
+        before = len(sessions)
+        assert experiments.run_experiment(name, None, tmp_path / name) == 0
+        assert len(sessions) > before, name
+
+    teacherless = 0
+    for without_teacher, transcript in sessions:
+        ledger, snapshots = _fold_events(transcript.events)
+        assert ledger == transcript.ledger.as_dict()
+        if without_teacher:
+            teacherless += 1
+            recorded = [
+                (e.hypothesis, e.position, e.ticks, e.distinct_data, e.oracle_queries, e.event_index)
+                for e in transcript.emissions
+            ]
+            assert recorded == snapshots
+    assert teacherless and teacherless < len(sessions)
