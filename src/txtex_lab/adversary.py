@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .codec import encode_tuple, poly_eval
+from .evaluate import hypothesis_correct
 from .registry import LearnerRegistry
 from .session import (
     ActionBudgetExceeded,
@@ -159,14 +160,7 @@ def chain_force(
                 candidate = sigma + list(ext)
                 run = run_on_sequence(agent, candidate, max_actions=max_actions)
                 output = run.last_hypothesis
-                if output is None:
-                    continue
-                try:
-                    hypothesis_set = family.member(output)
-                except Exception:
-                    continue
-                bound = family.separation_bound([index, output])
-                if set_equal(hypothesis_set, member, bound):
+                if output is not None and hypothesis_correct(family, output, index, member):
                     sigma = candidate
                     found = True
                     break
@@ -256,16 +250,7 @@ def msd_defeat(registry: LearnerRegistry, m_id: int, p_code: int, *, horizon_sla
             shared_hypothesis = event.payload[0]
     wrong_for = []
     for index in (n0, n1):
-        if shared_hypothesis is None:
-            wrong_for.append(index)
-            continue
-        try:
-            hyp_set = family.member(shared_hypothesis)
-        except Exception:
-            wrong_for.append(index)
-            continue
-        bound = family.separation_bound([index, shared_hypothesis])
-        if not set_equal(hyp_set, family.member(index), bound):
+        if shared_hypothesis is None or not hypothesis_correct(family, shared_hypothesis, index):
             wrong_for.append(index)
 
     report = DefeatReport(
@@ -392,11 +377,6 @@ def search_trap_sets(
         stats["decoy_padding_failed"] = True
         return TrapSets(frozenset(found), frozenset(), resolved=False, stats=stats)
     return TrapSets(frozenset(found), frozenset(decoys), resolved=True, stats=stats)
-
-
-def alpha_prefix(k: int) -> list[int]:
-    """The odd numbers 1, 3, ..., 2k+1; a prefix consistent with every join member."""
-    return [2 * i + 1 for i in range(k + 1)]
 
 
 def make_chain_chaser(family, chain: list[int], initial: int = 0) -> Learner:

@@ -12,7 +12,7 @@ from collections import deque
 from typing import Callable
 
 from .adversary import trap_interval
-from .codec import canonical_encode, encode_tuple, pair, poly_eval, unpair
+from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import new_recognizer, recognizer_step
 from .families import CsdTable, PcsFFamily
 from .registry import LearnerRegistry
@@ -73,7 +73,7 @@ def query_plan(plan, encode: Callable[[int], int] = lambda v: v):
 
 
 # ---------------------------------------------------------------------------
-# interval learners
+# interval learner
 
 
 def make_up_interval_learner() -> Learner:
@@ -86,70 +86,6 @@ def make_up_interval_learner() -> Learner:
         yield Emit(x)
 
     return GenLearner("up-interval-scan", program)
-
-
-def make_pair_interval_learner() -> Learner:
-    """Find the left endpoint by scan, the right by doubling plus bisection."""
-
-    def program():
-        lo = 0
-        while not (yield Query(lo)):
-            lo += 1
-        if not (yield Query(lo + 1)):
-            yield Emit(pair(lo, lo))
-            return
-        j = 1
-        while (yield Query(lo + 2**j)):
-            j += 1
-        inside, outside = lo + 2 ** (j - 1), lo + 2**j
-        while outside - inside > 1:
-            mid = (inside + outside) // 2
-            if (yield Query(mid)):
-                inside = mid
-            else:
-                outside = mid
-        yield Emit(pair(lo, inside))
-
-    return GenLearner("pair-interval-search", program)
-
-
-def make_interval_oracle_learners(kind: str) -> Learner:
-    if kind == "up-intervals":
-        return make_up_interval_learner()
-    if kind == "pair-intervals":
-        return make_pair_interval_learner()
-    raise ValueError(f"no interval learner for kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# distinct-forwarding teacher and the tuple pair
-
-
-class DistinctTeacher(Teacher):
-    """Forwards the first occurrence of every element, drops repeats."""
-
-    name = "distinct-filter"
-
-    def __init__(self):
-        self.seen: set[int] = set()
-
-    def on_input(self, datum: int) -> list[int]:
-        if datum in self.seen:
-            return []
-        self.seen.add(datum)
-        return [datum]
-
-
-def make_tuple_teacher_pair(k: int) -> tuple[Learner, Callable[[], Teacher]]:
-    """Collect k+1 distinct values in arrival order and emit their tuple code."""
-
-    def program():
-        values = []
-        while len(values) < k + 1:
-            values.append((yield Read()))
-        yield Emit(encode_tuple(values))
-
-    return GenLearner(f"tuple-collector({k})", program), DistinctTeacher
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Arithmetic encodings: pairing, tuples, signed integers, columns, polynomials, set codes.
+"""Arithmetic encodings: pairing, tuples, signed integers, polynomials, set codes.
 
 All codes are plain arbitrary-precision naturals.  The pairing is the Cantor
 function pi(a, b) = (a+b)(a+b+1)/2 + b; tuples are right-nested, so
@@ -74,21 +74,6 @@ def signed_int_inv(z: int) -> int:
     if z >= 0:
         return 2 * z
     return -2 * z - 1
-
-
-def column_pack(a: int, i: int) -> int:
-    """Code of element ``a`` placed on column ``i``."""
-    return pair(a, i)
-
-
-def column_unpack(x: int) -> tuple[int, int]:
-    """Recover (element, column) from a column-packed code."""
-    return unpair(x)
-
-
-def in_column(x: int, i: int) -> bool:
-    """Whether code ``x`` sits on column ``i``."""
-    return unpair(x)[1] == i
 
 
 def poly_encode(coeffs: Sequence[int]) -> PolyCode:

@@ -33,14 +33,20 @@ class Verdict:
         return self.passed
 
 
-def hypothesis_correct(family, hypothesis: int, target_index: int) -> bool:
-    """Whether the emitted index codes the same set as the target index."""
+def hypothesis_correct(family, hypothesis: int, target_index: int, target=None) -> bool:
+    """Whether the emitted index codes the same set as the target index.
+
+    ``target`` is ``family.member(target_index)``, for a caller that tests
+    many hypotheses against one target and holds it already.
+    """
     try:
         hypothesis_set = family.member(hypothesis)
     except Exception:
         return False
     bound = family.separation_bound([hypothesis, target_index])
-    return set_equal(hypothesis_set, family.member(target_index), bound)
+    if target is None:
+        target = family.member(target_index)
+    return set_equal(hypothesis_set, target, bound)
 
 
 def evaluate_run(

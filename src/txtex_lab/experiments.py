@@ -567,6 +567,20 @@ def _psd_finite_values(config: dict) -> None:
         raise ConfigError(f"overlap_pair must be two different sets, got {first} and {second}")
 
 
+def _csd_chain_values(config: dict) -> None:
+    """The chain anchor lies in the swept table, above anchor 0.
+
+    Anchor 0's chain is a lone top set whose index the chaser emits before any
+    datum, so it forces nothing; a larger anchor than the sweep's can have a
+    chain too long to build.
+    """
+    anchor, max_anchor = config["chain_anchor"], config["max_anchor"]
+    if not 1 <= anchor <= max_anchor:
+        raise ConfigError(
+            f"chain_anchor must be between 1 and max_anchor {max_anchor}, got {anchor}"
+        )
+
+
 SEARCH_BUDGETS = ("max_candidates", "arrangement_limit", "sample_size", "max_actions")
 
 INTEGER = ConfigType("an integer", lambda v: type(v) is int)
@@ -630,6 +644,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "chain_length": POSITIVE,  # an empty chain forces nothing
                 "seed": INTEGER,
             },
+            _csd_chain_values,
         ),
         ExperimentSpec(
             "merged-split",

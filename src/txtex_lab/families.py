@@ -9,7 +9,6 @@ registry and run their searches at construction time.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable
 
 from . import adversary
@@ -74,12 +73,6 @@ class IndexedFamily:
 
     def canonical_text(self, n: int) -> Text:
         return make_text("canonical", self.member(n))
-
-    def manifest(self) -> dict:
-        return {"family": self.name}
-
-    def manifest_json(self) -> str:
-        return json.dumps(self.manifest(), sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -283,18 +276,6 @@ class MsdFamily(IndexedFamily):
     def min_index(self, n):
         return n  # described numbers differ, so members are pairwise distinct
 
-    def manifest(self):
-        return {
-            "family": self.name,
-            "variant": self.variant,
-            "learner_id": self.m_id,
-            "poly_code": self.p_code,
-            "targeted_indices": list(self.targeted),
-            "marker_count": len(self.markers),
-            "query_ceiling": self.query_ceiling,
-            "floor": self.floor,
-        }
-
 
 def make_msd(
     registry: LearnerRegistry, m_id: int, p_code: int, variant: str = "single"
@@ -383,9 +364,6 @@ class CsdTable:
     def index_of_chain(self, i: int, j: int) -> int:
         return self.anchor(i) + 1 + j
 
-    def anchors_up_to(self, count: int) -> list[int]:
-        return [self.anchor(i) for i in range(count)]
-
     def identify(self, top_column: int, greatest: int) -> list[tuple[str, int, int]]:
         """Candidate locations whose top column and widest base match."""
         candidates = []
@@ -423,13 +401,6 @@ class CsdFamily(IndexedFamily):
         out = [self.table.index_of_chain(i, j) for j in range(width)]
         out.append(self.table.index_of_top(i))
         return out
-
-    def manifest(self):
-        return {
-            "family": self.name,
-            "multiplier": self.table.multiplier,
-            "anchors": self.table.anchors_up_to(10),
-        }
 
 
 def make_csd() -> CsdFamily:
@@ -482,15 +453,6 @@ class MergedFamily(IndexedFamily):
         if n % 2 == 0:
             return 2 * self.table.min_index(n // 2)
         return n
-
-    def manifest(self):
-        return {
-            "family": self.name,
-            "learner_id": self.m_id,
-            "poly_code": self.p_code,
-            "anchors": self.table.anchors_up_to(8),
-            "query_ceiling": self.query_ceiling,
-        }
 
 
 def make_merged(registry: LearnerRegistry, m_id: int, p_code: int) -> MergedFamily:
@@ -571,22 +533,6 @@ class PcsFFamily(IndexedFamily):
         if k not in self.traps:
             raise UnresolvedIndexError(f"trap sets for k={k} were never searched")
         return self.traps[k]
-
-    def manifest(self):
-        return {
-            "family": self.name,
-            "learner_id": self.m_id,
-            "poly_code": self.p_code,
-            "traps": {
-                str(k): {
-                    "resolved": t.resolved,
-                    "core": sorted(t.trap_core),
-                    "decoys": sorted(t.decoys),
-                    "stats": t.stats,
-                }
-                for k, t in self.traps.items()
-            },
-        }
 
 
 def make_pcs_f(

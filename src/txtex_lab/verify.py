@@ -7,8 +7,9 @@ driven from the test suite.
 The descriptor suite checks every arrival order of each built descriptor
 through the subset lattice of its k elements, k * 2**(k-1) recognizer steps
 in place of a replay of all k! orderings; its case count is the number of
-orderings covered.  The tests keep the permutation replay as a second,
-independent check.
+orderings covered.  The permutation replay stays in the tests as a second,
+independent check: ``recognizer_fires_last`` in ``tests/conftest.py``, which
+acceptance criterion 2 runs on descriptors of 3, 5 and 7 elements.
 """
 
 from __future__ import annotations

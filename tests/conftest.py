@@ -1,11 +1,20 @@
-"""Tier-1 draws the same Hypothesis examples on every run and writes no ``.hypothesis/``.
+"""Shared fixtures, and a deterministic Hypothesis profile.
 
-The profile turns off the example database.  Hypothesis still caches the
-constants it reads from local source files, already while collecting, so its
-storage directory is a temporary one removed when the run ends.
+Tier-1 draws the same Hypothesis examples on every run and writes no
+``.hypothesis/``: the profile turns off the example database.  Hypothesis
+still caches the constants it reads from local source files, already while
+collecting, so its storage directory is a temporary one removed when the run
+ends.
 """
 
+import math
 import tempfile
+import time
+
+import pytest
+
+from txtex_lab.descriptor import new_recognizer, recognizer_step
+from txtex_lab.verify import verify_suite
 
 try:
     from hypothesis import settings
@@ -22,3 +31,66 @@ else:
 def pytest_unconfigure(config):
     if _storage is not None:
         _storage.cleanup()
+
+
+@pytest.fixture(scope="session")
+def verify_run():
+    """``verify_run(suite)`` is the suite's ``(results, wall seconds)``, run once per session."""
+    runs = {}
+
+    def run(suite):
+        if suite not in runs:
+            start = time.perf_counter()
+            results = verify_suite(suite)
+            runs[suite] = results, time.perf_counter() - start
+        return runs[suite]
+
+    return run
+
+
+def _check_recognizer_fires_last(descriptor, rng):
+    """Every ordering completes exactly at its last element, with the described value.
+
+    Every earlier element is ``partial``.  Up to 8 elements all k! orderings
+    are replayed, depth first over the permutation tree: ``recognizer_step``
+    is pure and its states are frozen, so each prefix state is computed once
+    and shared by the orderings that extend it.  Above 8 elements, 100
+    orderings sampled from ``rng`` are replayed.
+    """
+    elements = descriptor.sorted_elements()
+    k = len(elements)
+
+    def step(state, code, last):
+        state, res = recognizer_step(state, code)
+        assert res.status == ("complete" if last else "partial")
+        if last:
+            assert res.value == descriptor.described
+        return state
+
+    if k > 8:
+        for _ in range(100):
+            state = new_recognizer(descriptor.column)
+            for pos, code in enumerate(rng.sample(elements, k)):
+                state = step(state, code, pos == k - 1)
+        return
+
+    leaves = 0
+
+    def walk(state, remaining):
+        nonlocal leaves
+        last = len(remaining) == 1
+        for i, code in enumerate(remaining):
+            nxt = step(state, code, last)
+            if last:
+                leaves += 1
+            else:
+                walk(nxt, remaining[:i] + remaining[i + 1 :])
+
+    walk(new_recognizer(descriptor.column), tuple(elements))
+    assert leaves == math.factorial(k)
+
+
+@pytest.fixture(scope="session")
+def recognizer_fires_last():
+    """The recognizer's permutation replay; ``verify`` covers the same orders by lattice walk."""
+    return _check_recognizer_fires_last

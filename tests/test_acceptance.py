@@ -1,104 +1,94 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and measured numbers.
+lines and measured numbers.  The criteria read the shared evidence rather
+than repeat it: criteria 1 and 3 read checks of the verify suites (each suite
+runs once per test session), and criteria 4-8 and 10 run an experiment and
+assert on its `results.csv` and `report.json`, adding the bounds that are
+stricter than the experiment's own `ok`.
 """
 
-import itertools
+import csv
+import json
 import random
 import time
 
 from txtex_lab import adversary, agents, families
-from txtex_lab.codec import decode_tuple, encode_tuple, poly_encode, signed_int, signed_int_inv
-from txtex_lab.descriptor import (
-    build_descriptor,
-    described_number,
-    new_recognizer,
-    recognizer_step,
-    validate_descriptor,
-)
-from txtex_lab.evaluate import check_characteristic_sample, evaluate_run, hypothesis_correct
+from txtex_lab.codec import poly_encode
+from txtex_lab.descriptor import build_descriptor, described_number, validate_descriptor
+from txtex_lab.evaluate import check_characteristic_sample, hypothesis_correct
 from txtex_lab.experiments import EXPERIMENTS, run_experiment
-from txtex_lab.session import Budget, MembershipOracle, run_session
-from txtex_lab.text import make_text
+from txtex_lab.session import Budget, run_session
 
 
 def announce(number, text):
     print(f"\n[criterion {number:2d}] PASS  {text}")
 
 
-def test_criterion_01_codec_roundtrips():
-    start = time.monotonic()
-    for n in range(100_000):
-        for k in (1, 2, 3, 4):
-            xs = decode_tuple(n, k)
-            assert encode_tuple(xs) == n
-            assert max(xs) <= n
-    for z in range(-10_000, 10_001):
-        assert signed_int(signed_int_inv(z)) == z
-    images = {signed_int(n) for n in range(0, 20_001)}
-    assert len(images) == 20_001
-    elapsed = time.monotonic() - start
-    assert elapsed < 5.0, f"codec sweep took {elapsed:.2f}s"
-    announce(1, f"400000 tuple roundtrips + signed bijection in {elapsed:.2f}s (< 5s)")
+def verify_check(verify_run, suite, name):
+    """The named check of a verify suite; it must pass."""
+    results, _ = verify_run(suite)
+    [result] = [r for r in results if r.name == name]
+    assert result.passed, result
+    return result
 
 
-def _recognizer_fires_last(elements, column, expected, perms):
-    for perm in perms:
-        state = new_recognizer(column)
-        for pos, code in enumerate(perm):
-            state, res = recognizer_step(state, code)
-            assert (res.status == "complete") == (pos == len(perm) - 1), perm
-        assert res.value == expected
+def run_default(name, tmp_path):
+    """Run an experiment on its default config; its results.csv rows (as ints) and report."""
+    out = tmp_path / name
+    assert run_experiment(name, None, out) == 0, name
+    with open(out / "results.csv", newline="") as fh:
+        rows = [
+            {key: int(value) if value.isdigit() else value for key, value in row.items()}
+            for row in csv.DictReader(fh)
+        ]
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is True and report["row_count"] == len(rows)
+    return rows, report
 
 
-def test_criterion_02_descriptor_suite():
+def test_criterion_01_codec_roundtrips(verify_run):
+    tuples = verify_check(verify_run, "codec", "tuple roundtrip with bounded coordinates")
+    signed = verify_check(verify_run, "codec", "signed bijection")
+    assert tuples.cases == 400_000 and signed.cases == 40_002
+    _, elapsed = verify_run("codec")
+    assert elapsed < 5.0, f"codec suite took {elapsed:.2f}s"
+    announce(1, f"{tuples.cases} tuple roundtrips + signed bijection in {elapsed:.2f}s (< 5s)")
+
+
+def test_criterion_02_descriptor_suite(recognizer_fires_last):
     start = time.monotonic()
     rng = random.Random(2024)
     single = {adversary.marker_element(0)}
     multi = {adversary.marker_element(j) for j in range(3)}
-    checked = 0
-    for n in range(0, 201):
-        for floor in (0, 10_000):
-            for markers in (single, multi):
-                d = build_descriptor(n, 0, floor, markers)
-                assert validate_descriptor(d.elements, 0)
-                assert described_number(d.elements, 0) == n
-                elements = d.sorted_elements()
-                assert len(elements) <= 8
-                perms = itertools.permutations(elements)
-                _recognizer_fires_last(elements, 0, n, perms)
-                checked += 1
-    # larger than 8 elements: 100 sampled permutations
-    big = {adversary.marker_element(j) for j in range(10)}
-    for n in range(0, 201, 25):
-        d = build_descriptor(n, 0, 10_000, big)
-        assert len(d.elements) == 12
+    widest = {adversary.marker_element(j) for j in range(5)}  # 7 elements, verify's largest k
+    big = {adversary.marker_element(j) for j in range(10)}  # 12 elements: 100 sampled orderings
+    cases = [
+        (n, floor, markers)
+        for n in range(0, 201)
+        for floor in (0, 10_000)
+        for markers in (single, multi)
+    ]
+    cases += [(n, floor, widest) for n in (0, 101, 200) for floor in (0, 10_000)]
+    cases += [(n, 10_000, big) for n in range(0, 201, 25)]
+    for n, floor, markers in cases:
+        d = build_descriptor(n, 0, floor, markers)
         assert validate_descriptor(d.elements, 0)
-        elements = d.sorted_elements()
-        perms = [rng.sample(elements, len(elements)) for _ in range(100)]
-        _recognizer_fires_last(elements, 0, n, perms)
-        checked += 1
+        assert described_number(d.elements, 0) == d.described == n
+        assert markers <= d.elements
+        assert len(d.elements) == len(markers) + 2
+        recognizer_fires_last(d, rng)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"descriptor sweep took {elapsed:.2f}s"
-    announce(2, f"{checked} descriptors, exhaustive+sampled recognizer sweeps in {elapsed:.2f}s (< 30s)")
+    announce(
+        2,
+        f"{len(cases)} descriptors, exhaustive+sampled recognizer sweeps in {elapsed:.2f}s (< 30s)",
+    )
 
 
-def test_criterion_03_exponential_query_search():
-    violations = 0
-    for a in (2, 3):
-        for n in range(0, 4097):
-            queries = 0
-
-            def probe(x, n=n):
-                nonlocal queries
-                queries += 1
-                return x <= n
-
-            found = agents.exp_query_search(probe, a)
-            if found != n or queries > agents.exp_search_query_bound(n, a):
-                violations += 1
-    assert violations == 0
+def test_criterion_03_exponential_query_search(verify_run):
+    search = verify_check(verify_run, "agents", "endpoint search exact within the query bound")
+    assert search.cases == 2 * 4097  # bases 2 and 3, every n <= 4096
     announce(3, "exact endpoints for n <= 4096, bases 2 and 3, zero bound violations")
 
 
@@ -117,34 +107,25 @@ def test_criterion_04_pow2_gap(tmp_path):
     announce(4, f"n in [1,12]: distinct 2^n+1 vs queries <= (n+2)^3 vs items <= n+2 in {elapsed:.2f}s")
 
 
-def test_criterion_05_msd_headline():
-    registry = agents.build_default_registry()
-    p_lin = poly_encode([0, 1])
-    family = families.make_msd(registry, 0, p_lin)
-    learner, teacher_factory = agents.make_msd_pair()
-    ticks = []
-    for n in range(0, 101):
-        target = family.member(n)
-        texts = [family.canonical_text(n)]
-        texts += [make_text("seeded", target, seed=s) for s in range(10)]
-        for i, text in enumerate(texts):
-            transcript = run_session(
-                learner, text, teacher=teacher_factory(), budget=Budget(horizon=n + 60, window=20)
-            )
-            assert transcript.converged and transcript.final_hypothesis == n, (n, i)
-            if i == 0:
-                ticks.append((n, transcript.convergence.ticks))
+def test_criterion_05_msd_headline(tmp_path):
+    rows, report = run_default("msd-linear", tmp_path)
+    # every session of every text converged on the index: the experiment's ok
+    assert [row["n"] for row in rows] == list(range(101))
+    assert report["config"]["seeds"] == 10  # the canonical text plus 10 seeded ones
+    ticks = [(row["n"], row["ticks_at_convergence"]) for row in rows]
     c = sum(t * (n + 1) for n, t in ticks) / sum((n + 1) ** 2 for n, _ in ticks)
     max_residual = max(abs(t - c * (n + 1)) for n, t in ticks)
     assert max_residual <= c, f"fit c={c:.3f}, max residual {max_residual:.3f}"
+    assert report["summary"] == {"fit_c": round(c, 6), "max_residual": round(max_residual, 6)}
 
+    rows, _ = run_default("msd-defeat", tmp_path)
     defeated = 0
-    for m_id in (3, 4):  # chain-column oracle, pow2 endpoint oracle
-        report, _ = adversary.msd_defeat(registry, m_id, p_lin)
-        assert report.transcripts_identical
-        assert len(report.wrong_for) >= 1
-        defeated += 1
-    assert defeated >= 2
+    for row in rows:
+        if row["learner_id"] in (3, 4):  # chain-column oracle, pow2 endpoint oracle
+            assert row["transcripts_identical"] == 1
+            assert row["wrong_for"] >= 1
+            defeated += 1
+    assert defeated == 2
     announce(
         5,
         f"pair exact on 101 indices x 11 texts; ticks fit c={c:.3f}, residual {max_residual:.3f} <= c; "
@@ -152,98 +133,54 @@ def test_criterion_05_msd_headline():
     )
 
 
-def test_criterion_06_csd():
-    family = families.make_csd()
-    learner = agents.make_csd_learner()
-    stats = []
-    for n in range(0, family.table.anchor(5) + family.table.top(5) + 1):
-        target = family.member(n)
-        transcript = run_session(
-            learner,
-            family.canonical_text(n),
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=80),
-        )
-        assert transcript.final_hypothesis == family.min_index(n), n
-        stats.append((family.min_index(n), transcript.ledger.oracle_queries))
-    cubic_c = max(q / (mi + 2) ** 3 for mi, q in stats)
-    assert all(q <= cubic_c * (mi + 2) ** 3 for mi, q in stats)
+def test_criterion_06_csd(tmp_path):
+    rows, report = run_default("csd-chain", tmp_path)
+    table = families.make_csd().table
+    assert [row["n"] for row in rows] == list(range(table.anchor(5) + table.top(5) + 1))
+    assert all(row["hypothesis"] == row["min_index"] for row in rows)
+    cubic_c = max(row["oracle_queries"] / (row["min_index"] + 2) ** 3 for row in rows)
+    summary = report["summary"]
+    forced = summary["forced_mind_changes"]
+    assert summary["query_cubic_coefficient"] == round(cubic_c, 6)
     assert cubic_c <= 4.0, f"cubic coefficient unexpectedly large: {cubic_c:.3f}"
 
-    chain = family.chain_indices(5)[:2]
-    chaser = adversary.make_chain_chaser(family, chain)
-    forced = adversary.chain_force(chaser, None, chain, family)
-    pair_learner, pair_teacher = agents.make_msd_pair()
-    witness = adversary.chain_force(
-        pair_learner, pair_teacher, chain, family, max_ext_len=2, max_candidates=2000
-    )
-    forced_ok = forced.status == "forced" and forced.forced_mind_changes >= 2
-    witness_ok = witness.status == "failure-witness"
-    assert forced_ok or witness_ok
-    assert forced_ok and witness_ok  # both demonstrations hold here
+    assert len(summary["chain"]) == 2
+    assert summary["forced_status"] == "forced"
+    assert forced >= 2
+    assert summary["reference_pair_status"] == "failure-witness"
     announce(
         6,
         f"oracle learner exact on anchors <= 5; queries <= {cubic_c:.3f}(mi+2)^3; "
-        f"chain of 2 forces {forced.forced_mind_changes} changes; reference pair yields witness",
+        f"chain of 2 forces {forced} changes; reference pair yields witness",
     )
 
 
-def test_criterion_07_merged_family():
-    registry = agents.build_default_registry()
-    family = families.make_merged(registry, 0, poly_encode([0, 1]))
-    merged = agents.make_merged_learner()
-    csd3 = families.CsdFamily(3)
-    component_csd = agents.make_csd_learner(csd3.table)
-    checked = 0
-    for n in range(0, 25):
-        target = family.member(n)
-        transcript = run_session(
-            merged,
-            family.canonical_text(n),
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=120, window=15),
-        )
-        assert transcript.final_hypothesis == family.min_index(n)
-        assert transcript.final_hypothesis % 2 == n % 2
-        if n % 2 == 0:
-            component = run_session(
-                component_csd,
-                csd3.canonical_text(n // 2),
-                oracle=MembershipOracle(target),
-                budget=Budget(horizon=120),
-            )
-            component_queries = component.ledger.oracle_queries
-        else:
-            component_queries = 0  # the descriptor pair never queries
-        assert transcript.ledger.oracle_queries == component_queries + 1, n
-        checked += 1
-    announce(7, f"merged learner correct on both parities ({checked} indices), exactly one extra query")
+def test_criterion_07_merged_family(tmp_path):
+    rows, _ = run_default("merged-split", tmp_path)
+    assert [row["n"] for row in rows] == list(range(25))
+    for row in rows:
+        assert row["hypothesis"] == row["min_index"]
+        assert row["hypothesis"] % 2 == row["n"] % 2
+        assert row["extra_vs_component"] == 1, row  # one query above the component learner
+        if row["n"] % 2:
+            assert row["oracle_queries"] == 1, row  # the descriptor pair never queries
+    announce(
+        7, f"merged learner correct on both parities ({len(rows)} indices), exactly one extra query"
+    )
 
 
-def test_criterion_08_conversions():
-    family = families.make_basic_family("pow2")
-    poly = poly_encode([2, 1])  # x + 2
-    pair_learner, pair_teacher = agents.make_pow2_teacher_pair()
-    gated = agents.convert_psdT_to_pmc(pair_learner, pair_teacher)
-    decoder, encoder_factory = agents.convert_pmc_to_psdT(agents.make_pow2_pmc_learner())
-    pmc_failures = psd_failures = 0
-    texts_per_side = 0
-    for n in range(1, 11):
-        target = family.member(n)
-        for seed in range(5):
-            text = make_text("seeded", target, seed=seed)
-            budget = Budget(horizon=2**n + 60, window=20)
-            texts_per_side += 1
-            pmc_run = run_session(gated, text, budget=budget)
-            if not evaluate_run(pmc_run, family, n, poly, "PMC").passed:
-                pmc_failures += 1
-            psd_run = run_session(decoder, text, teacher=encoder_factory(), budget=budget)
-            verdict = evaluate_run(psd_run, family, n, poly, "PSD")
-            if not verdict.passed or psd_run.ledger.distinct_data > 2:
-                psd_failures += 1
-    assert texts_per_side == 50
-    assert pmc_failures == 0 and psd_failures == 0
-    announce(8, "both conversions pass on 50 seeded texts each (PMC p=x+2; dataset <= 2), zero failures")
+def test_criterion_08_conversions(tmp_path):
+    rows, _ = run_default("conversions-roundtrip", tmp_path)
+    for row in rows:
+        assert row["pmc_pass"] == row["psdT_pass"] == row["roundtrip_ok"] == 1, row
+        assert row["psdT_distinct"] <= 2, row
+    seeded = [row for row in rows if row["n"] >= 1 and row["text"] >= 1]  # text 0 is canonical
+    assert len(seeded) == 50
+    announce(
+        8,
+        f"both conversions pass on {len(seeded)} seeded texts each (PMC p=x+2; dataset <= 2), "
+        "zero failures",
+    )
 
 
 def test_criterion_09_pcs_suite():
@@ -301,18 +238,16 @@ def test_criterion_09_pcs_suite():
     )
 
 
-def test_criterion_10_halting_family():
-    learner = agents.make_halting_psd_learner()
-    for w in (frozenset(), frozenset({1, 3})):
-        family = families.make_halting_family(w)
-        for i in range(0, 11):
-            index = 2 * i + 1
-            transcript = run_session(
-                learner, family.canonical_text(index), budget=Budget(horizon=30, window=5)
-            )
-            assert transcript.emissions[0].hypothesis == 6
-            assert transcript.ledger.distinct_data <= 2
-            assert hypothesis_correct(family, transcript.final_hypothesis, index), (sorted(w), i)
+def test_criterion_10_halting_family(tmp_path):
+    rows, report = run_default("halting-psd", tmp_path)
+    assert report["config"]["w_set"] == [1, 3]
+    assert [(row["w"], row["index"]) for row in rows] == [
+        (w, 2 * i + 1) for w in ("empty", "{1,3}") for i in range(11)
+    ]
+    for row in rows:
+        assert row["correct"] == 1 and row["distinct_data"] <= 2, row
+    # the experiment's ok holds every first emission to the initial hypothesis
+    assert report["summary"]["initial_hypothesis"] == 6
     announce(10, "pair family: <= 2 distinct data, correct endings for i <= 10 under both parameter sets")
 
 

@@ -173,17 +173,6 @@ def test_search_trap_sets_invariants(registry):
         assert 9 in trap.trap_core
 
 
-def test_alpha_prefix():
-    assert adversary.alpha_prefix(0) == [1]
-    assert adversary.alpha_prefix(2) == [1, 3, 5]
-    family = families.make_basic_family("join-singletons")
-    for k in range(0, 21, 5):
-        prefix = adversary.alpha_prefix(k)
-        for n in range(0, 21, 4):
-            member = family.member(n)
-            assert all(member.contains(x) for x in prefix)
-
-
 INTERVAL_K2 = list(range(33, 65))
 
 # (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked) at k=2, seed 0

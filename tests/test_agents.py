@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from txtex_lab import agents, families
-from txtex_lab.codec import encode_tuple, pair, poly_encode
+from txtex_lab.codec import pair, poly_encode
 from txtex_lab.evaluate import evaluate_run
 from txtex_lab.session import (
     Budget,
@@ -44,16 +44,9 @@ def test_exp_search_examples():
         assert state["queries"] <= agents.exp_search_query_bound(n, 2)
 
 
-def test_exp_search_bound_sweep_base3():
-    for n in range(0, 500):
-        probe, state = counting_oracle(n)
-        assert agents.exp_query_search(probe, 3) == n
-        assert state["queries"] <= agents.exp_search_query_bound(n, 3)
-
-
 def test_up_interval_learner():
     family = families.make_basic_family("up-intervals")
-    learner = agents.make_interval_oracle_learners("up-intervals")
+    learner = agents.make_up_interval_learner()
     for n in (0, 4):
         target = family.member(n)
         transcript = run_session(
@@ -61,50 +54,6 @@ def test_up_interval_learner():
         )
         assert transcript.final_hypothesis == n
         assert transcript.ledger.oracle_queries == n + 1
-
-
-def test_pair_interval_learner():
-    family = families.make_basic_family("pair-intervals")
-    learner = agents.make_interval_oracle_learners("pair-intervals")
-    for lo, hi in ((2, 5), (0, 0), (3, 17)):
-        index = encode_tuple([lo, hi])
-        target = family.member(index)
-        transcript = run_session(
-            learner, family.canonical_text(index), oracle=MembershipOracle(target), budget=Budget(horizon=40)
-        )
-        assert transcript.final_hypothesis == index
-
-
-def test_tuple_teacher_pair():
-    family = families.make_basic_family("tuple-contents", k=1)
-    learner, teacher_factory = agents.make_tuple_teacher_pair(1)
-    target = FiniteSet({7, 3})
-    text = make_text("repeat-pad", target, pad_element=7, pad_count=2)
-    transcript = run_session(learner, text, teacher=teacher_factory(), budget=Budget(horizon=20))
-    assert transcript.final_hypothesis == encode_tuple([7, 3])
-    assert transcript.ledger.distinct_data == 2
-    # k=0: first datum is the answer
-    learner0, teacher0 = agents.make_tuple_teacher_pair(0)
-    transcript = run_session(
-        learner0,
-        make_text("canonical", FiniteSet({5})),
-        teacher=teacher0(),
-        budget=Budget(horizon=10),
-    )
-    assert transcript.final_hypothesis == 5
-
-
-def test_tuple_pair_never_converges_on_small_content():
-    # target has fewer distinct elements than the tuple needs
-    learner, teacher_factory = agents.make_tuple_teacher_pair(2)
-    transcript = run_session(
-        learner,
-        make_text("canonical", FiniteSet({4, 9})),
-        teacher=teacher_factory(),
-        budget=Budget(horizon=30),
-    )
-    assert transcript.final_hypothesis is None
-    assert not transcript.converged
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +244,11 @@ def test_convert_psdT_to_pmc_gates_emits_and_charges_skips():
         yield Read()
         yield Skip()
 
-    gated = agents.convert_psdT_to_pmc(GenLearner("scripted", program), agents.DistinctTeacher)
+    class PassTeacher(agents.Teacher):
+        def on_input(self, datum):
+            return [datum]
+
+    gated = agents.convert_psdT_to_pmc(GenLearner("scripted", program), PassTeacher)
     transcript = run_session(
         gated, make_text("canonical", FiniteSet({3, 8})), budget=Budget(horizon=10)
     )

@@ -1,8 +1,10 @@
 import json
 import re
+from typing import NamedTuple
 
 import pytest
 
+from txtex_lab import cli
 from txtex_lab.cli import main
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash, run_experiment
 
@@ -18,44 +20,16 @@ def test_list_commands(capsys):
     assert "chain-column-oracle" in capsys.readouterr().out
 
 
-def test_run_unknown_experiment_is_usage_error(tmp_path, capsys):
-    code = main(["run", "--experiment", "nope", "--out", str(tmp_path)])
-    assert code == 2
+class Raw(NamedTuple):
+    """A usage error outside the config schema.
 
+    ``text`` is the config file's text (None: no file) and ``seed`` the value
+    of ``TXTEX_SEED`` (None: unset).  The row's message is then the whole
+    stderr line, with ``{path}`` standing for the config path.
+    """
 
-def test_run_bad_config_is_usage_error(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(
-        ["run", "--experiment", "halting-psd", "--config", str(bad), "--out", str(tmp_path / "o")]
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("experiment", ["msd-linear", "conversions-roundtrip"])
-def test_run_out_of_range_config_is_usage_error(tmp_path, capsys, experiment):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"max_n": -5}))
-    out = tmp_path / "never"
-    code = main(["run", "--experiment", experiment, "--config", str(config), "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
-    err = capsys.readouterr().err.strip()
-    assert err == f"bad config for {experiment}: max_n must be a natural number, got -5"
-
-
-@pytest.mark.parametrize("n_range", ["oops", [3, 1]])
-def test_run_malformed_n_range_is_usage_error(tmp_path, capsys, n_range):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n_range": n_range}))
-    out = tmp_path / "never"
-    code = main(["run", "--experiment", "pow2-gap", "--config", str(config), "--out", str(out)])
-    assert code == 2
-    assert not out.exists()
-    err = capsys.readouterr().err.strip()
-    assert err == (
-        f"bad config for pow2-gap: n_range must be [lo, hi] with natural lo <= hi, got {n_range!r}"
-    )
+    text: str | None
+    seed: str | None = None
 
 
 @pytest.mark.parametrize(
@@ -113,18 +87,75 @@ def test_run_malformed_n_range_is_usage_error(tmp_path, capsys, n_range):
         ),
         ("psd-finite", {"sets": [[0], []]}, "sets must not contain an empty set"),
         ("csd-chain", {"chain_length": 0}, "chain_length must be a positive integer, got 0"),
+        ("msd-linear", {"max_n": -5}, "max_n must be a natural number, got -5"),
+        ("conversions-roundtrip", {"max_n": -5}, "max_n must be a natural number, got -5"),
+        (
+            "pow2-gap",
+            {"n_range": "oops"},
+            "n_range must be [lo, hi] with natural lo <= hi, got 'oops'",
+        ),
+        (
+            "pow2-gap",
+            {"n_range": [3, 1]},
+            "n_range must be [lo, hi] with natural lo <= hi, got [3, 1]",
+        ),
+        (
+            "csd-chain",
+            {"chain_anchor": 0},
+            "chain_anchor must be between 1 and max_anchor 5, got 0",
+        ),
+        (
+            "csd-chain",
+            {"chain_anchor": 40},
+            "chain_anchor must be between 1 and max_anchor 5, got 40",
+        ),
+        pytest.param("nope", Raw("{}"), "unknown experiment: nope", id="unknown-experiment"),
+        pytest.param(
+            "halting-psd",
+            Raw(None),
+            "cannot read config: [Errno 2] No such file or directory: '{path}'",
+            id="unreadable-config",
+        ),
+        pytest.param(
+            "halting-psd",
+            Raw("{not json"),
+            "cannot read config: Expecting property name enclosed in double quotes: "
+            "line 1 column 2 (char 1)",
+            id="invalid-json",
+        ),
+        pytest.param(
+            "halting-psd", Raw("[1, 2]"), "config must be a JSON object", id="non-object"
+        ),
+        pytest.param(
+            "halting-psd",
+            Raw("{}", seed="zzz"),
+            "TXTEX_SEED must be an integer, got 'zzz'",
+            id="non-integer-seed",
+        ),
     ],
 )
-def test_run_config_outside_schema_is_usage_error(tmp_path, capsys, experiment, config, message):
+def test_run_config_outside_schema_is_usage_error(
+    tmp_path, capsys, monkeypatch, experiment, config, message
+):
+    """Every usage error of ``run`` exits 2 with one stderr line, before any output."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    monkeypatch.delenv("TXTEX_SEED", raising=False)
+    if isinstance(config, Raw):
+        if config.text is not None:
+            path.write_text(config.text)
+        if config.seed is not None:
+            monkeypatch.setenv("TXTEX_SEED", config.seed)
+        line = message.format(path=path)
+    else:
+        path.write_text(json.dumps(config))
+        line = f"bad config for {experiment}: {message}"
     out = tmp_path / "never"
     code = main(["run", "--experiment", experiment, "--config", str(path), "--out", str(out)])
     assert code == 2
     assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"bad config for {experiment}: {message}\n"
+    assert captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -162,11 +193,9 @@ def test_seed_env_override(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert report["config"]["seed"] == 42
 
-    monkeypatch.setenv("TXTEX_SEED", "zzz")
-    assert main(["run", "--experiment", "halting-psd", "--out", str(out)]) == 2
 
-
-def test_verify_suite_exit_codes(capsys):
+def test_verify_suite_exit_codes(capsys, monkeypatch, verify_run):
+    monkeypatch.setattr(cli, "verify_suite", lambda suite: verify_run(suite)[0])
     assert main(["verify", "--suite", "engine"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out

@@ -5,11 +5,8 @@ import pytest
 from txtex_lab.codec import (
     canonical_decode,
     canonical_encode,
-    column_pack,
-    column_unpack,
     decode_tuple,
     encode_tuple,
-    in_column,
     pair,
     poly_decode,
     poly_encode,
@@ -43,14 +40,6 @@ def test_encode_rejects_empty():
         encode_tuple([])
 
 
-def test_tuple_roundtrip_and_monotonicity():
-    for n in range(2000):
-        for k in (1, 2, 3, 4):
-            xs = decode_tuple(n, k)
-            assert encode_tuple(xs) == n
-            assert max(xs) <= n
-
-
 def test_tuple_encode_then_decode():
     for xs in itertools.product(range(6), repeat=3):
         assert decode_tuple(encode_tuple(list(xs)), 3) == xs
@@ -60,31 +49,6 @@ def test_signed_int_examples():
     assert signed_int(0) == 0
     assert signed_int(5) == -3
     assert signed_int_inv(-1) == 1
-
-
-def test_signed_int_bijection():
-    for z in range(-10_000, 10_001):
-        assert signed_int(signed_int_inv(z)) == z
-    seen = set()
-    for n in range(20_001):
-        z = signed_int(n)
-        assert z not in seen
-        seen.add(z)
-
-
-def test_column_pack_examples():
-    assert column_pack(0, 0) == 0
-    assert column_pack(5, 2) == 30
-    assert column_unpack(30) == (5, 2)
-
-
-def test_column_membership():
-    for a in range(20):
-        for i in range(6):
-            x = column_pack(a, i)
-            assert in_column(x, i)
-            assert not in_column(x, i + 1)
-            assert column_unpack(x) == (a, i)
 
 
 def test_poly_code_zero_is_zero_polynomial():

@@ -1,12 +1,9 @@
-import itertools
-import math
 import random
 
 import pytest
 
 from txtex_lab.codec import encode_tuple, signed_int_inv
 from txtex_lab.descriptor import (
-    Descriptor,
     StepResult,
     SubsetBudgetError,
     build_descriptor,
@@ -15,6 +12,7 @@ from txtex_lab.descriptor import (
     recognizer_step,
     validate_descriptor,
 )
+from txtex_lab.verify import _recognizer_lattice_ok
 
 
 def elem(x, c, column=0):
@@ -192,76 +190,44 @@ def test_recognizer_results_equal_fresh_results():
     assert recognizer_step(state, elem(100, 2))[1] == StepResult("corrupt")
 
 
-def test_recognizer_all_orders_fire_on_last_element():
+def test_recognizer_all_orders_fire_on_last_element(recognizer_fires_last):
     d = build_descriptor(1, 0, 5, {MARKER})
-    elements = d.sorted_elements()
-    assert len(elements) == 3
-    for perm in itertools.permutations(elements):
-        state = new_recognizer(0)
-        for pos, code in enumerate(perm):
-            state, res = recognizer_step(state, code)
-            if pos < len(perm) - 1:
-                assert res.status == "partial"
-            else:
-                assert res.status == "complete" and res.value == 1
-
-
-def _check_recognizer_fires_last(descriptor: Descriptor, rng: random.Random):
-    """Every ordering completes exactly at its last element, with the described value.
-
-    Up to 8 elements all k! orderings are replayed, depth first over the
-    permutation tree: ``recognizer_step`` is pure and its states are frozen,
-    so each prefix state is computed once and shared by the orderings that
-    extend it.  Above 8 elements, 100 sampled orderings are replayed.
-    """
-    elements = descriptor.sorted_elements()
-    k = len(elements)
-
-    def step(state, code, last):
-        state, res = recognizer_step(state, code)
-        assert (res.status == "complete") == last
-        if last:
-            assert res.value == descriptor.described
-        return state
-
-    if k > 8:
-        for _ in range(100):
-            state = new_recognizer(descriptor.column)
-            for pos, code in enumerate(rng.sample(elements, k)):
-                state = step(state, code, pos == k - 1)
-        return
-
-    leaves = 0
-
-    def walk(state, remaining):
-        nonlocal leaves
-        last = len(remaining) == 1
-        for i, code in enumerate(remaining):
-            nxt = step(state, code, last)
-            if last:
-                leaves += 1
-            else:
-                walk(nxt, remaining[:i] + remaining[i + 1 :])
-
-    walk(new_recognizer(descriptor.column), tuple(elements))
-    assert leaves == math.factorial(k)
+    assert len(d.elements) == 3
+    recognizer_fires_last(d, random.Random(0))
 
 
 def test_built_descriptors_properties_sweep():
-    rng = random.Random(20240817)
-    for n in range(0, 201, 7):
-        for floor in (0, 10_000):
-            for markers in ({MARKER}, multi_markers(5)):
-                d = build_descriptor(n, 0, floor, markers)
-                assert validate_descriptor(d.elements, 0)
-                assert described_number(d.elements, 0) == n
-                assert markers <= d.elements
-                assert len(d.elements) == len(markers) + 2
-                _check_recognizer_fires_last(d, rng)
+    """Built descriptors validate, describe n and fire last in every order, over drawn inputs.
+
+    The 50 draws range over n, the floor and marker sets of up to 5 elements
+    (so up to 7 descriptor elements); each draw's arrival orders are checked
+    by ``verify``'s subset-lattice walk.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=50)
+    @given(
+        n=st.integers(min_value=0, max_value=10**6),
+        floor=st.integers(min_value=0, max_value=10**6),
+        marker_xs=st.sets(st.integers(min_value=0, max_value=10**4), max_size=5),
+    )
+    def built_descriptor_holds(n, floor, marker_xs):
+        markers = {elem(x, 1) for x in marker_xs}
+        d = build_descriptor(n, 0, floor, markers)
+        assert validate_descriptor(d.elements, 0)
+        assert described_number(d.elements, 0) == n
+        assert markers <= d.elements
+        assert len(d.elements) == len(markers) + 2
+        assert all(code > floor for code in d.elements - markers)
+        assert _recognizer_lattice_ok(d.sorted_elements(), n)
+
+    built_descriptor_holds()
 
 
-def test_large_marker_set_sampled_permutations():
+def test_large_marker_set_sampled_permutations(recognizer_fires_last):
     rng = random.Random(7)
     d = build_descriptor(55, 0, 123, multi_markers(10))
     assert len(d.elements) == 12
-    _check_recognizer_fires_last(d, rng)
+    recognizer_fires_last(d, rng)

@@ -8,8 +8,8 @@ from txtex_lab.verify import SUITES, verify_descriptor, verify_suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_suite_passes(suite):
-    results = verify_suite(suite)
+def test_suite_passes(verify_run, suite):
+    results, _ = verify_run(suite)
     assert results
     failed = [r.name for r in results if not r.passed]
     assert not failed
@@ -20,8 +20,8 @@ def test_unknown_suite_rejected():
         verify_suite("nope")
 
 
-def test_descriptor_suite_reports_orderings_covered():
-    [result] = verify_descriptor()
+def test_descriptor_suite_reports_orderings_covered(verify_run):
+    [result], _ = verify_run("descriptor")
     assert result.passed
     assert result.cases == 676_164
     assert result.note == "268 descriptors"
