@@ -18,9 +18,12 @@ from .registry import LearnerRegistry
 from .session import (
     ActionBudgetExceeded,
     Budget,
+    Emit,
     FnOracle,
+    GenLearner,
     Learner,
     MembershipOracle,
+    Read,
     compose_pair,
     run_on_sequence,
     run_session,
@@ -29,45 +32,43 @@ from .sets import Interval, set_equal
 from .text import Text, make_text
 
 
-def marker_element(j: int = 0, column: int = 0) -> int:
-    """The j-th marker code: encode_tuple([2j, 1, 1, column])."""
-    return encode_tuple([2 * j, 1, 1, column])
+# Action budget of one ``compute_q`` run; read at call time.
+COMPUTE_Q_MAX_ACTIONS = 200_000
+# Every element a chain-forcing extension may use lies below this bound.
+CHAIN_FORCE_UNIVERSE = 4096
+# Raw positions a defeat session reads past the marker prefix.
+DEFEAT_HORIZON_SLACK = 64
 
 
-def marker_stream(ell: int, variant: str = "single") -> tuple[list[int], frozenset[int]]:
-    """Marker-only input of length parameter ``ell`` plus its content set.
+def marker_element(j: int) -> int:
+    """The j-th marker code: encode_tuple([2j, 1, 1, 0]), a descriptor element."""
+    return encode_tuple([2 * j, 1, 1, 0])
 
-    single: the base marker repeated ell times, oracle set = that marker.
-    multi:  markers 0..ell once each, oracle set = all of them.
+
+def marker_stream(ell: int) -> tuple[list[int], frozenset[int]]:
+    """Marker-only input of length ``ell`` plus its content set.
+
+    The stream is the base marker ``marker_element(0)`` repeated ``ell`` times;
+    the content set, which the oracle answers for, is that one marker.
     """
-    if variant == "single":
-        m = marker_element(0)
-        return [m] * ell, frozenset({m})
-    if variant == "multi":
-        items = [marker_element(j) for j in range(ell + 1)]
-        return items, frozenset(items)
-    raise ValueError(f"unknown marker variant {variant}")
+    m = marker_element(0)
+    return [m] * ell, frozenset({m})
 
 
-def compute_q(
-    registry: LearnerRegistry,
-    m_id: int,
-    ell: int,
-    variant: str = "single",
-    *,
-    max_actions: int = 200_000,
-) -> int:
+def compute_q(registry: LearnerRegistry, m_id: int, ell: int) -> int:
     """Greatest value the learner queries on any prefix of the marker stream.
 
     The learner runs against the marker-set oracle; since it is deterministic,
     one run over the full stream visits the states of every prefix.  Returns 0
-    when it never queries.  A learner that blows the action budget is
-    ineligible (the error propagates).
+    when it never queries.  A learner that blows the action budget,
+    ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (the error propagates).
     """
-    stream, content = marker_stream(ell, variant)
+    stream, content = marker_stream(ell)
     oracle = FnOracle(lambda x: x in content)
     try:
-        run = run_on_sequence(registry.make(m_id), stream, oracle=oracle, max_actions=max_actions)
+        run = run_on_sequence(
+            registry.make(m_id), stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS
+        )
     except ActionBudgetExceeded as exc:
         exc.partial_ceiling = max((x for x, _ in exc.partial.queries), default=0)
         raise
@@ -129,8 +130,6 @@ def chain_force(
     *,
     max_ext_len: int = 3,
     max_candidates: int = 20_000,
-    max_universe: int = 4096,
-    max_actions: int = 100_000,
 ) -> ChainForceResult:
     """Grow one prefix on which a data-driven pair endorses each chain member.
 
@@ -139,6 +138,7 @@ def chain_force(
     deterministic order until the pair's output codes the member; if the
     search space is exhausted the member is returned as a failure witness,
     and if the candidate budget runs out first the verdict is inconclusive.
+    Extensions draw on the member's elements below ``CHAIN_FORCE_UNIVERSE``.
     """
     if teacher_factory is not None:
         agent: Learner = compose_pair(lambda: learner, teacher_factory)
@@ -148,7 +148,7 @@ def chain_force(
     checked = 0
     for position, index in enumerate(chain):
         member = family.member(index)
-        alphabet = member.elements_up_to(max_universe)
+        alphabet = member.elements_up_to(CHAIN_FORCE_UNIVERSE)
         found = False
         budget_hit = False
         for length in range(1, max_ext_len + 1):
@@ -158,7 +158,7 @@ def chain_force(
                     budget_hit = True
                     break
                 candidate = sigma + list(ext)
-                run = run_on_sequence(agent, candidate, max_actions=max_actions)
+                run = run_on_sequence(agent, candidate)
                 output = run.last_hypothesis
                 if output is not None and hypothesis_correct(family, output, index, member):
                     sigma = candidate
@@ -174,7 +174,7 @@ def chain_force(
                 witness_index=index,
                 details={"chain_position": position, "candidates_checked": checked},
             )
-    replay = run_on_sequence(agent, sigma, max_actions=max_actions)
+    replay = run_on_sequence(agent, sigma)
     return ChainForceResult(
         status="forced",
         prefix=sigma,
@@ -212,31 +212,27 @@ def _event_prefix_within(transcript, element_limit: int):
     return out
 
 
-def msd_defeat(registry: LearnerRegistry, m_id: int, p_code: int, *, horizon_slack: int = 64):
+def msd_defeat(registry: LearnerRegistry, m_id: int, p_code: int):
     """Run a registered oracle learner against its own trap family.
 
     Both targeted members agree with the marker set everywhere the learner
-    can query while reading only markers, so on marker-prefixed texts the two
-    transcripts coincide through the whole prefix and the hypothesis held
-    there is wrong for at least one target.
+    can query while reading only markers, so on texts prefixed with the
+    family's marker stream the two transcripts coincide through the whole
+    prefix and the hypothesis held there is wrong for at least one target.
     """
     from .families import make_msd  # deferred: families builds on this module
 
-    family = make_msd(registry, m_id, p_code, variant="single")
-    n0 = encode_tuple([m_id, p_code, 0])
-    n1 = encode_tuple([m_id, p_code, 1])
-    ell = poly_eval(p_code, n1)
-    prefix = [marker_element(0)] * ell
+    family = make_msd(registry, m_id, p_code)
+    n0, n1 = family.targeted
+    ell = family.ell
+    prefix, _ = marker_stream(ell)
+    horizon = ell + DEFEAT_HORIZON_SLACK
 
     transcripts = []
     for index in (n0, n1):
         target = family.member(index)
         text = make_text("prefixed", target, prefix=prefix)
-        budget = Budget(
-            max_ticks=10 * (ell + horizon_slack) + 10_000,
-            horizon=ell + horizon_slack,
-            window=1,
-        )
+        budget = Budget(max_ticks=10 * horizon + 10_000, horizon=horizon, window=1)
         transcripts.append(
             run_session(registry.make(m_id), text, oracle=MembershipOracle(target), budget=budget)
         )
@@ -379,19 +375,17 @@ def search_trap_sets(
     return TrapSets(frozenset(found), frozenset(decoys), resolved=True, stats=stats)
 
 
-def make_chain_chaser(family, chain: list[int], initial: int = 0) -> Learner:
+def make_chain_chaser(family, chain: list[int]) -> Learner:
     """Scripted data-driven learner that endorses the least consistent chain member.
 
-    Emits ``initial`` before any data, then after each datum the first chain
-    index whose member contains everything seen so far.  Against a strict
-    chain this is exactly the mind-change ladder the forcing search exploits.
+    Emits 0 before any data, then after each datum the first chain index
+    whose member contains everything seen so far.  Against a strict chain
+    this is exactly the mind-change ladder the forcing search exploits.
     """
-    from .session import Emit, GenLearner, Read
-
     members = [(index, family.member(index)) for index in chain]
 
     def program():
-        yield Emit(initial)
+        yield Emit(0)
         seen: set[int] = set()
         while True:
             seen.add((yield Read()))

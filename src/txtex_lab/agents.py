@@ -13,7 +13,7 @@ from typing import Callable
 
 from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
-from .descriptor import new_recognizer, recognizer_step
+from .descriptor import RecognizerState, recognizer_step
 from .families import CsdTable, PcsFFamily
 from .registry import LearnerRegistry
 from .session import Emit, GenLearner, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
@@ -103,8 +103,8 @@ class DescriptorTeacher(Teacher):
 
     name = "descriptor-recognizer"
 
-    def __init__(self, column: int = 0):
-        self.state = new_recognizer(column)
+    def __init__(self):
+        self.state = RecognizerState()
         self.plan: deque[int] | None = None
         self.halted = False
 
@@ -145,18 +145,18 @@ def _count_core(transform: Callable[[int], int]):
         yield Emit(transform(count))
 
 
-def make_msd_pair(column: int = 0) -> tuple[Learner, Callable[[], Teacher]]:
+def make_msd_pair() -> tuple[Learner, Callable[[], Teacher]]:
     def program():
         yield from _count_core(lambda c: c)
 
-    return GenLearner("lead-count", program), lambda: DescriptorTeacher(column)
+    return GenLearner("lead-count", program), DescriptorTeacher
 
 
 def make_pmc_msd_learner() -> Learner:
     """Run a recognizer over the raw text; one emission, zero mind changes."""
 
     def program():
-        state = new_recognizer(0)
+        state = RecognizerState()
         while True:
             datum = yield Read()
             state, result = recognizer_step(state, datum)
@@ -213,7 +213,7 @@ def make_merged_learner() -> Learner:
             index = yield from _csd_core(CsdTable(3))
             yield Emit(2 * index)
             return
-        yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher(0))
+        yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher())
 
     return GenLearner("merged-branch", program)
 

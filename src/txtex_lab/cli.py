@@ -107,7 +107,7 @@ def _cmd_list(args) -> int:
         print("merged (registry learner + polynomial)")
         print("pcs-F (registry learner + polynomial)")
         print("offset-power-joins")
-        print("halting (parameter set + stage)")
+        print("halting (parameter set)")
     else:
         registry = build_default_registry()
         print("# registry (attackable oracle learners)")

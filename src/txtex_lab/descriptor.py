@@ -1,10 +1,12 @@
 """Self-delimiting number descriptions built from 4-tuple-coded elements.
 
-A descriptor on column ``i`` is a finite set of codes, each decoding at arity 4
-to ``(x, c, 1, i)``.  The signed values of the completion indices ``c`` sum to
-zero over the whole set and over no nonempty proper subset, so a stream
-containing the descriptor can be cut off at exactly the element that completes
-it.  The described number is the signed-value sum of the ``x`` coordinates.
+A descriptor is a finite set of codes, each decoding at arity 4 to
+``(x, c, 1, 0)``: every descriptor lives on column 0, and codes on any other
+column are not descriptor elements.  The signed values of the completion
+indices ``c`` sum to zero over the whole set and over no nonempty proper
+subset, so a stream containing the descriptor can be cut off at exactly the
+element that completes it.  The described number is the signed-value sum of
+the ``x`` coordinates.
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ class SubsetBudgetError(Exception):
     """Raised when the exponential proper-subset check would be too large."""
 
 
-def element_parts(code: int, column: int) -> tuple[int, int] | None:
-    """Return (x, c) if ``code`` is shaped like a column-``column`` descriptor element."""
+def element_parts(code: int) -> tuple[int, int] | None:
+    """Return (x, c) if ``code`` is shaped like a descriptor element."""
     x, c, tag, col = decode_tuple(code, 4)
-    if tag != 1 or col != column:
+    if tag != 1 or col != 0:
         return None
     return x, c
 
@@ -44,8 +46,8 @@ def _subset_sums_hit_zero(values: list[int]) -> bool:
     return False
 
 
-def validate_descriptor(elements: Iterable[int], column: int) -> bool:
-    """Check all descriptor conditions for ``elements`` on ``column``.
+def validate_descriptor(elements: Iterable[int]) -> bool:
+    """Check all descriptor conditions for ``elements``.
 
     Runs the exhaustive proper-subset check, so it is intended for sets of at
     most 20 elements; larger sets raise :class:`SubsetBudgetError`.
@@ -60,7 +62,7 @@ def validate_descriptor(elements: Iterable[int], column: int) -> bool:
     xs = []
     c_signed = []
     for code in elems:
-        parts = element_parts(code, column)
+        parts = element_parts(code)
         if parts is None:
             return False
         xs.append(parts[0])
@@ -76,9 +78,8 @@ def validate_descriptor(elements: Iterable[int], column: int) -> bool:
 
 @dataclass(frozen=True)
 class Descriptor:
-    """A validated descriptor: its column, element codes and described number."""
+    """A validated descriptor: its element codes and described number."""
 
-    column: int
     elements: frozenset[int]
     described: int
 
@@ -86,18 +87,18 @@ class Descriptor:
         return sorted(self.elements)
 
 
-def described_number(elements: Iterable[int], column: int) -> int:
+def described_number(elements: Iterable[int]) -> int:
     """The number described by a valid descriptor; raises on invalid input."""
     elems = set(elements)
-    if not validate_descriptor(elems, column):
+    if not validate_descriptor(elems):
         raise ValueError("not a valid descriptor")
     return sum(signed_int(decode_tuple(code, 4)[0]) for code in elems)
 
 
-def build_descriptor(n: int, column: int, floor: int, markers: Iterable[int]) -> Descriptor:
+def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> Descriptor:
     """Deterministically build a descriptor for ``n`` containing exactly ``markers``.
 
-    Markers must already be (x, 1, 1, column)-shaped codes with pairwise
+    Markers must already be (x, 1, 1, 0)-shaped codes with pairwise
     distinct x coordinates (completion signed value -1 each).  Two extra
     elements are added, carrying completion signed values +(len(markers)+1)
     and -1; their codes always exceed ``floor``.  No nonempty proper subset of
@@ -110,9 +111,9 @@ def build_descriptor(n: int, column: int, floor: int, markers: Iterable[int]) ->
     marker_list = sorted(set(markers))
     marker_xs = []
     for code in marker_list:
-        parts = element_parts(code, column)
+        parts = element_parts(code)
         if parts is None or parts[1] != 1:
-            raise ValueError(f"marker {code} is not a unit-completion element of column {column}")
+            raise ValueError(f"marker {code} is not a unit-completion descriptor element")
         marker_xs.append(parts[0])
     if len(set(marker_xs)) != len(marker_xs):
         raise ValueError("marker x coordinates collide")
@@ -129,20 +130,19 @@ def build_descriptor(n: int, column: int, floor: int, markers: Iterable[int]) ->
         s += 1
 
     extras = [
-        encode_tuple([x1, signed_int_inv(m + 1), 1, column]),
-        encode_tuple([x2, 1, 1, column]),
+        encode_tuple([x1, signed_int_inv(m + 1), 1, 0]),
+        encode_tuple([x2, 1, 1, 0]),
     ]
     elements = frozenset(marker_list + extras)
     assert all(code > floor for code in extras)
-    assert validate_descriptor(elements, column)
-    return Descriptor(column=column, elements=elements, described=n)
+    assert validate_descriptor(elements)
+    return Descriptor(elements=elements, described=n)
 
 
 @dataclass(frozen=True)
 class RecognizerState:
     """Accumulated view of one descriptor arriving element by element."""
 
-    column: int
     seen: frozenset[int] = frozenset()
     completion_sum: int = 0
     x_sum: int = 0
@@ -162,16 +162,12 @@ _PARTIAL = StepResult("partial")
 _CORRUPT = StepResult("corrupt")
 
 
-def new_recognizer(column: int) -> RecognizerState:
-    return RecognizerState(column=column)
-
-
 def recognizer_step(state: RecognizerState, code: int) -> tuple[RecognizerState, StepResult]:
     """Feed one stream element; fire ``complete(n)`` exactly when the set closes.
 
-    Elements that do not decode to the recognizer's column shape, and
+    Elements that do not decode to the descriptor element shape, and
     duplicates, are ignored.  Duplicates are rejected before the code is
-    decoded: ``seen`` only ever holds column-shaped codes, so the order of the
+    decoded: ``seen`` only ever holds element-shaped codes, so the order of the
     two tests does not change the result, and a completed recognizer fed its
     own elements again does no decoding at all.  Any further descriptor-shaped
     element after completion marks the stream corrupt, and corrupt is sticky.
@@ -180,7 +176,7 @@ def recognizer_step(state: RecognizerState, code: int) -> tuple[RecognizerState,
         return state, _CORRUPT
     if code in state.seen:
         return state, _IGNORED
-    parts = element_parts(code, state.column)
+    parts = element_parts(code)
     if parts is None:
         return state, _IGNORED
     if state.complete:
@@ -188,7 +184,6 @@ def recognizer_step(state: RecognizerState, code: int) -> tuple[RecognizerState,
     x, c = parts
     completion_sum = state.completion_sum + signed_int(c)
     nxt = RecognizerState(
-        column=state.column,
         seen=state.seen | {code},
         completion_sum=completion_sum,
         x_sum=state.x_sum + signed_int(x),

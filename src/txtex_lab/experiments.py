@@ -567,18 +567,28 @@ def _psd_finite_values(config: dict) -> None:
         raise ConfigError(f"overlap_pair must be two different sets, got {first} and {second}")
 
 
+# Most indices the csd-chain sweep may cover; it runs one oracle session each.
+CSD_CHAIN_MAX_SWEEP = 1_000
+
+
 def _csd_chain_values(config: dict) -> None:
-    """The chain anchor lies in the swept table, above anchor 0.
+    """The chain anchor lies in the swept table, above anchor 0, and the sweep is bounded.
 
     Anchor 0's chain is a lone top set whose index the chaser emits before any
     datum, so it forces nothing; a larger anchor than the sweep's can have a
-    chain too long to build.
+    chain too long to build.  A ``max_anchor`` of i sweeps anchor(i) + top(i)
+    + 1 indices, a count growing with i; the walk stops at the first i whose
+    sweep passes the limit, so a huge ``max_anchor`` is rejected as fast as 25.
     """
     anchor, max_anchor = config["chain_anchor"], config["max_anchor"]
     if not 1 <= anchor <= max_anchor:
         raise ConfigError(
             f"chain_anchor must be between 1 and max_anchor {max_anchor}, got {anchor}"
         )
+    table = families.CsdTable()
+    for i in range(max_anchor + 1):
+        if table.anchor(i) + table.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
+            raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
 
 
 SEARCH_BUDGETS = ("max_candidates", "arrangement_limit", "sample_size", "max_actions")

@@ -239,37 +239,32 @@ def _require_increasing_poly(p_code: int) -> None:
 class MsdFamily(IndexedFamily):
     """Every member is a descriptor whose described number is its own index.
 
-    The two targeted indices <m, p*, 0> and <m, p*, 1> hide everything except
-    the markers above the attacked learner's query ceiling; all other indices
-    get a plain single-marker descriptor with floor 0.
+    Every member holds the marker ``marker_element(0)``.  The two targeted
+    indices <m, p*, 0> and <m, p*, 1> put their other elements above the
+    attacked learner's query ceiling on the marker stream of length
+    p*(stretch * t), t the second targeted index; all other indices use floor
+    0.  ``stretch`` is 3 inside the merged family, which holds member t at
+    index 2t+1 <= 3t, and 1 elsewhere.
     """
 
-    def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int, variant: str = "single"):
-        if variant not in ("single", "multi"):
-            raise ValueError(f"unknown marker variant {variant}")
+    def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int, stretch: int):
         _require_increasing_poly(p_code)
         registry.get(m_id)  # unregistered ids fail here
         self.m_id = m_id
         self.p_code = p_code
-        self.variant = variant
-        self.name = f"msd({variant},m={m_id})"
+        self.name = f"msd(m={m_id})"
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
-        self.ell = poly_eval(p_code, self.targeted[1])
-        self.query_ceiling = adversary.compute_q(registry, m_id, self.ell, variant)
-        if variant == "single":
-            self.markers = frozenset({adversary.marker_element(0)})
-        else:
-            self.markers = frozenset(adversary.marker_element(j) for j in range(self.ell + 1))
+        self.ell = poly_eval(p_code, stretch * self.targeted[1])
+        self.query_ceiling = adversary.compute_q(registry, m_id, self.ell)
+        self.markers = frozenset({adversary.marker_element(0)})
         self.floor = max(self.query_ceiling, max(self.markers))
         self._cache: dict[int, FiniteSet] = {}
 
     def member(self, n):
         if n not in self._cache:
             m, pstar, i = decode_tuple(n, 3)
-            if (m, pstar) == (self.m_id, self.p_code) and i in (0, 1):
-                built = build_descriptor(n, 0, self.floor, self.markers)
-            else:
-                built = build_descriptor(n, 0, 0, {adversary.marker_element(0)})
+            targeted = (m, pstar) == (self.m_id, self.p_code) and i in (0, 1)
+            built = build_descriptor(n, self.floor if targeted else 0, self.markers)
             self._cache[n] = FiniteSet(built.elements)
         return self._cache[n]
 
@@ -277,10 +272,8 @@ class MsdFamily(IndexedFamily):
         return n  # described numbers differ, so members are pairwise distinct
 
 
-def make_msd(
-    registry: LearnerRegistry, m_id: int, p_code: int, variant: str = "single"
-) -> MsdFamily:
-    return MsdFamily(registry, m_id, p_code, variant)
+def make_msd(registry: LearnerRegistry, m_id: int, p_code: int) -> MsdFamily:
+    return MsdFamily(registry, m_id, p_code, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +407,24 @@ def make_csd() -> CsdFamily:
 class MergedFamily(IndexedFamily):
     """Interleaves tripled-constant chain sets with marker-trapped descriptors.
 
-    Every even-index member contains 0 (column 0 always holds pair(0,0));
-    no odd-index member does (descriptor elements decode with unit tag).
+    Index 2i holds set i of the multiplier-3 chain table, index 2i+1 member i
+    of a descriptor family whose trap is stretched to these indices.  Every
+    even-index member contains 0 (column 0 always holds pair(0,0)); no
+    odd-index member does (descriptor elements decode with unit tag).
     """
 
     name = "merged"
 
     def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int):
-        _require_increasing_poly(p_code)
-        registry.get(m_id)
-        self.m_id = m_id
-        self.p_code = p_code
+        self.descriptors = MsdFamily(registry, m_id, p_code, 3)
         self.table = CsdTable(3)
-        self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
-        self.ell = poly_eval(p_code, 3 * self.targeted[1])
-        self.query_ceiling = adversary.compute_q(registry, m_id, self.ell, "single")
-        self.markers = frozenset({adversary.marker_element(0)})
-        self.floor = max(self.query_ceiling, max(self.markers))
         self._cache: dict[int, SetSpec] = {}
 
-    def _descriptor_member(self, i: int) -> FiniteSet:
-        m, pstar, tag = decode_tuple(i, 3)
-        if (m, pstar) == (self.m_id, self.p_code) and tag in (0, 1):
-            built = build_descriptor(i, 0, self.floor, self.markers)
-        else:
-            built = build_descriptor(i, 0, 0, {adversary.marker_element(0)})
-        return FiniteSet(built.elements)
-
     def member(self, n):
+        if n % 2 == 1:
+            return self.descriptors.member(n // 2)
         if n not in self._cache:
-            if n % 2 == 0:
-                self._cache[n] = self.table.member(n // 2)
-            else:
-                self._cache[n] = self._descriptor_member(n // 2)
+            self._cache[n] = self.table.member(n // 2)
         return self._cache[n]
 
     def min_index(self, n):
@@ -463,23 +441,12 @@ def make_merged(registry: LearnerRegistry, m_id: int, p_code: int) -> MergedFami
 # trap family for the characteristic-sample separation
 
 
-class TrapParams:
-    """Decomposition of a trap parameter k into (learner id, polynomial code)."""
-
-    def __init__(self, k: int):
-        self.k = k
-        self.learner_id, self.poly_code = unpair(k)
-
-    def matches(self, m_id: int, p_code: int) -> bool:
-        return (self.learner_id, self.poly_code) == (m_id, p_code)
-
-
 class PcsFFamily(IndexedFamily):
     """Even indices: dyadic intervals; odd indices: trap-set members.
 
     Odd index 2k+1 holds the decoy set plus the interval's left endpoint when
-    k decodes to the attacked (learner, polynomial) pair; otherwise just the
-    left endpoint.  Searches run at construction for k up to ``max_k``.
+    ``unpair(k)`` is the attacked (learner, polynomial) pair; otherwise just
+    the left endpoint.  Searches run at construction for k up to ``max_k``.
     """
 
     name = "pcs-F"
@@ -491,7 +458,6 @@ class PcsFFamily(IndexedFamily):
         p_code: int,
         *,
         max_k: int = 3,
-        seed: int = 0,
         search_budgets: dict | None = None,
     ):
         registry.get(m_id)
@@ -501,24 +467,22 @@ class PcsFFamily(IndexedFamily):
         budgets = search_budgets or {}
         self.traps: dict[int, adversary.TrapSets] = {}
         for k in range(max_k + 1):
-            if TrapParams(k).matches(m_id, p_code):
-                self.traps[k] = adversary.search_trap_sets(
-                    registry, m_id, p_code, k, seed=seed, **budgets
-                )
+            if unpair(k) == (m_id, p_code):
+                self.traps[k] = adversary.search_trap_sets(registry, m_id, p_code, k, **budgets)
             else:
                 self.traps[k] = adversary.TrapSets(
                     frozenset(), frozenset(), resolved=True, stats={"matched": False, "k": k}
                 )
 
     def left_endpoint(self, k: int) -> int:
-        return 2 ** (2 * k + 1) + 1
+        return adversary.trap_interval(k).lo
 
     def member(self, n):
         k = n // 2
         if n % 2 == 0:
             return adversary.trap_interval(k)
         if k > self.max_k:
-            if TrapParams(k).matches(self.m_id, self.p_code):
+            if unpair(k) == (self.m_id, self.p_code):
                 raise UnresolvedIndexError(f"trap sets for k={k} were never searched")
             return FiniteSet({self.left_endpoint(k)})
         trap = self.traps[k]
@@ -541,12 +505,9 @@ def make_pcs_f(
     p_code: int,
     *,
     max_k: int = 3,
-    seed: int = 0,
     search_budgets: dict | None = None,
 ) -> PcsFFamily:
-    return PcsFFamily(
-        registry, m_id, p_code, max_k=max_k, seed=seed, search_budgets=search_budgets
-    )
+    return PcsFFamily(registry, m_id, p_code, max_k=max_k, search_budgets=search_budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -604,33 +565,32 @@ def make_thm64_g() -> Thm64Family:
 # ---------------------------------------------------------------------------
 # halting-style staged family
 
+# The stage at which the halting family's membership is resolved.
+HALTING_STAGE = 64
+
 
 class HaltingFamily(IndexedFamily):
     """Pairs {2i} / {2i, 2i+1} under a staged parameter set, with tower aliases.
 
     Index 2i+1 holds {2i}, plus 2i+1 once i enters the parameter set; towers
     2^(2^i) always hold the pair.  Other even indices are empty and refused as
-    targets.  Membership is resolved at the stage bound fixed at construction.
+    targets.  Membership is resolved at stage ``HALTING_STAGE``.
     """
 
     name = "halting"
 
-    def __init__(self, parameter_set, stage: int = 64):
+    def __init__(self, parameter_set):
         if callable(parameter_set):
             self._stage_fn = parameter_set
         else:
             fixed = frozenset(parameter_set)
             self._stage_fn = lambda s: fixed
-        self.stage = stage
 
     def staged_spec(self, i: int) -> Staged:
         """The odd slot 2i+1 as a staged shape (for stage-monotonicity checks)."""
         return Staged(
             lambda s, i=i: frozenset({2 * i} | ({2 * i + 1} if i in self._stage_fn(s) else set()))
         )
-
-    def _in_parameter_set(self, i: int, stage: int) -> bool:
-        return i in self._stage_fn(stage)
 
     @staticmethod
     def tower_exponent(n: int) -> int | None:
@@ -646,7 +606,7 @@ class HaltingFamily(IndexedFamily):
         if n % 2 == 1:
             i = n // 2
             content = {2 * i}
-            if self._in_parameter_set(i, stage):
+            if i in self._stage_fn(stage):
                 content.add(2 * i + 1)
             return FiniteSet(content)
         i = self.tower_exponent(n)
@@ -655,17 +615,17 @@ class HaltingFamily(IndexedFamily):
         return FiniteSet({2 * i, 2 * i + 1})
 
     def member(self, n):
-        return self.member_at_stage(n, self.stage)
+        return self.member_at_stage(n, HALTING_STAGE)
 
     def min_index(self, n):
         content = self.member(n).as_finite_set()
         i = min(content) // 2
         if len(content) == 1:
             return 2 * i + 1
-        if self._in_parameter_set(i, self.stage):
+        if i in self._stage_fn(HALTING_STAGE):
             return 2 * i + 1
         return 2 ** (2**i)
 
 
-def make_halting_family(parameter_set, stage: int = 64) -> HaltingFamily:
-    return HaltingFamily(parameter_set, stage)
+def make_halting_family(parameter_set) -> HaltingFamily:
+    return HaltingFamily(parameter_set)

@@ -14,12 +14,13 @@ action's result back::
         answer = yield Query(datum + 1)
         yield Emit(0 if answer else datum)
 
-Teachers are stream transducers: per input datum they return the finite list
-of elements they pass on, which must all have occurred in their input so far.
-``run_session`` pumps a teacher inline, feeding it raw data while its buffer
-is empty; ``simulate_pair`` folds a (learner, teacher) pair into one learner
-program.  Events and emission snapshots are named tuples, and the ledger is
-built once, when the session ends.
+Teachers are stream transducers over the text: per input datum they return
+the finite list of elements they pass on, which must all have occurred in
+their input so far.  A teacher sees only the text, never the learner's
+queries or their answers.  ``run_session`` pumps a teacher inline, feeding it
+raw data while its buffer is empty; ``simulate_pair`` folds a (learner,
+teacher) pair into one learner program.  Events and emission snapshots are
+named tuples, and the ledger is built once, when the session ends.
 
 ``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
 A learner object only makes programs and oracles hold no state, so a search
@@ -107,9 +108,6 @@ class Teacher:
 
     def on_input(self, datum: int) -> list[int]:
         raise NotImplementedError
-
-    def on_query_response(self, x: int, answer: bool) -> list[int]:
-        return []
 
     def spec(self) -> dict:
         return {"kind": "teacher", "name": self.name}
@@ -230,9 +228,9 @@ def run_session(
     With a teacher, the loop pumps raw data through it while its buffer is
     empty: each datum is marked seen and given to ``teacher.on_input``, and
     whatever the teacher passes on is checked against the data seen so far,
-    logged as one ``teach`` event and buffered for the learner.  Query
-    responses go through the same check.  Convergence is judged on raw text
-    positions.
+    logged as one ``teach`` event and buffered for the learner.  Queries go
+    to the oracle alone; the teacher never hears of them.  Convergence is
+    judged on raw text positions.
     """
     budget = budget or Budget()
     max_ticks = budget.max_ticks
@@ -250,13 +248,6 @@ def run_session(
         on_input = teacher.on_input
         buffer: deque[int] = deque()
         seen: set[int] = set()
-
-        def admit(datum: int | None, items: tuple[int, ...]) -> None:
-            for item in items:
-                if item not in seen:
-                    raise ContractViolation(f"teacher emitted unseen element {item}")
-            append(Event(len(events), "teach", (datum, items)))
-            buffer.extend(items)
 
     program = learner.program()
     send = program.send
@@ -287,8 +278,13 @@ def run_session(
                         raw += 1
                         seen.add(datum)
                         items = tuple(on_input(datum))
-                        if items:
-                            admit(datum, items)
+                        if not items:
+                            continue
+                        for item in items:
+                            if item not in seen:
+                                raise ContractViolation(f"teacher emitted unseen element {item}")
+                        append(Event(len(events), "teach", (datum, items)))
+                        buffer.extend(items)
                     if not buffer:
                         end_reason = "horizon"
                         break
@@ -325,10 +321,6 @@ def run_session(
                 ticks += 1
                 queries += 1
                 append(Event(len(events), "query", (action.x, answer)))
-                if teacher is not None:
-                    items = tuple(teacher.on_query_response(action.x, answer))
-                    if items:
-                        admit(None, items)
                 result = answer
             elif kind is Work:
                 ticks += action.units
@@ -459,9 +451,10 @@ def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
     """One learner program that runs ``inner`` behind its own ``teacher``.
 
     Raw data are read only while the teacher's buffer is empty, and each goes
-    through ``teacher.on_input``; queries are forwarded both ways; an inner
-    ``Skip`` drops one buffered item and costs one ``Work(1)``; ``Emit`` and
-    ``Work`` pass through unchanged.  Its hypothesis stream equals the pair's.
+    through ``teacher.on_input``; an inner ``Skip`` drops one buffered item and
+    costs one ``Work(1)``; ``Query``, ``Emit`` and ``Work`` pass through
+    unchanged, and a query's answer goes back to ``inner`` alone.  Its
+    hypothesis stream equals the pair's.
     """
     buffer: deque[int] = deque()
     result: object = None
@@ -480,11 +473,8 @@ def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
                 result = item
             else:
                 yield Work(1)
-        elif kind is Query:
-            result = yield action
-            buffer.extend(teacher.on_query_response(action.x, result))
         else:
-            yield action
+            result = yield action
 
 
 def compose_pair(

@@ -30,9 +30,15 @@ from .codec import (
     signed_int,
     signed_int_inv,
 )
-from .descriptor import build_descriptor, described_number, new_recognizer, recognizer_step, validate_descriptor
+from .descriptor import (
+    RecognizerState,
+    build_descriptor,
+    described_number,
+    recognizer_step,
+    validate_descriptor,
+)
 from .evaluate import evaluate_run
-from .session import Budget, MembershipOracle, compose_pair, run_session
+from .session import Budget, MembershipOracle, compose_pair, run_on_sequence, run_session
 from .sets import is_subset, resolve, set_equal
 from .text import make_text
 
@@ -106,7 +112,7 @@ def _recognizer_lattice_ok(elements: list[int], n: int) -> bool:
     covers all k! orderings in k * 2**(k-1) recognizer steps.
     """
     full = (1 << len(elements)) - 1
-    states = [new_recognizer(0)]
+    states = [RecognizerState()]
     for mask in range(1, full + 1):
         state = None
         for i, code in enumerate(elements):
@@ -133,9 +139,9 @@ def verify_descriptor() -> list[CheckResult]:
     for n in range(0, 201, 3):
         for floor in (0, 10_000):
             for markers in ({marker}, multi):
-                d = build_descriptor(n, 0, floor, markers)
+                d = build_descriptor(n, floor, markers)
                 built += 1
-                if not validate_descriptor(d.elements, 0) or described_number(d.elements, 0) != n:
+                if not validate_descriptor(d.elements) or described_number(d.elements) != n:
                     good = False
                     continue
                 elements = d.sorted_elements()
@@ -198,10 +204,7 @@ def verify_engine() -> list[CheckResult]:
     for n in (2, 4, 6):
         text = make_text("seeded", family.member(n), seed=n)
         tr = run_session(learner, text, teacher=teacher_factory(), budget=Budget(horizon=90, window=10))
-        seen = set()
         for event in tr.events:
-            if event.kind == "read":
-                seen.add(event.payload[0])
             if event.kind == "teach":
                 contract_cases += len(event.payload[1])
         if tr.end_reason == "contract-violation":
@@ -257,7 +260,7 @@ def verify_families() -> list[CheckResult]:
 
     msd = families.make_msd(registry, 0, p_lin)
     good = all(
-        described_number(msd.member(n).as_finite_set(), 0) == n for n in range(0, 101, 7)
+        described_number(msd.member(n).as_finite_set()) == n for n in range(0, 101, 7)
     )
     sets = [msd.member(n).as_finite_set() for n in range(0, 40, 3)]
     good = good and len(set(sets)) == len(sets)
@@ -307,7 +310,6 @@ def verify_families() -> list[CheckResult]:
 
 def verify_agents() -> list[CheckResult]:
     out = []
-    registry = agents.build_default_registry()
     catalog = agents.make_basic_agents()
 
     cases = 0
@@ -360,8 +362,8 @@ def verify_agents() -> list[CheckResult]:
                 good = False
     out.append(_check("positive learners pass their criteria on varied texts", good, cases))
 
-    registry2 = agents.build_default_registry()
-    msd = families.make_msd(registry2, 0, poly_encode([0, 1]))
+    registry = agents.build_default_registry()
+    msd = families.make_msd(registry, 0, poly_encode([0, 1]))
     learner, teacher_factory = agents.make_msd_pair()
     good = True
     cases = 0
@@ -418,8 +420,6 @@ def verify_adversary() -> list[CheckResult]:
     chain = csd.chain_indices(5)[:2]
     chaser = adversary.make_chain_chaser(csd, chain)
     result = adversary.chain_force(chaser, None, chain, csd)
-    from .session import run_on_sequence
-
     replay = run_on_sequence(chaser, result.prefix)
     stream = replay.emissions
     changes = sum(1 for x, y in zip(stream, stream[1:]) if x != y)

@@ -10,10 +10,14 @@ ends.
 import math
 import tempfile
 import time
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from txtex_lab.descriptor import new_recognizer, recognizer_step
+from txtex_lab import adversary, experiments
+from txtex_lab.descriptor import RecognizerState, recognizer_step
+from txtex_lab.session import run_session
 from txtex_lab.verify import verify_suite
 
 try:
@@ -48,6 +52,33 @@ def verify_run():
     return run
 
 
+class DefaultRun(NamedTuple):
+    out: Path  # the experiment's output directory
+    exit_code: int
+    sessions: list  # (teacherless, transcript) of each of its run_session calls
+    seconds: float
+
+
+@pytest.fixture(scope="session")
+def default_catalog(tmp_path_factory):
+    """Every experiment on its default config, run once per session: name -> DefaultRun."""
+    base = tmp_path_factory.mktemp("default-catalog")
+    sessions, runs = [], {}
+
+    def recording_run_session(learner, text, **kwargs):
+        sessions.append((kwargs.get("teacher") is None, run_session(learner, text, **kwargs)))
+        return sessions[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (experiments, adversary):
+            patch.setattr(module, "run_session", recording_run_session)
+        for name in experiments.EXPERIMENTS:
+            before, start = len(sessions), time.perf_counter()
+            code = experiments.run_experiment(name, None, base / name)
+            runs[name] = DefaultRun(base / name, code, sessions[before:], time.perf_counter() - start)
+    return runs
+
+
 def _check_recognizer_fires_last(descriptor, rng):
     """Every ordering completes exactly at its last element, with the described value.
 
@@ -69,7 +100,7 @@ def _check_recognizer_fires_last(descriptor, rng):
 
     if k > 8:
         for _ in range(100):
-            state = new_recognizer(descriptor.column)
+            state = RecognizerState()
             for pos, code in enumerate(rng.sample(elements, k)):
                 state = step(state, code, pos == k - 1)
         return
@@ -86,7 +117,7 @@ def _check_recognizer_fires_last(descriptor, rng):
             else:
                 walk(nxt, remaining[:i] + remaining[i + 1 :])
 
-    walk(new_recognizer(descriptor.column), tuple(elements))
+    walk(RecognizerState(), tuple(elements))
     assert leaves == math.factorial(k)
 
 

@@ -2,10 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and measured numbers.  The criteria read the shared evidence rather
-than repeat it: criteria 1 and 3 read checks of the verify suites (each suite
-runs once per test session), and criteria 4-8 and 10 run an experiment and
-assert on its `results.csv` and `report.json`, adding the bounds that are
-stricter than the experiment's own `ok`.
+than repeat it: criteria 1 and 3 read checks of the verify suites, and
+criteria 4-8 and 10 read the default experiment catalog (each runs once per
+test session), asserting on an experiment's `results.csv` and `report.json`
+with the bounds that are stricter than the experiment's own `ok`.
 """
 
 import csv
@@ -33,10 +33,10 @@ def verify_check(verify_run, suite, name):
     return result
 
 
-def run_default(name, tmp_path):
-    """Run an experiment on its default config; its results.csv rows (as ints) and report."""
-    out = tmp_path / name
-    assert run_experiment(name, None, out) == 0, name
+def read_default(default_catalog, name):
+    """A default experiment's results.csv rows (as ints) and report, from the session's run."""
+    out = default_catalog[name].out
+    assert default_catalog[name].exit_code == 0, name
     with open(out / "results.csv", newline="") as fh:
         rows = [
             {key: int(value) if value.isdigit() else value for key, value in row.items()}
@@ -72,9 +72,9 @@ def test_criterion_02_descriptor_suite(recognizer_fires_last):
     cases += [(n, floor, widest) for n in (0, 101, 200) for floor in (0, 10_000)]
     cases += [(n, 10_000, big) for n in range(0, 201, 25)]
     for n, floor, markers in cases:
-        d = build_descriptor(n, 0, floor, markers)
-        assert validate_descriptor(d.elements, 0)
-        assert described_number(d.elements, 0) == d.described == n
+        d = build_descriptor(n, floor, markers)
+        assert validate_descriptor(d.elements)
+        assert described_number(d.elements) == d.described == n
         assert markers <= d.elements
         assert len(d.elements) == len(markers) + 2
         recognizer_fires_last(d, rng)
@@ -92,23 +92,20 @@ def test_criterion_03_exponential_query_search(verify_run):
     announce(3, "exact endpoints for n <= 4096, bases 2 and 3, zero bound violations")
 
 
-def test_criterion_04_pow2_gap(tmp_path):
-    start = time.monotonic()
-    out = tmp_path / "pow2-gap"
-    assert run_experiment("pow2-gap", {"n_range": [1, 12]}, out) == 0
-    rows = (out / "results.csv").read_text().splitlines()[1:]
+def test_criterion_04_pow2_gap(default_catalog):
+    rows, report = read_default(default_catalog, "pow2-gap")
+    assert report["config"]["n_range"] == [1, 12]
     for row in rows:
-        n, plain_distinct, oracle_queries, teacher_items = map(int, row.split(","))
-        assert plain_distinct == 2**n + 1
-        assert oracle_queries <= (n + 2) ** 3
-        assert teacher_items <= n + 2
-    elapsed = time.monotonic() - start
+        assert row["plain_distinct"] == 2 ** row["n"] + 1
+        assert row["oracle_queries"] <= (row["n"] + 2) ** 3
+        assert row["teacher_items"] <= row["n"] + 2
+    elapsed = default_catalog["pow2-gap"].seconds
     assert elapsed < 60.0
     announce(4, f"n in [1,12]: distinct 2^n+1 vs queries <= (n+2)^3 vs items <= n+2 in {elapsed:.2f}s")
 
 
-def test_criterion_05_msd_headline(tmp_path):
-    rows, report = run_default("msd-linear", tmp_path)
+def test_criterion_05_msd_headline(default_catalog):
+    rows, report = read_default(default_catalog, "msd-linear")
     # every session of every text converged on the index: the experiment's ok
     assert [row["n"] for row in rows] == list(range(101))
     assert report["config"]["seeds"] == 10  # the canonical text plus 10 seeded ones
@@ -118,7 +115,7 @@ def test_criterion_05_msd_headline(tmp_path):
     assert max_residual <= c, f"fit c={c:.3f}, max residual {max_residual:.3f}"
     assert report["summary"] == {"fit_c": round(c, 6), "max_residual": round(max_residual, 6)}
 
-    rows, _ = run_default("msd-defeat", tmp_path)
+    rows, _ = read_default(default_catalog, "msd-defeat")
     defeated = 0
     for row in rows:
         if row["learner_id"] in (3, 4):  # chain-column oracle, pow2 endpoint oracle
@@ -133,8 +130,8 @@ def test_criterion_05_msd_headline(tmp_path):
     )
 
 
-def test_criterion_06_csd(tmp_path):
-    rows, report = run_default("csd-chain", tmp_path)
+def test_criterion_06_csd(default_catalog):
+    rows, report = read_default(default_catalog, "csd-chain")
     table = families.make_csd().table
     assert [row["n"] for row in rows] == list(range(table.anchor(5) + table.top(5) + 1))
     assert all(row["hypothesis"] == row["min_index"] for row in rows)
@@ -155,8 +152,8 @@ def test_criterion_06_csd(tmp_path):
     )
 
 
-def test_criterion_07_merged_family(tmp_path):
-    rows, _ = run_default("merged-split", tmp_path)
+def test_criterion_07_merged_family(default_catalog):
+    rows, _ = read_default(default_catalog, "merged-split")
     assert [row["n"] for row in rows] == list(range(25))
     for row in rows:
         assert row["hypothesis"] == row["min_index"]
@@ -169,8 +166,8 @@ def test_criterion_07_merged_family(tmp_path):
     )
 
 
-def test_criterion_08_conversions(tmp_path):
-    rows, _ = run_default("conversions-roundtrip", tmp_path)
+def test_criterion_08_conversions(default_catalog):
+    rows, _ = read_default(default_catalog, "conversions-roundtrip")
     for row in rows:
         assert row["pmc_pass"] == row["psdT_pass"] == row["roundtrip_ok"] == 1, row
         assert row["psdT_distinct"] <= 2, row
@@ -238,8 +235,8 @@ def test_criterion_09_pcs_suite():
     )
 
 
-def test_criterion_10_halting_family(tmp_path):
-    rows, report = run_default("halting-psd", tmp_path)
+def test_criterion_10_halting_family(default_catalog):
+    rows, report = read_default(default_catalog, "halting-psd")
     assert report["config"]["w_set"] == [1, 3]
     assert [(row["w"], row["index"]) for row in rows] == [
         (w, 2 * i + 1) for w in ("empty", "{1,3}") for i in range(11)

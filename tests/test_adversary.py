@@ -2,7 +2,7 @@ import pytest
 
 from txtex_lab import adversary, agents, families
 from txtex_lab.codec import poly_encode
-from txtex_lab.session import GenLearner, Query, Read, run_on_sequence
+from txtex_lab.session import ActionBudgetExceeded, GenLearner, Query, Read, run_on_sequence
 from txtex_lab.sets import set_equal
 
 
@@ -15,11 +15,9 @@ P_LIN = poly_encode([0, 1])
 
 
 def test_marker_streams():
-    single, content = adversary.marker_stream(3, "single")
+    single, content = adversary.marker_stream(3)
     assert single == [adversary.marker_element(0)] * 3
     assert content == {adversary.marker_element(0)}
-    multi, content = adversary.marker_stream(3, "multi")
-    assert len(multi) == 4 and len(content) == 4
 
 
 def test_compute_q_never_queries(registry):
@@ -42,9 +40,7 @@ def test_compute_q_scripted_learner():
     assert values == sorted(values)
 
 
-def test_compute_q_budget_error_carries_partial_ceiling():
-    from txtex_lab.session import ActionBudgetExceeded
-
+def test_compute_q_budget_error_carries_partial_ceiling(monkeypatch):
     registry = agents.build_default_registry()
 
     def program():
@@ -54,9 +50,10 @@ def test_compute_q_budget_error_carries_partial_ceiling():
             yield Query(x)  # never reads, queries forever
 
     registry.register(88, "runaway-prober", lambda: GenLearner("runaway-prober", program))
+    monkeypatch.setattr(adversary, "COMPUTE_Q_MAX_ACTIONS", 40)
     with pytest.raises(ActionBudgetExceeded) as exc_info:
-        adversary.compute_q(registry, 88, 3, max_actions=40)
-    assert exc_info.value.partial_ceiling > 0
+        adversary.compute_q(registry, 88, 3)
+    assert exc_info.value.partial_ceiling == 5 * 40  # one query per budgeted action
 
 
 def test_repeat_prefix_texts():

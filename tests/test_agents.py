@@ -96,7 +96,7 @@ def test_msd_pair_linear_ticks(msd_family):
 
 
 def test_msd_teacher_silent_on_non_descriptor_stream():
-    teacher = agents.DescriptorTeacher(0)
+    teacher = agents.DescriptorTeacher()
     # column-0 chain elements never complete a descriptor
     out = []
     for x in [pair(0, 0), pair(1, 0), pair(2, 0)] * 3:

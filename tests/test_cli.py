@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from typing import NamedTuple
 
 import pytest
@@ -109,6 +110,10 @@ class Raw(NamedTuple):
             {"chain_anchor": 40},
             "chain_anchor must be between 1 and max_anchor 5, got 40",
         ),
+        *[
+            ("csd-chain", {"max_anchor": m}, f"max_anchor must be at most 24, got {m}")
+            for m in (25, 40, 10**9)
+        ],
         pytest.param("nope", Raw("{}"), "unknown experiment: nope", id="unknown-experiment"),
         pytest.param(
             "halting-psd",
@@ -137,7 +142,7 @@ class Raw(NamedTuple):
 def test_run_config_outside_schema_is_usage_error(
     tmp_path, capsys, monkeypatch, experiment, config, message
 ):
-    """Every usage error of ``run`` exits 2 with one stderr line, before any output."""
+    """Each usage error of ``run`` exits 2 within a second, with one stderr line and no output."""
     path = tmp_path / "config.json"
     monkeypatch.delenv("TXTEX_SEED", raising=False)
     if isinstance(config, Raw):
@@ -150,7 +155,9 @@ def test_run_config_outside_schema_is_usage_error(
         path.write_text(json.dumps(config))
         line = f"bad config for {experiment}: {message}"
     out = tmp_path / "never"
+    start = time.perf_counter()
     code = main(["run", "--experiment", experiment, "--config", str(path), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
     assert not out.exists()
     captured = capsys.readouterr()

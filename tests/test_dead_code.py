@@ -1,4 +1,4 @@
-"""No library symbol lives on that only the tests reach."""
+"""No library symbol lives on that only the tests reach, and no default that no call overrides."""
 
 import ast
 import re
@@ -35,3 +35,73 @@ def unused_definitions(package: Path, code_roots: list[Path]) -> list[str]:
 def test_every_library_symbol_has_a_caller_outside_the_tests():
     unused = unused_definitions(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
     assert unused == [], f"defined in src/ but used by nothing in src/ or perfbench/: {unused}"
+
+
+
+
+
+# the console script calls main() with no argument; only the tests pass argv
+UNSET_DEFAULT_EXEMPT = {"cli.main(argv)"}
+
+
+def _scanned_functions(module: str, tree: ast.Module):
+    """``(label, call name, def, slots before the callers' arguments)`` of each scanned def."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield f"{module}.{node.name}", node.name, node, 0
+        for fn in node.body if isinstance(node, ast.ClassDef) else []:
+            if isinstance(fn, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                name = node.name if fn.name == "__init__" else fn.name
+                yield f"{module}.{node.name}.{fn.name}", name, fn, 0 if static else 1
+
+
+def unset_defaults(package: Path, code_roots: list[Path]) -> list[str]:
+    """Defaulted parameters of ``package``'s module-level functions and methods that no call sets.
+
+    ``f(...)`` and ``x.f(...)`` reach every def named ``f``; a class call reaches
+    its ``__init__``.  A call sets the parameters it passes by keyword or by
+    position, every positional one if it unpacks ``*args`` and every keyword
+    one if it unpacks ``**kwargs``.  Passing on a defaulted parameter of the
+    scanned def around the call sets the callee's only if that one is set.
+    """
+    trees = {path: ast.parse(path.read_text()) for root in code_roots for path in root.rglob("*.py")}
+    params = {}  # call name -> [(label, parameter, positional index or None)]
+    around = {}  # node inside a scanned def -> {its defaulted parameter: label}
+    for path in sorted(package.glob("*.py")):
+        for label, call_name, fn, offset in _scanned_functions(path.stem, trees[path]):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            own = {a.arg: i - offset for i, a in enumerate(positional) if i >= first}
+            own.update((a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d)
+            labels = {p: f"{label}({p})" for p in own}
+            params.setdefault(call_name, []).extend((labels[p], p, i) for p, i in own.items())
+            around.update((inner, labels) for inner in ast.walk(fn))
+
+    is_set, forwards = set(), []  # forwards: (callee parameter, caller parameter passed on)
+    for call in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        for target, param, index in params.get(name, []):
+            values = [k.value for k in call.keywords if k.arg == param]
+            if index is not None:
+                values += call.args[index : index + 1]
+                if any(isinstance(a, ast.Starred) for a in call.args):
+                    is_set.add(target)
+            if any(k.arg is None for k in call.keywords):
+                is_set.add(target)
+            for value in values:
+                source = around.get(call, {}).get(getattr(value, "id", None))
+                if source:
+                    forwards.append((target, source))
+                else:
+                    is_set.add(target)
+    while any(s in is_set and t not in is_set for t, s in forwards):
+        is_set.update(t for t, s in forwards if s in is_set)
+    labels = {label for entries in params.values() for label, _, _ in entries}
+    return sorted(label.replace(".__init__", "") for label in labels - is_set - UNSET_DEFAULT_EXEMPT)
+
+
+def test_every_default_parameter_is_set_by_some_caller():
+    unset = unset_defaults(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
+    assert unset == [], f"defaulted parameters no call in src/ or perfbench/ sets: {unset}"

@@ -74,8 +74,8 @@ def test_msd_family_members_describe_index(registry):
     family = families.make_msd(registry, 0, P_LIN)
     for n in range(0, 60, 7):
         elements = family.member(n).as_finite_set()
-        assert validate_descriptor(elements, 0)
-        assert described_number(elements, 0) == n
+        assert validate_descriptor(elements)
+        assert described_number(elements) == n
         assert family.min_index(n) == n
 
 
@@ -141,12 +141,6 @@ def test_pcs_f_members(registry):
 def test_pcs_f_unmatched_odd_indices_are_singletons(registry):
     family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=2)
     assert family.member(5).as_finite_set() == {family.left_endpoint(2)}
-
-
-def test_trap_params_decomposition():
-    params = families.TrapParams(1)
-    assert (params.learner_id, params.poly_code) == (1, 0)
-    assert params.matches(1, 0) and not params.matches(0, 0)
 
 
 def test_pcs_f_unresolved_when_budget_exhausted(registry):

@@ -30,19 +30,11 @@ class ScriptedTeacher(Teacher):
     def __init__(self, script):
         self.script = script
         self.seen = []
-        self.confirmed = set()
 
     def on_input(self, datum):
         self.seen.append(datum)
         picks = self.script[(len(self.seen) - 1) % len(self.script)]
         return [self.seen[j % len(self.seen)] for j in picks]
-
-    def on_query_response(self, x, answer):
-        """Passes on each seen element once, the first time it is confirmed."""
-        if not answer or x not in self.seen or x in self.confirmed:
-            return []
-        self.confirmed.add(x)
-        return [x]
 
 
 def probing_learner():

@@ -2,7 +2,6 @@ import hashlib
 
 import pytest
 
-from txtex_lab import adversary, experiments
 from txtex_lab.agents import build_default_registry, make_csd_learner, make_msd_pair
 from txtex_lab.codec import poly_encode
 from txtex_lab.families import make_csd, make_msd
@@ -416,48 +415,6 @@ class BatchTeacher(Teacher):
         return batch
 
 
-class QueryEchoTeacher(Teacher):
-    """Passes each datum on; the first yes for an element passes it on once more."""
-
-    name = "query-echo"
-
-    def __init__(self):
-        self.echoed = set()
-
-    def on_input(self, datum):
-        return [datum]
-
-    def on_query_response(self, x, answer):
-        if not answer or x in self.echoed:
-            return []
-        self.echoed.add(x)
-        return [x]
-
-
-class QueryCheatingTeacher(Teacher):
-    """Honest on its input; answers a query with an element it never received."""
-
-    name = "query-cheater"
-
-    def on_input(self, datum):
-        return [datum]
-
-    def on_query_response(self, x, answer):
-        return [x + 100]
-
-
-def read_query_learner():
-    """Reads a datum, asks the oracle about it, emits it."""
-
-    def program():
-        while True:
-            datum = yield Read()
-            yield Query(datum)
-            yield Emit(datum)
-
-    return GenLearner("read-query", program)
-
-
 def skip_read_learner():
     """Skips one element, then reads one and emits it, forever."""
 
@@ -480,24 +437,6 @@ def _teacher_edge_session(case):
         text = make_text("seeded", Interval(0, 20), seed=5)
         return run_session(
             echo_counter_learner(), text, teacher=BatchTeacher(), budget=Budget(horizon=14)
-        )
-    if case == "query-response-items":
-        target = Interval(2, 9)
-        return run_session(
-            read_query_learner(),
-            make_text("canonical", target),
-            teacher=QueryEchoTeacher(),
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=6, window=2),
-        )
-    if case == "query-response-violation":
-        target = Interval(0, 9)
-        return run_session(
-            read_query_learner(),
-            make_text("canonical", target),
-            teacher=QueryCheatingTeacher(),
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=6),
         )
     if case == "max-ticks-mid-teacher":
         text = make_text("canonical", Interval(0, None))
@@ -526,16 +465,6 @@ TEACHER_EDGE_PINS = {
         "a8acc4b75c31a7977789cd33875450ba973b774bce0ac1109bca78d6686f3d47",
         "435a9aaf9b2cc747a2dddff75c56943acefe6aceaf8f2eb6cb612559f40dca60",
         ("horizon", 12, False, [3, 3, 3, 6, 6, 6, 9, 9, 9, 12, 12, 12]),
-    ),
-    "query-response-items": (
-        "7b363c88f31ff194a439ef1db9cd0b0fb5314d2b4b9e3d728bfd276e59d6cbc3",
-        "9244363ff17feea78476f235371d275a2eb7613e6e9b4b73fb6f74e29c7642c6",
-        ("horizon", 12, False, [1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]),
-    ),
-    "query-response-violation": (
-        "e4a75e1cf17b2cfaec2ebb5d0276c3aeaa8f3ab2c5138ff2ed10dfad8b49cd94",
-        "29a33e17bc1e0f4ac206ba133fe7dacb3202fca65e6cf1138fb25b1ed348582d",
-        ("contract-violation", 1, False, []),
     ),
     "max-ticks-mid-teacher": (
         "d4ca9ae3c86e7f6eab777df290d7bba07df4e74bf7480541b1c7fbbad6b0c080",
@@ -625,21 +554,9 @@ def _fold_events(events):
     return ledger, snapshots
 
 
-def test_ledger_folds_from_events_in_every_default_session(tmp_path, monkeypatch):
-    sessions = []
-
-    def recording_run_session(learner, text, **kwargs):
-        transcript = run_session(learner, text, **kwargs)
-        sessions.append((kwargs.get("teacher") is None, transcript))
-        return transcript
-
-    monkeypatch.setattr(experiments, "run_session", recording_run_session)
-    monkeypatch.setattr(adversary, "run_session", recording_run_session)
-    for name in experiments.EXPERIMENTS:
-        before = len(sessions)
-        assert experiments.run_experiment(name, None, tmp_path / name) == 0
-        assert len(sessions) > before, name
-
+def test_ledger_folds_from_events_in_every_default_session(default_catalog):
+    assert [name for name, run in default_catalog.items() if run.exit_code or not run.sessions] == []
+    sessions = [session for run in default_catalog.values() for session in run.sessions]
     teacherless = 0
     for without_teacher, transcript in sessions:
         ledger, snapshots = _fold_events(transcript.events)
