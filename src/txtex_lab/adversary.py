@@ -212,17 +212,18 @@ def _event_prefix_within(transcript, element_limit: int):
     return out
 
 
-def msd_defeat(registry: LearnerRegistry, m_id: int, p_code: int):
+def msd_defeat(registry: LearnerRegistry, family):
     """Run a registered oracle learner against its own trap family.
 
-    Both targeted members agree with the marker set everywhere the learner
-    can query while reading only markers, so on texts prefixed with the
-    family's marker stream the two transcripts coincide through the whole
-    prefix and the hypothesis held there is wrong for at least one target.
+    ``family`` is the ``MsdFamily`` that ``families.make_msd`` builds for the
+    attacked learner ``family.m_id``; it is taken built, since ``families``
+    builds on this module.  Both targeted members agree with the marker set
+    everywhere the learner can query while reading only markers, so on texts
+    prefixed with the family's marker stream the two transcripts coincide
+    through the whole prefix and the hypothesis held there is wrong for at
+    least one target.
     """
-    from .families import make_msd  # deferred: families builds on this module
-
-    family = make_msd(registry, m_id, p_code)
+    m_id = family.m_id
     n0, n1 = family.targeted
     ell = family.ell
     prefix, _ = marker_stream(ell)

@@ -14,7 +14,7 @@ from typing import Callable
 from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import RecognizerState, recognizer_step
-from .families import CsdTable, PcsFFamily
+from .families import CsdFamily, PcsFFamily
 from .registry import LearnerRegistry
 from .session import Emit, GenLearner, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
 
@@ -172,14 +172,14 @@ def make_pmc_msd_learner() -> Learner:
 # chain-column oracle learner
 
 
-def _csd_core(table: CsdTable):
-    """Find (top column, widest base element), invert through the table."""
+def _csd_core(family: CsdFamily):
+    """Find (top column, widest base element), invert through the family's anchors."""
     top = yield from query_plan(exp_search_plan(2), encode=lambda j: pair(0, j))
     t = 1
     while (yield Query(pair(t, top))):
         t += 1
     greatest = t - 1
-    candidates = table.identify(top, greatest)
+    candidates = family.identify(top, greatest)
     if len(candidates) > 1 and top >= 1:
         # a chain top and a chain member can share both statistics; only the
         # chain top keeps column top-1 wide enough to reach `greatest`
@@ -190,15 +190,15 @@ def _csd_core(table: CsdTable):
         return 0  # out of contract: not a chain-family member
     kind, i, j = candidates[0]
     if kind == "top":
-        return table.index_of_top(i)
-    return table.index_of_chain(i, j)
+        return family.index_of_top(i)
+    return family.index_of_chain(i, j)
 
 
-def make_csd_learner(table: CsdTable | None = None) -> Learner:
-    table = table or CsdTable(1)
+def make_csd_learner(family: CsdFamily | None = None) -> Learner:
+    family = family or CsdFamily(1)
 
     def program():
-        index = yield from _csd_core(table)
+        index = yield from _csd_core(family)
         yield Emit(index)
 
     return GenLearner("chain-column-oracle", program)
@@ -210,7 +210,7 @@ def make_merged_learner() -> Learner:
 
     def program():
         if (yield Query(0)):
-            index = yield from _csd_core(CsdTable(3))
+            index = yield from _csd_core(CsdFamily(3))
             yield Emit(2 * index)
             return
         yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher())

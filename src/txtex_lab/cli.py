@@ -14,7 +14,7 @@ import time
 
 from .agents import build_default_registry, make_basic_agents
 from .experiments import EXPERIMENTS, ConfigError, run_experiment
-from .families import BASIC_KINDS
+from .families import BASIC_FAMILIES
 from .verify import SUITES, verify_suite
 
 
@@ -100,7 +100,7 @@ def _cmd_list(args) -> int:
         for spec in EXPERIMENTS.values():
             print(f"{spec.name:24s} {spec.description}")
     elif args.what == "families":
-        for kind in BASIC_KINDS:
+        for kind in BASIC_FAMILIES:
             print(kind)
         print("msd (registry learner + polynomial)")
         print("csd")

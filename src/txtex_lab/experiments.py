@@ -160,7 +160,8 @@ def _msd_defeat(config: dict) -> ExperimentResult:
     extra_files = {}
     ok = True
     for m_id in config["learner_ids"]:
-        report, transcripts = adversary.msd_defeat(registry, m_id, p_code)
+        family = families.make_msd(registry, m_id, p_code)
+        report, transcripts = adversary.msd_defeat(registry, family)
         rows.append(
             (
                 m_id,
@@ -192,7 +193,7 @@ def _csd_chain(config: dict) -> ExperimentResult:
     family = families.make_csd()
     learner = agents.make_csd_learner()
     max_anchor = config["max_anchor"]
-    top_index = family.table.anchor(max_anchor) + family.table.top(max_anchor)
+    top_index = family.anchor(max_anchor) + family.top(max_anchor)
     rows = []
     ok = True
     for n in range(0, top_index + 1):
@@ -242,7 +243,7 @@ def _merged_split(config: dict) -> ExperimentResult:
     family = families.make_merged(registry, config["learner_id"], poly_encode(config["poly"]))
     merged_learner = agents.make_merged_learner()
     csd3 = families.CsdFamily(3)
-    csd3_learner = agents.make_csd_learner(csd3.table)
+    csd3_learner = agents.make_csd_learner(csd3)
     msd_learner, msd_teacher = agents.make_msd_pair()
     composed = compose_pair(lambda: msd_learner, msd_teacher)
     rows = []
@@ -585,9 +586,9 @@ def _csd_chain_values(config: dict) -> None:
         raise ConfigError(
             f"chain_anchor must be between 1 and max_anchor {max_anchor}, got {anchor}"
         )
-    table = families.CsdTable()
+    chains = families.CsdFamily(1)
     for i in range(max_anchor + 1):
-        if table.anchor(i) + table.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
+        if chains.anchor(i) + chains.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
             raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
 
 

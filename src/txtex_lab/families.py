@@ -24,18 +24,8 @@ from .codec import (
 )
 from .descriptor import build_descriptor
 from .registry import LearnerRegistry
-from .sets import ColumnBlock, FiniteSet, Interval, Join, SetSpec, Staged, Union
+from .sets import ColumnBlock, FiniteSet, Interval, Join, SetSpec, Union
 from .text import Text, make_text
-
-BASIC_KINDS = (
-    "up-intervals",
-    "pair-intervals",
-    "tuple-contents",
-    "finite-canonical",
-    "pow2",
-    "join-singletons",
-    "pcs-G",
-)
 
 
 class UnknownIndexError(ValueError):
@@ -151,11 +141,8 @@ class FiniteCanonical(IndexedFamily):
         return Interval(n, None)
 
     def min_index(self, n):
-        size, mask = unpair(n)
-        content = canonical_decode(mask)
-        if len(content) == size:
-            return n
-        return n  # tails occur at exactly one code
+        # a finite set has one <size, mask> code, and each tail occurs at exactly one code
+        return n
 
     def separation_bound(self, indices):
         return max(indices) + 1
@@ -208,22 +195,23 @@ class PcsG(IndexedFamily):
         return max(indices) + 2
 
 
-def make_basic_family(kind: str, k: int | None = None) -> IndexedFamily:
-    if kind == "up-intervals":
-        return UpIntervals()
-    if kind == "pair-intervals":
-        return PairIntervals()
-    if kind == "tuple-contents":
-        return TupleContents(k if k is not None else 1)
-    if kind == "finite-canonical":
-        return FiniteCanonical()
-    if kind == "pow2":
-        return Pow2()
-    if kind == "join-singletons":
-        return JoinSingletons()
-    if kind == "pcs-G":
-        return PcsG()
-    raise ValueError(f"unknown basic family kind {kind!r}")
+# kind -> constructor taking the tuple length k (read by tuple-contents only),
+# in the order `txtex-lab list families` prints them
+BASIC_FAMILIES = {
+    "up-intervals": lambda k: UpIntervals(),
+    "pair-intervals": lambda k: PairIntervals(),
+    "tuple-contents": TupleContents,
+    "finite-canonical": lambda k: FiniteCanonical(),
+    "pow2": lambda k: Pow2(),
+    "join-singletons": lambda k: JoinSingletons(),
+    "pcs-G": lambda k: PcsG(),
+}
+
+
+def make_basic_family(kind: str, k: int = 1) -> IndexedFamily:
+    if kind not in BASIC_FAMILIES:
+        raise ValueError(f"unknown basic family kind {kind!r}")
+    return BASIC_FAMILIES[kind](k)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +268,8 @@ def make_msd(registry: LearnerRegistry, m_id: int, p_code: int) -> MsdFamily:
 # column self-describing families
 
 
-class CsdTable:
-    """The anchor sequence and column structure behind chain families.
+class CsdFamily(IndexedFamily):
+    """The chain family: an anchor sequence and the column structure over it.
 
     anchor(i) is defined by a(i) = mult*(i+1) + sum_{j<i} poly_j(mult * a(j)),
     with poly_j the polynomial coded by j.  Member sets are unions of column
@@ -289,9 +277,13 @@ class CsdTable:
     the chain members below it stop at lower columns.
     """
 
-    def __init__(self, multiplier: int = 1):
+    name = "csd"
+
+    def __init__(self, multiplier: int):
         self.multiplier = multiplier
         self._anchors = [multiplier]  # a(0) = mult * 1
+        if multiplier != 1:
+            self.name = f"csd(x{multiplier})"
 
     def anchor(self, i: int) -> int:
         while len(self._anchors) <= i:
@@ -341,11 +333,11 @@ class CsdTable:
         a = self.anchor(i)
         return Union([ColumnBlock(0, a + l, l) for l in range(j + 1)])
 
-    def member(self, n: int) -> SetSpec:
+    def member(self, n):
         kind, i, j, _ = self.locate_index(n)
         return self.top_set(i) if kind == "top" else self.chain_set(i, j)
 
-    def min_index(self, n: int) -> int:
+    def min_index(self, n):
         kind, i, j, canonical = self.locate_index(n)
         if kind == "top":
             return self.index_of_top(i)
@@ -373,26 +365,10 @@ class CsdTable:
                 candidates.append(("chain", idx, j))
         return candidates
 
-
-class CsdFamily(IndexedFamily):
-    name = "csd"
-
-    def __init__(self, multiplier: int = 1):
-        self.table = CsdTable(multiplier)
-        if multiplier != 1:
-            self.name = f"csd(x{multiplier})"
-
-    def member(self, n):
-        return self.table.member(n)
-
-    def min_index(self, n):
-        return self.table.min_index(n)
-
     def chain_indices(self, i: int) -> list[int]:
         """Indices of the strict chain below anchor i, top set last."""
-        width = self.table.top(i)
-        out = [self.table.index_of_chain(i, j) for j in range(width)]
-        out.append(self.table.index_of_top(i))
+        out = [self.index_of_chain(i, j) for j in range(self.top(i))]
+        out.append(self.index_of_top(i))
         return out
 
 
@@ -407,7 +383,7 @@ def make_csd() -> CsdFamily:
 class MergedFamily(IndexedFamily):
     """Interleaves tripled-constant chain sets with marker-trapped descriptors.
 
-    Index 2i holds set i of the multiplier-3 chain table, index 2i+1 member i
+    Index 2i holds member i of the multiplier-3 chain family, index 2i+1 member i
     of a descriptor family whose trap is stretched to these indices.  Every
     even-index member contains 0 (column 0 always holds pair(0,0)); no
     odd-index member does (descriptor elements decode with unit tag).
@@ -417,19 +393,19 @@ class MergedFamily(IndexedFamily):
 
     def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int):
         self.descriptors = MsdFamily(registry, m_id, p_code, 3)
-        self.table = CsdTable(3)
+        self.chains = CsdFamily(3)
         self._cache: dict[int, SetSpec] = {}
 
     def member(self, n):
         if n % 2 == 1:
             return self.descriptors.member(n // 2)
         if n not in self._cache:
-            self._cache[n] = self.table.member(n // 2)
+            self._cache[n] = self.chains.member(n // 2)
         return self._cache[n]
 
     def min_index(self, n):
         if n % 2 == 0:
-            return 2 * self.table.min_index(n // 2)
+            return 2 * self.chains.min_index(n // 2)
         return n
 
 
@@ -457,7 +433,7 @@ class PcsFFamily(IndexedFamily):
         m_id: int,
         p_code: int,
         *,
-        max_k: int = 3,
+        max_k: int,
         search_budgets: dict | None = None,
     ):
         registry.get(m_id)
@@ -504,7 +480,7 @@ def make_pcs_f(
     m_id: int,
     p_code: int,
     *,
-    max_k: int = 3,
+    max_k: int,
     search_budgets: dict | None = None,
 ) -> PcsFFamily:
     return PcsFFamily(registry, m_id, p_code, max_k=max_k, search_budgets=search_budgets)
@@ -563,34 +539,22 @@ def make_thm64_g() -> Thm64Family:
 
 
 # ---------------------------------------------------------------------------
-# halting-style staged family
-
-# The stage at which the halting family's membership is resolved.
-HALTING_STAGE = 64
+# halting-style pair family
 
 
 class HaltingFamily(IndexedFamily):
-    """Pairs {2i} / {2i, 2i+1} under a staged parameter set, with tower aliases.
+    """Pairs {2i} / {2i, 2i+1} under a parameter set W, with tower aliases.
 
-    Index 2i+1 holds {2i}, plus 2i+1 once i enters the parameter set; towers
-    2^(2^i) always hold the pair.  Other even indices are empty and refused as
-    targets.  Membership is resolved at stage ``HALTING_STAGE``.
+    Index 2i+1 holds {2i}, plus 2i+1 when i is in W; towers 2^(2^i) always
+    hold the pair.  Other even indices are empty and refused as targets.
+    ``member`` is the limit of the enumeration ``member_at_stage``, in which
+    each i of W enters at stage i + 1.
     """
 
     name = "halting"
 
     def __init__(self, parameter_set):
-        if callable(parameter_set):
-            self._stage_fn = parameter_set
-        else:
-            fixed = frozenset(parameter_set)
-            self._stage_fn = lambda s: fixed
-
-    def staged_spec(self, i: int) -> Staged:
-        """The odd slot 2i+1 as a staged shape (for stage-monotonicity checks)."""
-        return Staged(
-            lambda s, i=i: frozenset({2 * i} | ({2 * i + 1} if i in self._stage_fn(s) else set()))
-        )
+        self.parameter_set = frozenset(parameter_set)
 
     @staticmethod
     def tower_exponent(n: int) -> int | None:
@@ -606,7 +570,7 @@ class HaltingFamily(IndexedFamily):
         if n % 2 == 1:
             i = n // 2
             content = {2 * i}
-            if i in self._stage_fn(stage):
+            if i in self.parameter_set and i < stage:
                 content.add(2 * i + 1)
             return FiniteSet(content)
         i = self.tower_exponent(n)
@@ -615,14 +579,13 @@ class HaltingFamily(IndexedFamily):
         return FiniteSet({2 * i, 2 * i + 1})
 
     def member(self, n):
-        return self.member_at_stage(n, HALTING_STAGE)
+        # slot i = n // 2 is settled from stage i + 1 on
+        return self.member_at_stage(n, n // 2 + 1)
 
     def min_index(self, n):
         content = self.member(n).as_finite_set()
         i = min(content) // 2
-        if len(content) == 1:
-            return 2 * i + 1
-        if i in self._stage_fn(HALTING_STAGE):
+        if len(content) == 1 or i in self.parameter_set:
             return 2 * i + 1
         return 2 ** (2**i)
 

@@ -2,8 +2,8 @@
 
 Every shape answers membership and yields its elements in increasing order.
 Infinite shapes (open intervals, joins with the naturals) iterate forever;
-callers bound consumption.  Staged shapes defer to a stage function and must
-be resolved to a concrete finite set before a session uses them.
+callers bound consumption.  A family that is enumerated stage by stage hands
+out one of these shapes per stage (``HaltingFamily.member_at_stage``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .codec import pair, unpair
 
@@ -149,34 +149,8 @@ class Union(SetSpec):
         return all(p.is_finite() for p in self.parts)
 
 
-@dataclass(frozen=True)
-class Staged(SetSpec):
-    """A set revealed stage by stage; the stage function must be monotone."""
-
-    stage_fn: Callable[[int], frozenset[int]]
-
-    def at_stage(self, stage: int) -> FiniteSet:
-        return FiniteSet(self.stage_fn(stage))
-
-    def contains(self, x: int) -> bool:
-        raise ValueError("staged set needs a stage; resolve with at_stage first")
-
-    def iter_increasing(self) -> Iterator[int]:
-        raise ValueError("staged set needs a stage; resolve with at_stage first")
-
-    def is_finite(self) -> bool:
-        return True
-
-
-def resolve(spec: SetSpec, stage: int) -> SetSpec:
-    """Replace a staged shape by its finite snapshot at ``stage``."""
-    if isinstance(spec, Staged):
-        return spec.at_stage(stage)
-    return spec
-
-
 def set_equal(a: SetSpec, b: SetSpec, bound: int) -> bool:
-    """Pointwise equality of two non-staged shapes on [0, bound]."""
+    """Pointwise equality of two shapes on [0, bound]."""
     return all(a.contains(x) == b.contains(x) for x in range(bound + 1))
 
 

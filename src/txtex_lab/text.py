@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .sets import SetSpec, Staged
+from .sets import SetSpec
 
 SHUFFLE_BLOCK = 16
 
@@ -82,8 +82,6 @@ def make_text(
     pad_count: int = 0,
 ) -> Text:
     """Build a text of ``target``; rejects empty targets and foreign prefixes."""
-    if isinstance(target, Staged):
-        raise ValueError("resolve staged targets before building a text")
     if target.is_empty():
         raise ValueError("cannot build a text of the empty set")
     if kind == "prefixed":

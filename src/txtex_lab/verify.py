@@ -39,7 +39,7 @@ from .descriptor import (
 )
 from .evaluate import evaluate_run
 from .session import Budget, MembershipOracle, compose_pair, run_on_sequence, run_session
-from .sets import is_subset, resolve, set_equal
+from .sets import is_subset, set_equal
 from .text import make_text
 
 
@@ -270,7 +270,7 @@ def verify_families() -> list[CheckResult]:
     chain_cases = 0
     good = True
     for i in range(0, 9):
-        width = csd.table.top(i)
+        width = csd.top(i)
         if width == 0:
             continue
         indices = csd.chain_indices(i)
@@ -298,8 +298,8 @@ def verify_families() -> list[CheckResult]:
     staged_good = True
     cases = 0
     for i in (1, 3):
-        spec = halting.staged_spec(i)
-        snaps = [resolve(spec, s).as_finite_set() for s in range(4)]
+        # 1 enters W at stage 2 and 3 at stage 4, so each slot grows inside the sweep
+        snaps = [halting.member_at_stage(2 * i + 1, s).as_finite_set() for s in range(0, 8, 2)]
         for earlier, later in zip(snaps, snaps[1:]):
             cases += 1
             if not earlier <= later:
@@ -408,7 +408,7 @@ def verify_adversary() -> list[CheckResult]:
 
     good = True
     for m_id in (3, 4, 0):
-        report, _ = adversary.msd_defeat(registry, m_id, p_lin)
+        report, _ = adversary.msd_defeat(registry, families.make_msd(registry, m_id, p_lin))
         if not report.transcripts_identical or not report.wrong_for:
             good = False
     out.append(_check("defeat transcripts agree through the marker prefix", good, 3))

@@ -132,8 +132,8 @@ def test_criterion_05_msd_headline(default_catalog):
 
 def test_criterion_06_csd(default_catalog):
     rows, report = read_default(default_catalog, "csd-chain")
-    table = families.make_csd().table
-    assert [row["n"] for row in rows] == list(range(table.anchor(5) + table.top(5) + 1))
+    chains = families.make_csd()
+    assert [row["n"] for row in rows] == list(range(chains.anchor(5) + chains.top(5) + 1))
     assert all(row["hypothesis"] == row["min_index"] for row in rows)
     cubic_c = max(row["oracle_queries"] / (row["min_index"] + 2) ** 3 for row in rows)
     summary = report["summary"]

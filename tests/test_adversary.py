@@ -129,7 +129,8 @@ def test_chain_force_inconclusive_on_tiny_budget():
 
 def test_msd_defeat_reports(registry):
     for m_id in (3, 4):
-        report, transcripts = adversary.msd_defeat(registry, m_id, P_LIN)
+        family = families.make_msd(registry, m_id, P_LIN)
+        report, transcripts = adversary.msd_defeat(registry, family)
         assert report.transcripts_identical
         assert len(report.wrong_for) >= 1
         assert report.prefix_length == report.index_pair[1]  # p(x) = x
@@ -137,7 +138,7 @@ def test_msd_defeat_reports(registry):
 
 
 def test_msd_defeat_constant_learner_wrong_everywhere(registry):
-    report, _ = adversary.msd_defeat(registry, 0, P_LIN)
+    report, _ = adversary.msd_defeat(registry, families.make_msd(registry, 0, P_LIN))
     assert report.transcripts_identical
     assert set(report.wrong_for) == set(report.index_pair)
 

@@ -107,7 +107,7 @@ def test_msd_teacher_silent_on_non_descriptor_stream():
 def test_csd_learner_identifies_every_small_index():
     family = families.make_csd()
     learner = agents.make_csd_learner()
-    top = family.table.anchor(6)
+    top = family.anchor(6)
     for n in range(0, top):
         target = family.member(n)
         transcript = run_session(
@@ -123,7 +123,7 @@ def test_merged_learner_branches_and_query_overhead(registry):
     family = families.make_merged(registry, 0, poly_encode([0, 1]))
     merged = agents.make_merged_learner()
     csd3 = families.CsdFamily(3)
-    csd3_learner = agents.make_csd_learner(csd3.table)
+    csd3_learner = agents.make_csd_learner(csd3)
     for n in range(0, 22):
         target = family.member(n)
         transcript = run_session(

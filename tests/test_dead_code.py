@@ -37,6 +37,29 @@ def test_every_library_symbol_has_a_caller_outside_the_tests():
     assert unused == [], f"defined in src/ but used by nothing in src/ or perfbench/: {unused}"
 
 
+def function_level_imports(package: Path) -> list[str]:
+    """``module:line`` of each import inside a function or method body.
+
+    Such an import hides an edge of the module graph; with every import at
+    module level, a cycle fails when the package loads.
+    """
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(
+                    f"{path.stem}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    return sorted(set(found))
+
+
+def test_no_import_inside_a_function():
+    nested = function_level_imports(ROOT / "src" / "txtex_lab")
+    assert nested == [], f"imports inside function bodies: {nested}"
+
+
 
 
 

@@ -4,7 +4,7 @@ from txtex_lab import families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.codec import encode_tuple, pair, poly_encode
 from txtex_lab.descriptor import described_number, validate_descriptor
-from txtex_lab.sets import is_subset, resolve, set_equal
+from txtex_lab.sets import is_subset, set_equal
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +95,10 @@ def test_msd_rejects_bad_inputs(registry):
 
 
 def test_csd_anchor_table_small_values():
-    table = families.CsdTable(1)
+    family = families.make_csd()
     # p0 = p1 = 0, p2 = 1, p3 = 0, p4 = 1, p5 = 2 under the codec scheme
-    assert [table.anchor(i) for i in range(7)] == [1, 2, 3, 5, 6, 8, 11]
-    assert table.top(2) == 1 and table.top(5) == 2
+    assert [family.anchor(i) for i in range(7)] == [1, 2, 3, 5, 6, 8, 11]
+    assert family.top(2) == 1 and family.top(5) == 2
 
 
 def test_csd_member_formula_and_index_patch():
@@ -125,7 +125,7 @@ def test_merged_family_parity_discriminator(registry):
     for i in range(11):
         assert family.member(2 * i).contains(0)
         assert not family.member(2 * i + 1).contains(0)
-    assert family.min_index(2 * 1) == 2 * family.table.min_index(1)
+    assert family.min_index(2 * 1) == 2 * family.chains.min_index(1)
 
 
 def test_pcs_f_members(registry):
@@ -192,10 +192,13 @@ def test_halting_min_index():
 
 
 def test_halting_staged_monotone():
-    family = families.make_halting_family(lambda s: frozenset(range(s // 2)))
-    spec = family.staged_spec(3)
-    snaps = [resolve(spec, s).as_finite_set() for s in range(10)]
-    for earlier, later in zip(snaps, snaps[1:]):
-        assert earlier <= later
+    family = families.make_halting_family({0, 3, 4})
+    for n in (1, 3, 7, 9, 16):
+        snaps = [family.member_at_stage(n, s).as_finite_set() for s in range(10)]
+        for earlier, later in zip(snaps, snaps[1:]):
+            assert earlier <= later
+        assert snaps[-1] == family.member(n).as_finite_set()
+    # i enters W at stage i + 1
+    assert [len(family.member_at_stage(7, s).as_finite_set()) for s in range(6)] == [1] * 4 + [2] * 2
 
 

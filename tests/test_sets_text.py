@@ -8,10 +8,8 @@ from txtex_lab.sets import (
     FiniteSet,
     Interval,
     Join,
-    Staged,
     Union,
     is_subset,
-    resolve,
     set_equal,
 )
 from txtex_lab.text import make_text
@@ -58,15 +56,6 @@ def test_union_dedupes():
     union = Union([Interval(0, 2), Interval(2, 4)])
     assert list(union.iter_increasing()) == [0, 1, 2, 3, 4]
     assert union.is_finite()
-
-
-def test_staged_resolution_and_monotonicity():
-    staged = Staged(lambda s: frozenset(range(min(s, 5))))
-    with pytest.raises(ValueError):
-        staged.contains(0)
-    snapshots = [resolve(staged, s).as_finite_set() for s in range(8)]
-    for earlier, later in zip(snapshots, snapshots[1:]):
-        assert earlier <= later
 
 
 def test_subset_check():

@@ -4,7 +4,8 @@ import pytest
 
 from txtex_lab import verify
 from txtex_lab.descriptor import StepResult, recognizer_step
-from txtex_lab.verify import SUITES, verify_descriptor, verify_suite
+from txtex_lab.families import HaltingFamily
+from txtex_lab.verify import SUITES, verify_descriptor, verify_families, verify_suite
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
@@ -58,3 +59,14 @@ def test_descriptor_suite_catches_order_dependent_recognizer(monkeypatch, faulty
     monkeypatch.setattr(verify, "recognizer_step", faulty)
     [result] = verify_descriptor()
     assert not result.passed
+
+
+def test_families_suite_catches_stages_that_forget(monkeypatch):
+    """Read backwards, the enumeration drops elements it had let in."""
+    at_stage = HaltingFamily.member_at_stage
+    monkeypatch.setattr(
+        HaltingFamily, "member_at_stage", lambda self, n, s: at_stage(self, n, 3 - s)
+    )
+    [staged] = [r for r in verify_families() if r.name == "staged membership monotone in the stage"]
+    assert not staged.passed
+    assert staged.cases == 6
