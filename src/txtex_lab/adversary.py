@@ -2,7 +2,9 @@
 
 Everything here is explicitly budgeted and reports whether a search was
 exhaustive or sampled; verdicts are reproducible from the same seed and
-budgets.
+budgets.  The attacked learner is a plain ``session.Learner``: ``compute_q``
+takes it directly, ``msd_defeat`` reads it from the family built to defeat
+it, and ``search_trap_sets`` looks it up by id in a registry dict.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from dataclasses import dataclass, field
 
 from .codec import encode_tuple, poly_eval
 from .evaluate import hypothesis_correct
-from .registry import LearnerRegistry
 from .session import (
     ActionBudgetExceeded,
     Budget,
     Emit,
     FnOracle,
-    GenLearner,
     Learner,
     MembershipOracle,
     Read,
@@ -55,7 +55,7 @@ def marker_stream(ell: int) -> tuple[list[int], frozenset[int]]:
     return [m] * ell, frozenset({m})
 
 
-def compute_q(registry: LearnerRegistry, m_id: int, ell: int) -> int:
+def compute_q(learner: Learner, ell: int) -> int:
     """Greatest value the learner queries on any prefix of the marker stream.
 
     The learner runs against the marker-set oracle; since it is deterministic,
@@ -66,9 +66,7 @@ def compute_q(registry: LearnerRegistry, m_id: int, ell: int) -> int:
     stream, content = marker_stream(ell)
     oracle = FnOracle(lambda x: x in content)
     try:
-        run = run_on_sequence(
-            registry.make(m_id), stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS
-        )
+        run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
     except ActionBudgetExceeded as exc:
         exc.partial_ceiling = max((x for x, _ in exc.partial.queries), default=0)
         raise
@@ -141,7 +139,7 @@ def chain_force(
     Extensions draw on the member's elements below ``CHAIN_FORCE_UNIVERSE``.
     """
     if teacher_factory is not None:
-        agent: Learner = compose_pair(lambda: learner, teacher_factory)
+        agent: Learner = compose_pair(learner, teacher_factory)
     else:
         agent = learner
     sigma: list[int] = []
@@ -212,18 +210,19 @@ def _event_prefix_within(transcript, element_limit: int):
     return out
 
 
-def msd_defeat(registry: LearnerRegistry, family):
-    """Run a registered oracle learner against its own trap family.
+def msd_defeat(family):
+    """Run an oracle learner against its own trap family.
 
-    ``family`` is the ``MsdFamily`` that ``families.make_msd`` builds for the
-    attacked learner ``family.m_id``; it is taken built, since ``families``
-    builds on this module.  Both targeted members agree with the marker set
-    everywhere the learner can query while reading only markers, so on texts
-    prefixed with the family's marker stream the two transcripts coincide
-    through the whole prefix and the hypothesis held there is wrong for at
-    least one target.
+    ``family`` is the ``MsdFamily`` that ``families.make_msd`` builds; it
+    holds the attacked learner, so the defeat always runs the learner its
+    trap was built against.  It is taken built, since ``families`` builds on
+    this module.  Both targeted members agree with the marker set everywhere
+    the learner can query while reading only markers, so on texts prefixed
+    with the family's marker stream the two transcripts coincide through the
+    whole prefix and the hypothesis held there is wrong for at least one
+    target.
     """
-    m_id = family.m_id
+    learner = family.learner
     n0, n1 = family.targeted
     ell = family.ell
     prefix, _ = marker_stream(ell)
@@ -235,7 +234,7 @@ def msd_defeat(registry: LearnerRegistry, family):
         text = make_text("prefixed", target, prefix=prefix)
         budget = Budget(max_ticks=10 * horizon + 10_000, horizon=horizon, window=1)
         transcripts.append(
-            run_session(registry.make(m_id), text, oracle=MembershipOracle(target), budget=budget)
+            run_session(learner, text, oracle=MembershipOracle(target), budget=budget)
         )
 
     prefix_events = [_event_prefix_within(t, ell) for t in transcripts]
@@ -251,7 +250,7 @@ def msd_defeat(registry: LearnerRegistry, family):
             wrong_for.append(index)
 
     report = DefeatReport(
-        learner_name=registry.get(m_id).name,
+        learner_name=learner.name,
         index_pair=(n0, n1),
         prefix_length=ell,
         query_ceiling=family.query_ceiling,
@@ -280,7 +279,7 @@ def trap_interval(k: int) -> Interval:
 
 
 def search_trap_sets(
-    registry: LearnerRegistry,
+    registry: dict[int, Learner],
     m_id: int,
     p_code: int,
     k: int,
@@ -300,6 +299,10 @@ def search_trap_sets(
     of E.  Decoys D extend E with the first p(2k+1) interval members the
     learner queries while reading E in increasing order, padded with the
     least unused interval elements.
+
+    A search that runs out of ``max_candidates``, or whose learner runs out of
+    ``max_actions`` on some run, returns unresolved with the budget's name
+    under ``stats["exhausted_budget"]``.
 
     One learner and one stateless interval oracle serve every run of the
     search; each run starts a fresh program of the learner.
@@ -325,7 +328,7 @@ def search_trap_sets(
     stats["exhaustive_arrangements"] = exhaustive
     stats["arrangements_per_candidate"] = perm_count if exhaustive else sample_size
 
-    learner = registry.make(m_id)
+    learner = registry[m_id]
     oracle = MembershipOracle(interval)
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
@@ -341,24 +344,24 @@ def search_trap_sets(
 
     rest = [x for x in elements if x != lo]
     found: tuple[int, ...] | None = None
-    budget_hit = False
-    for combo in itertools.combinations(rest, core_size - 1):
-        stats["candidates_checked"] += 1
-        if stats["candidates_checked"] > max_candidates:
-            budget_hit = True
-            break
-        core = (lo,) + combo
-        if candidate_passes(core):
-            found = core
-            break
-
-    if found is None:
-        if budget_hit:
-            return TrapSets(frozenset(), frozenset(), resolved=False, stats=stats)
-        return TrapSets(frozenset(), frozenset(), resolved=True, stats=stats)
-
-    # decoys: core plus first pk interval members queried on the increasing core
-    run = run_on_sequence(learner, sorted(found), oracle=oracle, max_actions=max_actions)
+    try:
+        for combo in itertools.combinations(rest, core_size - 1):
+            stats["candidates_checked"] += 1
+            if stats["candidates_checked"] > max_candidates:
+                stats["exhausted_budget"] = "max_candidates"
+                break
+            core = (lo,) + combo
+            if candidate_passes(core):
+                found = core
+                break
+        if found is None:
+            resolved = "exhausted_budget" not in stats
+            return TrapSets(frozenset(), frozenset(), resolved=resolved, stats=stats)
+        # decoys: core plus first pk interval members queried on the increasing core
+        run = run_on_sequence(learner, sorted(found), oracle=oracle, max_actions=max_actions)
+    except ActionBudgetExceeded:
+        stats["exhausted_budget"] = "max_actions"
+        return TrapSets(frozenset(found or ()), frozenset(), resolved=False, stats=stats)
     queried_members: list[int] = []
     for x, _answer in run.queries:
         if interval.contains(x) and x not in queried_members:
@@ -395,4 +398,4 @@ def make_chain_chaser(family, chain: list[int]) -> Learner:
                     yield Emit(index)
                     break
 
-    return GenLearner("chain-chaser", program)
+    return Learner("chain-chaser", program)

@@ -1,9 +1,12 @@
-"""Reference learners and teachers.
+"""Reference learners and teachers, and the default registry.
 
-Learner objects are stateless factories of generator programs, so one
-instance can serve any number of sessions; teachers carry per-session state
-and are handed around as zero-argument factories.  Pair constructors return
-``(learner, teacher_factory)``.
+Learners are ``session.Learner`` objects: each carries its own name and cost
+note and starts a fresh generator program per run, so one object can serve
+any number of sessions.  Teachers carry per-session state and are handed
+around as zero-argument factories.  Pair constructors return
+``(learner, teacher_factory)``.  The registry is a plain dict from learner
+id to learner; the diagonalizing families look up the learner they attack
+in it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import RecognizerState, recognizer_step
 from .families import CsdFamily, PcsFFamily
-from .registry import LearnerRegistry
-from .session import Emit, GenLearner, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
+from .session import Emit, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +44,7 @@ def exp_search_plan(a: int):
         lower += a**k
 
 
-def exp_query_search(member: Callable[[int], bool], a: int = 2) -> int:
+def exp_query_search(member: Callable[[int], bool], a: int) -> int:
     """Run the search against a membership callable; returns the endpoint."""
     plan = exp_search_plan(a)
     try:
@@ -85,7 +87,7 @@ def make_up_interval_learner() -> Learner:
             x += 1
         yield Emit(x)
 
-    return GenLearner("up-interval-scan", program)
+    return Learner("up-interval-scan", program, "one query per candidate")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +151,7 @@ def make_msd_pair() -> tuple[Learner, Callable[[], Teacher]]:
     def program():
         yield from _count_core(lambda c: c)
 
-    return GenLearner("lead-count", program), DescriptorTeacher
+    return Learner("lead-count", program), DescriptorTeacher
 
 
 def make_pmc_msd_learner() -> Learner:
@@ -165,7 +167,7 @@ def make_pmc_msd_learner() -> Learner:
                 yield Emit(result.value)
                 return
 
-    return GenLearner("descriptor-wait", program, "one work unit per recognizer step")
+    return Learner("descriptor-wait", program, "one work unit per recognizer step")
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def make_csd_learner(family: CsdFamily | None = None) -> Learner:
         index = yield from _csd_core(family)
         yield Emit(index)
 
-    return GenLearner("chain-column-oracle", program)
+    return Learner("chain-column-oracle", program, "queries per column/element probe")
 
 
 def make_merged_learner() -> Learner:
@@ -215,7 +217,7 @@ def make_merged_learner() -> Learner:
             return
         yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher())
 
-    return GenLearner("merged-branch", program)
+    return Learner("merged-branch", program)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,7 @@ def make_finite_psd_learner() -> Learner:
             seen.add((yield Read()))
             yield Emit(pair(len(seen), canonical_encode(seen)))
 
-    return GenLearner("finite-size-mask", program)
+    return Learner("finite-size-mask", program)
 
 
 def make_pow2_plain_learner() -> Learner:
@@ -244,7 +246,7 @@ def make_pow2_plain_learner() -> Learner:
                 covered += 1
             yield Emit(covered.bit_length() - 1 if covered >= 1 else 0)
 
-    return GenLearner("pow2-collector", program)
+    return Learner("pow2-collector", program)
 
 
 def make_pow2_oracle_learner() -> Learner:
@@ -252,7 +254,7 @@ def make_pow2_oracle_learner() -> Learner:
         endpoint = yield from query_plan(exp_search_plan(2))
         yield Emit(endpoint.bit_length() - 1 if endpoint >= 1 else 0)
 
-    return GenLearner("pow2-endpoint-oracle", program)
+    return Learner("pow2-endpoint-oracle", program, "queries per endpoint probe")
 
 
 class BracketRepeatTeacher(Teacher):
@@ -281,7 +283,7 @@ def make_pow2_teacher_pair() -> tuple[Learner, Callable[[], Teacher]]:
     def program():
         yield from _count_core(lambda c: c)
 
-    return GenLearner("repeat-counter", program), BracketRepeatTeacher
+    return Learner("repeat-counter", program), BracketRepeatTeacher
 
 
 def make_pow2_pmc_learner() -> Learner:
@@ -293,7 +295,7 @@ def make_pow2_pmc_learner() -> Learner:
             peak = max(peak, (yield Read()))
             yield Emit((peak - 1).bit_length() if peak >= 1 else 0)
 
-    return GenLearner("pow2-threshold", program)
+    return Learner("pow2-threshold", program)
 
 
 def make_join_evens_learner() -> Learner:
@@ -306,7 +308,7 @@ def make_join_evens_learner() -> Learner:
                 yield Emit(datum // 2)
                 return
 
-    return GenLearner("even-spotter", program)
+    return Learner("even-spotter", program)
 
 
 def make_basic_agents() -> dict:
@@ -351,7 +353,7 @@ def convert_psdT_to_pmc(learner: Learner, teacher_factory: Callable[[], Teacher]
         if latest != emitted:
             yield Emit(latest)
 
-    return GenLearner(f"extension-gated({learner.name})", program)
+    return Learner(f"extension-gated({learner.name})", program)
 
 
 class CountEncodingTeacher(Teacher):
@@ -432,7 +434,7 @@ def make_count_decoder_learner() -> Learner:
             count += 1
             yield Emit(unpair(count)[1])
 
-    return GenLearner("count-decoder", program)
+    return Learner("count-decoder", program)
 
 
 def convert_pmc_to_psdT(learner: Learner) -> tuple[Learner, Callable[[], Teacher]]:
@@ -456,7 +458,7 @@ def make_pcsG_oracle_learner() -> Learner:
             else:
                 yield Emit(peak)
 
-    return GenLearner("segment-prober", program)
+    return Learner("segment-prober", program)
 
 
 def left_endpoint_bracket(x: int) -> int | None:
@@ -535,7 +537,7 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
             yield Read()
             yield Emit(2 * k)
 
-    pair_learner = GenLearner("trap-item-counter", pair_program)
+    pair_learner = Learner("trap-item-counter", pair_program)
 
     def pmc_program():
         seen: set[int] = set()
@@ -556,7 +558,7 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
             else:
                 yield Emit(2 * k)
 
-    pmc_learner = GenLearner("trap-membership-watch", pmc_program)
+    pmc_learner = Learner("trap-membership-watch", pmc_program)
     return {
         "teacher_pair": (pair_learner, lambda: TrapTeacher(family)),
         "pmc_learner": pmc_learner,
@@ -582,7 +584,7 @@ def make_thm64_pcs_learner() -> Learner:
             else:
                 yield Emit(2 * (m + 2**n) + 1)
 
-    return GenLearner("join-shape-split", program)
+    return Learner("join-shape-split", program)
 
 
 def make_halting_psd_learner() -> Learner:
@@ -603,18 +605,18 @@ def make_halting_psd_learner() -> Learner:
             else:
                 yield Emit(6)
 
-    return GenLearner("pair-or-tower", program)
+    return Learner("pair-or-tower", program)
 
 
 # ---------------------------------------------------------------------------
 # scripted toys and the default registry
 
 
-def make_constant_learner(value: int) -> Learner:
+def make_constant_zero_learner() -> Learner:
     def program():
-        yield Emit(value)
+        yield Emit(0)
 
-    return GenLearner(f"constant-{value}", program)
+    return Learner("constant-zero", program, "single emission")
 
 
 def make_trap_parity_learner(offset: int) -> Learner:
@@ -627,23 +629,17 @@ def make_trap_parity_learner(offset: int) -> Learner:
             k = max(0, ((datum - 1).bit_length() - 1) // 2)
             yield Emit(2 * k + offset)
 
-    return GenLearner(f"trap-parity-{offset}", program)
+    name = ("trap-even-guesser", "trap-odd-guesser")[offset]
+    return Learner(name, program, "one emit per read")
 
 
-def build_default_registry() -> LearnerRegistry:
-    registry = LearnerRegistry()
-    registry.register(0, "constant-zero", lambda: make_constant_learner(0), "single emission")
-    registry.register(
-        1, "trap-even-guesser", lambda: make_trap_parity_learner(0), "one emit per read"
-    )
-    registry.register(
-        2, "trap-odd-guesser", lambda: make_trap_parity_learner(1), "one emit per read"
-    )
-    registry.register(
-        3, "chain-column-oracle", make_csd_learner, "queries per column/element probe"
-    )
-    registry.register(
-        4, "pow2-endpoint-oracle", make_pow2_oracle_learner, "queries per endpoint probe"
-    )
-    registry.register(5, "up-interval-scan", make_up_interval_learner, "one query per candidate")
-    return registry
+def build_default_registry() -> dict[int, Learner]:
+    """The attackable learners by id; diagonalizing families take theirs by id."""
+    return {
+        0: make_constant_zero_learner(),
+        1: make_trap_parity_learner(0),
+        2: make_trap_parity_learner(1),
+        3: make_csd_learner(),
+        4: make_pow2_oracle_learner(),
+        5: make_up_interval_learner(),
+    }

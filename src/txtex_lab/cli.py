@@ -95,6 +95,10 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
+def _spec_line(agent) -> str:
+    return json.dumps(agent.spec(), sort_keys=True, separators=(",", ":"))
+
+
 def _cmd_list(args) -> int:
     if args.what == "experiments":
         for spec in EXPERIMENTS.values():
@@ -109,19 +113,16 @@ def _cmd_list(args) -> int:
         print("offset-power-joins")
         print("halting (parameter set)")
     else:
-        registry = build_default_registry()
         print("# registry (attackable oracle learners)")
-        for entry in registry.entries():
-            agent = entry.factory()
-            agent.cost_note = entry.cost_note or agent.cost_note
-            print(f"{entry.learner_id}: {agent.spec_json()}")
+        for learner_id, learner in build_default_registry().items():
+            print(f"{learner_id}: {_spec_line(learner)}")
         print("# basic catalog")
         for name, agent in make_basic_agents().items():
             if isinstance(agent, tuple):
                 learner, teacher_factory = agent
-                print(f"{name}: {learner.spec_json()} + {teacher_factory().spec_json()}")
+                print(f"{name}: {_spec_line(learner)} + {_spec_line(teacher_factory())}")
             else:
-                print(f"{name}: {agent.spec_json()}")
+                print(f"{name}: {_spec_line(agent)}")
     return 0
 
 

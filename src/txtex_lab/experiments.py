@@ -46,9 +46,9 @@ class ConfigType(NamedTuple):
 class ExperimentSpec:
     name: str
     description: str
-    defaults: dict
+    defaults: dict  # besides ``seed``, which every experiment accepts and defaults to 0
     fn: Callable[[dict], ExperimentResult]
-    schema: dict[str, ConfigType]  # every accepted key; a superset of ``defaults``
+    schema: dict[str, ConfigType]  # every accepted key but ``seed``; a superset of ``defaults``
     # checks that relate values of a well-typed config; raises ConfigError
     check_values: Callable[[dict], None] | None = None
 
@@ -161,7 +161,7 @@ def _msd_defeat(config: dict) -> ExperimentResult:
     ok = True
     for m_id in config["learner_ids"]:
         family = families.make_msd(registry, m_id, p_code)
-        report, transcripts = adversary.msd_defeat(registry, family)
+        report, transcripts = adversary.msd_defeat(family)
         rows.append(
             (
                 m_id,
@@ -245,7 +245,7 @@ def _merged_split(config: dict) -> ExperimentResult:
     csd3 = families.CsdFamily(3)
     csd3_learner = agents.make_csd_learner(csd3)
     msd_learner, msd_teacher = agents.make_msd_pair()
-    composed = compose_pair(lambda: msd_learner, msd_teacher)
+    composed = compose_pair(msd_learner, msd_teacher)
     rows = []
     ok = True
     for n in range(0, config["max_index"] + 1):
@@ -544,7 +544,7 @@ def _is_poly(value) -> bool:
 
 
 def _is_learner_id(value) -> bool:
-    return _is_natural(value) and value in agents.build_default_registry().ids()
+    return _is_natural(value) and value in agents.build_default_registry()
 
 
 def _is_trap_learner(value) -> bool:
@@ -620,49 +620,42 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "pow2-gap",
             "distinct-data vs oracle-query vs teacher-item costs on dyadic intervals",
-            {"n_range": [1, 12], "seed": 0},
+            {"n_range": [1, 12]},
             _pow2_gap,
-            {"n_range": N_RANGE, "seed": INTEGER},
+            {"n_range": N_RANGE},
         ),
         ExperimentSpec(
             "msd-linear",
             "descriptor teacher pair: hypothesis = index, ticks linear in index",
-            {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10, "seed": 0},
+            {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10},
             _msd_linear,
-            {
-                "max_n": NATURAL,
-                "learner_id": LEARNER_ID,
-                "poly": POLY,
-                "seeds": NATURAL,
-                "seed": INTEGER,
-            },
+            {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
         ),
         ExperimentSpec(
             "msd-defeat",
             "marker-trapped descriptor family defeats registered oracle learners",
-            {"learner_ids": [3, 4, 0], "poly": [0, 1], "seed": 0},
+            {"learner_ids": [3, 4, 0], "poly": [0, 1]},
             _msd_defeat,
-            {"learner_ids": LEARNER_IDS, "poly": POLY, "seed": INTEGER},
+            {"learner_ids": LEARNER_IDS, "poly": POLY},
         ),
         ExperimentSpec(
             "csd-chain",
             "chain-column family: oracle learner exact, forced mind changes on chains",
-            {"max_anchor": 5, "chain_anchor": 5, "chain_length": 2, "seed": 0},
+            {"max_anchor": 5, "chain_anchor": 5, "chain_length": 2},
             _csd_chain,
             {
                 "max_anchor": NATURAL,
                 "chain_anchor": NATURAL,
                 "chain_length": POSITIVE,  # an empty chain forces nothing
-                "seed": INTEGER,
             },
             _csd_chain_values,
         ),
         ExperimentSpec(
             "merged-split",
             "parity-merged family: one oracle probe picks the branch",
-            {"learner_id": 0, "poly": [0, 1], "max_index": 24, "seed": 0},
+            {"learner_id": 0, "poly": [0, 1], "max_index": 24},
             _merged_split,
-            {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL, "seed": INTEGER},
+            {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL},
         ),
         ExperimentSpec(
             "psd-finite",
@@ -672,7 +665,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "sets": [[0], [0, 2], [1, 3, 4], [0, 1, 2, 3], [2, 5, 9]],
                 "overlap_pair": [[0, 2], [0, 5]],
                 "shared_element": 0,
-                "seed": 0,
             },
             _psd_finite,
             {
@@ -680,16 +672,15 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "sets": NATURAL_SETS,
                 "overlap_pair": NATURAL_SET_PAIR,
                 "shared_element": NATURAL,
-                "seed": INTEGER,
             },
             _psd_finite_values,
         ),
         ExperimentSpec(
             "conversions-roundtrip",
             "teacher-dataset and mind-change conversions preserve learning",
-            {"max_n": 10, "seeds_per_n": 5, "seed": 0},
+            {"max_n": 10, "seeds_per_n": 5},
             _conversions,
-            {"max_n": NATURAL, "seeds_per_n": NATURAL, "seed": INTEGER},
+            {"max_n": NATURAL, "seeds_per_n": NATURAL},
         ),
         ExperimentSpec(
             "pcs-suite",
@@ -700,7 +691,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "max_join": 8,
                 "max_k": 2,
                 "trap_learners": [[1, [0]], [2, [0]]],
-                "seed": 0,
             },
             _pcs_suite,
             {
@@ -710,15 +700,14 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "max_k": NATURAL,
                 "trap_learners": TRAP_LEARNERS,
                 "trap_budgets": TRAP_BUDGETS,  # optional: absent means the search defaults
-                "seed": INTEGER,
             },
         ),
         ExperimentSpec(
             "halting-psd",
             "two distinct data suffice on the staged pair family",
-            {"max_i": 10, "w_set": [1, 3], "seed": 0},
+            {"max_i": 10, "w_set": [1, 3]},
             _halting,
-            {"max_i": NATURAL, "w_set": NATURALS, "seed": INTEGER},
+            {"max_i": NATURAL, "w_set": NATURALS},
         ),
     ]
 }
@@ -748,8 +737,8 @@ def run_experiment(name: str, config: dict | None, out_dir) -> int:
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
-    merged = {**spec.defaults, **(config or {})}
-    _check_config(spec.schema, merged)
+    merged = {**spec.defaults, "seed": 0, **(config or {})}
+    _check_config({**spec.schema, "seed": INTEGER}, merged)
     if spec.check_values is not None:
         spec.check_values(merged)
     out = Path(out_dir)

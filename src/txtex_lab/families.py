@@ -3,8 +3,10 @@
 Each constructor returns an immutable IndexedFamily: exact membership, a
 minimal index for every index, a separation bound under which distinct
 members provably differ, and canonical texts.  The diagonalizing families
-(marked self-description, trap sets) take the attacked learner from a
-registry and run their searches at construction time.
+(marked self-description, trap sets) take the attacked learner by id from a
+registry dict and run their searches at construction time; the marked
+self-description family keeps its learner as ``learner``, so the defeat in
+``adversary.msd_defeat`` runs against the learner its trap was built for.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .codec import (
     unpair,
 )
 from .descriptor import build_descriptor
-from .registry import LearnerRegistry
+from .session import Learner
 from .sets import ColumnBlock, FiniteSet, Interval, Join, SetSpec, Union
 from .text import Text, make_text
 
@@ -235,15 +237,15 @@ class MsdFamily(IndexedFamily):
     index 2t+1 <= 3t, and 1 elsewhere.
     """
 
-    def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int, stretch: int):
+    def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int, stretch: int):
         _require_increasing_poly(p_code)
-        registry.get(m_id)  # unregistered ids fail here
+        self.learner = registry[m_id]  # unregistered ids fail here
         self.m_id = m_id
         self.p_code = p_code
         self.name = f"msd(m={m_id})"
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
         self.ell = poly_eval(p_code, stretch * self.targeted[1])
-        self.query_ceiling = adversary.compute_q(registry, m_id, self.ell)
+        self.query_ceiling = adversary.compute_q(self.learner, self.ell)
         self.markers = frozenset({adversary.marker_element(0)})
         self.floor = max(self.query_ceiling, max(self.markers))
         self._cache: dict[int, FiniteSet] = {}
@@ -260,7 +262,7 @@ class MsdFamily(IndexedFamily):
         return n  # described numbers differ, so members are pairwise distinct
 
 
-def make_msd(registry: LearnerRegistry, m_id: int, p_code: int) -> MsdFamily:
+def make_msd(registry: dict[int, Learner], m_id: int, p_code: int) -> MsdFamily:
     return MsdFamily(registry, m_id, p_code, 1)
 
 
@@ -391,7 +393,7 @@ class MergedFamily(IndexedFamily):
 
     name = "merged"
 
-    def __init__(self, registry: LearnerRegistry, m_id: int, p_code: int):
+    def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
         self.descriptors = MsdFamily(registry, m_id, p_code, 3)
         self.chains = CsdFamily(3)
         self._cache: dict[int, SetSpec] = {}
@@ -409,7 +411,7 @@ class MergedFamily(IndexedFamily):
         return n
 
 
-def make_merged(registry: LearnerRegistry, m_id: int, p_code: int) -> MergedFamily:
+def make_merged(registry: dict[int, Learner], m_id: int, p_code: int) -> MergedFamily:
     return MergedFamily(registry, m_id, p_code)
 
 
@@ -429,14 +431,14 @@ class PcsFFamily(IndexedFamily):
 
     def __init__(
         self,
-        registry: LearnerRegistry,
+        registry: dict[int, Learner],
         m_id: int,
         p_code: int,
         *,
         max_k: int,
-        search_budgets: dict | None = None,
+        search_budgets: dict | None,
     ):
-        registry.get(m_id)
+        registry[m_id]  # unregistered ids fail here
         self.m_id = m_id
         self.p_code = p_code
         self.max_k = max_k
@@ -476,7 +478,7 @@ class PcsFFamily(IndexedFamily):
 
 
 def make_pcs_f(
-    registry: LearnerRegistry,
+    registry: dict[int, Learner],
     m_id: int,
     p_code: int,
     *,

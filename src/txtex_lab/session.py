@@ -75,30 +75,24 @@ LearnerProgram = Generator[Action, object, None]
 
 
 class Learner:
-    """A deterministic learner; subclass or wrap a generator via GenLearner."""
+    """A deterministic learner: a name, a cost note and a maker of fresh programs.
 
-    name = "learner"
-    cost_note = "one tick per action"
+    ``program()`` starts a new generator on each call, so one learner serves
+    any number of sessions and runs.
+    """
 
-    def program(self) -> LearnerProgram:
-        raise NotImplementedError
+    def __init__(
+        self,
+        name: str,
+        make_program: Callable[[], LearnerProgram],
+        cost_note: str = "one tick per action",
+    ):
+        self.name = name
+        self.program = make_program
+        self.cost_note = cost_note
 
     def spec(self) -> dict:
         return {"kind": "learner", "name": self.name, "costs": self.cost_note}
-
-    def spec_json(self) -> str:
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-
-
-class GenLearner(Learner):
-    def __init__(self, name: str, make_program: Callable[[], LearnerProgram], cost_note: str = ""):
-        self.name = name
-        self._make = make_program
-        if cost_note:
-            self.cost_note = cost_note
-
-    def program(self) -> LearnerProgram:
-        return self._make()
 
 
 class Teacher:
@@ -111,9 +105,6 @@ class Teacher:
 
     def spec(self) -> dict:
         return {"kind": "teacher", "name": self.name}
-
-    def spec_json(self) -> str:
-        return json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
 
 
 class MembershipOracle:
@@ -221,7 +212,7 @@ def run_session(
     *,
     teacher: Teacher | None = None,
     oracle: MembershipOracle | None = None,
-    budget: Budget | None = None,
+    budget: Budget,
 ) -> SessionTranscript:
     """Drive the action loop to completion and return the full transcript.
 
@@ -232,7 +223,6 @@ def run_session(
     to the oracle alone; the teacher never hears of them.  Convergence is
     judged on raw text positions.
     """
-    budget = budget or Budget()
     max_ticks = budget.max_ticks
     horizon = budget.horizon
     events: list[Event] = []
@@ -373,7 +363,7 @@ class ActionBudgetExceeded(Exception):
     Carries the partial run so callers can report what was observed.
     """
 
-    def __init__(self, message: str, partial: "PrefixRun | None" = None):
+    def __init__(self, message: str, partial: "PrefixRun"):
         super().__init__(message)
         self.partial = partial
 
@@ -477,11 +467,9 @@ def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
             result = yield action
 
 
-def compose_pair(
-    make_learner: Callable[[], Learner], make_teacher: Callable[[], Teacher]
-) -> Learner:
+def compose_pair(learner: Learner, make_teacher: Callable[[], Teacher]) -> Learner:
     """One learner that simulates a (learner, teacher) pair internally."""
-    return GenLearner(
-        f"composed({make_learner().name})",
-        lambda: simulate_pair(make_learner().program(), make_teacher()),
+    return Learner(
+        f"composed({learner.name})",
+        lambda: simulate_pair(learner.program(), make_teacher()),
     )

@@ -24,8 +24,6 @@ class Text:
     target: SetSpec
     prefix: tuple[int, ...] = ()
     seed: int = 0
-    pad_element: int | None = None
-    pad_count: int = 0
 
     def stream(self) -> Iterator[int]:
         """A fresh iterator over the text; identical on every call."""
@@ -35,9 +33,6 @@ class Text:
             return _seeded_stream(self.target, self.seed)
         if self.kind == "prefixed":
             return itertools.chain(self.prefix, _pad_tail(self.target))
-        if self.kind == "repeat-pad":
-            lead = itertools.repeat(self.pad_element, self.pad_count)
-            return itertools.chain(lead, _pad_tail(self.target))
         raise ValueError(f"unknown text kind: {self.kind}")
 
     def take(self, count: int) -> list[int]:
@@ -78,8 +73,6 @@ def make_text(
     *,
     prefix: Sequence[int] = (),
     seed: int = 0,
-    pad_element: int | None = None,
-    pad_count: int = 0,
 ) -> Text:
     """Build a text of ``target``; rejects empty targets and foreign prefixes."""
     if target.is_empty():
@@ -88,16 +81,6 @@ def make_text(
         for x in prefix:
             if not target.contains(x):
                 raise ValueError(f"prefix element {x} is outside the target")
-    if kind == "repeat-pad":
-        if pad_element is None or not target.contains(pad_element):
-            raise ValueError("repeat-pad element must belong to the target")
-    if kind not in ("canonical", "seeded", "prefixed", "repeat-pad"):
+    if kind not in ("canonical", "seeded", "prefixed"):
         raise ValueError(f"unknown text kind: {kind}")
-    return Text(
-        kind=kind,
-        target=target,
-        prefix=tuple(prefix),
-        seed=seed,
-        pad_element=pad_element,
-        pad_count=pad_count,
-    )
+    return Text(kind=kind, target=target, prefix=tuple(prefix), seed=seed)

@@ -211,7 +211,7 @@ def verify_engine() -> list[CheckResult]:
             contract_good = False
     out.append(_check("teacher emissions drawn from teacher input", contract_good, contract_cases))
 
-    composed = compose_pair(lambda: learner, teacher_factory)
+    composed = compose_pair(learner, teacher_factory)
     equal = True
     cases = 0
     for n in (1, 3, 5):
@@ -342,9 +342,7 @@ def verify_agents() -> list[CheckResult]:
         target = pow2.member(n)
         texts = [pow2.canonical_text(n)]
         texts += [make_text("seeded", target, seed=s) for s in range(3)]
-        texts += [
-            make_text("repeat-pad", target, pad_element=0, pad_count=9, seed=1),
-        ]
+        texts += [make_text("prefixed", target, prefix=[0] * 9)]
         for text in texts:
             budget = Budget(horizon=2**n + 70, window=20)
             pmc_run = run_session(catalog["pow2_pmc_learner"], text, budget=budget)
@@ -408,12 +406,12 @@ def verify_adversary() -> list[CheckResult]:
 
     good = True
     for m_id in (3, 4, 0):
-        report, _ = adversary.msd_defeat(registry, families.make_msd(registry, m_id, p_lin))
+        report, _ = adversary.msd_defeat(families.make_msd(registry, m_id, p_lin))
         if not report.transcripts_identical or not report.wrong_for:
             good = False
     out.append(_check("defeat transcripts agree through the marker prefix", good, 3))
 
-    qs = [adversary.compute_q(registry, 3, ell) for ell in (1, 5, 20, 50)]
+    qs = [adversary.compute_q(registry[3], ell) for ell in (1, 5, 20, 50)]
     out.append(_check("query ceiling monotone in the stream length", qs == sorted(qs), len(qs)))
 
     csd = families.make_csd()

@@ -65,9 +65,10 @@ def default_catalog(tmp_path_factory):
     base = tmp_path_factory.mktemp("default-catalog")
     sessions, runs = [], {}
 
-    def recording_run_session(learner, text, **kwargs):
-        sessions.append((kwargs.get("teacher") is None, run_session(learner, text, **kwargs)))
-        return sessions[-1][1]
+    def recording_run_session(learner, text, *, budget, **kwargs):
+        transcript = run_session(learner, text, budget=budget, **kwargs)
+        sessions.append((kwargs.get("teacher") is None, transcript))
+        return transcript
 
     with pytest.MonkeyPatch.context() as patch:
         for module in (experiments, adversary):

@@ -2,7 +2,7 @@ import pytest
 
 from txtex_lab import adversary, agents, families
 from txtex_lab.codec import poly_encode
-from txtex_lab.session import ActionBudgetExceeded, GenLearner, Query, Read, run_on_sequence
+from txtex_lab.session import ActionBudgetExceeded, Learner, Query, Read, run_on_sequence
 from txtex_lab.sets import set_equal
 
 
@@ -21,11 +21,11 @@ def test_marker_streams():
 
 
 def test_compute_q_never_queries(registry):
-    assert adversary.compute_q(registry, 0, 10) == 0
+    assert adversary.compute_q(registry[0], 10) == 0
 
 
-def test_compute_q_scripted_learner():
-    registry = agents.build_default_registry()
+def stepped_prober():
+    """Queries 3t after its t-th read."""
 
     def program():
         t = 0
@@ -34,25 +34,26 @@ def test_compute_q_scripted_learner():
             t += 1
             yield Query(3 * t)
 
-    registry.register(77, "stepped-prober", lambda: GenLearner("stepped-prober", program))
-    assert adversary.compute_q(registry, 77, 4) == 12
-    values = [adversary.compute_q(registry, 77, ell) for ell in range(1, 51)]
+    return Learner("stepped-prober", program)
+
+
+def test_compute_q_scripted_learner():
+    learner = stepped_prober()
+    assert adversary.compute_q(learner, 4) == 12
+    values = [adversary.compute_q(learner, ell) for ell in range(1, 51)]
     assert values == sorted(values)
 
 
 def test_compute_q_budget_error_carries_partial_ceiling(monkeypatch):
-    registry = agents.build_default_registry()
-
     def program():
         x = 0
         while True:
             x += 5
             yield Query(x)  # never reads, queries forever
 
-    registry.register(88, "runaway-prober", lambda: GenLearner("runaway-prober", program))
     monkeypatch.setattr(adversary, "COMPUTE_Q_MAX_ACTIONS", 40)
     with pytest.raises(ActionBudgetExceeded) as exc_info:
-        adversary.compute_q(registry, 88, 3)
+        adversary.compute_q(Learner("runaway-prober", program), 3)
     assert exc_info.value.partial_ceiling == 5 * 40  # one query per budgeted action
 
 
@@ -130,7 +131,7 @@ def test_chain_force_inconclusive_on_tiny_budget():
 def test_msd_defeat_reports(registry):
     for m_id in (3, 4):
         family = families.make_msd(registry, m_id, P_LIN)
-        report, transcripts = adversary.msd_defeat(registry, family)
+        report, transcripts = adversary.msd_defeat(family)
         assert report.transcripts_identical
         assert len(report.wrong_for) >= 1
         assert report.prefix_length == report.index_pair[1]  # p(x) = x
@@ -138,9 +139,21 @@ def test_msd_defeat_reports(registry):
 
 
 def test_msd_defeat_constant_learner_wrong_everywhere(registry):
-    report, _ = adversary.msd_defeat(registry, families.make_msd(registry, 0, P_LIN))
+    report, _ = adversary.msd_defeat(families.make_msd(registry, 0, P_LIN))
     assert report.transcripts_identical
     assert set(report.wrong_for) == set(report.index_pair)
+
+
+def test_msd_family_attacks_the_learner_under_its_id(registry):
+    extended = {**registry, 77: stepped_prober()}
+    family = families.make_msd(extended, 77, P_LIN)
+    assert family.learner is extended[77]
+    assert family.query_ceiling == 3 * family.ell  # no default learner queries 3 * ell
+    report, _ = adversary.msd_defeat(family)
+    assert report.learner_name == "stepped-prober"
+    assert report.query_ceiling == family.query_ceiling
+    assert report.transcripts_identical
+    assert report.events_compared >= 2 * family.ell  # a read and a query per marker
 
 
 def test_msd_defeat_hypothesis_cannot_code_both(registry):
@@ -180,6 +193,19 @@ TRAP_SEARCHES_K2 = {
     (2, (2, 1)): ([], [], False, 2001),
     (2, (3, 1)): ([], [], False, 2001),
 }
+
+
+@pytest.mark.parametrize(
+    "m_id,budgets,exhausted",
+    [
+        (2, {"max_candidates": 0}, "max_candidates"),
+        (1, {"max_actions": 2}, "max_actions"),
+    ],
+)
+def test_search_trap_sets_names_the_exhausted_budget(registry, m_id, budgets, exhausted):
+    trap = adversary.search_trap_sets(registry, m_id, poly_encode([0]), 1, **budgets)
+    assert not trap.resolved and not trap.decoys
+    assert trap.stats["exhausted_budget"] == exhausted
 
 
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))

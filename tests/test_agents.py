@@ -8,7 +8,7 @@ from txtex_lab.evaluate import evaluate_run
 from txtex_lab.session import (
     Budget,
     Emit,
-    GenLearner,
+    Learner,
     MembershipOracle,
     Read,
     Skip,
@@ -198,7 +198,7 @@ def test_pmc_msd_learner_zero_mind_changes(msd_family):
 
 def test_msd_pair_composition_equivalence(msd_family):
     learner, teacher_factory = agents.make_msd_pair()
-    composed = compose_pair(lambda: learner, teacher_factory)
+    composed = compose_pair(learner, teacher_factory)
     for n in (0, 3, 8, 13):
         for seed in range(5):
             text = make_text("seeded", msd_family.member(n), seed=seed)
@@ -248,7 +248,7 @@ def test_convert_psdT_to_pmc_gates_emits_and_charges_skips():
         def on_input(self, datum):
             return [datum]
 
-    gated = agents.convert_psdT_to_pmc(GenLearner("scripted", program), PassTeacher)
+    gated = agents.convert_psdT_to_pmc(Learner("scripted", program), PassTeacher)
     transcript = run_session(
         gated, make_text("canonical", FiniteSet({3, 8})), budget=Budget(horizon=10)
     )
@@ -298,7 +298,7 @@ def _pinned_session(case, registry):
         family = families.make_msd(registry, 0, poly_encode([0, 1]))
         learner, teacher_factory = agents.make_msd_pair()
         return run_session(
-            compose_pair(lambda: learner, teacher_factory),
+            compose_pair(learner, teacher_factory),
             make_text("seeded", family.member(5), seed=3),
             budget=Budget(horizon=65, window=20),
         )
@@ -341,7 +341,7 @@ def test_pcsG_learner_behavior():
     target = family.member(5)
     transcript = run_session(
         learner,
-        make_text("repeat-pad", target, pad_element=5, pad_count=1),
+        make_text("prefixed", target, prefix=[5]),
         oracle=MembershipOracle(target),
         budget=Budget(horizon=30, window=5),
     )

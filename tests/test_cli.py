@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from txtex_lab import cli
+from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash, run_experiment
 
@@ -18,7 +19,11 @@ def test_list_commands(capsys):
     assert main(["list", "families"]) == 0
     assert "pow2" in capsys.readouterr().out
     assert main(["list", "agents"]) == 0
-    assert "chain-column-oracle" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    for learner_id, learner in build_default_registry().items():
+        [line] = [line for line in lines if line.startswith(f"{learner_id}: ")]
+        spec = json.loads(line.split(": ", 1)[1])
+        assert spec == {"kind": "learner", "name": learner.name, "costs": learner.cost_note}
 
 
 class Raw(NamedTuple):
@@ -210,7 +215,10 @@ def test_verify_suite_exit_codes(capsys, monkeypatch, verify_run):
     assert out.endswith("5/5 checks passed\n")
 
 
-def test_exhausted_trap_budget_reports_partial(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "budgets", [{"max_candidates": 0}, {"max_actions": 2}], ids=["max_candidates", "max_actions"]
+)
+def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, budgets):
     out = tmp_path / "partial"
     config = tmp_path / "config.json"
     config.write_text(
@@ -220,7 +228,7 @@ def test_exhausted_trap_budget_reports_partial(tmp_path, capsys):
                 "max_thm64": 1,
                 "max_join": 1,
                 "trap_learners": [[1, [0]]],
-                "trap_budgets": {"max_candidates": 0},
+                "trap_budgets": budgets,
             }
         )
     )
@@ -228,6 +236,7 @@ def test_exhausted_trap_budget_reports_partial(tmp_path, capsys):
         ["run", "--experiment", "pcs-suite", "--config", str(config), "--out", str(out)]
     )
     assert code == 3
+    assert capsys.readouterr().out == f"pcs-suite: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] is True
 

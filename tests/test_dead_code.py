@@ -1,4 +1,8 @@
-"""No library symbol lives on that only the tests reach, and no default that no call overrides."""
+"""No library symbol lives on that only the tests reach, and no default that never takes effect.
+
+A default never takes effect when no call leaves its parameter out: either no
+call reaches it or every call sets it.
+"""
 
 import ast
 import re
@@ -79,18 +83,21 @@ def _scanned_functions(module: str, tree: ast.Module):
                 yield f"{module}.{node.name}.{fn.name}", name, fn, 0 if static else 1
 
 
-def unset_defaults(package: Path, code_roots: list[Path]) -> list[str]:
-    """Defaulted parameters of ``package``'s module-level functions and methods that no call sets.
+def _default_uses(package: Path, code_roots: list[Path]):
+    """The defaulted parameters of ``package`` and the calls under ``code_roots`` that reach them.
 
-    ``f(...)`` and ``x.f(...)`` reach every def named ``f``; a class call reaches
-    its ``__init__``.  A call sets the parameters it passes by keyword or by
-    position, every positional one if it unpacks ``*args`` and every keyword
-    one if it unpacks ``**kwargs``.  Passing on a defaulted parameter of the
-    scanned def around the call sets the callee's only if that one is set.
+    Returns ``(labels, uses, around)``.  ``labels`` names every defaulted
+    parameter of a module-level function or method.  ``uses`` holds one
+    ``(label, call, values, unpacks)`` per call and parameter it reaches:
+    ``values`` are the nodes the call passes for it by keyword or by
+    position, and ``unpacks`` says whether the call unpacks ``*args`` (for a
+    positional parameter) or ``**kwargs``.  ``f(...)`` and ``x.f(...)`` reach
+    every def named ``f``; a class call reaches its ``__init__``.  ``around``
+    maps each node inside a scanned def to ``{its defaulted parameter: label}``.
     """
     trees = {path: ast.parse(path.read_text()) for root in code_roots for path in root.rglob("*.py")}
     params = {}  # call name -> [(label, parameter, positional index or None)]
-    around = {}  # node inside a scanned def -> {its defaulted parameter: label}
+    around = {}
     for path in sorted(package.glob("*.py")):
         for label, call_name, fn, offset in _scanned_functions(path.stem, trees[path]):
             args = fn.args
@@ -102,29 +109,67 @@ def unset_defaults(package: Path, code_roots: list[Path]) -> list[str]:
             params.setdefault(call_name, []).extend((labels[p], p, i) for p, i in own.items())
             around.update((inner, labels) for inner in ast.walk(fn))
 
-    is_set, forwards = set(), []  # forwards: (callee parameter, caller parameter passed on)
+    uses = []
     for call in (n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.Call)):
         name = getattr(call.func, "id", getattr(call.func, "attr", None))
         for target, param, index in params.get(name, []):
             values = [k.value for k in call.keywords if k.arg == param]
+            unpacks = any(k.arg is None for k in call.keywords)
             if index is not None:
-                values += call.args[index : index + 1]
-                if any(isinstance(a, ast.Starred) for a in call.args):
-                    is_set.add(target)
-            if any(k.arg is None for k in call.keywords):
+                passed = call.args[index : index + 1]
+                values += [a for a in passed if not isinstance(a, ast.Starred)]
+                unpacks = unpacks or any(isinstance(a, ast.Starred) for a in call.args)
+            uses.append((target, call, values, unpacks))
+    labels = {label for entries in params.values() for label, _, _ in entries}
+    return labels, uses, around
+
+
+def _report(labels: set[str]) -> list[str]:
+    return sorted(label.replace(".__init__", "") for label in labels)
+
+
+def unset_defaults(package: Path, code_roots: list[Path]) -> list[str]:
+    """Defaulted parameters of ``package``'s module-level functions and methods that no call sets.
+
+    A call sets the parameters it passes by keyword or by position, every
+    positional one if it unpacks ``*args`` and every keyword one if it
+    unpacks ``**kwargs``.  Passing on a defaulted parameter of the scanned
+    def around the call sets the callee's only if that one is set.
+    """
+    labels, uses, around = _default_uses(package, code_roots)
+    is_set, forwards = set(), []  # forwards: (callee parameter, caller parameter passed on)
+    for target, call, values, unpacks in uses:
+        if unpacks:
+            is_set.add(target)
+        for value in values:
+            source = around.get(call, {}).get(getattr(value, "id", None))
+            if source:
+                forwards.append((target, source))
+            else:
                 is_set.add(target)
-            for value in values:
-                source = around.get(call, {}).get(getattr(value, "id", None))
-                if source:
-                    forwards.append((target, source))
-                else:
-                    is_set.add(target)
     while any(s in is_set and t not in is_set for t, s in forwards):
         is_set.update(t for t, s in forwards if s in is_set)
-    labels = {label for entries in params.values() for label, _, _ in entries}
-    return sorted(label.replace(".__init__", "") for label in labels - is_set - UNSET_DEFAULT_EXEMPT)
+    return _report(labels - is_set - UNSET_DEFAULT_EXEMPT)
 
 
 def test_every_default_parameter_is_set_by_some_caller():
     unset = unset_defaults(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
     assert unset == [], f"defaulted parameters no call in src/ or perfbench/ sets: {unset}"
+
+
+def always_set_defaults(package: Path, code_roots: list[Path]) -> list[str]:
+    """Defaulted parameters that some call reaches and every call reaching them sets.
+
+    Such a default never takes effect.  Only a value passed by keyword or by
+    position sets the parameter here; unpacking ``*args`` or ``**kwargs``
+    may leave it out, so it does not.
+    """
+    _, uses, _ = _default_uses(package, code_roots)
+    reached = {target for target, _, _, _ in uses}
+    left_out = {target for target, _, values, _ in uses if not values}
+    return _report(reached - left_out)
+
+
+def test_no_default_parameter_is_set_by_every_caller():
+    always = always_set_defaults(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
+    assert always == [], f"defaulted parameters every call in src/ or perfbench/ sets: {always}"

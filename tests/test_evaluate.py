@@ -9,7 +9,7 @@ from txtex_lab.evaluate import (
     evaluate_run,
     hypothesis_correct,
 )
-from txtex_lab.session import Budget, Emit, GenLearner, MembershipOracle, Read, run_session
+from txtex_lab.session import Budget, Emit, Learner, MembershipOracle, Read, run_session
 from txtex_lab.text import make_text
 
 
@@ -34,7 +34,7 @@ def test_evaluate_non_converged(pow2):
             n += 1
             yield Emit(n)  # changes forever
 
-    restless = GenLearner("restless", program)
+    restless = Learner("restless", program)
     transcript = run_session(restless, pow2.canonical_text(3), budget=Budget(horizon=20, window=4))
     verdict = evaluate_run(transcript, pow2, 3, poly_encode([2, 1]), "PMC")
     assert not verdict.passed and verdict.reason == "non-converged"
@@ -44,7 +44,7 @@ def test_evaluate_wrong_hypothesis(pow2):
     def program():
         yield Emit(7)
 
-    wrong = GenLearner("wrong", program)
+    wrong = Learner("wrong", program)
     transcript = run_session(wrong, pow2.canonical_text(3), budget=Budget(horizon=10))
     verdict = evaluate_run(transcript, pow2, 3, poly_encode([2, 1]), "PMC")
     assert not verdict.passed and verdict.reason == "wrong-hypothesis"
@@ -252,7 +252,7 @@ class CountingFactory:
             self.programs += 1
             return inner.program()
 
-        return GenLearner(inner.name, program)
+        return Learner(inner.name, program)
 
 
 def _distinct_covering_sequences(n, seed):

@@ -11,7 +11,7 @@ from txtex_lab.session import (
     Budget,
     Emit,
     FnOracle,
-    GenLearner,
+    Learner,
     Query,
     Read,
     Teacher,
@@ -49,7 +49,7 @@ def probing_learner():
             total += datum
             yield Emit(total % 4)
 
-    return GenLearner("probing-sum", program)
+    return Learner("probing-sum", program)
 
 
 def _is_even(x):
@@ -72,7 +72,7 @@ def test_composed_pair_matches_two_agent_session(prefix, script, horizon):
         oracle=FnOracle(_is_even),
         budget=budget,
     )
-    composed = compose_pair(probing_learner, lambda: ScriptedTeacher(script))
+    composed = compose_pair(probing_learner(), lambda: ScriptedTeacher(script))
     solo_run = run_session(composed, text, oracle=FnOracle(_is_even), budget=budget)
     assert pair_run.end_reason == solo_run.end_reason == "horizon"
     assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()

@@ -12,7 +12,7 @@ from txtex_lab.session import (
     EmissionSnapshot,
     Event,
     FnOracle,
-    GenLearner,
+    Learner,
     MembershipOracle,
     Query,
     Read,
@@ -31,7 +31,7 @@ def constant_learner(value=0):
     def program():
         yield Emit(value)
 
-    return GenLearner(f"constant-{value}", program)
+    return Learner(f"constant-{value}", program)
 
 
 def echo_counter_learner():
@@ -44,7 +44,7 @@ def echo_counter_learner():
             seen.add(datum)
             yield Emit(len(seen))
 
-    return GenLearner("echo-counter", program)
+    return Learner("echo-counter", program)
 
 
 def scan_learner():
@@ -58,7 +58,7 @@ def scan_learner():
             x += 1
         yield Emit(x)
 
-    return GenLearner("scan", program)
+    return Learner("scan", program)
 
 
 def test_trivial_learner_converges_at_first_emission():
@@ -117,7 +117,7 @@ def test_oracle_queries_counted_and_faithful():
 def test_query_without_oracle_raises():
     text = make_text("canonical", Interval(0, 3))
     with pytest.raises(ValueError):
-        run_session(scan_learner(), text)
+        run_session(scan_learner(), text, budget=Budget())
 
 
 def test_skip_costs_one_tick():
@@ -126,7 +126,7 @@ def test_skip_costs_one_tick():
         datum = yield Read()
         yield Emit(datum)
 
-    learner = GenLearner("skipper", program)
+    learner = Learner("skipper", program)
     text = make_text("canonical", Interval(7, 9))
     transcript = run_session(learner, text, budget=Budget(horizon=10))
     assert transcript.ledger.skips == 1
@@ -140,7 +140,7 @@ def test_work_units_add_ticks():
         yield Emit(1)
 
     transcript = run_session(
-        GenLearner("worker", program), make_text("canonical", FiniteSet({3}))
+        Learner("worker", program), make_text("canonical", FiniteSet({3})), budget=Budget()
     )
     assert transcript.ledger.ticks == 6
 
@@ -166,7 +166,7 @@ class CheatingTeacher(Teacher):
 
 
 def test_teacher_filters_duplicates():
-    text = make_text("repeat-pad", FiniteSet({5, 9}), pad_element=5, pad_count=4)
+    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
     transcript = run_session(
         echo_counter_learner(),
         text,
@@ -190,14 +190,14 @@ def test_teacher_contract_violation_aborts():
 
 
 def test_compose_pair_matches_two_agent_session():
-    text = make_text("repeat-pad", FiniteSet({5, 9}), pad_element=5, pad_count=4, seed=3)
+    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
     pair_run = run_session(
         echo_counter_learner(),
         text,
         teacher=FirstOccurrenceTeacher(),
         budget=Budget(horizon=20),
     )
-    composed = compose_pair(echo_counter_learner, FirstOccurrenceTeacher)
+    composed = compose_pair(echo_counter_learner(), FirstOccurrenceTeacher)
     solo_run = run_session(composed, text, budget=Budget(horizon=20))
     assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()
     assert solo_run.ledger.mind_changes == pair_run.ledger.mind_changes
@@ -221,7 +221,7 @@ def test_run_on_sequence_action_budget():
             yield Work(0)
 
     with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(GenLearner("spinner", spinner), [], max_actions=50)
+        run_on_sequence(Learner("spinner", spinner), [], max_actions=50)
     assert exc_info.value.partial.actions == 50
 
 
@@ -234,12 +234,12 @@ def shouting_learner():
         yield Emit(1)
         yield Shout()
 
-    return GenLearner("shouter", program)
+    return Learner("shouter", program)
 
 
 def test_unknown_action_raises_type_error():
     with pytest.raises(TypeError, match="unknown action"):
-        run_session(shouting_learner(), make_text("canonical", Interval(0, 3)))
+        run_session(shouting_learner(), make_text("canonical", Interval(0, 3)), budget=Budget())
     with pytest.raises(TypeError, match="unknown action"):
         run_on_sequence(shouting_learner(), [1, 2])
 
@@ -252,7 +252,7 @@ def test_run_on_sequence_skip_consumes_without_observing():
         yield Emit(-1 if skipped is None else skipped)
         yield Skip()
 
-    learner = GenLearner("skip-read", program)
+    learner = Learner("skip-read", program)
     run = run_on_sequence(learner, [7, 8])
     assert run.emissions == [8, -1]
     assert run.exhausted_input and not run.idled
@@ -265,10 +265,10 @@ def test_run_on_sequence_work_counts_as_action():
         yield Work(0)
         yield Emit(3)
 
-    run = run_on_sequence(GenLearner("worker", program), [])
+    run = run_on_sequence(Learner("worker", program), [])
     assert run.actions == 3 and run.idled and run.emissions == [3]
     with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(GenLearner("worker", program), [], max_actions=2)
+        run_on_sequence(Learner("worker", program), [], max_actions=2)
     assert exc_info.value.partial.actions == 2
     assert exc_info.value.partial.emissions == []
 
@@ -332,12 +332,12 @@ def test_tick_budget_marks_non_converged():
     assert not transcript.converged
 
 
-def test_agent_spec_json():
-    learner = constant_learner(3)
-    spec = learner.spec()
-    assert spec["kind"] == "learner" and spec["name"] == "constant-3"
-    assert "constant-3" in learner.spec_json()
-    assert FirstOccurrenceTeacher().spec()["kind"] == "teacher"
+def test_agent_spec():
+    spec = constant_learner(3).spec()
+    assert spec == {"kind": "learner", "name": "constant-3", "costs": "one tick per action"}
+    noted = Learner("worker", constant_learner().program, "five ticks")
+    assert noted.spec()["costs"] == "five ticks"
+    assert FirstOccurrenceTeacher().spec() == {"kind": "teacher", "name": "first-occurrence"}
 
 
 def emitter_learner(count):
@@ -347,7 +347,7 @@ def emitter_learner(count):
         for value in range(count):
             yield Emit(value)
 
-    return GenLearner(f"emitter-{count}", program)
+    return Learner(f"emitter-{count}", program)
 
 
 def test_run_on_sequence_zero_budget_raises_before_any_action():
@@ -424,12 +424,12 @@ def skip_read_learner():
             datum = yield Read()
             yield Emit(datum)
 
-    return GenLearner("skip-read", program)
+    return Learner("skip-read", program)
 
 
 def _teacher_edge_session(case):
     if case == "skip-through-teacher":
-        text = make_text("repeat-pad", FiniteSet({5, 9, 12, 20}), pad_element=5, pad_count=3)
+        text = make_text("prefixed", FiniteSet({5, 9, 12, 20}), prefix=[5] * 3)
         return run_session(
             skip_read_learner(), text, teacher=FirstOccurrenceTeacher(), budget=Budget(horizon=30)
         )

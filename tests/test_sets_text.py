@@ -68,11 +68,6 @@ def test_canonical_text_pads_with_minimum():
     assert text.take(7) == [0, 1, 2, 3, 0, 0, 0]
 
 
-def test_repeat_pad_text():
-    text = make_text("repeat-pad", FiniteSet({4}), pad_element=4, pad_count=4)
-    assert text.take(6) == [4, 4, 4, 4, 4, 4]
-
-
 def test_prefixed_text_and_content_guard():
     text = make_text("prefixed", Interval(0, 2), prefix=[2, 2, 1])
     assert text.take(6) == [2, 2, 1, 0, 1, 2]
