@@ -305,8 +305,11 @@ def search_trap_sets(
     under ``stats["exhausted_budget"]``.
 
     One learner and one stateless interval oracle serve every run of the
-    search; each run starts a fresh program of the learner.
+    search; each run starts a fresh program of the learner.  A ``sample_size``
+    below 1 raises ``ValueError``: a core tested on no arrangement proves nothing.
     """
+    if sample_size < 1:
+        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     interval = trap_interval(k)
     elements = list(interval.iter_increasing())
     lo = elements[0]

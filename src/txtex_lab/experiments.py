@@ -216,8 +216,10 @@ def _csd_chain(config: dict) -> ExperimentResult:
     witness = adversary.chain_force(
         pair_learner, teacher_factory, chain, family, max_ext_len=2, max_candidates=2000
     )
+    ok = ok and cubic_c <= 4.0  # queries <= 4.0*(min_index+2)^3 on every row
     ok = ok and forced.status == "forced" and forced.forced_mind_changes >= len(chain)
-    ok = ok and witness.status in ("forced", "failure-witness")
+    # the descriptor pair cannot be led up the chain: some member is a failure witness
+    ok = ok and witness.status == "failure-witness"
     return ExperimentResult(
         columns=["n", "hypothesis", "min_index", "oracle_queries"],
         rows=rows,
@@ -231,6 +233,7 @@ def _csd_chain(config: dict) -> ExperimentResult:
             "reference_pair_witness": witness.witness_index,
         },
         ok=ok,
+        partial="inconclusive" in (forced.status, witness.status),
     )
 
 
@@ -592,8 +595,6 @@ def _csd_chain_values(config: dict) -> None:
             raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
 
 
-SEARCH_BUDGETS = ("max_candidates", "arrangement_limit", "sample_size", "max_actions")
-
 INTEGER = ConfigType("an integer", lambda v: type(v) is int)
 NATURAL = ConfigType("a natural number", _is_natural)
 POSITIVE = ConfigType("a positive integer", lambda v: type(v) is int and v >= 1)
@@ -609,9 +610,17 @@ NATURAL_SET_PAIR = ConfigType(
     "two lists of natural numbers", lambda v: NATURAL_SETS.check(v) and len(v) == 2
 )
 TRAP_LEARNERS = ConfigType("a list of [learner id, coefficients] pairs", _list_of(_is_trap_learner))
+# the budgets of adversary.search_trap_sets; a sampled search draws at least one arrangement
+SEARCH_BUDGETS = {
+    "max_candidates": NATURAL,
+    "arrangement_limit": NATURAL,
+    "sample_size": POSITIVE,
+    "max_actions": NATURAL,
+}
 TRAP_BUDGETS = ConfigType(
-    f"an object mapping some of {list(SEARCH_BUDGETS)} to natural numbers",
-    lambda v: type(v) is dict and all(k in SEARCH_BUDGETS and _is_natural(n) for k, n in v.items()),
+    f"an object mapping some of {list(SEARCH_BUDGETS)} to natural numbers (sample_size positive)",
+    lambda v: type(v) is dict
+    and all(k in SEARCH_BUDGETS and SEARCH_BUDGETS[k].check(n) for k, n in v.items()),
 )
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {

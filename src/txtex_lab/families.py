@@ -43,8 +43,6 @@ class EmptyTargetError(ValueError):
 
 
 class IndexedFamily:
-    name = "family"
-
     def member(self, n: int) -> SetSpec:
         raise NotImplementedError
 
@@ -72,8 +70,6 @@ class IndexedFamily:
 
 
 class UpIntervals(IndexedFamily):
-    name = "up-intervals"
-
     def member(self, n):
         return Interval(n, None)
 
@@ -85,8 +81,6 @@ class UpIntervals(IndexedFamily):
 
 
 class PairIntervals(IndexedFamily):
-    name = "pair-intervals"
-
     def member(self, n):
         lo, hi = unpair(n)
         return Interval(lo, hi)
@@ -102,21 +96,15 @@ class PairIntervals(IndexedFamily):
 
 
 class TupleContents(IndexedFamily):
-    """Contents of decoded (k+1)-tuples."""
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("tuple-contents needs k >= 1")
-        self.k = k
-        self.name = f"tuple-contents({k})"
+    """Contents of decoded pairs."""
 
     def member(self, n):
-        return FiniteSet(decode_tuple(n, self.k + 1))
+        return FiniteSet(decode_tuple(n, 2))
 
     def min_index(self, n):
-        content = set(decode_tuple(n, self.k + 1))
+        content = set(decode_tuple(n, 2))
         for candidate in range(n + 1):
-            if set(decode_tuple(candidate, self.k + 1)) == content:
+            if set(decode_tuple(candidate, 2)) == content:
                 return candidate
         return n
 
@@ -132,8 +120,6 @@ class FiniteCanonical(IndexedFamily):
     set's minimal index, while the tails are pairwise distinct and never
     collide with a finite member.
     """
-
-    name = "finite-canonical"
 
     def member(self, n):
         size, mask = unpair(n)
@@ -155,8 +141,6 @@ class FiniteCanonical(IndexedFamily):
 
 
 class Pow2(IndexedFamily):
-    name = "pow2"
-
     def member(self, n):
         return Interval(0, 2**n)
 
@@ -168,8 +152,6 @@ class Pow2(IndexedFamily):
 
 
 class JoinSingletons(IndexedFamily):
-    name = "join-singletons"
-
     def member(self, n):
         return Join(FiniteSet({n}), Interval(0, None))
 
@@ -183,8 +165,6 @@ class JoinSingletons(IndexedFamily):
 class PcsG(IndexedFamily):
     """The naturals at index 0, initial segments [0, n] above."""
 
-    name = "pcs-G"
-
     def member(self, n):
         if n == 0:
             return Interval(0, None)
@@ -197,23 +177,22 @@ class PcsG(IndexedFamily):
         return max(indices) + 2
 
 
-# kind -> constructor taking the tuple length k (read by tuple-contents only),
-# in the order `txtex-lab list families` prints them
+# kind -> class, in the order `txtex-lab list families` prints them
 BASIC_FAMILIES = {
-    "up-intervals": lambda k: UpIntervals(),
-    "pair-intervals": lambda k: PairIntervals(),
+    "up-intervals": UpIntervals,
+    "pair-intervals": PairIntervals,
     "tuple-contents": TupleContents,
-    "finite-canonical": lambda k: FiniteCanonical(),
-    "pow2": lambda k: Pow2(),
-    "join-singletons": lambda k: JoinSingletons(),
-    "pcs-G": lambda k: PcsG(),
+    "finite-canonical": FiniteCanonical,
+    "pow2": Pow2,
+    "join-singletons": JoinSingletons,
+    "pcs-G": PcsG,
 }
 
 
-def make_basic_family(kind: str, k: int = 1) -> IndexedFamily:
+def make_basic_family(kind: str) -> IndexedFamily:
     if kind not in BASIC_FAMILIES:
         raise ValueError(f"unknown basic family kind {kind!r}")
-    return BASIC_FAMILIES[kind](k)
+    return BASIC_FAMILIES[kind]()
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +221,6 @@ class MsdFamily(IndexedFamily):
         self.learner = registry[m_id]  # unregistered ids fail here
         self.m_id = m_id
         self.p_code = p_code
-        self.name = f"msd(m={m_id})"
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
         self.ell = poly_eval(p_code, stretch * self.targeted[1])
         self.query_ceiling = adversary.compute_q(self.learner, self.ell)
@@ -279,13 +257,9 @@ class CsdFamily(IndexedFamily):
     the chain members below it stop at lower columns.
     """
 
-    name = "csd"
-
     def __init__(self, multiplier: int):
         self.multiplier = multiplier
         self._anchors = [multiplier]  # a(0) = mult * 1
-        if multiplier != 1:
-            self.name = f"csd(x{multiplier})"
 
     def anchor(self, i: int) -> int:
         while len(self._anchors) <= i:
@@ -391,8 +365,6 @@ class MergedFamily(IndexedFamily):
     odd-index member does (descriptor elements decode with unit tag).
     """
 
-    name = "merged"
-
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
         self.descriptors = MsdFamily(registry, m_id, p_code, 3)
         self.chains = CsdFamily(3)
@@ -426,8 +398,6 @@ class PcsFFamily(IndexedFamily):
     ``unpair(k)`` is the attacked (learner, polynomial) pair; otherwise just
     the left endpoint.  Searches run at construction for k up to ``max_k``.
     """
-
-    name = "pcs-F"
 
     def __init__(
         self,
@@ -507,8 +477,6 @@ def decompose_offset_power(n: int) -> tuple[int, int]:
 class Thm64Family(IndexedFamily):
     """Even indices join {n} with [0, 2^n]; odd indices join the decomposition."""
 
-    name = "offset-power-joins"
-
     def member(self, n):
         if n % 2 == 0:
             half = n // 2
@@ -552,8 +520,6 @@ class HaltingFamily(IndexedFamily):
     ``member`` is the limit of the enumeration ``member_at_stage``, in which
     each i of W enters at stage i + 1.
     """
-
-    name = "halting"
 
     def __init__(self, parameter_set):
         self.parameter_set = frozenset(parameter_set)

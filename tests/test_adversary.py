@@ -184,6 +184,14 @@ def test_search_trap_sets_invariants(registry):
         assert 9 in trap.trap_core
 
 
+def test_search_trap_sets_refuses_an_empty_sample(registry):
+    """A core tested on no arrangement would pass: the odd guesser has no core at k=1."""
+    with pytest.raises(ValueError, match="sample_size must be at least 1, got 0"):
+        adversary.search_trap_sets(
+            registry, 2, poly_encode([0]), 1, arrangement_limit=0, sample_size=0
+        )
+
+
 INTERVAL_K2 = list(range(33, 65))
 
 # (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked) at k=2, seed 0

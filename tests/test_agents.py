@@ -4,7 +4,7 @@ import pytest
 
 from txtex_lab import agents, families
 from txtex_lab.codec import pair, poly_encode
-from txtex_lab.evaluate import evaluate_run
+from txtex_lab.evaluate import evaluate_run, hypothesis_correct
 from txtex_lab.session import (
     Budget,
     Emit,
@@ -348,10 +348,12 @@ def test_pcsG_learner_behavior():
     assert transcript.emissions[0].hypothesis == 5
 
 
-def test_trap_teacher_pair_and_pmc(registry):
-    family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=2)
+@pytest.mark.parametrize("m_id", [0, 1])  # traps at k=0 and k=1
+def test_trap_teacher_pair_and_pmc(registry, m_id):
+    family = families.make_pcs_f(registry, m_id, poly_encode([0]), max_k=2)
     catalog = agents.make_pcsF_agents(family)
     learner, teacher_factory = catalog["teacher_pair"]
+    pmc = catalog["pmc_learner"]
     for index in (0, 1, 2, 3, 4, 5):
         transcript = run_session(
             learner,
@@ -361,10 +363,8 @@ def test_trap_teacher_pair_and_pmc(registry):
         )
         assert transcript.converged, index
         assert transcript.final_hypothesis == index
-    pmc = catalog["pmc_learner"]
-    for index in (2, 3):
         transcript = run_session(pmc, family.canonical_text(index), budget=Budget(horizon=90, window=10))
-        assert transcript.final_hypothesis == index
+        assert hypothesis_correct(family, transcript.final_hypothesis, index), index
         assert transcript.ledger.mind_changes <= 2
 
 

@@ -8,7 +8,7 @@ import pytest
 from txtex_lab import cli
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
-from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash, run_experiment
+from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash
 
 
 def test_list_commands(capsys):
@@ -73,8 +73,8 @@ class Raw(NamedTuple):
             "pcs-suite",
             {"trap_budgets": {"max_candidates": -1}},
             "trap_budgets must be an object mapping some of ['max_candidates', "
-            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers, "
-            "got {'max_candidates': -1}",
+            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers "
+            "(sample_size positive), got {'max_candidates': -1}",
         ),
         (
             "psd-finite",
@@ -119,6 +119,13 @@ class Raw(NamedTuple):
             ("csd-chain", {"max_anchor": m}, f"max_anchor must be at most 24, got {m}")
             for m in (25, 40, 10**9)
         ],
+        (
+            "pcs-suite",
+            {"trap_budgets": {"sample_size": 0}},
+            "trap_budgets must be an object mapping some of ['max_candidates', "
+            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers "
+            "(sample_size positive), got {'sample_size': 0}",
+        ),
         pytest.param("nope", Raw("{}"), "unknown experiment: nope", id="unknown-experiment"),
         pytest.param(
             "halting-psd",
@@ -241,31 +248,13 @@ def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, budgets):
     assert report["partial"] is True
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    config = {"max_i": 5}
-    first = tmp_path / "a"
-    second = tmp_path / "b"
-    assert run_experiment("halting-psd", config, first) == 0
-    assert run_experiment("halting-psd", config, second) == 0
-    for name in ("results.csv", "report.json", "config.json"):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
-
-
-@pytest.mark.parametrize(
-    "name,config",
-    [
-        ("pow2-gap", {"n_range": [1, 5]}),
-        ("msd-linear", {"max_n": 12, "seeds": 2}),
-        ("msd-defeat", {"learner_ids": [0]}),
-        ("csd-chain", None),
-        ("merged-split", {"max_index": 8}),
-        ("psd-finite", None),
-        ("conversions-roundtrip", {"max_n": 4, "seeds_per_n": 2}),
-        ("pcs-suite", {"max_g": 3, "max_thm64": 3, "max_join": 3}),
-        ("halting-psd", {"max_i": 3}),
-    ],
-)
-def test_all_experiments_succeed_at_small_scale(tmp_path, name, config):
-    assert run_experiment(name, config, tmp_path / name) == 0
-    report = json.loads((tmp_path / name / "report.json").read_text())
-    assert report["ok"] is True
+def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys):
+    """The reference pair's 2,000-candidate search runs out on the chain at anchor 13."""
+    out = tmp_path / "partial"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_anchor": 13, "chain_anchor": 13}))
+    code = main(["run", "--experiment", "csd-chain", "--config", str(config), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out == f"csd-chain: partial (budget) -> {out}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["partial"] and report["summary"]["reference_pair_status"] == "inconclusive"

@@ -98,7 +98,7 @@ def test_hypothesis_correct_accepts_any_index_of_the_set():
 
 def test_char_sample_pcsg():
     family = families.make_basic_family("pcs-G")
-    for n in (1, 5, 8):
+    for n in range(1, 9):
         verdict = check_characteristic_sample(
             agents.make_pcsG_oracle_learner,
             family,

@@ -43,7 +43,7 @@ def test_finite_canonical_member_and_min_index():
 
 
 def test_tuple_contents_min_index_search():
-    family = families.make_basic_family("tuple-contents", k=1)
+    family = families.make_basic_family("tuple-contents")
     # indices coding the same 2-element content collapse to the least one
     n = encode_tuple([2, 1])
     dup = encode_tuple([1, 2])
