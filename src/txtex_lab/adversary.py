@@ -20,15 +20,13 @@ from .session import (
     ActionBudgetExceeded,
     Budget,
     Emit,
-    FnOracle,
     Learner,
-    MembershipOracle,
     Read,
     compose_pair,
     run_on_sequence,
     run_session,
 )
-from .sets import Interval, set_equal
+from .sets import FiniteSet, Interval, set_equal
 from .text import Text, make_text
 
 
@@ -64,7 +62,7 @@ def compute_q(learner: Learner, ell: int) -> int:
     ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (the error propagates).
     """
     stream, content = marker_stream(ell)
-    oracle = FnOracle(lambda x: x in content)
+    oracle = FiniteSet(content)
     try:
         run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
     except ActionBudgetExceeded as exc:
@@ -233,9 +231,7 @@ def msd_defeat(family):
         target = family.member(index)
         text = make_text("prefixed", target, prefix=prefix)
         budget = Budget(max_ticks=10 * horizon + 10_000, horizon=horizon, window=1)
-        transcripts.append(
-            run_session(learner, text, oracle=MembershipOracle(target), budget=budget)
-        )
+        transcripts.append(run_session(learner, text, oracle=target, budget=budget))
 
     prefix_events = [_event_prefix_within(t, ell) for t in transcripts]
     identical = prefix_events[0] == prefix_events[1]
@@ -293,7 +289,7 @@ def search_trap_sets(
     """Find a core set the learner mistakes for the whole interval.
 
     A candidate core E (left endpoint forced in, size p(2k+1)+1) passes when
-    the learner, with the interval's own oracle, answers the even index after
+    the learner, with the interval as its oracle, answers the even index after
     consuming any covering arrangement; a covering arrangement of length at
     most p(2k+1)+1 over distinct interval elements is exactly a permutation
     of E.  Decoys D extend E with the first p(2k+1) interval members the
@@ -304,9 +300,10 @@ def search_trap_sets(
     ``max_actions`` on some run, returns unresolved with the budget's name
     under ``stats["exhausted_budget"]``.
 
-    One learner and one stateless interval oracle serve every run of the
-    search; each run starts a fresh program of the learner.  A ``sample_size``
-    below 1 raises ``ValueError``: a core tested on no arrangement proves nothing.
+    One learner and the interval, which answers its queries, serve every run
+    of the search; each run starts a fresh program of the learner.  A
+    ``sample_size`` below 1 raises ``ValueError``: a core tested on no
+    arrangement proves nothing.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -332,7 +329,6 @@ def search_trap_sets(
     stats["arrangements_per_candidate"] = perm_count if exhaustive else sample_size
 
     learner = registry[m_id]
-    oracle = MembershipOracle(interval)
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
         if exhaustive:
@@ -340,7 +336,7 @@ def search_trap_sets(
         else:
             arrangements = (rng.sample(core, len(core)) for _ in range(sample_size))
         for arrangement in arrangements:
-            run = run_on_sequence(learner, arrangement, oracle=oracle, max_actions=max_actions)
+            run = run_on_sequence(learner, arrangement, oracle=interval, max_actions=max_actions)
             if run.last_hypothesis != 2 * k:
                 return False
         return True
@@ -361,7 +357,7 @@ def search_trap_sets(
             resolved = "exhausted_budget" not in stats
             return TrapSets(frozenset(), frozenset(), resolved=resolved, stats=stats)
         # decoys: core plus first pk interval members queried on the increasing core
-        run = run_on_sequence(learner, sorted(found), oracle=oracle, max_actions=max_actions)
+        run = run_on_sequence(learner, sorted(found), oracle=interval, max_actions=max_actions)
     except ActionBudgetExceeded:
         stats["exhausted_budget"] = "max_actions"
         return TrapSets(frozenset(found or ()), frozenset(), resolved=False, stats=stats)

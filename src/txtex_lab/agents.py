@@ -75,22 +75,6 @@ def query_plan(plan, encode: Callable[[int], int] = lambda v: v):
 
 
 # ---------------------------------------------------------------------------
-# interval learner
-
-
-def make_up_interval_learner() -> Learner:
-    """Scan 0, 1, 2, ... until the first member; that is the index."""
-
-    def program():
-        x = 0
-        while not (yield Query(x)):
-            x += 1
-        yield Emit(x)
-
-    return Learner("up-interval-scan", program, "one query per candidate")
-
-
-# ---------------------------------------------------------------------------
 # descriptor-based pair: recognizing teacher, occurrence-counting learner
 
 
@@ -641,5 +625,4 @@ def build_default_registry() -> dict[int, Learner]:
         2: make_trap_parity_learner(1),
         3: make_csd_learner(),
         4: make_pow2_oracle_learner(),
-        5: make_up_interval_learner(),
     }

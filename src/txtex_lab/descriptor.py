@@ -76,17 +76,6 @@ def validate_descriptor(elements: Iterable[int]) -> bool:
     return sum(signed_int(x) for x in xs) >= 0
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """A validated descriptor: its element codes and described number."""
-
-    elements: frozenset[int]
-    described: int
-
-    def sorted_elements(self) -> list[int]:
-        return sorted(self.elements)
-
-
 def described_number(elements: Iterable[int]) -> int:
     """The number described by a valid descriptor; raises on invalid input."""
     elems = set(elements)
@@ -95,7 +84,7 @@ def described_number(elements: Iterable[int]) -> int:
     return sum(signed_int(decode_tuple(code, 4)[0]) for code in elems)
 
 
-def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> Descriptor:
+def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> frozenset[int]:
     """Deterministically build a descriptor for ``n`` containing exactly ``markers``.
 
     Markers must already be (x, 1, 1, 0)-shaped codes with pairwise
@@ -104,7 +93,8 @@ def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> Descriptor:
     and -1; their codes always exceed ``floor``.  No nonempty proper subset of
     the completion values can cancel: every subset missing the positive
     element is strictly negative, and the positive element needs all the
-    others to cancel.
+    others to cancel.  A descriptor is its set of element codes, so that set is
+    returned; ``n`` is its described number.
     """
     if n < 0:
         raise ValueError("described number must be a natural")
@@ -136,7 +126,7 @@ def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> Descriptor:
     elements = frozenset(marker_list + extras)
     assert all(code > floor for code in extras)
     assert validate_descriptor(elements)
-    return Descriptor(elements=elements, described=n)
+    return elements
 
 
 @dataclass(frozen=True)

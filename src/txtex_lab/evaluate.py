@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .codec import poly_eval
-from .session import Learner, MembershipOracle, SessionTranscript, run_on_sequence
+from .session import Learner, SessionTranscript, run_on_sequence
 from .sets import set_equal
 
 CRITERIA = ("PRT", "PSD", "PMC")
@@ -139,8 +139,9 @@ def check_characteristic_sample(
     otherwise); on every sequence whose content covers ``sample`` the learner
     must output one fixed correct index of the target.
 
-    ``make_learner`` is called once per check: the one learner and one
-    stateless oracle serve every run, since each run starts a fresh program.
+    ``make_learner`` is called once per check: the one learner and the target,
+    which answers its queries when ``use_oracle`` is set, serve every run,
+    since each run starts a fresh program.
     A deterministic learner gives the same output on the same sequence, so a
     sampled check runs each distinct covering sequence once; a repeat still
     counts in ``covering_prefixes_checked``.  Exhaustive sequences are
@@ -171,7 +172,7 @@ def check_characteristic_sample(
 
     sample_set = set(sample)
     learner = make_learner()
-    oracle = MembershipOracle(target) if use_oracle else None
+    oracle = target if use_oracle else None
     already_run: set[tuple[int, ...]] | None = None if exhaustive else set()
     locked: int | None = None
     checked = 0

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 from . import adversary, agents, families
 from .codec import poly_encode
 from .evaluate import check_characteristic_sample, evaluate_run, hypothesis_correct
-from .session import Budget, MembershipOracle, compose_pair, run_session
+from .session import Budget, compose_pair, run_session
 from .text import make_text
 
 
@@ -76,10 +76,7 @@ def _pow2_gap(config: dict) -> ExperimentResult:
             catalog["pow2_plain_learner"], text, budget=Budget(horizon=horizon, window=20)
         )
         oracle_run = run_session(
-            catalog["pow2_oracle_learner"],
-            text,
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=horizon),
+            catalog["pow2_oracle_learner"], text, oracle=target, budget=Budget(horizon=horizon)
         )
         learner, teacher_factory = catalog["pow2_teacher_pair"]
         pair = run_session(
@@ -199,10 +196,7 @@ def _csd_chain(config: dict) -> ExperimentResult:
     for n in range(0, top_index + 1):
         target = family.member(n)
         transcript = run_session(
-            learner,
-            family.canonical_text(n),
-            oracle=MembershipOracle(target),
-            budget=Budget(horizon=80),
+            learner, family.canonical_text(n), oracle=target, budget=Budget(horizon=80)
         )
         expected = family.min_index(n)
         queries = transcript.ledger.oracle_queries
@@ -256,15 +250,12 @@ def _merged_split(config: dict) -> ExperimentResult:
         transcript = run_session(
             merged_learner,
             family.canonical_text(n),
-            oracle=MembershipOracle(target),
+            oracle=target,
             budget=Budget(horizon=120, window=15),
         )
         if n % 2 == 0:
             component = run_session(
-                csd3_learner,
-                csd3.canonical_text(n // 2),
-                oracle=MembershipOracle(target),
-                budget=Budget(horizon=120),
+                csd3_learner, csd3.canonical_text(n // 2), oracle=target, budget=Budget(horizon=120)
             )
         else:
             component = run_session(
@@ -595,6 +586,21 @@ def _csd_chain_values(config: dict) -> None:
             raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
 
 
+# Greatest swept i of W with a printable tower index 2^(2^i): Python prints ints of
+# at most 4,300 digits, and 2^(2^14) has 4,933.
+HALTING_MAX_TOWER = 13
+
+
+def _halting_values(config: dict) -> None:
+    """Every i of W that the sweep reaches keeps its tower index printable."""
+    too_big = [w for w in config["w_set"] if HALTING_MAX_TOWER < w <= config["max_i"]]
+    if too_big:
+        raise ConfigError(
+            f"swept w_set members (those <= max_i) must be at most {HALTING_MAX_TOWER}, "
+            f"got {too_big[0]}"
+        )
+
+
 INTEGER = ConfigType("an integer", lambda v: type(v) is int)
 NATURAL = ConfigType("a natural number", _is_natural)
 POSITIVE = ConfigType("a positive integer", lambda v: type(v) is int and v >= 1)
@@ -717,6 +723,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"max_i": 10, "w_set": [1, 3]},
             _halting,
             {"max_i": NATURAL, "w_set": NATURALS},
+            _halting_values,
         ),
     ]
 }

@@ -232,8 +232,8 @@ class MsdFamily(IndexedFamily):
         if n not in self._cache:
             m, pstar, i = decode_tuple(n, 3)
             targeted = (m, pstar) == (self.m_id, self.p_code) and i in (0, 1)
-            built = build_descriptor(n, self.floor if targeted else 0, self.markers)
-            self._cache[n] = FiniteSet(built.elements)
+            floor = self.floor if targeted else 0
+            self._cache[n] = FiniteSet(build_descriptor(n, floor, self.markers))
         return self._cache[n]
 
     def min_index(self, n):

@@ -3,8 +3,9 @@
 A session drives one deterministic learner over a text, optionally through a
 teacher and with a membership oracle, while metering every cost: one tick per
 action plus whatever internal work the learner declares, distinct data
-consumed, mind changes, oracle queries and skips.  The full event log is
-replayable bit for bit.
+consumed, mind changes, oracle queries and skips.  The oracle is the target
+set itself: a query ``x`` is answered by ``oracle.contains(x)``.  The full
+event log is replayable bit for bit.
 
 Learners are written as generators that yield actions and receive the
 action's result back::
@@ -23,8 +24,8 @@ teacher) pair into one learner program.  Events and emission snapshots are
 named tuples, and the ledger is built once, when the session ends.
 
 ``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
-A learner object only makes programs and oracles hold no state, so a search
-holds one learner and one oracle per call and starts a fresh program for
+A learner object only makes programs and a set holds no state, so a search
+holds one learner and one oracle set per call and starts a fresh program for
 each run.
 """
 
@@ -107,26 +108,6 @@ class Teacher:
         return {"kind": "teacher", "name": self.name}
 
 
-class MembershipOracle:
-    """Answers membership in a fixed target; the interpreters count the queries."""
-
-    def __init__(self, target: SetSpec):
-        self.target = target
-
-    def answer(self, x: int) -> bool:
-        return self.target.contains(x)
-
-
-class FnOracle(MembershipOracle):
-    """Oracle over an arbitrary membership predicate."""
-
-    def __init__(self, fn: Callable[[int], bool]):
-        self.fn = fn
-
-    def answer(self, x: int) -> bool:
-        return self.fn(x)
-
-
 # ---------------------------------------------------------------------------
 # ledger, events, transcript
 
@@ -166,7 +147,6 @@ class EmissionSnapshot(NamedTuple):
     ticks: int
     distinct_data: int
     oracle_queries: int
-    event_index: int
 
 
 @dataclass
@@ -184,7 +164,6 @@ class SessionTranscript:
     events: list[Event]
     ledger: ResourceLedger
     emissions: list[EmissionSnapshot]
-    consumed: int
     end_reason: str  # idle | horizon | ticks | contract-violation
     converged: bool
     final_hypothesis: int | None
@@ -211,7 +190,7 @@ def run_session(
     text,
     *,
     teacher: Teacher | None = None,
-    oracle: MembershipOracle | None = None,
+    oracle: SetSpec | None = None,
     budget: Budget,
 ) -> SessionTranscript:
     """Drive the action loop to completion and return the full transcript.
@@ -220,8 +199,9 @@ def run_session(
     empty: each datum is marked seen and given to ``teacher.on_input``, and
     whatever the teacher passes on is checked against the data seen so far,
     logged as one ``teach`` event and buffered for the learner.  Queries go
-    to the oracle alone; the teacher never hears of them.  Convergence is
-    judged on raw text positions.
+    to the oracle set alone; the teacher never hears of them.  Convergence is
+    judged on raw text positions: the elements a teacher took, or without a
+    teacher the elements the learner took.
     """
     max_ticks = budget.max_ticks
     horizon = budget.horizon
@@ -230,7 +210,7 @@ def run_session(
     append = events.append
     seen_data: set[int] = set()
     ticks = mind_changes = queries = skips = 0
-    consumed = raw = 0  # elements the learner took; raw text positions a teacher took
+    raw = 0  # raw text positions consumed
     end_reason = "idle"
     source = text.stream()
 
@@ -256,10 +236,11 @@ def run_session(
             kind = type(action)
             if kind is Read or kind is Skip:
                 if teacher is None:
-                    if consumed >= horizon:
+                    if raw >= horizon:
                         end_reason = "horizon"
                         break
                     element = next(source)
+                    raw += 1
                 else:
                     while not buffer and raw < horizon:
                         datum = next(source, None)
@@ -279,7 +260,6 @@ def run_session(
                         end_reason = "horizon"
                         break
                     element = buffer.popleft()
-                consumed += 1
                 ticks += 1
                 if kind is Read:
                     seen_data.add(element)
@@ -294,20 +274,11 @@ def run_session(
                 if emissions and emissions[-1].hypothesis != hypothesis:
                     mind_changes += 1
                 append(Event(len(events), "emit", (hypothesis,)))
-                emissions.append(
-                    EmissionSnapshot(
-                        hypothesis,
-                        consumed if teacher is None else raw,
-                        ticks,
-                        len(seen_data),
-                        queries,
-                        len(events) - 1,
-                    )
-                )
+                emissions.append(EmissionSnapshot(hypothesis, raw, ticks, len(seen_data), queries))
             elif kind is Query:
                 if oracle is None:
                     raise ValueError(f"learner {learner.name} queried without an oracle")
-                answer = oracle.answer(action.x)
+                answer = oracle.contains(action.x)
                 ticks += 1
                 queries += 1
                 append(Event(len(events), "query", (action.x, answer)))
@@ -321,7 +292,6 @@ def run_session(
         append(Event(len(events), "abort", (str(violation),)))
         end_reason = "contract-violation"
 
-    position = consumed if teacher is None else raw
     final_hypothesis = emissions[-1].hypothesis if emissions else None
     convergence = _convergence_point(emissions)
     converged = False
@@ -329,12 +299,11 @@ def run_session(
         if end_reason == "idle":
             converged = True
         elif end_reason == "horizon":
-            converged = position - convergence.position >= budget.effective_window()
+            converged = raw - convergence.position >= budget.effective_window()
     return SessionTranscript(
         events=events,
         ledger=ResourceLedger(ticks, len(seen_data), mind_changes, queries, skips),
         emissions=emissions,
-        consumed=consumed,
         end_reason=end_reason,
         converged=converged,
         final_hypothesis=final_hypothesis,
@@ -373,8 +342,6 @@ class PrefixRun:
     emissions: list[int]
     queries: list[tuple[int, bool]]
     actions: int
-    exhausted_input: bool
-    idled: bool
 
     @property
     def last_hypothesis(self) -> int | None:
@@ -385,7 +352,7 @@ def run_on_sequence(
     learner: Learner,
     sequence: Sequence[int],
     *,
-    oracle: MembershipOracle | None = None,
+    oracle: SetSpec | None = None,
     max_actions: int = 100_000,
 ) -> PrefixRun:
     """Run ``learner`` over a finite input, stopping when it wants more.
@@ -408,12 +375,12 @@ def run_on_sequence(
         try:
             action = send(result)
         except StopIteration:
-            return PrefixRun(emissions, queries, actions - 1, exhausted_input=False, idled=True)
+            return PrefixRun(emissions, queries, actions - 1)
         result = None
         kind = type(action)
         if kind is Read or kind is Skip:
             if pos == size:
-                return PrefixRun(emissions, queries, actions, exhausted_input=True, idled=False)
+                return PrefixRun(emissions, queries, actions)
             if kind is Read:
                 result = items[pos]
             pos += 1
@@ -422,14 +389,14 @@ def run_on_sequence(
         elif kind is Query:
             if oracle is None:
                 raise ValueError(f"learner {learner.name} queried without an oracle")
-            answer = oracle.answer(action.x)
+            answer = oracle.contains(action.x)
             queries.append((action.x, answer))
             result = answer
         elif kind is not Work:
             raise TypeError(f"unknown action {action!r}")
     raise ActionBudgetExceeded(
         f"{learner.name} exceeded {max_actions} actions",
-        PrefixRun(emissions, queries, max(max_actions, 0), exhausted_input=False, idled=False),
+        PrefixRun(emissions, queries, max(max_actions, 0)),
     )
 
 

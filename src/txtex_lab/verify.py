@@ -38,7 +38,7 @@ from .descriptor import (
     validate_descriptor,
 )
 from .evaluate import evaluate_run
-from .session import Budget, MembershipOracle, compose_pair, run_on_sequence, run_session
+from .session import Budget, compose_pair, run_on_sequence, run_session
 from .sets import is_subset, set_equal
 from .text import make_text
 
@@ -141,10 +141,10 @@ def verify_descriptor() -> list[CheckResult]:
             for markers in ({marker}, multi):
                 d = build_descriptor(n, floor, markers)
                 built += 1
-                if not validate_descriptor(d.elements) or described_number(d.elements) != n:
+                if not validate_descriptor(d) or described_number(d) != n:
                     good = False
                     continue
-                elements = d.sorted_elements()
+                elements = sorted(d)
                 if not _recognizer_lattice_ok(elements, n):
                     good = False
                 orderings += math.factorial(len(elements))
@@ -190,7 +190,7 @@ def verify_engine() -> list[CheckResult]:
     q = run_session(
         catalog["pow2_oracle_learner"],
         family.canonical_text(5),
-        oracle=MembershipOracle(target),
+        oracle=target,
         budget=Budget(horizon=80),
     )
     fidelity = all(
@@ -345,10 +345,7 @@ def verify_agents() -> list[CheckResult]:
             if not evaluate_run(pmc_run, pow2, n, p_pmc, "PMC").passed:
                 good = False
             oracle_run = run_session(
-                catalog["pow2_oracle_learner"],
-                text,
-                oracle=MembershipOracle(target),
-                budget=budget,
+                catalog["pow2_oracle_learner"], text, oracle=target, budget=budget
             )
             cases += 1
             if not evaluate_run(oracle_run, pow2, n, poly_encode([8, 0, 0, 1]), "PRT").passed:

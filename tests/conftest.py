@@ -80,8 +80,8 @@ def default_catalog(tmp_path_factory):
     return runs
 
 
-def _check_recognizer_fires_last(descriptor, rng):
-    """Every ordering completes exactly at its last element, with the described value.
+def _check_recognizer_fires_last(descriptor, described, rng):
+    """Every ordering completes exactly at its last element, with the value ``described``.
 
     Every earlier element is ``partial``.  Up to 8 elements all k! orderings
     are replayed, depth first over the permutation tree: ``recognizer_step``
@@ -89,14 +89,14 @@ def _check_recognizer_fires_last(descriptor, rng):
     and shared by the orderings that extend it.  Above 8 elements, 100
     orderings sampled from ``rng`` are replayed.
     """
-    elements = descriptor.sorted_elements()
+    elements = sorted(descriptor)
     k = len(elements)
 
     def step(state, code, last):
         state, res = recognizer_step(state, code)
         assert res.status == ("complete" if last else "partial")
         if last:
-            assert res.value == descriptor.described
+            assert res.value == described
         return state
 
     if k > 8:

@@ -76,11 +76,11 @@ def test_criterion_02_descriptor_suite(recognizer_fires_last):
     cases += [(n, 10_000, big) for n in range(0, 201, 25)]
     for n, floor, markers in cases:
         d = build_descriptor(n, floor, markers)
-        assert validate_descriptor(d.elements)
-        assert described_number(d.elements) == d.described == n
-        assert markers <= d.elements
-        assert len(d.elements) == len(markers) + 2
-        recognizer_fires_last(d, rng)
+        assert validate_descriptor(d)
+        assert described_number(d) == n
+        assert markers <= d
+        assert len(d) == len(markers) + 2
+        recognizer_fires_last(d, n, rng)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"descriptor sweep took {elapsed:.2f}s"
     announce(

@@ -126,6 +126,16 @@ class Raw(NamedTuple):
             "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers "
             "(sample_size positive), got {'sample_size': 0}",
         ),
+        (
+            "halting-psd",
+            {"max_i": 14, "w_set": [14]},
+            "swept w_set members (those <= max_i) must be at most 13, got 14",
+        ),
+        (
+            "msd-defeat",
+            {"learner_ids": [5]},
+            "learner_ids must be a list of registered learner ids, got [5]",
+        ),
         pytest.param("nope", Raw("{}"), "unknown experiment: nope", id="unknown-experiment"),
         pytest.param(
             "halting-psd",

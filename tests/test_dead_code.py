@@ -64,7 +64,50 @@ def test_no_import_inside_a_function():
     assert nested == [], f"imports inside function bodies: {nested}"
 
 
+# serialized whole via ``__dict__`` into report.json, so every field is output
+UNREAD_FIELD_EXEMPT = {"DefeatReport"}
 
+
+def unread_fields(package: Path, code_roots: list[Path]) -> list[str]:
+    """``Class.field`` of each field of a ``package`` class that nothing reads as an attribute.
+
+    A field is an annotated name in a class body (a dataclass or named-tuple
+    field) or an attribute a method assigns on ``self``.  It is read when
+    some ``x.field`` under ``code_roots`` loads it; the owner's type is not
+    checked, so a read of any same-named attribute counts.
+    """
+    reads = set()
+    for root in code_roots:
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.attr)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef) or cls.name in UNREAD_FIELD_EXEMPT:
+                continue
+            fields = [
+                s.target.id
+                for s in cls.body
+                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            ]
+            fields += [
+                node.attr
+                for fn in cls.body
+                if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            ]
+            found.extend(f"{cls.name}.{f}" for f in dict.fromkeys(fields) if f not in reads)
+    return found
+
+
+def test_every_field_is_read_outside_the_tests():
+    unread = unread_fields(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
+    assert unread == [], f"fields of src/ classes nothing in src/ or perfbench/ reads: {unread}"
 
 
 # the console script calls main() with no argument; only the tests pass argv

@@ -69,21 +69,21 @@ def test_described_number_rejects_invalid():
 
 def test_build_descriptor_examples():
     d = build_descriptor(3, 10, {MARKER})
-    assert MARKER in d.elements
-    extras = sorted(d.elements - {MARKER})
+    assert MARKER in d
+    extras = sorted(d - {MARKER})
     assert len(extras) == 2
     assert all(code > 10 for code in extras)
-    assert validate_descriptor(d.elements)
-    assert described_number(d.elements) == 3
+    assert validate_descriptor(d)
+    assert described_number(d) == 3
 
     d0 = build_descriptor(0, 0, {MARKER})
-    assert described_number(d0.elements) == 0
+    assert described_number(d0) == 0
 
 
 def test_build_descriptor_extra_completion_codes():
     # extras carry completion signed values +(m+1) and -1
     d = build_descriptor(3, 10, {MARKER})
-    extra_cs = sorted(element_parts(e)[1] for e in d.elements - {MARKER})
+    extra_cs = sorted(element_parts(e)[1] for e in d - {MARKER})
     assert extra_cs == [signed_int_inv(-1), signed_int_inv(2)] == [1, 4]
 
 
@@ -122,7 +122,7 @@ def test_recognizer_ignores_non_elements_and_duplicates():
 def test_recognizer_corrupt_after_complete():
     d = build_descriptor(1, 5, {MARKER})
     state = RecognizerState()
-    for code in d.sorted_elements():
+    for code in sorted(d):
         state, res = recognizer_step(state, code)
     assert res.status == "complete" and res.value == 1
     state, res = recognizer_step(state, elem(100, 2))
@@ -131,7 +131,7 @@ def test_recognizer_corrupt_after_complete():
 
 def _completed(descriptor):
     state = RecognizerState()
-    for code in descriptor.sorted_elements():
+    for code in sorted(descriptor):
         state, res = recognizer_step(state, code)
     assert res.status == "complete" and state.complete
     return state
@@ -140,7 +140,7 @@ def _completed(descriptor):
 def test_recognizer_duplicate_after_complete_is_ignored():
     d = build_descriptor(2, 5, {MARKER})
     done = _completed(d)
-    for code in d.sorted_elements():
+    for code in sorted(d):
         state, res = recognizer_step(done, code)
         assert res == StepResult("ignored")
         assert state == done and not state.corrupt
@@ -151,7 +151,7 @@ def test_recognizer_corrupt_is_sticky():
     state, res = recognizer_step(_completed(d), elem(100, 2))
     assert res == StepResult("corrupt") and state.corrupt
     # duplicates, off-column codes, non-elements and fresh elements alike
-    for code in [*d.sorted_elements(), elem(100, 2), elem(3, 2, column=1), 16, elem(102, 1)]:
+    for code in [*sorted(d), elem(100, 2), elem(3, 2, column=1), 16, elem(102, 1)]:
         nxt, res = recognizer_step(state, code)
         assert res == StepResult("corrupt")
         assert nxt == state
@@ -170,7 +170,7 @@ def test_recognizer_off_column_ignored_before_and_after_complete():
 
 def test_recognizer_results_equal_fresh_results():
     d = build_descriptor(2, 5, {MARKER})
-    first, *middle, final = d.sorted_elements()
+    first, *middle, final = sorted(d)
     state, res = recognizer_step(RecognizerState(), first)
     assert res == StepResult("partial") and res.value is None
     assert recognizer_step(state, 16)[1] == StepResult("ignored")
@@ -185,8 +185,8 @@ def test_recognizer_results_equal_fresh_results():
 
 def test_recognizer_all_orders_fire_on_last_element(recognizer_fires_last):
     d = build_descriptor(1, 5, {MARKER})
-    assert len(d.elements) == 3
-    recognizer_fires_last(d, random.Random(0))
+    assert len(d) == 3
+    recognizer_fires_last(d, 1, random.Random(0))
 
 
 def test_built_descriptors_properties_sweep():
@@ -209,12 +209,12 @@ def test_built_descriptors_properties_sweep():
     def built_descriptor_holds(n, floor, marker_xs):
         markers = {elem(x, 1) for x in marker_xs}
         d = build_descriptor(n, floor, markers)
-        assert validate_descriptor(d.elements)
-        assert described_number(d.elements) == n
-        assert markers <= d.elements
-        assert len(d.elements) == len(markers) + 2
-        assert all(code > floor for code in d.elements - markers)
-        assert _recognizer_lattice_ok(d.sorted_elements(), n)
+        assert validate_descriptor(d)
+        assert described_number(d) == n
+        assert markers <= d
+        assert len(d) == len(markers) + 2
+        assert all(code > floor for code in d - markers)
+        assert _recognizer_lattice_ok(sorted(d), n)
 
     built_descriptor_holds()
 
@@ -222,5 +222,5 @@ def test_built_descriptors_properties_sweep():
 def test_large_marker_set_sampled_permutations(recognizer_fires_last):
     rng = random.Random(7)
     d = build_descriptor(55, 123, multi_markers(10))
-    assert len(d.elements) == 12
-    recognizer_fires_last(d, rng)
+    assert len(d) == 12
+    recognizer_fires_last(d, 55, rng)

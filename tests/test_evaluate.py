@@ -9,7 +9,7 @@ from txtex_lab.evaluate import (
     evaluate_run,
     hypothesis_correct,
 )
-from txtex_lab.session import Budget, Emit, Learner, MembershipOracle, Read, run_session
+from txtex_lab.session import Budget, Emit, Learner, Read, run_session
 from txtex_lab.text import make_text
 
 
@@ -71,7 +71,7 @@ def test_evaluate_prt_counts_queries(pow2):
     oracle_learner = agents.make_pow2_oracle_learner()
     target = pow2.member(4)
     transcript = run_session(
-        oracle_learner, pow2.canonical_text(4), oracle=MembershipOracle(target), budget=Budget(horizon=40)
+        oracle_learner, pow2.canonical_text(4), oracle=target, budget=Budget(horizon=40)
     )
     assert evaluate_run(transcript, pow2, 4, poly_encode([8, 0, 0, 1]), "PRT").passed
     verdict = evaluate_run(transcript, pow2, 4, poly_encode([1]), "PRT")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from txtex_lab.session import (
     Budget,
     Emit,
-    FnOracle,
     Learner,
     Query,
     Read,
@@ -18,7 +17,7 @@ from txtex_lab.session import (
     compose_pair,
     run_session,
 )
-from txtex_lab.sets import FiniteSet
+from txtex_lab.sets import FiniteSet, Interval, Join
 from txtex_lab.text import make_text
 
 
@@ -52,8 +51,7 @@ def probing_learner():
     return Learner("probing-sum", program)
 
 
-def _is_even(x):
-    return x % 2 == 0
+EVENS = Join(Interval(0), FiniteSet(()))  # 2a for every a, and no odd 2b+1
 
 
 @settings(max_examples=200, deadline=None)
@@ -69,11 +67,11 @@ def test_composed_pair_matches_two_agent_session(prefix, script, horizon):
         probing_learner(),
         text,
         teacher=ScriptedTeacher(script),
-        oracle=FnOracle(_is_even),
+        oracle=EVENS,
         budget=budget,
     )
     composed = compose_pair(probing_learner(), lambda: ScriptedTeacher(script))
-    solo_run = run_session(composed, text, oracle=FnOracle(_is_even), budget=budget)
+    solo_run = run_session(composed, text, oracle=EVENS, budget=budget)
     assert pair_run.end_reason == solo_run.end_reason == "horizon"
     assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()
     assert solo_run.ledger.mind_changes == pair_run.ledger.mind_changes

@@ -1,4 +1,8 @@
+import contextlib
 import hashlib
+import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +15,7 @@ from txtex_lab.session import (
     Emit,
     EmissionSnapshot,
     Event,
-    FnOracle,
     Learner,
-    MembershipOracle,
     Query,
     Read,
     Skip,
@@ -23,7 +25,7 @@ from txtex_lab.session import (
     run_on_sequence,
     run_session,
 )
-from txtex_lab.sets import FiniteSet, Interval
+from txtex_lab.sets import FiniteSet, Interval, SetSpec
 from txtex_lab.text import make_text
 
 
@@ -103,9 +105,8 @@ def test_non_converged_when_changes_run_to_horizon():
 
 def test_oracle_queries_counted_and_faithful():
     target = Interval(4, None)
-    oracle = MembershipOracle(target)
     text = make_text("canonical", target)
-    transcript = run_session(scan_learner(), text, oracle=oracle, budget=Budget(horizon=10))
+    transcript = run_session(scan_learner(), text, oracle=target, budget=Budget(horizon=10))
     assert transcript.final_hypothesis == 4
     assert transcript.ledger.oracle_queries == 5
     for event in transcript.events:
@@ -174,7 +175,7 @@ def test_teacher_filters_duplicates():
         budget=Budget(horizon=20),
     )
     # teacher forwards 5 then 9 once each; learner consumes exactly those
-    assert transcript.consumed == 2
+    assert [e.payload for e in transcript.events if e.kind == "read"] == [(5,), (9,)]
     assert transcript.final_hypothesis == 2
     assert transcript.ledger.distinct_data == 2
 
@@ -206,12 +207,11 @@ def test_compose_pair_matches_two_agent_session():
 def test_run_on_sequence_semantics():
     run = run_on_sequence(echo_counter_learner(), [4, 4, 7])
     assert run.emissions == [1, 1, 2]
-    assert run.exhausted_input and not run.idled
+    assert run.actions == 7  # the read past the end is the last action
 
-    oracle = FnOracle(lambda x: x >= 2)
-    run = run_on_sequence(scan_learner(), [], oracle=oracle)
+    run = run_on_sequence(scan_learner(), [], oracle=Interval(2))
     assert run.last_hypothesis == 2
-    assert run.idled
+    assert run.actions == 4  # three queries and the emission, then the learner idles
     assert run.queries == [(0, False), (1, False), (2, True)]
 
 
@@ -255,7 +255,6 @@ def test_run_on_sequence_skip_consumes_without_observing():
     learner = Learner("skip-read", program)
     run = run_on_sequence(learner, [7, 8])
     assert run.emissions == [8, -1]
-    assert run.exhausted_input and not run.idled
     assert run.actions == 5  # the Skip past the end counts as an action
 
 
@@ -266,23 +265,26 @@ def test_run_on_sequence_work_counts_as_action():
         yield Emit(3)
 
     run = run_on_sequence(Learner("worker", program), [])
-    assert run.actions == 3 and run.idled and run.emissions == [3]
+    assert run.actions == 3 and run.emissions == [3]
     with pytest.raises(ActionBudgetExceeded) as exc_info:
         run_on_sequence(Learner("worker", program), [], max_actions=2)
     assert exc_info.value.partial.actions == 2
     assert exc_info.value.partial.emissions == []
 
 
-def test_run_on_sequence_tuple_and_list_inputs_agree():
-    def oracle_fn(x):
+class MultiplesOf3(SetSpec):
+    def contains(self, x):
         return x % 3 == 0
 
+
+def test_run_on_sequence_tuple_and_list_inputs_agree():
+    oracle = MultiplesOf3()
     for sequence in ([4, 4, 7], [], [0, 1, 2, 3, 4, 5]):
         as_list = run_on_sequence(echo_counter_learner(), list(sequence))
         as_tuple = run_on_sequence(echo_counter_learner(), tuple(sequence))
         assert as_list == as_tuple
-        scan_list = run_on_sequence(scan_learner(), list(sequence), oracle=FnOracle(oracle_fn))
-        scan_tuple = run_on_sequence(scan_learner(), tuple(sequence), oracle=FnOracle(oracle_fn))
+        scan_list = run_on_sequence(scan_learner(), list(sequence), oracle=oracle)
+        scan_tuple = run_on_sequence(scan_learner(), tuple(sequence), oracle=oracle)
         assert scan_list == scan_tuple
 
 
@@ -313,7 +315,7 @@ def test_oracle_session_transcript_is_pinned():
     transcript = run_session(
         make_csd_learner(),
         family.canonical_text(9),
-        oracle=MembershipOracle(family.member(9)),
+        oracle=family.member(9),
         budget=Budget(horizon=80),
     )
     assert transcript.final_hypothesis == 9 and transcript.end_reason == "idle"
@@ -323,6 +325,15 @@ def test_oracle_session_transcript_is_pinned():
     assert _sha256(transcript.ledger_json()) == (
         "1996a361b7f7bd23a8bf8b6b6ec627f410a7673549d3b03f246bc7d2a0014911"
     )
+
+
+def test_readme_quick_session_prints_its_result():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "9 10\n"
 
 
 def test_tick_budget_marks_non_converged():
@@ -357,7 +368,6 @@ def test_run_on_sequence_zero_budget_raises_before_any_action():
         partial = exc_info.value.partial
         assert partial.actions == 0
         assert partial.emissions == [] and partial.queries == []
-        assert not partial.exhausted_input and not partial.idled
 
 
 def test_run_on_sequence_budget_spent_on_last_action_still_raises():
@@ -368,13 +378,11 @@ def test_run_on_sequence_budget_spent_on_last_action_still_raises():
     partial = exc_info.value.partial
     assert partial.actions == 3
     assert partial.emissions == [0, 1, 2]
-    assert not partial.exhausted_input and not partial.idled
 
 
 def test_run_on_sequence_read_past_end_on_last_budgeted_action():
     run = run_on_sequence(echo_counter_learner(), [5], max_actions=3)
-    assert run.exhausted_input and not run.idled
-    assert run.actions == 3
+    assert run.actions == 3  # read, emit, and the read past the end
     assert run.emissions == [1]
 
 
@@ -382,7 +390,6 @@ def test_run_on_sequence_idle_reports_true_action_count():
     for count in (0, 1, 4):
         for max_actions in (count + 1, count + 2, 100_000):
             run = run_on_sequence(emitter_learner(count), [9], max_actions=max_actions)
-            assert run.idled and not run.exhausted_input
             assert run.actions == count
             assert run.emissions == list(range(count))
 
@@ -454,7 +461,7 @@ def _teacher_edge_session(case):
     )
 
 
-# case -> (events digest, ledger digest, (end reason, consumed, converged, emission positions))
+# case -> (events digest, ledger digest, (end reason, elements taken, converged, emission positions))
 TEACHER_EDGE_PINS = {
     "skip-through-teacher": (
         "d0dcc55ff779c8078850ec09d6328c33f9e969b0c36fbe277c5cb60736a06f7f",
@@ -487,26 +494,26 @@ def test_teacher_edge_sessions_are_pinned(case):
     assert _sha256(transcript.events_jsonl()) == events_digest
     assert _sha256(transcript.ledger_json()) == ledger_digest
     positions = [emission.position for emission in transcript.emissions]
-    assert (transcript.end_reason, transcript.consumed, transcript.converged, positions) == end
+    taken = sum(event.kind in ("read", "skip") for event in transcript.events)
+    assert (transcript.end_reason, taken, transcript.converged, positions) == end
 
 
 def test_event_and_snapshot_are_immutable_records_read_by_name():
     event = Event(3, "teach", (7, (7, 8)))
     assert (event.step, event.kind, event.payload) == (3, "teach", (7, (7, 8)))
     assert event.as_dict() == {"step": 3, "kind": "teach", "payload": [7, (7, 8)]}
-    snapshot = EmissionSnapshot(5, 9, 12, 4, 1, 30)
+    snapshot = EmissionSnapshot(5, 9, 12, 4, 1)
     assert (
         snapshot.hypothesis,
         snapshot.position,
         snapshot.ticks,
         snapshot.distinct_data,
         snapshot.oracle_queries,
-        snapshot.event_index,
-    ) == (5, 9, 12, 4, 1, 30)
+    ) == (5, 9, 12, 4, 1)
     for record, field in ((event, "kind"), (snapshot, "ticks")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
-    assert event == Event(3, "teach", (7, (7, 8))) and snapshot == EmissionSnapshot(5, 9, 12, 4, 1, 30)
+    assert event == Event(3, "teach", (7, (7, 8))) and snapshot == EmissionSnapshot(5, 9, 12, 4, 1)
     assert len({event, Event(3, "teach", (7, (7, 8))), snapshot}) == 2
 
 
@@ -523,7 +530,7 @@ def _fold_events(events):
     ticks = queries = skips = mind_changes = position = 0
     read_payloads = set()
     snapshots = []
-    for index, event in enumerate(events):
+    for event in events:
         kind = event.kind
         if kind == "read":
             ticks += 1
@@ -543,7 +550,7 @@ def _fold_events(events):
             hypothesis = event.payload[0]
             if snapshots and snapshots[-1][0] != hypothesis:
                 mind_changes += 1
-            snapshots.append((hypothesis, position, ticks, len(read_payloads), queries, index))
+            snapshots.append((hypothesis, position, ticks, len(read_payloads), queries))
     ledger = {
         "ticks": ticks,
         "distinct_data": len(read_payloads),
@@ -563,9 +570,5 @@ def test_ledger_folds_from_events_in_every_default_session(default_catalog):
         assert ledger == transcript.ledger.as_dict()
         if without_teacher:
             teacherless += 1
-            recorded = [
-                (e.hypothesis, e.position, e.ticks, e.distinct_data, e.oracle_queries, e.event_index)
-                for e in transcript.emissions
-            ]
-            assert recorded == snapshots
+            assert transcript.emissions == snapshots
     assert teacherless and teacherless < len(sessions)
