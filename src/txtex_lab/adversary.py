@@ -147,6 +147,8 @@ def chain_force(
         alphabet = member.elements_up_to(CHAIN_FORCE_UNIVERSE)
         found = False
         budget_hit = False
+        # The verdict depends only on (output, index): judge each output once.
+        verdicts: dict[int, bool] = {}
         for length in range(1, max_ext_len + 1):
             for ext in itertools.product(alphabet, repeat=length):
                 checked += 1
@@ -156,7 +158,11 @@ def chain_force(
                 candidate = sigma + list(ext)
                 run = run_on_sequence(agent, candidate)
                 output = run.last_hypothesis
-                if output is not None and hypothesis_correct(family, output, index, member):
+                if output is None:
+                    continue
+                if output not in verdicts:
+                    verdicts[output] = hypothesis_correct(family, output, index, member)
+                if verdicts[output]:
                     sigma = candidate
                     found = True
                     break

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
+from pathlib import Path
 
 from .agents import build_default_registry, make_basic_agents
 from .experiments import EXPERIMENTS, ConfigError, run_experiment
@@ -43,6 +45,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_refusal(out: Path) -> str | None:
+    """Why ``run`` may not replace ``out``; None when replacing it loses no foreign file.
+
+    ``out`` may be absent, an empty directory, or an earlier run's directory:
+    plain files among them a ``report.json``.  A link, the working directory
+    and its ancestors are never replaced.
+    """
+    if out.is_symlink() or (out.exists() and not out.is_dir()):
+        return "exists and is not a directory"
+    if Path.cwd().is_relative_to(out.resolve()):
+        return "holds the working directory"
+    entries = list(out.iterdir()) if out.exists() else []
+    if entries and not (
+        (out / "report.json").is_file() and all(entry.is_file() for entry in entries)
+    ):
+        return "is not empty and holds no earlier run (a report.json among plain files)"
+    return None
+
+
 def _cmd_run(args) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment: {args.experiment}", file=sys.stderr)
@@ -66,11 +87,30 @@ def _cmd_run(args) -> int:
         except ValueError:
             print(f"TXTEX_SEED must be an integer, got {seed_override!r}", file=sys.stderr)
             return 2
+    refusal = _out_refusal(Path(args.out))
+    if refusal:
+        print(f"will not replace --out: {args.out} {refusal}", file=sys.stderr)
+        return 2
+    # The run writes into a fresh directory beside --out, renamed into place
+    # once complete: --out then holds exactly this run's files, and a run that
+    # raises leaves it as it was.
+    out = Path(args.out).resolve()
+    staging = out.with_name(f".{out.name}.{os.urandom(6).hex()}.tmp")
     try:
-        code = run_experiment(args.experiment, config, args.out)
-    except ConfigError as exc:
+        code = run_experiment(args.experiment, config, staging)
+    except ConfigError as exc:  # raised before the directory is made
         print(f"bad config for {args.experiment}: {exc}", file=sys.stderr)
         return 2
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    if out.exists():
+        earlier = staging.with_suffix(".old")
+        out.rename(earlier)
+        staging.rename(out)
+        shutil.rmtree(earlier)
+    else:
+        staging.rename(out)
     status = {0: "ok", 1: "FAILED", 3: "partial (budget)"}[code]
     print(f"{args.experiment}: {status} -> {args.out}")
     return code

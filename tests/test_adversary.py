@@ -1,8 +1,18 @@
+import itertools
+
 import pytest
 
 from txtex_lab import adversary, agents, families
 from txtex_lab.codec import poly_encode
-from txtex_lab.session import ActionBudgetExceeded, Learner, Query, Read, run_on_sequence
+from txtex_lab.evaluate import hypothesis_correct
+from txtex_lab.session import (
+    ActionBudgetExceeded,
+    Learner,
+    Query,
+    Read,
+    compose_pair,
+    run_on_sequence,
+)
 from txtex_lab.sets import set_equal
 
 
@@ -126,6 +136,79 @@ def test_chain_force_inconclusive_on_tiny_budget():
         learner, teacher_factory, chain, family, max_ext_len=3, max_candidates=3
     )
     assert result.status == "inconclusive"
+
+
+def _chain_force_judging_every_output(agent, chain, family, max_ext_len, max_candidates):
+    """``chain_force``'s search with each candidate's output judged afresh.
+
+    Returns (status, prefix, witness index, candidates checked).
+    """
+    sigma, checked = [], 0
+    for index in chain:
+        member = family.member(index)
+        alphabet = member.elements_up_to(adversary.CHAIN_FORCE_UNIVERSE)
+        lengths = range(1, max_ext_len + 1)
+        for ext in (e for n in lengths for e in itertools.product(alphabet, repeat=n)):
+            checked += 1
+            if checked > max_candidates:
+                return "inconclusive", sigma, index, checked
+            output = run_on_sequence(agent, sigma + list(ext)).last_hypothesis
+            if output is not None and hypothesis_correct(family, output, index, member):
+                sigma = sigma + list(ext)
+                break
+        else:
+            return "failure-witness", sigma, index, checked
+    return "forced", sigma, None, checked
+
+
+def _chaser(family, chain):
+    return adversary.make_chain_chaser(family, chain), None, 3, 20_000
+
+
+def _msd_pair(family, chain):
+    return *agents.make_msd_pair(), 2, 2000
+
+
+@pytest.mark.parametrize("anchor,length", [(5, 3), (8, 4)])
+@pytest.mark.parametrize("make", [_chaser, _msd_pair], ids=["chaser", "msd-pair"])
+def test_chain_force_judging_each_output_once_changes_nothing(anchor, length, make):
+    family = families.make_csd()
+    chain = family.chain_indices(anchor)[:length]
+    assert len(chain) == length
+    learner, teacher_factory, max_ext_len, max_candidates = make(family, chain)
+    result = adversary.chain_force(
+        learner,
+        teacher_factory,
+        chain,
+        family,
+        max_ext_len=max_ext_len,
+        max_candidates=max_candidates,
+    )
+    agent = learner if teacher_factory is None else compose_pair(learner, teacher_factory)
+    status, prefix, witness, checked = _chain_force_judging_every_output(
+        agent, chain, family, max_ext_len, max_candidates
+    )
+    assert (result.status, result.prefix, result.witness_index) == (status, prefix, witness)
+    assert result.details["candidates_checked"] == checked
+    if status == "forced":
+        assert result.details["emissions"] == run_on_sequence(agent, prefix).emissions
+
+
+def test_chain_force_judges_each_distinct_output_once_per_member(monkeypatch):
+    """816 candidates on the 16-member chain at anchor 12 show 31 distinct (member, output) pairs."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return hypothesis_correct(*args)
+
+    monkeypatch.setattr(adversary, "hypothesis_correct", counting)
+    family = families.make_csd()
+    chain = family.chain_indices(12)[:16]
+    result = adversary.chain_force(adversary.make_chain_chaser(family, chain), None, chain, family)
+    assert result.status == "forced" and result.forced_mind_changes == 16
+    assert result.details["candidates_checked"] == 816
+    assert len(calls) == len(set(calls)) == 31
 
 
 def test_msd_defeat_reports(registry):

@@ -1,11 +1,12 @@
 import json
 import re
 import time
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
 
-from txtex_lab import cli
+from txtex_lab import cli, experiments
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash
@@ -181,7 +182,7 @@ def test_run_config_outside_schema_is_usage_error(
     code = main(["run", "--experiment", experiment, "--config", str(path), "--out", str(out)])
     assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert not out.exists()
+    assert {path.name for path in tmp_path.iterdir()} <= {"config.json"}
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line + "\n"
@@ -268,3 +269,78 @@ def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys):
     assert capsys.readouterr().out == f"csd-chain: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] and report["summary"]["reference_pair_status"] == "inconclusive"
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_rerun_replaces_the_output_directory_whole(tmp_path, capsys):
+    """A second run leaves exactly its own files: no stale transcript of the first survives."""
+    out, fresh = tmp_path / "defeat", tmp_path / "fresh"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"learner_ids": [3]}))
+    assert main(["run", "--experiment", "msd-defeat", "--out", str(out)]) == 0
+    assert "defeat_m4_target0.jsonl" in _files(out)
+    second = ["run", "--experiment", "msd-defeat", "--config", str(config)]
+    assert main([*second, "--out", str(out)]) == 0
+    assert main([*second, "--out", str(fresh)]) == 0
+    assert _files(out) == _files(fresh)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "defeat", "fresh"]
+
+
+def test_failing_experiment_leaves_the_earlier_run(tmp_path, monkeypatch):
+    out = tmp_path / "halting"
+    assert main(["run", "--experiment", "halting-psd", "--out", str(out)]) == 0
+    before = _files(out)
+
+    def fails(config):
+        raise RuntimeError("mid-run failure")
+
+    spec = experiments.EXPERIMENTS["halting-psd"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "halting-psd", replace(spec, fn=fails))
+    with pytest.raises(RuntimeError, match="mid-run failure"):
+        main(["run", "--experiment", "halting-psd", "--out", str(out)])
+    assert _files(out) == before
+    assert [path.name for path in tmp_path.iterdir()] == ["halting"]
+
+
+@pytest.mark.parametrize(
+    "layout,reason",
+    [
+        ({"notes.txt": "mine"}, "is not empty and holds no earlier run"),
+        ({"report.json": "{}", "data/": None}, "is not empty and holds no earlier run"),
+        (None, "exists and is not a directory"),
+    ],
+    ids=["foreign-files", "report-beside-a-directory", "a-file"],
+)
+def test_run_will_not_replace_what_is_not_an_earlier_run(tmp_path, capsys, layout, reason):
+    """Exit 2 with one stderr line, and the path is left exactly as it was."""
+    out = tmp_path / "target"
+    if layout is None:
+        out.write_text("not a directory")
+    else:
+        out.mkdir()
+        for name, text in layout.items():
+            if text is None:
+                (out / name).mkdir()
+            else:
+                (out / name).write_text(text)
+    before = sorted(out.rglob("*")) if out.is_dir() else out.read_text()
+    assert main(["run", "--experiment", "halting-psd", "--out", str(out)]) == 2
+    after = sorted(out.rglob("*")) if out.is_dir() else out.read_text()
+    assert after == before
+    assert [path.name for path in tmp_path.iterdir()] == ["target"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"will not replace --out: {out} {reason}" + (
+        " (a report.json among plain files)\n" if layout else "\n"
+    )
+
+
+def test_run_will_not_replace_the_working_directory(tmp_path, monkeypatch, capsys):
+    (tmp_path / "report.json").write_text("{}")
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--experiment", "halting-psd", "--out", "."]) == 2
+    assert capsys.readouterr().err == "will not replace --out: . holds the working directory\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from txtex_lab import verify
+from txtex_lab.codec import signed_int, signed_int_inv
 from txtex_lab.descriptor import StepResult, recognizer_step
 from txtex_lab.families import HaltingFamily
 from txtex_lab.verify import SUITES, verify_descriptor, verify_families, verify_suite
@@ -70,3 +75,82 @@ def test_families_suite_catches_stages_that_forget(monkeypatch):
     [staged] = [r for r in verify_families() if r.name == "staged membership monotone in the stage"]
     assert not staged.passed
     assert staged.cases == 6
+
+
+def _odds_off_by_one(n):
+    """1 and 0 both map to 0; every odd n lands one above its place."""
+    return n // 2 if n % 2 == 0 else -(n // 2)
+
+
+def _gapped_inverse(z):
+    """Negatives go to 3, 5, 7, ...: 1 is never an image."""
+    return 2 * z if z >= 0 else -2 * z + 1
+
+
+def _collides_where_the_inverse_never_lands(n):
+    """Undoes ``_gapped_inverse`` everywhere it lands, and maps 1 onto 0's image."""
+    return n // 2 if n % 2 == 0 else -((n - 1) // 2)
+
+
+def _set_form_passes(forward, inverse):
+    """The bijection check as a set of 20,001 images: right inverse and no collision."""
+    right = all(forward(inverse(z)) == z for z in range(-10_000, 10_001))
+    return right and len({forward(n) for n in range(20_001)}) == 20_001
+
+
+@pytest.mark.parametrize(
+    "forward,inverse",
+    [
+        (_odds_off_by_one, signed_int_inv),
+        (signed_int, lambda z: 2 * abs(z)),  # not injective: -z and z share an image
+        (_collides_where_the_inverse_never_lands, _gapped_inverse),  # a right inverse
+    ],
+    ids=["odds-off-by-one", "non-injective-inverse", "collision-off-the-inverse"],
+)
+def test_codec_suite_catches_a_broken_signed_bijection(monkeypatch, forward, inverse):
+    """Each pair fails the set form, and the streamed two-sided inverse catches it too."""
+    assert not _set_form_passes(forward, inverse)
+    monkeypatch.setattr(verify, "signed_int", forward)
+    monkeypatch.setattr(verify, "signed_int_inv", inverse)
+    # the tuple sweep stops at its first failure, which keeps each run short
+    monkeypatch.setattr(verify, "encode_tuple", lambda xs: -1)
+    checks = {r.name: r for r in verify.verify_codec()}
+    assert not checks["signed bijection"].passed
+    assert checks["signed bijection"].cases == 40_002
+
+
+# VmHWM is the peak resident set of the probe's own address space.  Its
+# ru_maxrss would not do: Linux carries a process's ru_maxrss across fork and
+# exec, so the probe would start at the test runner's far larger peak.
+_RSS_PROBE = """
+import re
+from txtex_lab.verify import verify_codec
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"^VmHWM:\\s+(\\d+) kB", fh.read(), re.M).group(1)) * 1024
+
+before = peak_rss()
+passed = all(result.passed for result in verify_codec())
+print(passed, peak_rss() - before)
+"""
+
+
+def test_codec_suite_holds_no_large_scratch_memory():
+    """In a fresh interpreter, the codec suite raises peak RSS by under 1 MB.
+
+    A set of the 20,001 signed images alone raised it by about 3 MB.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads the peak resident set from Linux procfs")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_PROBE],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "True"
+    assert int(out[1]) < 1 << 20, f"codec suite raised peak RSS by {int(out[1]) / 2**20:.2f} MB"
