@@ -305,11 +305,14 @@ def test_failing_experiment_leaves_the_earlier_run(tmp_path, monkeypatch):
     assert [path.name for path in tmp_path.iterdir()] == ["halting"]
 
 
+FOREIGN = "is not empty and holds no earlier run (a report.json among plain files)"
+
+
 @pytest.mark.parametrize(
     "layout,reason",
     [
-        ({"notes.txt": "mine"}, "is not empty and holds no earlier run"),
-        ({"report.json": "{}", "data/": None}, "is not empty and holds no earlier run"),
+        ({"notes.txt": "mine"}, FOREIGN),
+        ({"report.json": "{}", "data": None}, FOREIGN),
         (None, "exists and is not a directory"),
     ],
     ids=["foreign-files", "report-beside-a-directory", "a-file"],
@@ -333,9 +336,7 @@ def test_run_will_not_replace_what_is_not_an_earlier_run(tmp_path, capsys, layou
     assert [path.name for path in tmp_path.iterdir()] == ["target"]
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"will not replace --out: {out} {reason}" + (
-        " (a report.json among plain files)\n" if layout else "\n"
-    )
+    assert captured.err == f"will not replace --out: {out} {reason}\n"
 
 
 def test_run_will_not_replace_the_working_directory(tmp_path, monkeypatch, capsys):
