@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from .codec import encode_tuple, poly_eval
 from .evaluate import hypothesis_correct
 from .session import (
+    READ,
     ActionBudgetExceeded,
     Budget,
     Emit,
     Learner,
-    Read,
     compose_pair,
     run_on_sequence,
     run_session,
@@ -390,17 +390,18 @@ def make_chain_chaser(family, chain: list[int]) -> Learner:
     Emits 0 before any data, then after each datum the first chain index
     whose member contains everything seen so far.  Against a strict chain
     this is exactly the mind-change ladder the forcing search exploits.
+    The program keeps the members still holding every datum so far, in chain
+    order, and tests each new datum against those alone.
     """
     members = [(index, family.member(index)) for index in chain]
 
     def program():
         yield Emit(0)
-        seen: set[int] = set()
+        consistent = members
         while True:
-            seen.add((yield Read()))
-            for index, member in members:
-                if all(member.contains(x) for x in seen):
-                    yield Emit(index)
-                    break
+            datum = yield READ
+            consistent = [entry for entry in consistent if entry[1].contains(datum)]
+            if consistent:
+                yield Emit(consistent[0][0])
 
     return Learner("chain-chaser", program)

@@ -18,7 +18,7 @@ from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import RecognizerState, recognizer_step
 from .families import CsdFamily, PcsFFamily
-from .session import Emit, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
+from .session import READ, Emit, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def _count_core(transform: Callable[[int], int]):
     first = None
     count = 0
     while True:
-        item = yield Read()
+        item = yield READ
         if first is None:
             first = item
         if item == first:
@@ -144,7 +144,7 @@ def make_pmc_msd_learner() -> Learner:
     def program():
         state = RecognizerState()
         while True:
-            datum = yield Read()
+            datum = yield READ
             state, result = recognizer_step(state, datum)
             yield Work(1)
             if result.status == "complete":
@@ -212,7 +212,7 @@ def make_finite_psd_learner() -> Learner:
     def program():
         seen: set[int] = set()
         while True:
-            seen.add((yield Read()))
+            seen.add((yield READ))
             yield Emit(pair(len(seen), canonical_encode(seen)))
 
     return Learner("finite-size-mask", program)
@@ -225,7 +225,7 @@ def make_pow2_plain_learner() -> Learner:
         seen: set[int] = set()
         covered = -1
         while True:
-            seen.add((yield Read()))
+            seen.add((yield READ))
             while covered + 1 in seen:
                 covered += 1
             yield Emit(covered.bit_length() - 1 if covered >= 1 else 0)
@@ -276,7 +276,7 @@ def make_pow2_pmc_learner() -> Learner:
     def program():
         peak = 0
         while True:
-            peak = max(peak, (yield Read()))
+            peak = max(peak, (yield READ))
             yield Emit((peak - 1).bit_length() if peak >= 1 else 0)
 
     return Learner("pow2-threshold", program)
@@ -287,7 +287,7 @@ def make_join_evens_learner() -> Learner:
 
     def program():
         while True:
-            datum = yield Read()
+            datum = yield READ
             if datum % 2 == 0:
                 yield Emit(datum // 2)
                 return
@@ -414,7 +414,7 @@ def make_count_decoder_learner() -> Learner:
     def program():
         count = 0
         while True:
-            yield Read()
+            yield READ
             count += 1
             yield Emit(unpair(count)[1])
 
@@ -435,7 +435,7 @@ def make_pcsG_oracle_learner() -> Learner:
     def program():
         peak: int | None = None
         while True:
-            datum = yield Read()
+            datum = yield READ
             peak = datum if peak is None else max(peak, datum)
             if (yield Query(peak + 1)):
                 yield Emit(0)
@@ -512,13 +512,13 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
             raise ValueError(f"trap search for k={k} is unresolved; agents refuse construction")
 
     def pair_program():
-        first = yield Read()
+        first = yield READ
         k = left_endpoint_bracket(first)
         if k is None:
             return
         yield Emit(2 * k + 1)
         while True:
-            yield Read()
+            yield READ
             yield Emit(2 * k)
 
     pair_learner = Learner("trap-item-counter", pair_program)
@@ -528,7 +528,7 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
         k: int | None = None
         allowed: set[int] = set()
         while True:
-            datum = yield Read()
+            datum = yield READ
             seen.add(datum)
             if k is None:
                 maybe = left_endpoint_bracket(datum)
@@ -556,7 +556,7 @@ def make_thm64_pcs_learner() -> Learner:
         evens: set[int] = set()
         odds: set[int] = set()
         while True:
-            datum = yield Read()
+            datum = yield READ
             (evens if datum % 2 == 0 else odds).add(datum)
             if not evens or not odds:
                 yield Emit(0)
@@ -578,7 +578,7 @@ def make_halting_psd_learner() -> Learner:
         yield Emit(6)
         distinct: set[int] = set()
         while True:
-            datum = yield Read()
+            datum = yield READ
             distinct.add(datum)
             odds = [x for x in distinct if x % 2 == 1]
             if odds:
@@ -608,7 +608,7 @@ def make_trap_parity_learner(offset: int) -> Learner:
 
     def program():
         while True:
-            datum = yield Read()
+            datum = yield READ
             # least k >= 0 with datum <= 4**(k+1)
             k = max(0, ((datum - 1).bit_length() - 1) // 2)
             yield Emit(2 * k + offset)

@@ -11,9 +11,13 @@ Learners are written as generators that yield actions and receive the
 action's result back::
 
     def program():
-        datum = yield Read()
+        datum = yield READ
         answer = yield Query(datum + 1)
         yield Emit(0 if answer else datum)
+
+Field-less actions are shared: a learner yields the constant ``READ`` (an
+equal ``Read()`` works too).  ``Query``, ``Emit`` and ``Work`` are slotted
+one-shot messages; each interpreter reads the payload once, at ``send``.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -43,10 +47,16 @@ from .sets import SetSpec
 # actions
 
 
-# Field-less actions skip the generated ``__init__``: ``Read()`` runs no Python code.
+# Field-less actions are frozen and shared (``READ``).  Payload actions are
+# one-shot messages that each interpreter reads once, so they are slotted, not
+# frozen: the generated ``__init__`` stores through the slot instead of
+# calling ``object.__setattr__``.
 @dataclass(frozen=True, init=False)
 class Read:
     """Consume and observe the next element of the learner's input stream."""
+
+
+READ = Read()
 
 
 @dataclass(frozen=True, init=False)
@@ -54,17 +64,17 @@ class Skip:
     """Advance the input stream without observing the element (fixed cost 1)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Query:
     x: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Emit:
     hypothesis: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Work:
     """Declare ``units`` ticks of internal computation."""
 
@@ -424,7 +434,7 @@ def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
         kind = type(action)
         if kind is Read or kind is Skip:
             while not buffer:
-                buffer.extend(teacher.on_input((yield Read())))
+                buffer.extend(teacher.on_input((yield READ)))
             item = buffer.popleft()
             if kind is Read:
                 result = item

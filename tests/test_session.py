@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -10,6 +11,7 @@ from txtex_lab.agents import build_default_registry, make_csd_learner, make_msd_
 from txtex_lab.codec import poly_encode
 from txtex_lab.families import make_csd, make_msd
 from txtex_lab.session import (
+    READ,
     ActionBudgetExceeded,
     Budget,
     Emit,
@@ -229,19 +231,28 @@ class Shout:
     """Not an action the interpreters know."""
 
 
-def shouting_learner():
+class EmitLookalike:
+    """Carries ``Emit``'s field, but dispatch is by exact type."""
+
+    hypothesis = 1
+
+
+def shouting_learner(unknown):
     def program():
         yield Emit(1)
-        yield Shout()
+        yield unknown
 
     return Learner("shouter", program)
 
 
 def test_unknown_action_raises_type_error():
-    with pytest.raises(TypeError, match="unknown action"):
-        run_session(shouting_learner(), make_text("canonical", Interval(0, 3)), budget=Budget())
-    with pytest.raises(TypeError, match="unknown action"):
-        run_on_sequence(shouting_learner(), [1, 2])
+    for unknown in (Shout(), EmitLookalike()):
+        with pytest.raises(TypeError, match="unknown action"):
+            run_session(
+                shouting_learner(unknown), make_text("canonical", Interval(0, 3)), budget=Budget()
+            )
+        with pytest.raises(TypeError, match="unknown action"):
+            run_on_sequence(shouting_learner(unknown), [1, 2])
 
 
 def test_run_on_sequence_skip_consumes_without_observing():
@@ -400,6 +411,29 @@ def test_read_and_skip_are_frozen_equal_and_hashable():
     assert len({Read(), Read(), Skip()}) == 2
     with pytest.raises(AttributeError):
         Read().x = 1
+
+
+def test_shared_read_is_a_read():
+    assert isinstance(READ, Read) and READ == Read()
+
+
+def test_payload_actions_are_slotted_and_compare_by_kind_and_value():
+    assert Emit(1) == Emit(1)
+    assert Emit(1) != Query(1) and Emit(1) != Work(1)
+    for action in (Query(1), Emit(1), Work(1)):
+        assert not hasattr(action, "__dict__")
+
+
+def test_library_learners_yield_the_shared_read():
+    """``READ = Read()`` in ``session`` is the only place the package builds a ``Read``."""
+    package = Path(__file__).resolve().parents[1] / "src" / "txtex_lab"
+    calls = [
+        (path.name, node.lineno)
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Read"
+    ]
+    assert len(calls) == 1 and calls[0][0] == "session.py"
 
 
 # ---------------------------------------------------------------------------
