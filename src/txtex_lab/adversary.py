@@ -63,11 +63,7 @@ def compute_q(learner: Learner, ell: int) -> int:
     """
     stream, content = marker_stream(ell)
     oracle = FiniteSet(content)
-    try:
-        run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
-    except ActionBudgetExceeded as exc:
-        exc.partial_ceiling = max((x for x, _ in exc.partial.queries), default=0)
-        raise
+    run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
     return max((x for x, _ in run.queries), default=0)
 
 
@@ -326,7 +322,6 @@ def search_trap_sets(
         "interval": [interval.lo, interval.hi],
         "poly_at_odd_index": pk,
         "candidates_checked": 0,
-        "exhaustive_arrangements": True,
     }
 
     perm_count = math.factorial(core_size)

@@ -84,35 +84,24 @@ class DescriptorTeacher(Teacher):
     After completion the teacher emits one item per input: first the
     descriptor's minimum repeated described-number times, then the remaining
     elements in decreasing order.  A target describing 0 gets no emissions at
-    all, and a corrupt stream halts emission permanently.
+    all, and a corrupt stream halts emission permanently: the recognizer's
+    ``corrupt`` status is sticky, and ``complete`` fires once.
     """
 
     name = "descriptor-recognizer"
 
     def __init__(self):
         self.state = RecognizerState()
-        self.plan: deque[int] | None = None
-        self.halted = False
+        self.plan: deque[int] = deque()
 
     def on_input(self, datum: int) -> list[int]:
-        was_complete = self.state.complete
         self.state, result = recognizer_step(self.state, datum)
-        if result.status == "corrupt":
-            self.halted = True
-            return []
-        if self.halted:
-            return []
-        if not was_complete and result.status == "complete":
-            described = result.value
+        if result.status == "complete" and result.value >= 1:
             elements = sorted(self.state.seen)
-            lead = elements[0]
-            schedule: list[int] = []
-            if described >= 1:
-                schedule.extend([lead] * described)
-                schedule.extend(sorted(set(elements) - {lead}, reverse=True))
-            self.plan = deque(schedule)
+            self.plan.extend([elements[0]] * result.value)
+            self.plan.extend(elements[:0:-1])
             return []
-        if self.plan:
+        if self.plan and result.status != "corrupt":
             return [self.plan.popleft()]
         return []
 
@@ -352,62 +341,56 @@ class CountEncodingTeacher(Teacher):
     name = "count-encoder"
 
     def __init__(self, learner: Learner):
-        self.inner = learner.program()
-        self.inner_done = False
-        self.awaiting: str | None = None
-        self.pending: object = None
-        self.count = 0
-        self.anchor: int | None = None
-        self.min_seen: int | None = None
-        self.last_hypothesis: int | None = None
-
-    def _pump(self, datum: int) -> list[int]:
-        changes: list[int] = []
-        fuel = datum
-        while not self.inner_done:
-            if self.awaiting is not None:
-                if fuel is None:
-                    break
-                self.pending = fuel if self.awaiting == "read" else None
-                fuel = None
-                self.awaiting = None
-            try:
-                action = self.inner.send(self.pending)
-            except StopIteration:
-                self.inner_done = True
-                break
-            self.pending = None
-            if isinstance(action, Read):
-                self.awaiting = "read"
-            elif isinstance(action, Skip):
-                self.awaiting = "skip"
-            elif isinstance(action, Emit):
-                if action.hypothesis != self.last_hypothesis:
-                    self.last_hypothesis = action.hypothesis
-                    changes.append(action.hypothesis)
-            elif isinstance(action, Work):
-                pass
-            else:
-                raise ValueError("count encoding needs a query-free learner")
-        return changes
+        self._encoder = _encode_counts(learner.program())
+        next(self._encoder)  # runs nothing of the learner: it waits for the first datum
 
     def on_input(self, datum: int) -> list[int]:
-        self.min_seen = datum if self.min_seen is None else min(self.min_seen, datum)
-        out: list[int] = []
-        for hypothesis in self._pump(datum):
-            if self.anchor is None:
-                self.anchor = self.min_seen
-            target = self.count
-            j = 0
-            while True:
-                code = pair(j, hypothesis)
-                if code > self.count:
-                    target = code
-                    break
-                j += 1
-            out.extend([self.anchor] * (target - self.count))
-            self.count = target
-        return out
+        return self._encoder.send(datum)
+
+
+def _encode_counts(program):
+    """The count encoding as a coroutine: send a datum, get the items it passes on.
+
+    Each datum serves the program's next read or skip.  The program then runs
+    on until it asks for the one after, and waits there, suspended with this
+    generator, for the next datum.
+    """
+    out: list[int] = []
+    count = 0
+    anchor = last = None
+    least = datum = yield
+    result: object = None
+    while True:
+        try:
+            action = program.send(result)
+        except StopIteration:
+            break
+        result = None
+        kind = type(action)
+        if kind is Read or kind is Skip:
+            if datum is None:  # the datum is used up: pass on its items, wait for the next
+                datum = yield out
+                out = []
+                least = min(least, datum)
+            if kind is Read:
+                result = datum
+            datum = None
+        elif kind is Emit:
+            if action.hypothesis != last:
+                last = action.hypothesis
+                if anchor is None:
+                    anchor = least
+                j = 0
+                while pair(j, last) <= count:
+                    j += 1
+                target = pair(j, last)
+                out.extend([anchor] * (target - count))
+                count = target
+        elif kind is not Work:
+            raise ValueError("count encoding needs a query-free learner")
+    while True:  # the program has ended: nothing more to pass on
+        yield out
+        out = []
 
 
 def make_count_decoder_learner() -> Learner:

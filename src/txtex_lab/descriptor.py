@@ -33,10 +33,7 @@ def element_parts(code: int) -> tuple[int, int] | None:
 
 def _subset_sums_hit_zero(values: list[int]) -> bool:
     """Whether any nonempty proper subset of ``values`` sums to zero."""
-    n = len(values)
-    if n > SUBSET_CHECK_LIMIT:
-        raise SubsetBudgetError(f"subset check over {n} elements exceeds {SUBSET_CHECK_LIMIT}")
-    total = (1 << n) - 1
+    total = (1 << len(values)) - 1
     sums = [0] * (total + 1)
     for mask in range(1, total + 1):
         low = mask & -mask

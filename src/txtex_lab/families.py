@@ -219,8 +219,6 @@ class MsdFamily(IndexedFamily):
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int, stretch: int):
         _require_increasing_poly(p_code)
         self.learner = registry[m_id]  # unregistered ids fail here
-        self.m_id = m_id
-        self.p_code = p_code
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
         self.ell = poly_eval(p_code, stretch * self.targeted[1])
         self.query_ceiling = adversary.compute_q(self.learner, self.ell)
@@ -230,9 +228,7 @@ class MsdFamily(IndexedFamily):
 
     def member(self, n):
         if n not in self._cache:
-            m, pstar, i = decode_tuple(n, 3)
-            targeted = (m, pstar) == (self.m_id, self.p_code) and i in (0, 1)
-            floor = self.floor if targeted else 0
+            floor = self.floor if n in self.targeted else 0
             self._cache[n] = FiniteSet(build_descriptor(n, floor, self.markers))
         return self._cache[n]
 
@@ -411,7 +407,6 @@ class PcsFFamily(IndexedFamily):
         registry[m_id]  # unregistered ids fail here
         self.m_id = m_id
         self.p_code = p_code
-        self.max_k = max_k
         budgets = search_budgets or {}
         self.traps: dict[int, adversary.TrapSets] = {}
         for k in range(max_k + 1):
@@ -429,7 +424,7 @@ class PcsFFamily(IndexedFamily):
         k = n // 2
         if n % 2 == 0:
             return adversary.trap_interval(k)
-        if k > self.max_k:
+        if k not in self.traps:
             if unpair(k) == (self.m_id, self.p_code):
                 raise UnresolvedIndexError(f"trap sets for k={k} were never searched")
             return FiniteSet({self.left_endpoint(k)})

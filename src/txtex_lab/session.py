@@ -25,7 +25,11 @@ their input so far.  A teacher sees only the text, never the learner's
 queries or their answers.  ``run_session`` pumps a teacher inline, feeding it
 raw data while its buffer is empty; ``simulate_pair`` folds a (learner,
 teacher) pair into one learner program.  Events and emission snapshots are
-named tuples, and the ledger is built once, when the session ends.
+named tuples, and the ledger is built once, when the session ends.  An event
+is ``(kind, payload)``: its step is its index in the event list, which
+``events_jsonl`` writes as each line's ``step``, so the JSONL is the same.
+Every loop that steps a learner program, here and in ``agents``, dispatches
+on ``type(action)``.
 
 ``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
 A learner object only makes programs and a set holds no state, so a search
@@ -141,12 +145,10 @@ class ResourceLedger:
 
 
 class Event(NamedTuple):
-    step: int
+    """One logged action; its step is its index in the transcript's event list."""
+
     kind: str  # read | skip | query | emit | teach | work | abort
     payload: tuple
-
-    def as_dict(self) -> dict:
-        return {"step": self.step, "kind": self.kind, "payload": list(self.payload)}
 
 
 class EmissionSnapshot(NamedTuple):
@@ -184,7 +186,12 @@ class SessionTranscript:
 
     def events_jsonl(self) -> str:
         return "\n".join(
-            json.dumps(e.as_dict(), sort_keys=True, separators=(",", ":")) for e in self.events
+            json.dumps(
+                {"step": step, "kind": kind, "payload": list(payload)},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            for step, (kind, payload) in enumerate(self.events)
         )
 
     def ledger_json(self) -> str:
@@ -221,6 +228,7 @@ def run_session(
     seen_data: set[int] = set()
     ticks = mind_changes = queries = skips = 0
     raw = 0  # raw text positions consumed
+    convergence: EmissionSnapshot | None = None  # first emission of the latest value
     end_reason = "idle"
     source = text.stream()
 
@@ -264,7 +272,7 @@ def run_session(
                         for item in items:
                             if item not in seen:
                                 raise ContractViolation(f"teacher emitted unseen element {item}")
-                        append(Event(len(events), "teach", (datum, items)))
+                        append(Event("teach", (datum, items)))
                         buffer.extend(items)
                     if not buffer:
                         end_reason = "horizon"
@@ -273,39 +281,43 @@ def run_session(
                 ticks += 1
                 if kind is Read:
                     seen_data.add(element)
-                    append(Event(len(events), "read", (element,)))
+                    append(Event("read", (element,)))
                     result = element
                 else:
                     skips += 1
-                    append(Event(len(events), "skip", ()))
+                    append(Event("skip", ()))
             elif kind is Emit:
                 hypothesis = action.hypothesis
                 ticks += 1
-                if emissions and emissions[-1].hypothesis != hypothesis:
+                append(Event("emit", (hypothesis,)))
+                snapshot = EmissionSnapshot(hypothesis, raw, ticks, len(seen_data), queries)
+                emissions.append(snapshot)
+                if convergence is None:
+                    convergence = snapshot
+                elif hypothesis != convergence.hypothesis:
                     mind_changes += 1
-                append(Event(len(events), "emit", (hypothesis,)))
-                emissions.append(EmissionSnapshot(hypothesis, raw, ticks, len(seen_data), queries))
+                    convergence = snapshot
             elif kind is Query:
                 if oracle is None:
                     raise ValueError(f"learner {learner.name} queried without an oracle")
                 answer = oracle.contains(action.x)
                 ticks += 1
                 queries += 1
-                append(Event(len(events), "query", (action.x, answer)))
+                append(Event("query", (action.x, answer)))
                 result = answer
             elif kind is Work:
                 ticks += action.units
-                append(Event(len(events), "work", (action.units,)))
+                append(Event("work", (action.units,)))
             else:
                 raise TypeError(f"unknown action {action!r}")
     except ContractViolation as violation:
-        append(Event(len(events), "abort", (str(violation),)))
+        append(Event("abort", (str(violation),)))
         end_reason = "contract-violation"
 
-    final_hypothesis = emissions[-1].hypothesis if emissions else None
-    convergence = _convergence_point(emissions)
+    final_hypothesis = None
     converged = False
-    if emissions:
+    if convergence is not None:
+        final_hypothesis = convergence.hypothesis
         if end_reason == "idle":
             converged = True
         elif end_reason == "horizon":
@@ -319,17 +331,6 @@ def run_session(
         final_hypothesis=final_hypothesis,
         convergence=convergence,
     )
-
-
-def _convergence_point(emissions: list[EmissionSnapshot]) -> EmissionSnapshot | None:
-    """First emission of the final stable hypothesis value."""
-    if not emissions:
-        return None
-    idx = 0
-    for i in range(1, len(emissions)):
-        if emissions[i].hypothesis != emissions[i - 1].hypothesis:
-            idx = i
-    return emissions[idx]
 
 
 # ---------------------------------------------------------------------------

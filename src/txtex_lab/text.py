@@ -35,9 +35,6 @@ class Text:
             return itertools.chain(self.prefix, _pad_tail(self.target))
         raise ValueError(f"unknown text kind: {self.kind}")
 
-    def take(self, count: int) -> list[int]:
-        return list(itertools.islice(self.stream(), count))
-
 
 def _pad_tail(target: SetSpec) -> Iterator[int]:
     """Increasing enumeration; finite targets then repeat their minimum forever."""

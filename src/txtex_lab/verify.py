@@ -380,7 +380,7 @@ def verify_agents() -> list[CheckResult]:
         text = make_text("seeded", pow2.member(n), seed=n)
         budget = Budget(horizon=2**n + 60, window=20)
         pair_run = run_session(pair_learner, text, teacher=pair_teacher(), budget=budget)
-        extensions = sum(1 for e in pair_run.events if e.kind == "teach" and e.payload[1])
+        extensions = sum(1 for e in pair_run.events if e.kind == "teach")
         gated_run = run_session(gated, text, budget=budget)
         cases += 1
         if gated_run.ledger.mind_changes > extensions:

@@ -64,7 +64,8 @@ def test_compute_q_budget_error_carries_partial_ceiling(monkeypatch):
     monkeypatch.setattr(adversary, "COMPUTE_Q_MAX_ACTIONS", 40)
     with pytest.raises(ActionBudgetExceeded) as exc_info:
         adversary.compute_q(Learner("runaway-prober", program), 3)
-    assert exc_info.value.partial_ceiling == 5 * 40  # one query per budgeted action
+    ceiling = max(x for x, _ in exc_info.value.partial.queries)
+    assert ceiling == 5 * 40  # one query per budgeted action
 
 
 def test_repeat_prefix_texts():

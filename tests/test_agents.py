@@ -3,7 +3,9 @@ import hashlib
 import pytest
 
 from txtex_lab import agents, families
-from txtex_lab.codec import pair, poly_encode
+from txtex_lab.adversary import marker_element
+from txtex_lab.codec import encode_tuple, pair, poly_encode
+from txtex_lab.descriptor import build_descriptor
 from txtex_lab.evaluate import evaluate_run, hypothesis_correct
 from txtex_lab.session import (
     Budget,
@@ -89,6 +91,26 @@ def test_msd_teacher_silent_on_non_descriptor_stream():
     for x in [pair(0, 0), pair(1, 0), pair(2, 0)] * 3:
         out += teacher.on_input(x)
     assert out == []
+
+
+def _descriptor_teacher_output(described, tail):
+    """Per-datum output of a fresh descriptor teacher fed one descriptor, then ``tail``."""
+    elements = sorted(build_descriptor(described, 0, [marker_element(0)]))
+    teacher = agents.DescriptorTeacher()
+    return elements, [teacher.on_input(x) for x in elements + tail]
+
+
+def test_descriptor_teacher_stops_for_good_after_a_second_descriptor_element():
+    stray = encode_tuple([101, 1, 1, 0])  # descriptor-shaped, outside the descriptor
+    tail = [pair(0, 0), stray] + [pair(0, 0)] * 6
+    elements, out = _descriptor_teacher_output(3, tail)
+    # the plan (three leads, then two more) has started, and nothing follows the stray
+    assert out[len(elements) :] == [[elements[0]]] + [[]] * (len(tail) - 1)
+
+
+def test_descriptor_teacher_passes_nothing_for_a_target_describing_zero():
+    elements, out = _descriptor_teacher_output(0, [pair(0, 0)] * 8)
+    assert out == [[]] * (len(elements) + 8)
 
 
 def test_csd_learner_identifies_every_small_index():
@@ -205,7 +227,7 @@ def test_convert_psdT_to_pmc_bounded_by_extensions():
         text = make_text("seeded", family.member(n), seed=n)
         budget = Budget(horizon=2**n + 50, window=15)
         pair_run = run_session(learner, text, teacher=teacher_factory(), budget=budget)
-        extensions = sum(1 for e in pair_run.events if e.kind == "teach" and e.payload[1])
+        extensions = sum(1 for e in pair_run.events if e.kind == "teach")
         gated_run = run_session(gated, text, budget=budget)
         assert gated_run.final_hypothesis == n
         assert gated_run.ledger.mind_changes <= extensions

@@ -5,24 +5,46 @@ call reaches it or every call sets it.
 """
 
 import ast
-import re
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def identifiers(tree: ast.AST) -> list[str]:
+    """Every identifier the code in ``tree`` spells.
+
+    Names, attributes, definition names, imported names and their aliases,
+    and keyword arguments count.  Docstrings and comments name nothing; the
+    expressions inside f-strings are code and count.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.alias):
+            found += node.name.split(".") + ([node.asname] if node.asname else [])
+        elif isinstance(node, ast.keyword) and node.arg:
+            found.append(node.arg)
+    return found
+
+
 def unused_definitions(package: Path, code_roots: list[Path]) -> list[str]:
     """Definitions in ``package`` that nothing under ``code_roots`` names.
 
     Lists ``module.name`` of each function, class or method whose name
-    appears in the Python files under ``code_roots`` only where it is
-    defined.  Dunder methods are skipped: the language calls them, not a name.
+    appears among the identifiers of the Python files under ``code_roots``
+    only where it is defined.  Dunder methods are skipped: the language
+    calls them, not a name.
     """
     words = Counter()
     for root in code_roots:
         for path in root.rglob("*.py"):
-            words.update(re.findall(r"\w+", path.read_text()))
+            words.update(identifiers(ast.parse(path.read_text())))
     found = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -68,12 +90,29 @@ def test_no_import_inside_a_function():
 UNREAD_FIELD_EXEMPT = {"DefeatReport"}
 
 
+def _stored_attributes(scope: ast.AST, owner: str):
+    """``(owner, attribute)`` of each attribute store in ``scope``.
+
+    A store inside a class, in its body or its methods, belongs to that
+    class; one outside every class belongs to ``owner``, the module.
+    """
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, ast.ClassDef):
+            yield from _stored_attributes(node, node.name)
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            yield owner, node.attr
+        yield from _stored_attributes(node, owner)
+
+
 def unread_fields(package: Path, code_roots: list[Path]) -> list[str]:
-    """``Class.field`` of each field of a ``package`` class that nothing reads as an attribute.
+    """``Owner.field`` of each field stored in ``package`` that nothing reads as an attribute.
 
     A field is an annotated name in a class body (a dataclass or named-tuple
-    field) or an attribute a method assigns on ``self``.  It is read when
-    some ``x.field`` under ``code_roots`` loads it; the owner's type is not
+    field) or an attribute the package's code stores on any object.  Its
+    owner is the enclosing class, or the module for a store outside every
+    class.  It is read when
+    some ``x.field`` under ``code_roots`` loads it; the object's type is not
     checked, so a read of any same-named attribute counts.
     """
     reads = set()
@@ -84,30 +123,26 @@ def unread_fields(package: Path, code_roots: list[Path]) -> list[str]:
                     reads.add(node.attr)
     found = []
     for path in sorted(package.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(cls, ast.ClassDef) or cls.name in UNREAD_FIELD_EXEMPT:
-                continue
-            fields = [
-                s.target.id
-                for s in cls.body
-                if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
-            ]
-            fields += [
-                node.attr
-                for fn in cls.body
-                if isinstance(fn, ast.FunctionDef)
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Store)
-                and getattr(node.value, "id", None) == "self"
-            ]
-            found.extend(f"{cls.name}.{f}" for f in dict.fromkeys(fields) if f not in reads)
+        tree = ast.parse(path.read_text())
+        fields = [
+            (cls.name, s.target.id)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for s in cls.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        ]
+        fields += _stored_attributes(tree, path.stem)
+        found.extend(
+            f"{owner}.{field}"
+            for owner, field in dict.fromkeys(fields)
+            if owner not in UNREAD_FIELD_EXEMPT and field not in reads
+        )
     return found
 
 
 def test_every_field_is_read_outside_the_tests():
     unread = unread_fields(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
-    assert unread == [], f"fields of src/ classes nothing in src/ or perfbench/ reads: {unread}"
+    assert unread == [], f"fields stored in src/ that nothing in src/ or perfbench/ reads: {unread}"
 
 
 # the console script calls main() with no argument; only the tests pass argv

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -533,9 +534,8 @@ def test_teacher_edge_sessions_are_pinned(case):
 
 
 def test_event_and_snapshot_are_immutable_records_read_by_name():
-    event = Event(3, "teach", (7, (7, 8)))
-    assert (event.step, event.kind, event.payload) == (3, "teach", (7, (7, 8)))
-    assert event.as_dict() == {"step": 3, "kind": "teach", "payload": [7, (7, 8)]}
+    event = Event("teach", (7, (7, 8)))
+    assert (event.kind, event.payload) == ("teach", (7, (7, 8)))
     snapshot = EmissionSnapshot(5, 9, 12, 4, 1)
     assert (
         snapshot.hypothesis,
@@ -547,8 +547,21 @@ def test_event_and_snapshot_are_immutable_records_read_by_name():
     for record, field in ((event, "kind"), (snapshot, "ticks")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
-    assert event == Event(3, "teach", (7, (7, 8))) and snapshot == EmissionSnapshot(5, 9, 12, 4, 1)
-    assert len({event, Event(3, "teach", (7, (7, 8))), snapshot}) == 2
+    assert event == Event("teach", (7, (7, 8))) and snapshot == EmissionSnapshot(5, 9, 12, 4, 1)
+    assert len({event, Event("teach", (7, (7, 8))), snapshot}) == 2
+
+    # an event's step is its index: the JSONL numbers the events from 0
+    learner, teacher_factory = make_msd_pair()
+    family = make_msd(build_default_registry(), 0, poly_encode([0, 1]))
+    transcript = run_session(
+        learner, family.canonical_text(2), teacher=teacher_factory(), budget=Budget(horizon=12)
+    )
+    lines = [json.loads(line) for line in transcript.events_jsonl().split("\n")]
+    assert [line["step"] for line in lines] == list(range(len(transcript.events)))
+    assert [(line["kind"], line["payload"]) for line in lines] == [
+        (kind, json.loads(json.dumps(list(payload)))) for kind, payload in transcript.events
+    ]
+    assert {"read", "emit", "teach"} <= {line["kind"] for line in lines}
 
 
 # ---------------------------------------------------------------------------
