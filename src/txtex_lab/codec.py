@@ -36,27 +36,41 @@ def unpair(n: int) -> tuple[int, int]:
 
 
 def encode_tuple(xs: Sequence[int]) -> TupleCode:
-    """Encode a nonempty sequence of naturals as a single natural."""
+    """Encode a nonempty sequence of naturals as a single natural.
+
+    Pairs inline, innermost first: ``pair(x, code)`` on each coordinate.
+    """
     if not xs:
         raise ValueError("cannot encode an empty tuple")
     code = xs[-1]
     if code < 0:
         raise ValueError("tuple entries must be naturals")
     for x in reversed(xs[:-1]):
-        code = pair(x, code)
+        if x < 0:
+            raise ValueError("pair needs naturals")
+        s = x + code
+        code = s * (s + 1) // 2 + code
     return code
 
 
 def decode_tuple(n: int, k: int) -> tuple[int, ...]:
-    """Decode ``n`` as a k-tuple of naturals; total for every n and k >= 1."""
+    """Decode ``n`` as a k-tuple of naturals; total for every n and k >= 1.
+
+    Unpairs inline, as :func:`unpair` does, once per coordinate but the last.
+    """
     if k < 1:
         raise ValueError("arity must be >= 1")
+    if k == 1:
+        return (n,)
+    if n < 0:
+        raise ValueError("unpair needs a natural")
     out = []
-    rest = n
     for _ in range(k - 1):
-        a, rest = unpair(rest)
-        out.append(a)
-    out.append(rest)
+        w = (math.isqrt(8 * n + 1) - 1) // 2
+        b = n - w * (w + 1) // 2
+        out.append(w - b)
+        n = b
+    out.append(n)
     return tuple(out)
 
 

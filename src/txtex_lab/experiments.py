@@ -186,6 +186,17 @@ def _msd_defeat(config: dict) -> ExperimentResult:
 # csd-chain: oracle learner exactness, query growth, forced mind changes
 
 
+def _extension_space(family, chain: list[int]) -> int:
+    """Sum over the chain of |A| + |A|**2, A a member's elements below the universe; capped."""
+    space = 0
+    for index in chain:
+        size = len(family.member(index).elements_up_to(adversary.CHAIN_FORCE_UNIVERSE))
+        space += size + size * size
+        if space >= CSD_PAIR_MAX_CANDIDATES:
+            return CSD_PAIR_MAX_CANDIDATES
+    return space
+
+
 def _csd_chain(config: dict) -> ExperimentResult:
     family = families.make_csd()
     learner = agents.make_csd_learner()
@@ -207,8 +218,15 @@ def _csd_chain(config: dict) -> ExperimentResult:
     chaser = adversary.make_chain_chaser(family, chain)
     forced = adversary.chain_force(chaser, None, chain, family)
     pair_learner, teacher_factory = agents.make_msd_pair()
+    # The budget covers the pair's whole search space, so only a space past
+    # the cap can leave it inconclusive.
     witness = adversary.chain_force(
-        pair_learner, teacher_factory, chain, family, max_ext_len=2, max_candidates=2000
+        pair_learner,
+        teacher_factory,
+        chain,
+        family,
+        max_ext_len=2,
+        max_candidates=_extension_space(family, chain),
     )
     ok = ok and cubic_c <= 4.0  # queries <= 4.0*(min_index+2)^3 on every row
     ok = ok and forced.status == "forced" and forced.forced_mind_changes >= len(chain)
@@ -564,6 +582,8 @@ def _psd_finite_values(config: dict) -> None:
 
 # Most indices the csd-chain sweep may cover; it runs one oracle session each.
 CSD_CHAIN_MAX_SWEEP = 1_000
+# Most candidates the csd-chain reference pair may search; read at call time.
+CSD_PAIR_MAX_CANDIDATES = 100_000
 
 
 def _csd_chain_values(config: dict) -> None:

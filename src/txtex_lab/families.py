@@ -26,7 +26,7 @@ from .codec import (
 )
 from .descriptor import build_descriptor
 from .session import Learner
-from .sets import ColumnBlock, FiniteSet, Interval, Join, SetSpec, Union
+from .sets import ColumnStack, FiniteSet, Interval, Join, SetSpec
 from .text import Text, make_text
 
 
@@ -295,15 +295,12 @@ class CsdFamily(IndexedFamily):
         return "chain", i, j, True
 
     def top_set(self, i: int) -> SetSpec:
-        a = self.anchor(i)
-        width = self.top(i)
-        blocks = [ColumnBlock(0, a, width)]
-        blocks += [ColumnBlock(0, a + j, j) for j in range(width)]
-        return Union(blocks)
+        """Columns 0..top(i)-1 of heights anchor(i) + c, capped by [0, anchor(i)]."""
+        return ColumnStack(self.anchor(i), self.top(i), capped=True)
 
     def chain_set(self, i: int, j: int) -> SetSpec:
-        a = self.anchor(i)
-        return Union([ColumnBlock(0, a + l, l) for l in range(j + 1)])
+        """Columns 0..j of heights anchor(i) + c."""
+        return ColumnStack(self.anchor(i), j + 1, capped=False)
 
     def member(self, n):
         kind, i, j, _ = self.locate_index(n)

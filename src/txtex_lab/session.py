@@ -178,8 +178,12 @@ class SessionTranscript:
     emissions: list[EmissionSnapshot]
     end_reason: str  # idle | horizon | ticks | contract-violation
     converged: bool
-    final_hypothesis: int | None
     convergence: EmissionSnapshot | None
+
+    @property
+    def final_hypothesis(self) -> int | None:
+        """The hypothesis the session ended on: that of its last change."""
+        return None if self.convergence is None else self.convergence.hypothesis
 
     def hypothesis_stream(self) -> list[int]:
         return [e.hypothesis for e in self.emissions]
@@ -314,10 +318,8 @@ def run_session(
         append(Event("abort", (str(violation),)))
         end_reason = "contract-violation"
 
-    final_hypothesis = None
     converged = False
     if convergence is not None:
-        final_hypothesis = convergence.hypothesis
         if end_reason == "idle":
             converged = True
         elif end_reason == "horizon":
@@ -328,7 +330,6 @@ def run_session(
         emissions=emissions,
         end_reason=end_reason,
         converged=converged,
-        final_hypothesis=final_hypothesis,
         convergence=convergence,
     )
 

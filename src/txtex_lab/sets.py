@@ -149,8 +149,32 @@ class Union(SetSpec):
         return all(p.is_finite() for p in self.parts)
 
 
+class ColumnStack(Union):
+    """Blocks [0, base + c] on columns c < width, after [0, base] on column width if capped.
+
+    Membership costs one unpair, not one per block.
+    """
+
+    def __init__(self, base: int, width: int, capped: bool):
+        blocks = [ColumnBlock(0, base + c, c) for c in range(width)]
+        if capped:
+            blocks.insert(0, ColumnBlock(0, base, width))
+        super().__init__(blocks)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "capped", capped)
+
+    def contains(self, x: int) -> bool:
+        u, c = unpair(x)
+        if c < self.width:
+            return u <= self.base + c
+        return self.capped and c == self.width and u <= self.base
+
+
 def set_equal(a: SetSpec, b: SetSpec, bound: int) -> bool:
-    """Pointwise equality of two shapes on [0, bound]."""
+    """Equality of two shapes on [0, bound]; two finite sets by their elements."""
+    if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
+        return not any(0 <= x <= bound for x in a.elements ^ b.elements)
     return all(a.contains(x) == b.contains(x) for x in range(bound + 1))
 
 

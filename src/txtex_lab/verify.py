@@ -60,14 +60,14 @@ def _check(name, passed, cases, note=""):
 
 def verify_codec() -> list[CheckResult]:
     out = []
-    cases = 0
-    good = True
-    for n in range(100_000):
-        for k in (1, 2, 3, 4):
-            xs = decode_tuple(n, k)
-            cases += 1
+    # One map per arity, stopping at the first failure: the case count is its
+    # place in arity-major order.
+    codes = range(100_000)
+    good, cases = True, 4 * len(codes)
+    for k in (1, 2, 3, 4):
+        for n, xs in enumerate(map(decode_tuple, codes, itertools.repeat(k))):
             if encode_tuple(xs) != n or max(xs) > n:
-                good = False
+                good, cases = False, (k - 1) * len(codes) + n + 1
                 break
         if not good:
             break

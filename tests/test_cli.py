@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import pytest
 
-from txtex_lab import cli, experiments
+from txtex_lab import cli, experiments, families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash
@@ -259,8 +259,9 @@ def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, budgets):
     assert report["partial"] is True
 
 
-def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys):
-    """The reference pair's 2,000-candidate search runs out on the chain at anchor 13."""
+def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys, monkeypatch):
+    """A cap below the 5,550 candidates of anchor 13's first member leaves the pair undecided."""
+    monkeypatch.setattr(experiments, "CSD_PAIR_MAX_CANDIDATES", 2_000)
     out = tmp_path / "partial"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max_anchor": 13, "chain_anchor": 13}))
@@ -269,6 +270,22 @@ def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys):
     assert capsys.readouterr().out == f"csd-chain: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] and report["summary"]["reference_pair_status"] == "inconclusive"
+
+
+def test_reference_pair_budget_covers_its_search_space(tmp_path, capsys):
+    """At anchor 13 the pair's budget is 74 + 74**2 + 149 + 149**2, and the search decides."""
+    family = families.make_csd()
+    chain = family.chain_indices(13)[:2]
+    assert experiments._extension_space(family, chain) == 27_900
+    out = tmp_path / "decided"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_anchor": 13, "chain_anchor": 13, "chain_length": 2}))
+    code = main(["run", "--experiment", "csd-chain", "--config", str(config), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == f"csd-chain: ok -> {out}\n"
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    assert summary["reference_pair_status"] == "failure-witness"
+    assert summary["reference_pair_witness"] == chain[0]
 
 
 def _files(directory):

@@ -40,6 +40,21 @@ def test_encode_rejects_empty():
         encode_tuple([])
 
 
+def test_tuple_codes_keep_their_edge_values_and_errors():
+    """A 1-tuple is the code itself, unchecked; longer arities and encodings need naturals."""
+    assert decode_tuple(-1, 1) == (-1,)
+    with pytest.raises(ValueError, match="^unpair needs a natural$"):
+        decode_tuple(-1, 2)
+    with pytest.raises(ValueError, match="^arity must be >= 1$"):
+        decode_tuple(5, 0)
+    with pytest.raises(ValueError, match="^cannot encode an empty tuple$"):
+        encode_tuple([])
+    with pytest.raises(ValueError, match="^pair needs naturals$"):
+        encode_tuple([-1, 0])
+    with pytest.raises(ValueError, match="^tuple entries must be naturals$"):
+        encode_tuple([0, -1])
+
+
 def test_tuple_encode_then_decode():
     for xs in itertools.product(range(6), repeat=3):
         assert decode_tuple(encode_tuple(list(xs)), 3) == xs

@@ -35,6 +35,20 @@ def test_decode_tuple_inverts_encode_tuple(xs):
     assert decode_tuple(encode_tuple(xs), len(xs)) == tuple(xs)
 
 
+@given(naturals, st.integers(min_value=1, max_value=6))
+def test_tuple_codes_nest_pairs(n, k):
+    """The inline arithmetic is right-nested pairing: one unpair per coordinate but the last."""
+    xs, rest = [], n
+    for _ in range(k - 1):
+        x, rest = unpair(rest)
+        xs.append(x)
+    assert decode_tuple(n, k) == (*xs, rest)
+    code = rest
+    for x in reversed(xs):
+        code = pair(x, code)
+    assert encode_tuple(decode_tuple(n, k)) == code
+
+
 @given(naturals)
 def test_signed_int_inv_inverts_signed_int(n):
     assert signed_int_inv(signed_int(n)) == n

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from txtex_lab import verify
+from txtex_lab import codec, verify
 from txtex_lab.codec import signed_int, signed_int_inv
 from txtex_lab.descriptor import StepResult, recognizer_step
 from txtex_lab.families import HaltingFamily
@@ -117,6 +117,25 @@ def test_codec_suite_catches_a_broken_signed_bijection(monkeypatch, forward, inv
     checks = {r.name: r for r in verify.verify_codec()}
     assert not checks["signed bijection"].passed
     assert checks["signed bijection"].cases == 40_002
+
+
+@pytest.mark.parametrize("broken_n,broken_k", [(0, 1), (99_999, 2), (0, 3), (99_999, 4)])
+def test_codec_suite_stops_at_the_first_broken_tuple(monkeypatch, broken_n, broken_k):
+    """One wrong decode fails the sweep, counted at its place in arity-major order."""
+    decoded = {"calls": 0, "last": None}
+
+    def decode_tuple(n, k):
+        decoded["calls"] += 1
+        decoded["last"] = (n, k)
+        xs = codec.decode_tuple(n, k)
+        return (*xs[:-1], xs[-1] + 1) if (n, k) == (broken_n, broken_k) else xs
+
+    monkeypatch.setattr(verify, "decode_tuple", decode_tuple)
+    check = verify.verify_codec()[0]
+    position = (broken_k - 1) * 100_000 + broken_n + 1
+    assert check.name == "tuple roundtrip with bounded coordinates"
+    assert not check.passed and check.cases == position
+    assert decoded == {"calls": position, "last": (broken_n, broken_k)}
 
 
 # VmHWM is the peak resident set of the probe's own address space.  Its
