@@ -153,17 +153,10 @@ def _csd_core(family: CsdFamily):
     t = 1
     while (yield Query(pair(t, top))):
         t += 1
-    greatest = t - 1
-    candidates = family.identify(top, greatest)
-    if len(candidates) > 1 and top >= 1:
-        # a chain top and a chain member can share both statistics; only the
-        # chain top keeps column top-1 wide enough to reach `greatest`
-        wide = yield Query(pair(greatest, top - 1))
-        wanted = "top" if wide else "chain"
-        candidates = [c for c in candidates if c[0] == wanted]
-    if not candidates:
+    location = family.identify(top, t - 1)
+    if location is None:
         return 0  # out of contract: not a chain-family member
-    kind, i, j = candidates[0]
+    kind, i, j = location
     if kind == "top":
         return family.index_of_top(i)
     return family.index_of_chain(i, j)

@@ -566,6 +566,24 @@ def _is_trap_learner(value) -> bool:
     )
 
 
+def _pow2_gap_values(config: dict) -> None:
+    """The sweep starts at n = 1, where the 2^n + 1 distinct-data claim starts to hold.
+
+    At n = 0 the collector's first guess, 0, already names [0, 1], so it
+    converges after one datum.
+    """
+    if config["n_range"][0] == 0:
+        raise ConfigError(f"n_range must start at 1 or above, got {config['n_range']}")
+
+
+def _increasing_poly_values(config: dict) -> None:
+    """The marker families stretch their trap by poly, so it must grow."""
+    if not any(config["poly"][1:]):
+        raise ConfigError(
+            f"poly must be increasing (some coefficient at degree >= 1), got {config['poly']}"
+        )
+
+
 def _psd_finite_values(config: dict) -> None:
     """Every set has a text, and the overlap pair is two sets sharing the element."""
     if [] in config["sets"]:
@@ -658,6 +676,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"n_range": [1, 12]},
             _pow2_gap,
             {"n_range": N_RANGE},
+            _pow2_gap_values,
         ),
         ExperimentSpec(
             "msd-linear",
@@ -665,6 +684,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10},
             _msd_linear,
             {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
+            _increasing_poly_values,
         ),
         ExperimentSpec(
             "msd-defeat",
@@ -672,6 +692,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"learner_ids": [3, 4, 0], "poly": [0, 1]},
             _msd_defeat,
             {"learner_ids": LEARNER_IDS, "poly": POLY},
+            _increasing_poly_values,
         ),
         ExperimentSpec(
             "csd-chain",
@@ -691,6 +712,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"learner_id": 0, "poly": [0, 1], "max_index": 24},
             _merged_split,
             {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL},
+            _increasing_poly_values,
         ),
         ExperimentSpec(
             "psd-finite",

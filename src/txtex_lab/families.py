@@ -248,9 +248,9 @@ class CsdFamily(IndexedFamily):
     """The chain family: an anchor sequence and the column structure over it.
 
     anchor(i) is defined by a(i) = mult*(i+1) + sum_{j<i} poly_j(mult * a(j)),
-    with poly_j the polynomial coded by j.  Member sets are unions of column
-    blocks: the chain-top set at anchor index i stacks columns 0..top(i) and
-    the chain members below it stop at lower columns.
+    with poly_j the polynomial coded by j.  Member sets are column stacks:
+    the chain-top set at anchor index i stacks columns 0..top(i) and the
+    chain members below it stop at lower columns.
     """
 
     def __init__(self, multiplier: int):
@@ -318,21 +318,22 @@ class CsdFamily(IndexedFamily):
     def index_of_chain(self, i: int, j: int) -> int:
         return self.anchor(i) + 1 + j
 
-    def identify(self, top_column: int, greatest: int) -> list[tuple[str, int, int]]:
-        """Candidate locations whose top column and widest base match."""
-        candidates = []
-        # grow the table past `greatest`
+    def identify(self, top_column: int, greatest: int) -> tuple[str, int, int] | None:
+        """The location whose top column and widest base match, or None.
+
+        Chain member (i, j) shows column j and base anchor(i) + j, chain top i
+        shows top(i) and anchor(i).  As a(i+1) > a(i) + top(i), no two match.
+        """
         i = 0
-        while self.anchor(i) <= greatest:
+        while self.anchor(i) < greatest - top_column:
             i += 1
-        for idx in range(i + 1):
-            a = self.anchor(idx)
-            if a == greatest and self.top(idx) == top_column:
-                candidates.append(("top", idx, 0))
-            j = greatest - a
-            if 0 <= j < self.top(idx) and j == top_column:
-                candidates.append(("chain", idx, j))
-        return candidates
+        if self.anchor(i) == greatest - top_column and top_column < self.top(i):
+            return "chain", i, top_column
+        while self.anchor(i) < greatest:
+            i += 1
+        if self.anchor(i) == greatest and self.top(i) == top_column:
+            return "top", i, 0
+        return None
 
     def chain_indices(self, i: int) -> list[int]:
         """Indices of the strict chain below anchor i, top set last."""
@@ -361,14 +362,11 @@ class MergedFamily(IndexedFamily):
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
         self.descriptors = MsdFamily(registry, m_id, p_code, 3)
         self.chains = CsdFamily(3)
-        self._cache: dict[int, SetSpec] = {}
 
     def member(self, n):
         if n % 2 == 1:
             return self.descriptors.member(n // 2)
-        if n not in self._cache:
-            self._cache[n] = self.chains.member(n // 2)
-        return self._cache[n]
+        return self.chains.member(n // 2)
 
     def min_index(self, n):
         if n % 2 == 0:
@@ -543,7 +541,7 @@ class HaltingFamily(IndexedFamily):
         return self.member_at_stage(n, n // 2 + 1)
 
     def min_index(self, n):
-        content = self.member(n).as_finite_set()
+        content = self.member(n).elements
         i = min(content) // 2
         if len(content) == 1 or i in self.parameter_set:
             return 2 * i + 1

@@ -25,9 +25,6 @@ class SetSpec:
     def iter_increasing(self) -> Iterator[int]:
         raise NotImplementedError
 
-    def is_finite(self) -> bool:
-        raise NotImplementedError
-
     def is_empty(self) -> bool:
         for _ in self.iter_increasing():
             return False
@@ -46,11 +43,6 @@ class SetSpec:
             out.append(x)
         return out
 
-    def as_finite_set(self) -> frozenset[int]:
-        if not self.is_finite():
-            raise ValueError("set is not finite")
-        return frozenset(self.iter_increasing())
-
 
 @dataclass(frozen=True)
 class FiniteSet(SetSpec):
@@ -64,9 +56,6 @@ class FiniteSet(SetSpec):
 
     def iter_increasing(self) -> Iterator[int]:
         return iter(sorted(self.elements))
-
-    def is_finite(self) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -86,29 +75,6 @@ class Interval(SetSpec):
             return itertools.count(self.lo)
         return iter(range(self.lo, self.hi + 1))
 
-    def is_finite(self) -> bool:
-        return self.hi is not None
-
-
-@dataclass(frozen=True)
-class ColumnBlock(SetSpec):
-    """Interval [lo, hi] packed onto one column: {pair(a, column) : lo <= a <= hi}."""
-
-    lo: int
-    hi: int
-    column: int
-
-    def contains(self, x: int) -> bool:
-        a, c = unpair(x)
-        return c == self.column and self.lo <= a <= self.hi
-
-    def iter_increasing(self) -> Iterator[int]:
-        # pair(a, column) is increasing in a
-        return (pair(a, self.column) for a in range(self.lo, self.hi + 1))
-
-    def is_finite(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class Join(SetSpec):
@@ -127,48 +93,32 @@ class Join(SetSpec):
         odds = (2 * b + 1 for b in self.right.iter_increasing())
         return heapq.merge(evens, odds)
 
-    def is_finite(self) -> bool:
-        return self.left.is_finite() and self.right.is_finite()
-
 
 @dataclass(frozen=True)
-class Union(SetSpec):
-    parts: tuple[SetSpec, ...]
+class ColumnStack(SetSpec):
+    """Columns c < width of heights base + c, after [0, base] on column width if capped.
 
-    def __init__(self, parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def contains(self, x: int) -> bool:
-        return any(p.contains(x) for p in self.parts)
-
-    def iter_increasing(self) -> Iterator[int]:
-        merged = heapq.merge(*(p.iter_increasing() for p in self.parts))
-        return (x for x, _ in itertools.groupby(merged))
-
-    def is_finite(self) -> bool:
-        return all(p.is_finite() for p in self.parts)
-
-
-class ColumnStack(Union):
-    """Blocks [0, base + c] on columns c < width, after [0, base] on column width if capped.
-
-    Membership costs one unpair, not one per block.
+    Column c holds pair(u, c) for u up to its height.  Membership costs one
+    unpair.
     """
 
-    def __init__(self, base: int, width: int, capped: bool):
-        blocks = [ColumnBlock(0, base + c, c) for c in range(width)]
-        if capped:
-            blocks.insert(0, ColumnBlock(0, base, width))
-        super().__init__(blocks)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "capped", capped)
+    base: int
+    width: int
+    capped: bool
 
     def contains(self, x: int) -> bool:
         u, c = unpair(x)
         if c < self.width:
             return u <= self.base + c
         return self.capped and c == self.width and u <= self.base
+
+    def iter_increasing(self) -> Iterator[int]:
+        heights = [self.base + c for c in range(self.width)]
+        if self.capped:
+            heights.append(self.base)
+        # pair(u, c) is increasing in u, and distinct columns share no element
+        columns = [map(pair, range(h + 1), itertools.repeat(c)) for c, h in enumerate(heights)]
+        return heapq.merge(*columns)
 
 
 def set_equal(a: SetSpec, b: SetSpec, bound: int) -> bool:

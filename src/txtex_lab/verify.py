@@ -257,9 +257,9 @@ def verify_families() -> list[CheckResult]:
 
     msd = families.make_msd(registry, 0, p_lin)
     good = all(
-        described_number(msd.member(n).as_finite_set()) == n for n in range(0, 101, 7)
+        described_number(msd.member(n).elements) == n for n in range(0, 101, 7)
     )
-    sets = [msd.member(n).as_finite_set() for n in range(0, 40, 3)]
+    sets = [msd.member(n).elements for n in range(0, 40, 3)]
     good = good and len(set(sets)) == len(sets)
     out.append(_check("descriptor members describe their own index, pairwise distinct", good, 29))
 
@@ -296,7 +296,7 @@ def verify_families() -> list[CheckResult]:
     cases = 0
     for i in (1, 3):
         # 1 enters W at stage 2 and 3 at stage 4, so each slot grows inside the sweep
-        snaps = [halting.member_at_stage(2 * i + 1, s).as_finite_set() for s in range(0, 8, 2)]
+        snaps = [halting.member_at_stage(2 * i + 1, s).elements for s in range(0, 8, 2)]
         for earlier, later in zip(snaps, snaps[1:]):
             cases += 1
             if not earlier <= later:

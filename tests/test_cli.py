@@ -137,6 +137,15 @@ class Raw(NamedTuple):
             {"learner_ids": [5]},
             "learner_ids must be a list of registered learner ids, got [5]",
         ),
+        ("pow2-gap", {"n_range": [0, 2]}, "n_range must start at 1 or above, got [0, 2]"),
+        *[
+            (
+                experiment,
+                {"poly": [3]},
+                "poly must be increasing (some coefficient at degree >= 1), got [3]",
+            )
+            for experiment in ("msd-linear", "msd-defeat", "merged-split")
+        ],
         pytest.param("nope", Raw("{}"), "unknown experiment: nope", id="unknown-experiment"),
         pytest.param(
             "halting-psd",

@@ -4,7 +4,7 @@ from txtex_lab import families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.codec import encode_tuple, pair, poly_encode
 from txtex_lab.descriptor import described_number, validate_descriptor
-from txtex_lab.sets import is_subset, set_equal
+from txtex_lab.sets import FiniteSet, Interval, is_subset, set_equal
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +33,12 @@ def test_up_intervals_and_pow2():
 def test_finite_canonical_member_and_min_index():
     family = families.make_basic_family("finite-canonical")
     index = encode_tuple([2, 5])  # size 2, mask {0,2}
-    assert family.member(index).as_finite_set() == {0, 2}
+    assert family.member(index).elements == {0, 2}
     assert family.min_index(index) == index
     assert family.index_of_set({0, 2}) == index
     # mismatched size tag: infinite tail, does not equal any finite member
     bad = encode_tuple([1, 5])
-    assert not family.member(bad).is_finite()
-    assert family.member(bad).contains(bad)
+    assert family.member(bad) == Interval(bad, None)
 
 
 def test_tuple_contents_min_index_search():
@@ -49,7 +48,7 @@ def test_tuple_contents_min_index_search():
     dup = encode_tuple([1, 2])
     low, high = sorted((n, dup))
     assert family.min_index(high) == low
-    assert family.member(high).as_finite_set() == {1, 2}
+    assert family.member(high) == FiniteSet({1, 2})
 
 
 def test_join_singletons_member():
@@ -65,7 +64,7 @@ def test_join_singletons_member():
 
 def test_pcs_g_members():
     family = families.make_basic_family("pcs-G")
-    assert not family.member(0).is_finite()
+    assert family.member(0) == Interval(0, None)
     assert list(family.member(5).iter_increasing()) == [0, 1, 2, 3, 4, 5]
     assert family.min_index(0) == 0 and family.min_index(5) == 5
 
@@ -73,7 +72,7 @@ def test_pcs_g_members():
 def test_msd_family_members_describe_index(registry):
     family = families.make_msd(registry, 0, P_LIN)
     for n in range(0, 60, 7):
-        elements = family.member(n).as_finite_set()
+        elements = family.member(n).elements
         assert validate_descriptor(elements)
         assert described_number(elements) == n
         assert family.min_index(n) == n
@@ -83,7 +82,7 @@ def test_msd_marker_trap_property(registry):
     family = families.make_msd(registry, 0, P_LIN)
     for index in family.targeted:
         member = family.member(index)
-        below = {x for x in member.as_finite_set() if x <= family.floor}
+        below = {x for x in member.elements if x <= family.floor}
         assert below == set(family.markers)
 
 
@@ -120,6 +119,35 @@ def test_csd_chain_strictly_increasing():
         assert not set_equal(family.member(lower), family.member(upper), bound)
 
 
+def _scan_locations(rows, top_column, greatest):
+    """Every location whose top column and widest base match, over (anchor, top) rows."""
+    candidates = []
+    for idx, (a, top) in enumerate(rows):
+        if a == greatest and top == top_column:
+            candidates.append(("top", idx, 0))
+        j = greatest - a
+        if 0 <= j < top and j == top_column:
+            candidates.append(("chain", idx, j))
+    return candidates
+
+
+@pytest.mark.parametrize("multiplier", [1, 3])
+def test_csd_identify_is_the_one_scanned_location(multiplier):
+    family = families.CsdFamily(multiplier)
+    rows = []
+    while not rows or rows[-1][0] < 2000:
+        rows.append((family.anchor(len(rows)), family.top(len(rows))))
+    kinds = []
+    for greatest in range(2000):
+        for top_column in range(20):
+            candidates = _scan_locations(rows, top_column, greatest)
+            assert len(candidates) <= 1, (top_column, greatest)
+            assert family.identify(top_column, greatest) == (candidates or [None])[0]
+            kinds += [kind for kind, _, _ in candidates]
+    # the sweep meets chain members and tops, several of each
+    assert kinds.count("top") > 10 and kinds.count("chain") > 10
+
+
 def test_merged_family_parity_discriminator(registry):
     family = families.make_merged(registry, 0, P_LIN)
     for i in range(11):
@@ -134,13 +162,13 @@ def test_pcs_f_members(registry):
     # k=1 decodes to (learner 1, poly 0): trap resolved with singleton core
     trap = family.trap_sets(1)
     assert trap.resolved and trap.trap_core == {9}
-    assert family.member(3).as_finite_set() == {9}
-    assert len(family.member(3).as_finite_set()) <= 2 * 0 + 2
+    assert family.member(3) == FiniteSet({9})
+    assert len(family.member(3).elements) <= 2 * 0 + 2
 
 
 def test_pcs_f_unmatched_odd_indices_are_singletons(registry):
     family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=2)
-    assert family.member(5).as_finite_set() == {family.left_endpoint(2)}
+    assert family.member(5) == FiniteSet({family.left_endpoint(2)})
 
 
 def test_pcs_f_unresolved_when_budget_exhausted(registry):
@@ -176,10 +204,10 @@ def test_thm64_rejects_undecomposable_indices():
 
 def test_halting_family_members():
     empty = families.make_halting_family(set())
-    assert empty.member(3).as_finite_set() == {2}
+    assert empty.member(3) == FiniteSet({2})
     with_one = families.make_halting_family({1})
-    assert with_one.member(3).as_finite_set() == {2, 3}
-    assert with_one.member(16).as_finite_set() == {4, 5}
+    assert with_one.member(3) == FiniteSet({2, 3})
+    assert with_one.member(16) == FiniteSet({4, 5})
     with pytest.raises(families.EmptyTargetError):
         with_one.member(6)
 
@@ -194,11 +222,11 @@ def test_halting_min_index():
 def test_halting_staged_monotone():
     family = families.make_halting_family({0, 3, 4})
     for n in (1, 3, 7, 9, 16):
-        snaps = [family.member_at_stage(n, s).as_finite_set() for s in range(10)]
+        snaps = [family.member_at_stage(n, s).elements for s in range(10)]
         for earlier, later in zip(snaps, snaps[1:]):
             assert earlier <= later
-        assert snaps[-1] == family.member(n).as_finite_set()
+        assert snaps[-1] == family.member(n).elements
     # i enters W at stage i + 1
-    assert [len(family.member_at_stage(7, s).as_finite_set()) for s in range(6)] == [1] * 4 + [2] * 2
+    assert [len(family.member_at_stage(7, s).elements) for s in range(6)] == [1] * 4 + [2] * 2
 
 

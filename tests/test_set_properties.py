@@ -7,9 +7,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from txtex_lab.codec import pair
+from txtex_lab.codec import pair, unpair
 from txtex_lab.families import CsdFamily
-from txtex_lab.sets import ColumnBlock, FiniteSet, Union, set_equal
+from txtex_lab.sets import FiniteSet, set_equal
 
 elements = st.frozensets(st.integers(min_value=-3, max_value=40), max_size=12)
 
@@ -48,24 +48,23 @@ class _DrawnAnchor(CsdFamily):
     st.integers(min_value=0, max_value=10),
     st.lists(st.integers(min_value=0, max_value=pair(45, 12)), max_size=40),
 )
-def test_chain_and_top_sets_are_unions_of_their_column_blocks(anchor, width, j, xs):
-    """One unpair decides what testing each column block decides."""
+def test_chain_and_top_sets_list_exactly_their_members(anchor, width, j, xs):
+    """Iteration lists in order what one unpair admits, and each column stops at its height."""
     family = _DrawnAnchor(anchor, width)
+    staircase = {c: anchor + c for c in range(width)}
     cases = [
-        (family.chain_set(0, j), [ColumnBlock(0, anchor + c, c) for c in range(j + 1)]),
-        (
-            family.top_set(0),
-            [ColumnBlock(0, anchor, width)]
-            + [ColumnBlock(0, anchor + c, c) for c in range(width)],
-        ),
+        (family.chain_set(0, j), {c: anchor + c for c in range(j + 1)}),
+        (family.top_set(0), {**staircase, width: anchor}),
     ]
     # each column's edge, just inside and just outside the staircase and its cap
     edges = [
         pair(u, c) for c in range(max(width, j) + 3) for u in (anchor, anchor + c, anchor + c + 1)
     ]
-    for shape, blocks in cases:
-        union = Union(blocks)
-        assert shape.parts == union.parts
-        assert list(shape.iter_increasing()) == list(union.iter_increasing())
+    for shape, heights in cases:
+        listed = list(shape.iter_increasing())
+        limit = listed[-1] + 1 if listed else 0
+        assert listed == [x for x in range(limit) if shape.contains(x)]
+        assert len(listed) == sum(h + 1 for h in heights.values())
         for x in [*xs, *edges]:
-            assert shape.contains(x) == union.contains(x), x
+            u, c = unpair(x)
+            assert shape.contains(x) == (c in heights and u <= heights[c]), x

@@ -2,16 +2,7 @@ import itertools
 
 import pytest
 
-from txtex_lab.codec import pair
-from txtex_lab.sets import (
-    ColumnBlock,
-    FiniteSet,
-    Interval,
-    Join,
-    Union,
-    is_subset,
-    set_equal,
-)
+from txtex_lab.sets import FiniteSet, Interval, Join, is_subset, set_equal
 from txtex_lab.text import make_text
 
 
@@ -26,21 +17,10 @@ def test_set_equal_examples():
 
 def test_interval_shapes():
     inf = Interval(3, None)
-    assert not inf.is_finite()
+    assert inf.hi is None
     assert inf.contains(3) and not inf.contains(2)
     assert list(itertools.islice(inf.iter_increasing(), 4)) == [3, 4, 5, 6]
     assert Interval(5, 4).is_empty()
-
-
-def test_column_block():
-    block = ColumnBlock(0, 3, 2)
-    elems = list(block.iter_increasing())
-    assert elems == [pair(a, 2) for a in range(4)]
-    assert elems == sorted(elems)
-    for x in elems:
-        assert block.contains(x)
-    assert not block.contains(pair(4, 2))
-    assert not block.contains(pair(0, 1))
 
 
 def test_join_membership_and_enumeration():
@@ -50,12 +30,6 @@ def test_join_membership_and_enumeration():
     assert not join.contains(4)
     head = list(itertools.islice(join.iter_increasing(), 6))
     assert head == [1, 3, 5, 6, 7, 9]
-
-
-def test_union_dedupes():
-    union = Union([Interval(0, 2), Interval(2, 4)])
-    assert list(union.iter_increasing()) == [0, 1, 2, 3, 4]
-    assert union.is_finite()
 
 
 def test_subset_check():
