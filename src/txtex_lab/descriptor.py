@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .codec import decode_tuple, encode_tuple, signed_int, signed_int_inv
+from .codec import decode_tuple, encode_tuple, signed_int, signed_int_inv, unpair
 
 SUBSET_CHECK_LIMIT = 20
 
@@ -24,9 +24,14 @@ class SubsetBudgetError(Exception):
 
 
 def element_parts(code: int) -> tuple[int, int] | None:
-    """Return (x, c) if ``code`` is shaped like a descriptor element."""
-    x, c, tag, col = decode_tuple(code, 4)
-    if tag != 1 or col != 0:
+    """Return (x, c) if ``code`` is shaped like a descriptor element.
+
+    An element ``encode_tuple([x, c, 1, 0])`` is ``pair(x, pair(c, 1))``, since
+    ``pair(1, 0) == 1``, so two unpairs decide the shape.
+    """
+    x, rest = unpair(code)
+    c, tail = unpair(rest)
+    if tail != 1:
         return None
     return x, c
 
@@ -126,9 +131,14 @@ def build_descriptor(n: int, floor: int, markers: Iterable[int]) -> frozenset[in
     return elements
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecognizerState:
-    """Accumulated view of one descriptor arriving element by element."""
+    """Accumulated view of one descriptor arriving element by element.
+
+    Slotted rather than frozen, so a step builds it without five
+    ``object.__setattr__`` calls; nothing mutates a state, since
+    :func:`recognizer_step` always returns a new one.
+    """
 
     seen: frozenset[int] = frozenset()
     completion_sum: int = 0

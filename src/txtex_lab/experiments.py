@@ -576,12 +576,30 @@ def _pow2_gap_values(config: dict) -> None:
         raise ConfigError(f"n_range must start at 1 or above, got {config['n_range']}")
 
 
-def _increasing_poly_values(config: dict) -> None:
-    """The marker families stretch their trap by poly, so it must grow."""
-    if not any(config["poly"][1:]):
-        raise ConfigError(
-            f"poly must be increasing (some coefficient at degree >= 1), got {config['poly']}"
-        )
+# Longest marker prefix (a list of ell ints) a marker experiment may build.
+# Under a 2 GB address-space limit, ell 89,615,048 (merged-split, poly [2, 2])
+# still runs, and 105,713,070 (msd-defeat, poly [4, 1]) raises MemoryError.
+MARKER_MAX_PREFIX = 100_000_000
+
+
+def _marker_values(stretch: int) -> Callable[[dict], None]:
+    """Checks for a marker family: poly must grow, and each named learner's prefix must fit."""
+
+    def check(config: dict) -> None:
+        poly = config["poly"]
+        if not any(poly[1:]):
+            raise ConfigError(
+                f"poly must be increasing (some coefficient at degree >= 1), got {poly}"
+            )
+        m_ids = config["learner_ids"] if "learner_ids" in config else [config["learner_id"]]
+        for m_id in m_ids:
+            if families.marker_prefix_length(poly, m_id, stretch, MARKER_MAX_PREFIX) is None:
+                raise ConfigError(
+                    f"poly {poly} gives learner {m_id} a marker prefix longer than "
+                    f"{MARKER_MAX_PREFIX}"
+                )
+
+    return check
 
 
 def _psd_finite_values(config: dict) -> None:
@@ -684,7 +702,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10},
             _msd_linear,
             {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
-            _increasing_poly_values,
+            _marker_values(1),
         ),
         ExperimentSpec(
             "msd-defeat",
@@ -692,7 +710,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"learner_ids": [3, 4, 0], "poly": [0, 1]},
             _msd_defeat,
             {"learner_ids": LEARNER_IDS, "poly": POLY},
-            _increasing_poly_values,
+            _marker_values(1),
         ),
         ExperimentSpec(
             "csd-chain",
@@ -712,7 +730,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"learner_id": 0, "poly": [0, 1], "max_index": 24},
             _merged_split,
             {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL},
-            _increasing_poly_values,
+            _marker_values(families.MERGED_STRETCH),
         ),
         ExperimentSpec(
             "psd-finite",

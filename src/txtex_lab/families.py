@@ -205,6 +205,27 @@ def _require_increasing_poly(p_code: int) -> None:
         raise ValueError("polynomial must be increasing (some coefficient at degree >= 1)")
 
 
+def marker_prefix_length(poly: list[int], m_id: int, stretch: int, cap: int) -> int | None:
+    """ell of the marker family on ``poly`` trapping learner ``m_id``, or None if above ``cap``.
+
+    ell = p*(stretch * t), t = <m, p*, 1>, as :class:`MsdFamily` builds it.
+    A pair is at least each of its arguments, and an increasing p has
+    p(x) >= x, so ell is at least t, p* and every partial code of p*.  p* is
+    paired up one coefficient at a time and each bound is checked before the
+    next step, so no code grows large.
+    """
+    code = poly[-1]
+    for x in [*reversed(poly[:-1]), len(poly) - 1]:  # p* = pair(degree, encode_tuple(poly))
+        if code > cap:
+            return None
+        code = pair(x, code)
+    t = encode_tuple([m_id, code, 1])
+    if t > cap:
+        return None
+    ell = poly_eval(code, stretch * t)
+    return ell if ell <= cap else None
+
+
 class MsdFamily(IndexedFamily):
     """Every member is a descriptor whose described number is its own index.
 
@@ -350,6 +371,11 @@ def make_csd() -> CsdFamily:
 # merged family: chain sets on even indices, descriptor sets on odd
 
 
+# Index 2t+1 <= 3t of the merged family holds descriptor member t, so its trap
+# is stretched by 3.
+MERGED_STRETCH = 3
+
+
 class MergedFamily(IndexedFamily):
     """Interleaves tripled-constant chain sets with marker-trapped descriptors.
 
@@ -360,7 +386,7 @@ class MergedFamily(IndexedFamily):
     """
 
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
-        self.descriptors = MsdFamily(registry, m_id, p_code, 3)
+        self.descriptors = MsdFamily(registry, m_id, p_code, MERGED_STRETCH)
         self.chains = CsdFamily(3)
 
     def member(self, n):

@@ -85,9 +85,9 @@ def _check_recognizer_fires_last(descriptor, described, rng):
 
     Every earlier element is ``partial``.  Up to 8 elements all k! orderings
     are replayed, depth first over the permutation tree: ``recognizer_step``
-    is pure and its states are frozen, so each prefix state is computed once
-    and shared by the orderings that extend it.  Above 8 elements, 100
-    orderings sampled from ``rng`` are replayed.
+    is pure and never changes the state it is given, so each prefix state is
+    computed once and shared by the orderings that extend it.  Above 8
+    elements, 100 orderings sampled from ``rng`` are replayed.
     """
     elements = sorted(descriptor)
     k = len(elements)

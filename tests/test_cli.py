@@ -9,6 +9,7 @@ import pytest
 from txtex_lab import cli, experiments, families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
+from txtex_lab.codec import poly_encode
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash
 
 
@@ -169,6 +170,21 @@ class Raw(NamedTuple):
             "TXTEX_SEED must be an integer, got 'zzz'",
             id="non-integer-seed",
         ),
+        (
+            "msd-linear",
+            {"poly": [0, 1, 6]},
+            "poly [0, 1, 6] gives learner 0 a marker prefix longer than 100000000",
+        ),
+        (
+            "msd-defeat",
+            {"learner_ids": [3], "poly": [0, 1, 1]},
+            "poly [0, 1, 1] gives learner 3 a marker prefix longer than 100000000",
+        ),
+        (
+            "merged-split",
+            {"poly": [4, 1]},
+            "poly [4, 1] gives learner 0 a marker prefix longer than 100000000",
+        ),
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -279,6 +295,55 @@ def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys, monkeypa
     assert capsys.readouterr().out == f"csd-chain: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] and report["summary"]["reference_pair_status"] == "inconclusive"
+
+
+def test_marker_prefix_length_is_the_family_ell():
+    """The value check computes ell as the marker families do, without building a prefix."""
+    registry = build_default_registry()
+    cap = experiments.MARKER_MAX_PREFIX
+    cases = [([0, 1], list(registry)), ([1, 1], [0, 3, 4]), ([0, 2], [0, 3])]
+    for poly, m_ids in cases:
+        p_code = poly_encode(poly)
+        for m_id in m_ids:
+            assert families.marker_prefix_length(poly, m_id, 1, cap) == (
+                families.make_msd(registry, m_id, p_code).ell
+            )
+            assert families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH, cap) == (
+                families.make_merged(registry, m_id, p_code).descriptors.ell
+            )
+
+
+@pytest.mark.parametrize(
+    "experiment,config,ell",
+    [
+        ("msd-defeat", {"learner_ids": [3], "poly": [0, 2]}, 147_064),
+        ("merged-split", {"learner_id": 0, "poly": [0, 2]}, 434_334),
+        ("merged-split", {"learner_id": 3, "poly": [0, 2]}, 441_192),
+        ("msd-defeat", {"learner_ids": [3], "poly": [1, 2, 0]}, 81_911_543),
+        ("merged-split", {"learner_id": 3, "poly": [2, 2]}, 89_615_048),
+        ("msd-defeat", {"learner_ids": [3], "poly": [4, 1]}, None),
+        ("merged-split", {"learner_id": 3, "poly": [1, 2, 0]}, None),
+        ("msd-linear", {"learner_id": 4, "poly": [1] * 64}, None),
+    ],
+)
+def test_marker_prefix_cap_admits_what_runs(experiment, config, ell):
+    """Prefixes that run under a 2 GB address-space limit pass the value check; longer ones do not.
+
+    The two largest admitted ells exited 0 there, and the smallest rejected
+    one, msd-defeat on [4, 1], raised MemoryError.  A 64-coefficient poly is
+    rejected after a few pairs, before its code grows large.
+    """
+    spec = EXPERIMENTS[experiment]
+    merged = {**spec.defaults, **config}
+    [m_id] = merged.get("learner_ids", [merged.get("learner_id")])
+    stretch = families.MERGED_STRETCH if experiment == "merged-split" else 1
+    cap = experiments.MARKER_MAX_PREFIX
+    assert families.marker_prefix_length(merged["poly"], m_id, stretch, cap) == ell
+    if ell is None:
+        with pytest.raises(experiments.ConfigError, match="marker prefix longer than"):
+            spec.check_values(merged)
+    else:
+        spec.check_values(merged)
 
 
 def test_reference_pair_budget_covers_its_search_space(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from txtex_lab.codec import encode_tuple, signed_int_inv
+from txtex_lab.codec import decode_tuple, encode_tuple, signed_int_inv
 from txtex_lab.descriptor import (
     RecognizerState,
     StepResult,
@@ -25,6 +26,43 @@ MARKER = elem(0, 1)
 
 def multi_markers(count):
     return {elem(2 * j, 1) for j in range(count)}
+
+
+def test_element_parts_matches_the_arity_4_decode():
+    """Two unpairs decide the element shape exactly as the arity-4 decode did.
+
+    Codes are drawn as naturals up to 2**64 and as ``encode_tuple([x, c, tag,
+    col])`` with tag and col in 0..3, so near-miss shapes occur; a negative
+    code raises the same ``ValueError``.
+    """
+    pytest.importorskip("hypothesis")
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    def reference(code):
+        x, c, tag, col = decode_tuple(code, 4)
+        if tag != 1 or col != 0:
+            return None
+        return x, c
+
+    natural = st.integers(min_value=0, max_value=2**64)
+    small = st.integers(min_value=0, max_value=3)
+    shaped = st.builds(lambda *parts: encode_tuple(parts), natural, natural, small, small)
+
+    @given(st.one_of(natural, shaped))
+    def same_parts(code):
+        assert element_parts(code) == reference(code)
+
+    @given(st.integers(max_value=-1))
+    def same_error(code):
+        with pytest.raises(ValueError) as new:
+            element_parts(code)
+        with pytest.raises(ValueError) as old:
+            reference(code)
+        assert str(new.value) == str(old.value)
+
+    same_parts()
+    same_error()
 
 
 def test_validate_examples():
@@ -181,6 +219,44 @@ def test_recognizer_results_equal_fresh_results():
     state, res = recognizer_step(state, final)
     assert res == StepResult("complete", 2)
     assert recognizer_step(state, elem(100, 2))[1] == StepResult("corrupt")
+
+
+def _step_keeping_input(state, code):
+    """``recognizer_step``, checked to leave the state it is given as it was."""
+    before, seen = replace(state), state.seen
+    result = recognizer_step(state, code)
+    assert state == before and state.seen is seen
+    return result
+
+
+def test_recognizer_step_never_changes_its_input_state():
+    """Every edge of a 7-element lattice walk, and the ignored, duplicate and corrupt paths.
+
+    States are slotted, not frozen, so this test keeps the guarantee that
+    freezing gave: a step returns a new state and leaves its input alone.
+    """
+    elements = sorted(build_descriptor(7, 100, multi_markers(5)))
+    assert len(elements) == 7
+    full = (1 << len(elements)) - 1
+    states = [RecognizerState()]
+    edges = 0
+    for mask in range(1, full + 1):
+        for i, code in enumerate(elements):
+            if mask >> i & 1:
+                parent = states[mask ^ (1 << i)]
+                nxt, _ = _step_keeping_input(parent, code)
+                assert nxt is not parent
+                edges += 1
+        states.append(nxt)
+    assert edges == 7 * 2**6
+    done = states[full]
+    assert done.complete and not done.corrupt
+    for state in (states[1], done):
+        for code in (16, elem(3, 2, column=1), elements[0]):  # non-element, off-column, duplicate
+            assert _step_keeping_input(state, code)[1] == StepResult("ignored")
+    corrupt, res = _step_keeping_input(done, elem(100, 2))
+    assert res == StepResult("corrupt") and corrupt.corrupt
+    assert _step_keeping_input(corrupt, elem(102, 1))[1] == StepResult("corrupt")
 
 
 def test_recognizer_all_orders_fire_on_last_element(recognizer_fires_last):
