@@ -43,14 +43,12 @@ def marker_element(j: int) -> int:
     return encode_tuple([2 * j, 1, 1, 0])
 
 
-def marker_stream(ell: int) -> tuple[list[int], frozenset[int]]:
-    """Marker-only input of length ``ell`` plus its content set.
+def marker_stream(ell: int) -> tuple[int, ...]:
+    """Marker-only input: the base marker ``marker_element(0)`` repeated ``ell`` times.
 
-    The stream is the base marker ``marker_element(0)`` repeated ``ell`` times;
-    the content set, which the oracle answers for, is that one marker.
+    A tuple, so ``run_on_sequence`` and ``make_text`` keep it without a copy.
     """
-    m = marker_element(0)
-    return [m] * ell, frozenset({m})
+    return (marker_element(0),) * ell
 
 
 def compute_q(learner: Learner, ell: int) -> int:
@@ -59,10 +57,11 @@ def compute_q(learner: Learner, ell: int) -> int:
     The learner runs against the marker-set oracle; since it is deterministic,
     one run over the full stream visits the states of every prefix.  Returns 0
     when it never queries.  A learner that blows the action budget,
-    ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (the error propagates).
+    ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (the error propagates); each read
+    is an action, so no run reads past that many markers, and the stream stops there.
     """
-    stream, content = marker_stream(ell)
-    oracle = FiniteSet(content)
+    oracle = FiniteSet({marker_element(0)})
+    stream = marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))
     run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
     return max((x for x, _ in run.queries), default=0)
 
@@ -225,7 +224,7 @@ def msd_defeat(family):
     learner = family.learner
     n0, n1 = family.targeted
     ell = family.ell
-    prefix, _ = marker_stream(ell)
+    prefix = marker_stream(ell)
     horizon = ell + DEFEAT_HORIZON_SLACK
 
     transcripts = []

@@ -153,13 +153,8 @@ def _csd_core(family: CsdFamily):
     t = 1
     while (yield Query(pair(t, top))):
         t += 1
-    location = family.identify(top, t - 1)
-    if location is None:
-        return 0  # out of contract: not a chain-family member
-    kind, i, j = location
-    if kind == "top":
-        return family.index_of_top(i)
-    return family.index_of_chain(i, j)
+    index = family.identify(top, t - 1)
+    return 0 if index is None else index  # 0: out of contract, not a chain-family member
 
 
 def make_csd_learner(family: CsdFamily | None = None) -> Learner:
@@ -483,9 +478,10 @@ class TrapTeacher(Teacher):
 
 def make_pcsF_agents(family: PcsFFamily) -> dict:
     """Teacher pair and mind-change learner for the trap family."""
-    for k, trap in family.traps.items():
-        if not trap.resolved:
-            raise ValueError(f"trap search for k={k} is unresolved; agents refuse construction")
+    if family.trap is not None and not family.trap.resolved:
+        raise ValueError(
+            f"trap search for k={family.k_star} is unresolved; agents refuse construction"
+        )
 
     def pair_program():
         first = yield READ
@@ -508,7 +504,7 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
             seen.add(datum)
             if k is None:
                 maybe = left_endpoint_bracket(datum)
-                if maybe is not None and maybe in family.traps:
+                if maybe is not None and maybe <= family.max_k:
                     k = maybe
                     allowed = set(family.trap_sets(k).decoys) | {datum}
             if k is None:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 from . import adversary, agents, families
 from .codec import poly_encode
 from .evaluate import check_characteristic_sample, evaluate_run, hypothesis_correct
-from .session import Budget, compose_pair, run_session
+from .session import ActionBudgetExceeded, Budget, compose_pair, run_session
 from .text import make_text
 
 
@@ -576,28 +576,27 @@ def _pow2_gap_values(config: dict) -> None:
         raise ConfigError(f"n_range must start at 1 or above, got {config['n_range']}")
 
 
-# Longest marker prefix (a list of ell ints) a marker experiment may build.
-# Under a 2 GB address-space limit, ell 89,615,048 (merged-split, poly [2, 2])
-# still runs, and 105,713,070 (msd-defeat, poly [4, 1]) raises MemoryError.
-MARKER_MAX_PREFIX = 100_000_000
-
-
 def _marker_values(stretch: int) -> Callable[[dict], None]:
-    """Checks for a marker family: poly must grow, and each named learner's prefix must fit."""
+    """Checks for a marker family: poly must grow, and each named learner's prefix must
+    fit and take it at most ``adversary.COMPUTE_Q_MAX_ACTIONS`` actions to read."""
 
     def check(config: dict) -> None:
         poly = config["poly"]
-        if not any(poly[1:]):
-            raise ConfigError(
-                f"poly must be increasing (some coefficient at degree >= 1), got {poly}"
-            )
         m_ids = config["learner_ids"] if "learner_ids" in config else [config["learner_id"]]
-        for m_id in m_ids:
-            if families.marker_prefix_length(poly, m_id, stretch, MARKER_MAX_PREFIX) is None:
+        try:
+            families.require_increasing_poly(poly)
+            ells = {m_id: families.marker_prefix_length(poly, m_id, stretch) for m_id in m_ids}
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        registry = agents.build_default_registry()
+        for m_id, ell in ells.items():
+            try:
+                adversary.compute_q(registry[m_id], ell)
+            except ActionBudgetExceeded:
                 raise ConfigError(
-                    f"poly {poly} gives learner {m_id} a marker prefix longer than "
-                    f"{MARKER_MAX_PREFIX}"
-                )
+                    f"learner {m_id} exceeds {adversary.COMPUTE_Q_MAX_ACTIONS} actions "
+                    f"on the marker prefix of length {ell}"
+                ) from None
 
     return check
 

@@ -199,31 +199,38 @@ def make_basic_family(kind: str) -> IndexedFamily:
 # marked self-describing families
 
 
-def _require_increasing_poly(p_code: int) -> None:
-    coeffs = poly_decode(p_code)
-    if len(coeffs) < 2 or all(c == 0 for c in coeffs[1:]):
-        raise ValueError("polynomial must be increasing (some coefficient at degree >= 1)")
+def require_increasing_poly(poly: list[int]) -> None:
+    """The marker trap is stretched by p, so p must grow: some coefficient at degree >= 1."""
+    if not any(poly[1:]):
+        raise ValueError(f"poly must be increasing (some coefficient at degree >= 1), got {poly}")
 
 
-def marker_prefix_length(poly: list[int], m_id: int, stretch: int, cap: int) -> int | None:
-    """ell of the marker family on ``poly`` trapping learner ``m_id``, or None if above ``cap``.
+# Longest marker prefix a marker family may have.  Only msd-defeat builds it, one
+# tuple of ell 8-byte slots: under a 2 GB address-space limit, ell 105,713,070
+# (poly [4, 1]) runs in 828 MB, and 322,579,555 (poly [3, 2]) raises MemoryError.
+MARKER_MAX_PREFIX = 100_000_000
 
-    ell = p*(stretch * t), t = <m, p*, 1>, as :class:`MsdFamily` builds it.
-    A pair is at least each of its arguments, and an increasing p has
-    p(x) >= x, so ell is at least t, p* and every partial code of p*.  p* is
-    paired up one coefficient at a time and each bound is checked before the
-    next step, so no code grows large.
+
+def marker_prefix_length(poly: list[int], m_id: int, stretch: int) -> int:
+    """ell of the marker family on ``poly`` trapping learner ``m_id``.
+
+    ell = p*(stretch * t), t = <m, p*, 1>.  Raises ``ValueError`` when ell is
+    above ``MARKER_MAX_PREFIX``.  A pair is at least each of its arguments,
+    and an increasing p has p(x) >= x, so ell is at least t, p* and every
+    partial code of p*.  p* is paired up one coefficient at a time and each
+    bound is checked before the next step, so no code grows large.
     """
     code = poly[-1]
     for x in [*reversed(poly[:-1]), len(poly) - 1]:  # p* = pair(degree, encode_tuple(poly))
-        if code > cap:
-            return None
+        if code > MARKER_MAX_PREFIX:
+            break
         code = pair(x, code)
-    t = encode_tuple([m_id, code, 1])
-    if t > cap:
-        return None
-    ell = poly_eval(code, stretch * t)
-    return ell if ell <= cap else None
+    else:
+        t = encode_tuple([m_id, code, 1])
+        if t <= MARKER_MAX_PREFIX and (ell := poly_eval(code, stretch * t)) <= MARKER_MAX_PREFIX:
+            return ell
+    cap = MARKER_MAX_PREFIX
+    raise ValueError(f"poly {poly} gives learner {m_id} a marker prefix longer than {cap}")
 
 
 class MsdFamily(IndexedFamily):
@@ -232,26 +239,24 @@ class MsdFamily(IndexedFamily):
     Every member holds the marker ``marker_element(0)``.  The two targeted
     indices <m, p*, 0> and <m, p*, 1> put their other elements above the
     attacked learner's query ceiling on the marker stream of length
-    p*(stretch * t), t the second targeted index; all other indices use floor
-    0.  ``stretch`` is 3 inside the merged family, which holds member t at
-    index 2t+1 <= 3t, and 1 elsewhere.
+    ``marker_prefix_length``; all other indices use floor 0.  ``stretch`` is
+    3 inside the merged family, which holds member t at index 2t+1 <= 3t, and
+    1 elsewhere.
     """
 
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int, stretch: int):
-        _require_increasing_poly(p_code)
+        poly = list(poly_decode(p_code))
+        require_increasing_poly(poly)
         self.learner = registry[m_id]  # unregistered ids fail here
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
-        self.ell = poly_eval(p_code, stretch * self.targeted[1])
+        self.ell = marker_prefix_length(poly, m_id, stretch)
         self.query_ceiling = adversary.compute_q(self.learner, self.ell)
         self.markers = frozenset({adversary.marker_element(0)})
         self.floor = max(self.query_ceiling, max(self.markers))
-        self._cache: dict[int, FiniteSet] = {}
 
     def member(self, n):
-        if n not in self._cache:
-            floor = self.floor if n in self.targeted else 0
-            self._cache[n] = FiniteSet(build_descriptor(n, floor, self.markers))
-        return self._cache[n]
+        floor = self.floor if n in self.targeted else 0
+        return FiniteSet(build_descriptor(n, floor, self.markers))
 
     def min_index(self, n):
         return n  # described numbers differ, so members are pairwise distinct
@@ -339,8 +344,8 @@ class CsdFamily(IndexedFamily):
     def index_of_chain(self, i: int, j: int) -> int:
         return self.anchor(i) + 1 + j
 
-    def identify(self, top_column: int, greatest: int) -> tuple[str, int, int] | None:
-        """The location whose top column and widest base match, or None.
+    def identify(self, top_column: int, greatest: int) -> int | None:
+        """The index of the member whose top column and widest base match, or None.
 
         Chain member (i, j) shows column j and base anchor(i) + j, chain top i
         shows top(i) and anchor(i).  As a(i+1) > a(i) + top(i), no two match.
@@ -349,11 +354,11 @@ class CsdFamily(IndexedFamily):
         while self.anchor(i) < greatest - top_column:
             i += 1
         if self.anchor(i) == greatest - top_column and top_column < self.top(i):
-            return "chain", i, top_column
+            return self.index_of_chain(i, top_column)
         while self.anchor(i) < greatest:
             i += 1
         if self.anchor(i) == greatest and self.top(i) == top_column:
-            return "top", i, 0
+            return self.index_of_top(i)
         return None
 
     def chain_indices(self, i: int) -> list[int]:
@@ -408,12 +413,16 @@ def make_merged(registry: dict[int, Learner], m_id: int, p_code: int) -> MergedF
 # trap family for the characteristic-sample separation
 
 
+# The trap at every k but the attacked pair's: resolved, with no core and no decoys.
+_NO_TRAP = adversary.TrapSets(frozenset(), frozenset(), resolved=True)
+
+
 class PcsFFamily(IndexedFamily):
     """Even indices: dyadic intervals; odd indices: trap-set members.
 
     Odd index 2k+1 holds the decoy set plus the interval's left endpoint when
-    ``unpair(k)`` is the attacked (learner, polynomial) pair; otherwise just
-    the left endpoint.  Searches run at construction for k up to ``max_k``.
+    k is k* = <m, p>, the attacked (learner, polynomial) pair; otherwise just
+    the left endpoint.  k*'s trap is searched at construction when k* <= ``max_k``.
     """
 
     def __init__(
@@ -426,41 +435,33 @@ class PcsFFamily(IndexedFamily):
         search_budgets: dict | None,
     ):
         registry[m_id]  # unregistered ids fail here
-        self.m_id = m_id
         self.p_code = p_code
-        budgets = search_budgets or {}
-        self.traps: dict[int, adversary.TrapSets] = {}
-        for k in range(max_k + 1):
-            if unpair(k) == (m_id, p_code):
-                self.traps[k] = adversary.search_trap_sets(registry, m_id, p_code, k, **budgets)
-            else:
-                self.traps[k] = adversary.TrapSets(
-                    frozenset(), frozenset(), resolved=True, stats={"matched": False, "k": k}
-                )
-
-    def left_endpoint(self, k: int) -> int:
-        return adversary.trap_interval(k).lo
+        self.max_k = max_k
+        self.k_star = pair(m_id, p_code)
+        self.trap: adversary.TrapSets | None = None
+        if self.k_star <= max_k:
+            budgets = search_budgets or {}
+            self.trap = adversary.search_trap_sets(registry, m_id, p_code, self.k_star, **budgets)
 
     def member(self, n):
         k = n // 2
+        interval = adversary.trap_interval(k)
         if n % 2 == 0:
-            return adversary.trap_interval(k)
-        if k not in self.traps:
-            if unpair(k) == (self.m_id, self.p_code):
-                raise UnresolvedIndexError(f"trap sets for k={k} were never searched")
-            return FiniteSet({self.left_endpoint(k)})
-        trap = self.traps[k]
+            return interval
+        if k != self.k_star:
+            return FiniteSet({interval.lo})
+        trap = self.trap_sets(k)
         if not trap.resolved:
             raise UnresolvedIndexError(f"trap search for k={k} exhausted its budget")
-        return FiniteSet(set(trap.decoys) | {self.left_endpoint(k)})
+        return FiniteSet(set(trap.decoys) | {interval.lo})
 
     def min_index(self, n):
         return n
 
     def trap_sets(self, k: int) -> adversary.TrapSets:
-        if k not in self.traps:
+        if not 0 <= k <= self.max_k:
             raise UnresolvedIndexError(f"trap sets for k={k} were never searched")
-        return self.traps[k]
+        return self.trap if k == self.k_star else _NO_TRAP
 
 
 def make_pcs_f(

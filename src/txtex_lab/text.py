@@ -71,11 +71,14 @@ def make_text(
     prefix: Sequence[int] = (),
     seed: int = 0,
 ) -> Text:
-    """Build a text of ``target``; rejects empty targets and foreign prefixes."""
+    """Build a text of ``target``; rejects empty targets and foreign prefixes.
+
+    Each distinct prefix element is tested once; a tuple prefix is kept, not copied.
+    """
     if target.is_empty():
         raise ValueError("cannot build a text of the empty set")
     if kind == "prefixed":
-        for x in prefix:
+        for x in dict.fromkeys(prefix):
             if not target.contains(x):
                 raise ValueError(f"prefix element {x} is outside the target")
     if kind not in ("canonical", "seeded", "prefixed"):

@@ -287,7 +287,7 @@ def verify_families() -> list[CheckResult]:
         trap.resolved
         and trap.trap_core <= trap.decoys
         and all(interval.contains(x) for x in trap.decoys)
-        and trap_family.left_endpoint(1) in trap.trap_core
+        and interval.lo in trap.trap_core
     )
     out.append(_check("resolved trap sets satisfy their shape invariants", good, len(trap.decoys)))
 

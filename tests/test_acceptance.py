@@ -161,19 +161,26 @@ def test_criterion_09_pcs_suite(default_catalog):
     # ok: every sample passed its check; both trap families taught and learned each index
     rows, report = read_default(default_catalog, "pcs-suite")
     assert report["config"]["trap_learners"] == [[1, [0]], [2, [0]]]
+    # only k* = <m, p> holds decoys: learner 1's k* = 1 holds a trap, learner 2's k* = 3
+    # lies above max_k 2, so its rows test members that hold the left endpoint alone
+    registry = agents.build_default_registry()
+    trap_families = [families.make_pcs_f(registry, m, 0, max_k=2) for m in (1, 2)]
+    assert [family.k_star for family in trap_families] == [1, 3]
+    assert trap_families[0].trap_sets(1).trap_core == {9} and trap_families[1].trap is None
     traps = {f"trap-{kind}(m={m})": 4 for kind in ("pair", "pmc") for m in (1, 2)}  # k < max_k 2
     counts = {"pcs-G": 8, "offset-power": 8, "join-singletons": 9, **traps}
     assert Counter(row["check"] for row in rows) == counts
     samples = {(row["check"], row["sample_size"]) for row in rows if row["note"] != "session"}
     assert samples == {("pcs-G", 1), ("offset-power", 2), ("join-singletons", 1)}
     # a matched k where no trap core exists: constant-zero vs k=2 (wants 2k=4)
-    empty_family = families.make_pcs_f(agents.build_default_registry(), 0, 1, max_k=2)
+    empty_family = families.make_pcs_f(registry, 0, 1, max_k=2)
     assert empty_family.trap_sets(2).resolved
     assert not empty_family.trap_sets(2).trap_core
     announce(
         9,
         "segment samples {n} for n <= 8; offset-power samples of size 2 for n <= 8; "
-        "2 trap families correct on k < 2; an empty trap core resolved",
+        "trap families correct on k < 2, learner 1's trap at k* = 1 (learner 2's k* = 3 "
+        "is above max_k); an empty trap core resolved",
     )
 
 

@@ -25,9 +25,34 @@ P_LIN = poly_encode([0, 1])
 
 
 def test_marker_streams():
-    single, content = adversary.marker_stream(3)
-    assert single == [adversary.marker_element(0)] * 3
-    assert content == {adversary.marker_element(0)}
+    assert adversary.marker_stream(3) == (adversary.marker_element(0),) * 3
+    assert adversary.marker_stream(0) == ()
+
+
+def test_compute_q_reads_no_further_than_its_budget(registry, monkeypatch):
+    """The stream stops at the action budget, which no run reads past."""
+    lengths = []
+    marker_stream = adversary.marker_stream
+
+    def recorded_stream(ell):
+        lengths.append(ell)
+        return marker_stream(ell)
+
+    monkeypatch.setattr(adversary, "marker_stream", recorded_stream)
+    assert adversary.compute_q(registry[3], 10**12) == adversary.compute_q(registry[3], 10)
+    assert lengths == [adversary.COMPUTE_Q_MAX_ACTIONS, 10]
+
+    def reader():
+        while True:
+            yield Read()
+
+    monkeypatch.setattr(adversary, "COMPUTE_Q_MAX_ACTIONS", 40)
+    assert adversary.compute_q(Learner("reader", reader), 39) == 0  # the 40th action reads past
+    assert adversary.compute_q(stepped_prober(), 19) == 3 * 19  # 19 reads and 19 queries
+    learners = [Learner("reader", reader), stepped_prober()]
+    for learner, ell in itertools.product(learners, [40, 10**12]):
+        with pytest.raises(ActionBudgetExceeded):
+            adversary.compute_q(learner, ell)
 
 
 def test_compute_q_never_queries(registry):

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from txtex_lab import agents, families
+from txtex_lab import adversary, agents, families
 from txtex_lab.adversary import marker_element
 from txtex_lab.codec import encode_tuple, pair, poly_encode
 from txtex_lab.descriptor import build_descriptor
@@ -417,3 +417,14 @@ def test_trap_parity_learner_bracket_matches_power_loop(offset):
     # a read and an emit per datum, then the read past the end
     assert run.actions == 2 * len(data) + 1
     assert run.emissions == [2 * _bracket_by_loop(datum) + offset for datum in data]
+
+
+def test_trap_watch_ignores_intervals_above_max_k(registry):
+    """The mind-change learner reads no trap above max_k, where none was searched."""
+    family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=1)
+    learner = agents.make_pcsF_agents(family)["pmc_learner"]
+    searched, above = adversary.trap_interval(1), adversary.trap_interval(2)
+    # k = 1 holds the trap core {9}: 9 alone names 2k+1 = 3, a second element the interval 2k
+    assert run_on_sequence(learner, [searched.lo, searched.lo + 1]).emissions == [3, 2]
+    # k = 2 is past max_k: the learner keeps emitting 0 instead of asking for a trap
+    assert run_on_sequence(learner, [above.lo, above.lo + 1]).emissions == [0, 0]

@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -9,7 +13,7 @@ import pytest
 from txtex_lab import cli, experiments, families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
-from txtex_lab.codec import poly_encode
+from txtex_lab.codec import encode_tuple, poly_encode, poly_eval
 from txtex_lab.experiments import EXPERIMENTS, _check_config, config_hash
 
 
@@ -185,6 +189,31 @@ class Raw(NamedTuple):
             {"poly": [4, 1]},
             "poly [4, 1] gives learner 0 a marker prefix longer than 100000000",
         ),
+        (
+            "msd-defeat",
+            {"learner_ids": [1], "poly": [0, 2]},
+            "learner 1 exceeds 200000 actions on the marker prefix of length 145538",
+        ),
+        (
+            "msd-defeat",
+            {"learner_ids": [2], "poly": [2, 1]},
+            "learner 2 exceeds 200000 actions on the marker prefix of length 494514",
+        ),
+        (
+            "msd-linear",
+            {"learner_id": 1, "poly": [0, 2]},
+            "learner 1 exceeds 200000 actions on the marker prefix of length 145538",
+        ),
+        (
+            "merged-split",
+            {"learner_id": 1, "poly": [0, 2]},
+            "learner 1 exceeds 200000 actions on the marker prefix of length 436614",
+        ),
+        (
+            "msd-defeat",
+            {"learner_ids": [], "poly": [3]},
+            "poly must be increasing (some coefficient at degree >= 1), got [3]",
+        ),
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -298,18 +327,22 @@ def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys, monkeypa
 
 
 def test_marker_prefix_length_is_the_family_ell():
-    """The value check computes ell as the marker families do, without building a prefix."""
+    """The families take ell from the value check's formula: p*(stretch * <m, p*, 1>)."""
     registry = build_default_registry()
-    cap = experiments.MARKER_MAX_PREFIX
     cases = [([0, 1], list(registry)), ([1, 1], [0, 3, 4]), ([0, 2], [0, 3])]
     for poly, m_ids in cases:
         p_code = poly_encode(poly)
         for m_id in m_ids:
-            assert families.marker_prefix_length(poly, m_id, 1, cap) == (
-                families.make_msd(registry, m_id, p_code).ell
+            for stretch in (1, families.MERGED_STRETCH):
+                t = encode_tuple([m_id, p_code, 1])
+                assert families.marker_prefix_length(poly, m_id, stretch) == (
+                    poly_eval(p_code, stretch * t)
+                )
+            assert families.make_msd(registry, m_id, p_code).ell == (
+                families.marker_prefix_length(poly, m_id, 1)
             )
-            assert families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH, cap) == (
-                families.make_merged(registry, m_id, p_code).descriptors.ell
+            assert families.make_merged(registry, m_id, p_code).descriptors.ell == (
+                families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH)
             )
 
 
@@ -329,21 +362,59 @@ def test_marker_prefix_length_is_the_family_ell():
 def test_marker_prefix_cap_admits_what_runs(experiment, config, ell):
     """Prefixes that run under a 2 GB address-space limit pass the value check; longer ones do not.
 
-    The two largest admitted ells exited 0 there, and the smallest rejected
-    one, msd-defeat on [4, 1], raised MemoryError.  A 64-coefficient poly is
-    rejected after a few pairs, before its code grows large.
+    msd-defeat, the one experiment that builds its prefix, ran the largest
+    admitted ell there in 647 MB, and the smallest rejected one, [4, 1], in
+    828 MB; the cap is kept, so no config changes verdict.  A 64-coefficient
+    poly is rejected after a few pairs, before its code grows large.
     """
     spec = EXPERIMENTS[experiment]
     merged = {**spec.defaults, **config}
     [m_id] = merged.get("learner_ids", [merged.get("learner_id")])
     stretch = families.MERGED_STRETCH if experiment == "merged-split" else 1
-    cap = experiments.MARKER_MAX_PREFIX
-    assert families.marker_prefix_length(merged["poly"], m_id, stretch, cap) == ell
     if ell is None:
+        with pytest.raises(ValueError, match="marker prefix longer than"):
+            families.marker_prefix_length(merged["poly"], m_id, stretch)
         with pytest.raises(experiments.ConfigError, match="marker prefix longer than"):
             spec.check_values(merged)
     else:
+        assert families.marker_prefix_length(merged["poly"], m_id, stretch) == ell
         spec.check_values(merged)
+
+
+# VmHWM, not ru_maxrss, which Linux carries across fork and exec from the test runner.
+_MARKER_RSS_PROBE = """
+import re, sys
+from txtex_lab.experiments import run_experiment
+
+def peak_rss():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"^VmHWM:\\s+(\\d+) kB", fh.read(), re.M).group(1)) * 1024
+
+before = peak_rss()
+code = run_experiment("msd-defeat", {"learner_ids": [0], "poly": [1, 2]}, sys.argv[1])
+print(code, peak_rss() - before)
+"""
+
+
+def test_marker_defeat_holds_one_copy_of_its_prefix(tmp_path):
+    """In a fresh interpreter, a defeat on a 2,212,655-marker prefix grows peak RSS by under
+    1.5 prefixes of 8-byte slots: the prefix is one tuple, which the texts share."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("reads the peak resident set from Linux procfs")
+    ell = families.marker_prefix_length([1, 2], 0, 1)
+    assert ell == 2_212_655
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _MARKER_RSS_PROBE, str(tmp_path / "defeat")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    growth = int(out[1])
+    assert growth < 1.5 * 8 * ell, f"the defeat raised peak RSS by {growth / 2**20:.1f} MB"
 
 
 def test_reference_pair_budget_covers_its_search_space(tmp_path, capsys):

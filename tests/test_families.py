@@ -1,8 +1,8 @@
 import pytest
 
-from txtex_lab import families
+from txtex_lab import adversary, families
 from txtex_lab.agents import build_default_registry
-from txtex_lab.codec import encode_tuple, pair, poly_encode
+from txtex_lab.codec import encode_tuple, pair, poly_encode, unpair
 from txtex_lab.descriptor import described_number, validate_descriptor
 from txtex_lab.sets import FiniteSet, Interval, is_subset, set_equal
 
@@ -89,8 +89,11 @@ def test_msd_marker_trap_property(registry):
 def test_msd_rejects_bad_inputs(registry):
     with pytest.raises(LookupError):
         families.make_msd(registry, 99, P_LIN)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="poly must be increasing"):
         families.make_msd(registry, 0, poly_encode([5]))  # constant, not increasing
+    # ell 105,713,070 is above the cap, and nothing of that length is built
+    with pytest.raises(ValueError, match="^poly \\[4, 1\\] gives learner 3 a marker prefix longer"):
+        families.make_msd(registry, 3, poly_encode([4, 1]))
 
 
 def test_csd_anchor_table_small_values():
@@ -131,6 +134,10 @@ def _scan_locations(rows, top_column, greatest):
     return candidates
 
 
+def _location_index(family, kind, i, j):
+    return family.index_of_top(i) if kind == "top" else family.index_of_chain(i, j)
+
+
 @pytest.mark.parametrize("multiplier", [1, 3])
 def test_csd_identify_is_the_one_scanned_location(multiplier):
     family = families.CsdFamily(multiplier)
@@ -142,7 +149,8 @@ def test_csd_identify_is_the_one_scanned_location(multiplier):
         for top_column in range(20):
             candidates = _scan_locations(rows, top_column, greatest)
             assert len(candidates) <= 1, (top_column, greatest)
-            assert family.identify(top_column, greatest) == (candidates or [None])[0]
+            expected = [_location_index(family, *location) for location in candidates]
+            assert family.identify(top_column, greatest) == (expected or [None])[0]
             kinds += [kind for kind, _, _ in candidates]
     # the sweep meets chain members and tops, several of each
     assert kinds.count("top") > 10 and kinds.count("chain") > 10
@@ -168,7 +176,7 @@ def test_pcs_f_members(registry):
 
 def test_pcs_f_unmatched_odd_indices_are_singletons(registry):
     family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=2)
-    assert family.member(5) == FiniteSet({family.left_endpoint(2)})
+    assert family.member(5) == FiniteSet({adversary.trap_interval(2).lo})
 
 
 def test_pcs_f_unresolved_when_budget_exhausted(registry):
@@ -178,6 +186,92 @@ def test_pcs_f_unresolved_when_budget_exhausted(registry):
     assert not family.trap_sets(1).resolved
     with pytest.raises(families.UnresolvedIndexError):
         family.member(3)
+
+
+class PerKTrapFamily:
+    """The trap family as it was: one trap per k <= max_k, a placeholder where unpair(k) misses."""
+
+    def __init__(self, registry, m_id, p_code, *, max_k):
+        registry[m_id]
+        self.m_id, self.p_code = m_id, p_code
+        self.traps = {}
+        for k in range(max_k + 1):
+            if unpair(k) == (m_id, p_code):
+                self.traps[k] = adversary.search_trap_sets(registry, m_id, p_code, k)
+            else:
+                self.traps[k] = adversary.TrapSets(
+                    frozenset(), frozenset(), resolved=True, stats={"matched": False, "k": k}
+                )
+
+    def member(self, n):
+        k = n // 2
+        lo = adversary.trap_interval(k).lo
+        if n % 2 == 0:
+            return adversary.trap_interval(k)
+        if k not in self.traps:
+            if unpair(k) == (self.m_id, self.p_code):
+                raise families.UnresolvedIndexError(f"trap sets for k={k} were never searched")
+            return FiniteSet({lo})
+        trap = self.traps[k]
+        if not trap.resolved:
+            raise families.UnresolvedIndexError(f"trap search for k={k} exhausted its budget")
+        return FiniteSet(set(trap.decoys) | {lo})
+
+    def trap_sets(self, k):
+        if k not in self.traps:
+            raise families.UnresolvedIndexError(f"trap sets for k={k} were never searched")
+        return self.traps[k]
+
+
+def _outcome(call):
+    """What a call gives: its value (a trap without its stats), or its exception's type and text."""
+    try:
+        value = call()
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    if isinstance(value, adversary.TrapSets):
+        return value.trap_core, value.decoys, value.resolved
+    return value
+
+
+def test_pcs_f_one_trap_matches_the_per_k_loop(registry, monkeypatch):
+    """Only k* = <m, p> is searched, and the family answers as the per-k loop did.
+
+    The search is stubbed: resolved when m + p is even, so both a resolved and
+    an unresolved trap sit at k* <= max_k for some (m, p).
+    """
+    calls = []
+
+    def search(registry, m_id, p_code, k):
+        calls.append((m_id, p_code, k))
+        lo = adversary.trap_interval(k).lo
+        core = frozenset({lo})
+        return adversary.TrapSets(core, core | {lo + 1 + p_code}, (m_id + p_code) % 2 == 0)
+
+    monkeypatch.setattr(adversary, "search_trap_sets", search)
+    searched = set()
+    for m_id in range(5):
+        for p_code in range(4):
+            for max_k in range(5):
+                calls.clear()
+                reference = PerKTrapFamily(registry, m_id, p_code, max_k=max_k)
+                expected_calls = list(calls)
+                calls.clear()
+                family = families.make_pcs_f(registry, m_id, p_code, max_k=max_k)
+                assert calls == expected_calls
+                searched.update(calls)
+                for n in range(2 * max_k + 4):
+                    assert _outcome(lambda: family.member(n)) == _outcome(
+                        lambda: reference.member(n)
+                    ), (m_id, p_code, max_k, n)
+                for k in range(max_k + 2):
+                    assert _outcome(lambda: family.trap_sets(k)) == _outcome(
+                        lambda: reference.trap_sets(k)
+                    ), (m_id, p_code, max_k, k)
+                others = [family.trap_sets(k) for k in range(max_k + 1) if k != family.k_star]
+                assert all(trap is others[0] for trap in others)  # one shared trap
+    # k* <= 4 for (0, 0), (1, 0), (0, 1), (2, 0) and (1, 1); two of them unresolved
+    assert {(m, p) for m, p, _ in searched} == {(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)}
 
 
 def test_thm64_members_and_collisions():

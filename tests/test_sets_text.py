@@ -49,6 +49,25 @@ def test_prefixed_text_and_content_guard():
         make_text("prefixed", Interval(0, 2), prefix=[5])
 
 
+class CountingInterval(Interval):
+    """An interval that logs each membership question it is asked."""
+
+    def contains(self, x):
+        self.asked.append(x)
+        return super().contains(x)
+
+
+def test_prefix_guard_asks_each_distinct_element_once():
+    target = CountingInterval(0, 9)
+    object.__setattr__(target, "asked", [])
+    prefix = (4, 4, 1, 4, 9, 1, 0)
+    text = make_text("prefixed", target, prefix=prefix)
+    assert target.asked == [4, 1, 9, 0]  # first-occurrence order
+    assert text.prefix is prefix  # a tuple prefix is kept, not copied
+    with pytest.raises(ValueError, match="^prefix element 7 is outside the target$"):
+        make_text("prefixed", Interval(0, 2), prefix=[1, 1, 7, 2, 9, 7])
+
+
 def test_empty_target_rejected():
     with pytest.raises(ValueError):
         make_text("canonical", FiniteSet(set()))
