@@ -121,10 +121,7 @@ def _count_core(transform: Callable[[int], int]):
 
 
 def make_msd_pair() -> tuple[Learner, Callable[[], Teacher]]:
-    def program():
-        yield from _count_core(lambda c: c)
-
-    return Learner("lead-count", program), DescriptorTeacher
+    return Learner("lead-count", lambda: _count_core(lambda c: c)), DescriptorTeacher
 
 
 def make_pmc_msd_learner() -> Learner:
@@ -241,10 +238,7 @@ class BracketRepeatTeacher(Teacher):
 
 
 def make_pow2_teacher_pair() -> tuple[Learner, Callable[[], Teacher]]:
-    def program():
-        yield from _count_core(lambda c: c)
-
-    return Learner("repeat-counter", program), BracketRepeatTeacher
+    return Learner("repeat-counter", lambda: _count_core(lambda c: c)), BracketRepeatTeacher
 
 
 def make_pow2_pmc_learner() -> Learner:

@@ -25,7 +25,11 @@ their input so far.  A teacher sees only the text, never the learner's
 queries or their answers.  ``run_session`` pumps a teacher inline, feeding it
 raw data while its buffer is empty; ``simulate_pair`` folds a (learner,
 teacher) pair into one learner program.  Events and emission snapshots are
-named tuples, and the ledger is built once, when the session ends.  An event
+named tuples; ``run_session`` builds each with ``tuple.__new__`` on its
+type, in C, which skips the arity check of the named tuple's own
+constructor, so every site passes all fields.  A teacher output is copied
+into a tuple only when it is non-empty.  The ledger is built once, when the
+session ends.  An event
 is ``(kind, payload)``: its step is its index in the event list, which
 ``events_jsonl`` writes as each line's ``step``, so the JSONL is the same.
 Every loop that steps a learner program, here and in ``agents``, dispatches
@@ -226,6 +230,7 @@ def run_session(
     """
     max_ticks = budget.max_ticks
     horizon = budget.horizon
+    new = tuple.__new__  # builds a record in C, without the arity check
     events: list[Event] = []
     emissions: list[EmissionSnapshot] = []
     append = events.append
@@ -270,13 +275,14 @@ def run_session(
                             break
                         raw += 1
                         seen.add(datum)
-                        items = tuple(on_input(datum))
+                        items = on_input(datum)
                         if not items:
                             continue
+                        items = tuple(items)
                         for item in items:
                             if item not in seen:
                                 raise ContractViolation(f"teacher emitted unseen element {item}")
-                        append(Event("teach", (datum, items)))
+                        append(new(Event, ("teach", (datum, items))))
                         buffer.extend(items)
                     if not buffer:
                         end_reason = "horizon"
@@ -285,16 +291,16 @@ def run_session(
                 ticks += 1
                 if kind is Read:
                     seen_data.add(element)
-                    append(Event("read", (element,)))
+                    append(new(Event, ("read", (element,))))
                     result = element
                 else:
                     skips += 1
-                    append(Event("skip", ()))
+                    append(new(Event, ("skip", ())))
             elif kind is Emit:
                 hypothesis = action.hypothesis
                 ticks += 1
-                append(Event("emit", (hypothesis,)))
-                snapshot = EmissionSnapshot(hypothesis, raw, ticks, len(seen_data), queries)
+                append(new(Event, ("emit", (hypothesis,))))
+                snapshot = new(EmissionSnapshot, (hypothesis, raw, ticks, len(seen_data), queries))
                 emissions.append(snapshot)
                 if convergence is None:
                     convergence = snapshot
@@ -307,15 +313,15 @@ def run_session(
                 answer = oracle.contains(action.x)
                 ticks += 1
                 queries += 1
-                append(Event("query", (action.x, answer)))
+                append(new(Event, ("query", (action.x, answer))))
                 result = answer
             elif kind is Work:
                 ticks += action.units
-                append(Event("work", (action.units,)))
+                append(new(Event, ("work", (action.units,))))
             else:
                 raise TypeError(f"unknown action {action!r}")
     except ContractViolation as violation:
-        append(Event("abort", (str(violation),)))
+        append(new(Event, ("abort", (str(violation),))))
         end_reason = "contract-violation"
 
     converged = False

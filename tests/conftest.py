@@ -126,3 +126,49 @@ def _check_recognizer_fires_last(descriptor, described, rng):
 def recognizer_fires_last():
     """The recognizer's permutation replay; ``verify`` covers the same orders by lattice walk."""
     return _check_recognizer_fires_last
+
+
+def _fold_events(events):
+    """The ledger, and a snapshot at every emit, recomputed from the events alone.
+
+    Snapshot positions count reads and skips, the raw positions of a session
+    without a teacher.
+    """
+    ticks = queries = skips = mind_changes = position = 0
+    read_payloads = set()
+    snapshots = []
+    for event in events:
+        kind = event.kind
+        if kind == "read":
+            ticks += 1
+            position += 1
+            read_payloads.add(event.payload[0])
+        elif kind == "skip":
+            ticks += 1
+            position += 1
+            skips += 1
+        elif kind == "query":
+            ticks += 1
+            queries += 1
+        elif kind == "work":
+            ticks += event.payload[0]
+        elif kind == "emit":
+            ticks += 1
+            hypothesis = event.payload[0]
+            if snapshots and snapshots[-1][0] != hypothesis:
+                mind_changes += 1
+            snapshots.append((hypothesis, position, ticks, len(read_payloads), queries))
+    ledger = {
+        "ticks": ticks,
+        "distinct_data": len(read_payloads),
+        "mind_changes": mind_changes,
+        "oracle_queries": queries,
+        "skips": skips,
+    }
+    return ledger, snapshots
+
+
+@pytest.fixture(scope="session")
+def fold_events():
+    """The ledger fold over an event list; ``run_session`` never runs it."""
+    return _fold_events

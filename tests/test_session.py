@@ -568,54 +568,45 @@ def test_event_and_snapshot_are_immutable_records_read_by_name():
 # the event log is the record: the ledger folds back out of it
 
 
-def _fold_events(events):
-    """The ledger, and a snapshot at every emit, recomputed from the events alone.
-
-    Snapshot positions count reads and skips, the raw positions of a session
-    without a teacher.
-    """
-    ticks = queries = skips = mind_changes = position = 0
-    read_payloads = set()
-    snapshots = []
-    for event in events:
-        kind = event.kind
-        if kind == "read":
-            ticks += 1
-            position += 1
-            read_payloads.add(event.payload[0])
-        elif kind == "skip":
-            ticks += 1
-            position += 1
-            skips += 1
-        elif kind == "query":
-            ticks += 1
-            queries += 1
-        elif kind == "work":
-            ticks += event.payload[0]
-        elif kind == "emit":
-            ticks += 1
-            hypothesis = event.payload[0]
-            if snapshots and snapshots[-1][0] != hypothesis:
-                mind_changes += 1
-            snapshots.append((hypothesis, position, ticks, len(read_payloads), queries))
-    ledger = {
-        "ticks": ticks,
-        "distinct_data": len(read_payloads),
-        "mind_changes": mind_changes,
-        "oracle_queries": queries,
-        "skips": skips,
-    }
-    return ledger, snapshots
-
-
-def test_ledger_folds_from_events_in_every_default_session(default_catalog):
+def test_ledger_folds_from_events_in_every_default_session(default_catalog, fold_events):
     assert [name for name, run in default_catalog.items() if run.exit_code or not run.sessions] == []
     sessions = [session for run in default_catalog.values() for session in run.sessions]
     teacherless = 0
     for without_teacher, transcript in sessions:
-        ledger, snapshots = _fold_events(transcript.events)
+        ledger, snapshots = fold_events(transcript.events)
         assert ledger == transcript.ledger.as_dict()
         if without_teacher:
             teacherless += 1
             assert transcript.emissions == snapshots
     assert teacherless and teacherless < len(sessions)
+
+
+def test_every_logged_record_is_its_named_tuple_with_its_arity(default_catalog):
+    """``run_session`` builds records with ``tuple.__new__``, which checks no arity."""
+    transcripts = [transcript for run in default_catalog.values() for _, transcript in run.sessions]
+    transcripts += [_teacher_edge_session(case) for case in TEACHER_EDGE_PINS]
+    transcripts.append(
+        run_session(
+            echo_counter_learner(),
+            make_text("canonical", Interval(0, 3)),
+            teacher=CheatingTeacher(),
+            budget=Budget(horizon=10),
+        )
+    )
+
+    def program():
+        yield Work(2)
+        yield Emit(1)
+
+    text = make_text("canonical", FiniteSet({3}))
+    transcripts.append(run_session(Learner("worker", program), text, budget=Budget()))
+    kinds = set()
+    for transcript in transcripts:
+        for event in transcript.events:
+            assert type(event) is Event and len(event) == 2
+            assert event == Event(*event[:2])
+            kinds.add(event.kind)
+        for snapshot in transcript.emissions:
+            assert type(snapshot) is EmissionSnapshot and len(snapshot) == 5
+            assert snapshot == EmissionSnapshot(*snapshot[:5])
+    assert kinds == {"read", "skip", "query", "emit", "teach", "work", "abort"}
