@@ -170,5 +170,5 @@ def _fold_events(events):
 
 @pytest.fixture(scope="session")
 def fold_events():
-    """The ledger fold over an event list; ``run_session`` never runs it."""
+    """``_fold_events``, shared by the session tests and the session property."""
     return _fold_events
