@@ -83,8 +83,7 @@ def repeat_prefix_texts(
     set_b = family.member(index_b)
     if not (set_a.contains(x) and set_b.contains(x)):
         raise ValueError(f"{x} is not common to both targets")
-    bound = family.separation_bound([index_a, index_b])
-    if set_equal(set_a, set_b, bound):
+    if set_equal(set_a, set_b):
         raise ValueError("targets must be distinct sets")
     a = family.min_index(index_a)
     b = family.min_index(index_b)

@@ -43,10 +43,7 @@ def hypothesis_correct(family, hypothesis: int, target_index: int, target=None) 
         hypothesis_set = family.member(hypothesis)
     except Exception:
         return False
-    bound = family.separation_bound([hypothesis, target_index])
-    if target is None:
-        target = family.member(target_index)
-    return set_equal(hypothesis_set, target, bound)
+    return set_equal(hypothesis_set, family.member(target_index) if target is None else target)
 
 
 def evaluate_run(
@@ -63,10 +60,10 @@ def evaluate_run(
         return Verdict(False, "non-converged", {"end_reason": transcript.end_reason})
     hypothesis = transcript.final_hypothesis
     try:
-        family.member(hypothesis)
+        hypothesis_set = family.member(hypothesis)
     except Exception:
         return Verdict(False, "bad-hypothesis", {"hypothesis": hypothesis})
-    if not hypothesis_correct(family, hypothesis, target_index):
+    if not set_equal(hypothesis_set, family.member(target_index)):
         return Verdict(False, "wrong-hypothesis", {"hypothesis": hypothesis})
 
     minimal = family.min_index(target_index)

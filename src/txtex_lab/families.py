@@ -1,17 +1,16 @@
 """Indexed families of target sets with analytic minimal indices.
 
-Each constructor returns an immutable IndexedFamily: exact membership, a
-minimal index for every index, a separation bound under which distinct
-members provably differ, and canonical texts.  The diagonalizing families
-(marked self-description, trap sets) take the attacked learner by id from a
-registry dict and run their searches at construction time; the marked
+Each constructor returns an immutable IndexedFamily: exact membership as a
+``sets`` shape, a minimal index for every index, and canonical texts.  Two
+indices code the same set when ``sets.set_equal`` holds of their members,
+which it decides from the shapes alone.  The diagonalizing families (marked
+self-description, trap sets) take the attacked learner by id from a registry
+dict and run their searches at construction time; the marked
 self-description family keeps its learner as ``learner``, so the defeat in
 ``adversary.msd_defeat`` runs against the learner its trap was built for.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from . import adversary
 from .codec import (
@@ -49,18 +48,6 @@ class IndexedFamily:
     def min_index(self, n: int) -> int:
         raise NotImplementedError
 
-    def separation_bound(self, indices: Iterable[int]) -> int:
-        """Universe under which the sampled members are pairwise decided.
-
-        Default implementation covers families of finite members: equality on
-        [0, max element] is genuine equality.
-        """
-        bound = 0
-        for n in indices:
-            for x in self.member(n).iter_increasing():
-                bound = max(bound, x)
-        return bound + 1
-
     def canonical_text(self, n: int) -> Text:
         return make_text("canonical", self.member(n))
 
@@ -76,9 +63,6 @@ class UpIntervals(IndexedFamily):
     def min_index(self, n):
         return n
 
-    def separation_bound(self, indices):
-        return max(indices) + 1
-
 
 class PairIntervals(IndexedFamily):
     def member(self, n):
@@ -90,9 +74,6 @@ class PairIntervals(IndexedFamily):
         if lo <= hi:
             return n
         return pair(1, 0)  # least code of the empty interval
-
-    def separation_bound(self, indices):
-        return max(indices) + 1
 
 
 class TupleContents(IndexedFamily):
@@ -107,9 +88,6 @@ class TupleContents(IndexedFamily):
             if set(decode_tuple(candidate, 2)) == content:
                 return candidate
         return n
-
-    def separation_bound(self, indices):
-        return max(indices) + 1
 
 
 class FiniteCanonical(IndexedFamily):
@@ -132,8 +110,6 @@ class FiniteCanonical(IndexedFamily):
         # a finite set has one <size, mask> code, and each tail occurs at exactly one code
         return n
 
-    def separation_bound(self, indices):
-        return max(indices) + 1
 
     def index_of_set(self, content) -> int:
         content = frozenset(content)
@@ -147,9 +123,6 @@ class Pow2(IndexedFamily):
     def min_index(self, n):
         return n
 
-    def separation_bound(self, indices):
-        return 2 ** max(indices) + 2
-
 
 class JoinSingletons(IndexedFamily):
     def member(self, n):
@@ -157,9 +130,6 @@ class JoinSingletons(IndexedFamily):
 
     def min_index(self, n):
         return n
-
-    def separation_bound(self, indices):
-        return 2 * max(indices) + 2
 
 
 class PcsG(IndexedFamily):
@@ -172,9 +142,6 @@ class PcsG(IndexedFamily):
 
     def min_index(self, n):
         return n
-
-    def separation_bound(self, indices):
-        return max(indices) + 2
 
 
 # kind -> class, in the order `txtex-lab list families` prints them
@@ -508,17 +475,6 @@ class Thm64Family(IndexedFamily):
         if i == 2**k:
             return 2 * k
         return n
-
-    def separation_bound(self, indices):
-        bound = 0
-        for n in indices:
-            half = n // 2
-            if n % 2 == 0:
-                bound = max(bound, 2 * half, 2 * 2**half + 1)
-            else:
-                i, k = decompose_offset_power(half)
-                bound = max(bound, 2 * k, 2 * i + 1)
-        return bound + 1
 
 
 def make_thm64_g() -> Thm64Family:

@@ -121,13 +121,49 @@ class ColumnStack(SetSpec):
         return heapq.merge(*columns)
 
 
-def set_equal(a: SetSpec, b: SetSpec, bound: int) -> bool:
-    """Equality of two shapes on [0, bound]; two finite sets by their elements."""
+def set_equal(a: SetSpec, b: SetSpec) -> bool:
+    """Whether two shapes hold the same naturals, decided from the shapes alone.
+
+    Joins compare part by part with the other side's halves, two intervals by
+    their clamped fields, and any other pair, being finite, element by element.
+    """
+    return _equal(a, b)  # one call per comparison; joins recurse in _equal
+
+
+def _equal(a: SetSpec, b: SetSpec) -> bool:
+    if isinstance(a, Join) or isinstance(b, Join):
+        return all(map(_equal, _halves(a), _halves(b)))
     if isinstance(a, FiniteSet) and isinstance(b, FiniteSet):
-        return not any(0 <= x <= bound for x in a.elements ^ b.elements)
-    return all(a.contains(x) == b.contains(x) for x in range(bound + 1))
+        return a.elements == b.elements
+    if isinstance(b, Interval):
+        a, b = b, a
+    if isinstance(a, Interval):
+        a = _normal(a)
+        if isinstance(b, Interval):
+            return a == _normal(b)
+        if a.hi is None:
+            return False  # b is finite
+    return all(x == y for x, y in itertools.zip_longest(a.iter_increasing(), b.iter_increasing()))
 
 
-def is_subset(a: SetSpec, b: SetSpec, bound: int) -> bool:
-    """Whether a is contained in b on [0, bound]."""
-    return all(b.contains(x) for x in range(bound + 1) if a.contains(x))
+def _normal(s: Interval) -> Interval:
+    lo = max(s.lo, 0)
+    return Interval(0, -1) if s.hi is not None and s.hi < lo else Interval(lo, s.hi)
+
+
+def _halves(s: SetSpec) -> tuple[SetSpec, SetSpec]:
+    """The even elements of s halved, and the odd ones halved."""
+    if isinstance(s, Join):
+        return s.left, s.right
+    if isinstance(s, Interval):
+        lo, hi = max(s.lo, 0), s.hi
+        if hi is None:
+            return Interval((lo + 1) // 2), Interval(lo // 2)
+        return Interval((lo + 1) // 2, hi // 2), Interval(lo // 2, (hi - 1) // 2)
+    elements = list(s.iter_increasing())
+    return tuple(FiniteSet(x // 2 for x in elements if x % 2 == r) for r in (0, 1))
+
+
+def is_subset(a: SetSpec, b: SetSpec) -> bool:
+    """Whether the finite shape a is contained in b, on the naturals."""
+    return all(b.contains(x) for x in a.iter_increasing() if x >= 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -311,6 +312,37 @@ def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, budgets):
     assert capsys.readouterr().out == f"pcs-suite: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())
     assert report["partial"] is True
+
+
+def test_pow2_gap_out_of_ticks_is_partial(tmp_path, capsys):
+    """At n = 17 the plain collector needs about 2^18 ticks, above the default 200,000."""
+    out = tmp_path / "partial"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_range": [17, 17]}))
+    code = main(["run", "--experiment", "pow2-gap", "--config", str(config), "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().out == f"pow2-gap: partial (budget) -> {out}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is True and report["partial"] is True
+    assert report["summary"]["out_of_ticks"] == [[17, "plain"]]
+    assert (out / "results.csv").read_text().splitlines()[1] == "17,-1,20,17"
+
+
+# report.json and results.csv of pcs-suite at max_k 11 as the earlier equality, pointwise
+# up to a bound each family stated, wrote them (about 5 s on 2 cores of a Linux x86-64 host)
+PCS_K11_SHA256 = {
+    "report.json": "ea3dbdfaa0a55a9b09326524bc4a354cae01b44ae51ff5f19ffc2e9ea965cf44",
+    "results.csv": "b042bf047ec3c68671541fca835e7ec9dd5805f7892bfc123ffb84a8ff1dc447",
+}
+
+
+def test_pcs_suite_trap_indices_decide_by_shape(tmp_path):
+    """Exact equality gives the bounded verdicts, without walking the trap intervals."""
+    start = time.perf_counter()
+    assert experiments.run_experiment("pcs-suite", {"max_k": 11}, tmp_path) == 0
+    assert time.perf_counter() - start < 3.0
+    for name, digest in PCS_K11_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_exhausted_chain_force_budget_reports_partial(tmp_path, capsys, monkeypatch):

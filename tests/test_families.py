@@ -106,8 +106,7 @@ def test_csd_anchor_table_small_values():
 def test_csd_member_formula_and_index_patch():
     family = families.make_csd()
     # index 0 and the first anchor both code the width-0 stack [0,1]x{0}
-    bound = family.separation_bound([0, 1])
-    assert set_equal(family.member(0), family.member(1), bound)
+    assert set_equal(family.member(0), family.member(1))
     assert family.min_index(1) == 0
     assert list(family.member(1).iter_increasing()) == [pair(0, 0), pair(1, 0)]
 
@@ -116,10 +115,9 @@ def test_csd_chain_strictly_increasing():
     family = families.make_csd()
     indices = family.chain_indices(5)
     assert indices == [9, 10, 8]
-    bound = family.separation_bound(indices)
     for lower, upper in zip(indices, indices[1:]):
-        assert is_subset(family.member(lower), family.member(upper), bound)
-        assert not set_equal(family.member(lower), family.member(upper), bound)
+        assert is_subset(family.member(lower), family.member(upper))
+        assert not set_equal(family.member(lower), family.member(upper))
 
 
 def _scan_locations(rows, top_column, greatest):
@@ -284,8 +282,7 @@ def test_thm64_members_and_collisions():
     # collision: i_n = 2^{k_n} makes the odd index duplicate an even one
     n = 4  # 4 = 2 + 2 -> i=2, k=1, i == 2^k
     assert family.min_index(2 * n + 1) == 2 * 1
-    bound = family.separation_bound([2 * n + 1, 2])
-    assert set_equal(family.member(2 * n + 1), family.member(2), bound)
+    assert set_equal(family.member(2 * n + 1), family.member(2))
 
 
 def test_thm64_rejects_undecomposable_indices():

@@ -1,18 +1,50 @@
 import itertools
+import time
 
 import pytest
 
-from txtex_lab.sets import FiniteSet, Interval, Join, is_subset, set_equal
+from txtex_lab import adversary
+from txtex_lab.sets import ColumnStack, FiniteSet, Interval, Join, is_subset, set_equal
 from txtex_lab.text import make_text
 
 
 def test_set_equal_examples():
-    assert set_equal(Interval(0, 4), Interval(0, 4), 100)
-    assert not set_equal(Interval(0, 4), Interval(0, 5), 100)
+    assert set_equal(Interval(0, 4), Interval(0, 4))
+    assert not set_equal(Interval(0, 4), Interval(0, 5))
+    # the same stack of one column, capped or not; every empty interval is one set
+    assert set_equal(ColumnStack(6, 0, True), ColumnStack(6, 1, False))
+    assert set_equal(Interval(5, 4), Interval(9, 2))
+    assert set_equal(Interval(-4, 2), FiniteSet({0, 1, 2}))
+    # [3, infinity) halves into evens from 2 on and odds from 1 on
+    assert set_equal(Interval(3), Join(Interval(2), Interval(1)))
+    assert not set_equal(Interval(3), Join(Interval(2), Interval(2)))
+    # the odds are infinite on one side and finite on the other
     join = Join(FiniteSet({1}), Interval(0, None))
-    explicit = FiniteSet({2, 1, 3, 5, 7, 9})
-    assert set_equal(join, explicit, 9)
-    assert not set_equal(join, explicit, 11)
+    assert not set_equal(join, FiniteSet({2, 1, 3, 5, 7, 9}))
+    assert not set_equal(Interval(0), FiniteSet(range(50)))
+
+
+HUGE = 2**200
+TRAP = adversary.trap_interval(100)  # [2^201 + 1, 2^202]
+
+
+@pytest.mark.parametrize(
+    "a,b,equal",
+    [
+        (Interval(1, HUGE), Interval(1, HUGE), True),
+        (Interval(1, HUGE), Interval(1, HUGE + 1), False),
+        (Join(FiniteSet({3}), Interval(0, HUGE)), Join(FiniteSet({3}), Interval(0, HUGE)), True),
+        (Join(FiniteSet({3}), Interval(0, HUGE)), Join(FiniteSet({3}), Interval(1, HUGE)), False),
+        (TRAP, FiniteSet({TRAP.lo, TRAP.lo + 1, TRAP.lo + 2}), False),
+        (TRAP, FiniteSet({2, 3}), False),
+    ],
+)
+def test_set_equal_never_walks_a_huge_interval(a, b, equal):
+    """Fields decide, or a walk that stops at the first difference; a pointwise one would not end."""
+    start = time.perf_counter()
+    assert set_equal(a, b) == equal
+    assert set_equal(b, a) == equal
+    assert time.perf_counter() - start < 0.1
 
 
 def test_interval_shapes():
@@ -33,8 +65,10 @@ def test_join_membership_and_enumeration():
 
 
 def test_subset_check():
-    assert is_subset(Interval(2, 4), Interval(0, 10), 50)
-    assert not is_subset(Interval(0, 10), Interval(2, 4), 50)
+    assert is_subset(Interval(2, 4), Interval(0, 10))
+    assert not is_subset(Interval(0, 10), Interval(2, 4))
+    assert is_subset(Interval(-5, 1), FiniteSet({0, 1}))
+    assert is_subset(FiniteSet({3, 7}), Interval(3))
 
 
 def test_canonical_text_pads_with_minimum():
