@@ -103,18 +103,65 @@ def _arrangement_count(alphabet_size: int, max_len: int) -> int:
 def _sampled_sequences(
     universe: list[int], sample: list[int], max_len: int, seed: int, count: int
 ):
-    """Seeded sequences biased to cover the sample set."""
+    """Seeded sequences biased to cover the sample set.
+
+    Each index is one rejection draw ``r = getrandbits(k)``, repeated while
+    ``r >= n`` with ``k = n.bit_length()``, which is how ``random.Random``
+    draws below n.  So the stream is the one that ``randint(1, max_len)``, a
+    ``choice(universe)`` per position and a ``shuffle`` of the positions
+    before the splice would give, at one call per draw.
+    """
+    if max_len < 1:
+        raise ValueError(f"empty range for the length: 1..{max_len}")
+    if not universe:
+        raise IndexError("Cannot choose from an empty sequence")
     rng = random.Random(seed)
+    bits, coin = rng.getrandbits, rng.random
+    n, n_bits, len_bits = len(universe), len(universe).bit_length(), max_len.bit_length()
     for _ in range(count):
-        length = rng.randint(1, max_len)
-        seq = [rng.choice(universe) for _ in range(length)]
-        if rng.random() < 0.5 and sample:
-            # splice the sample in so the covering condition is exercised
-            positions = list(range(len(seq)))
-            rng.shuffle(positions)
+        length = bits(len_bits)
+        while length >= max_len:
+            length = bits(len_bits)
+        length += 1
+        seq = []
+        for _ in range(length):
+            r = bits(n_bits)
+            while r >= n:
+                r = bits(n_bits)
+            seq.append(universe[r])
+        if coin() < 0.5 and sample:
+            # splice the sample in, at shuffled positions, so the covering condition is exercised
+            positions = list(range(length))
+            for i in range(length - 1, 0, -1):
+                k = (i + 1).bit_length()
+                j = bits(k)
+                while j > i:
+                    j = bits(k)
+                positions[i], positions[j] = positions[j], positions[i]
             for x, pos in zip(sample, itertools.cycle(positions)):
-                seq[pos % len(seq)] = x
+                seq[pos] = x
         yield tuple(seq)
+
+
+def _covering_words(universe: list[int], sample_set: set[int], max_len: int):
+    """The words of length 1..max_len over ``universe`` that contain every element
+    of ``sample_set``, in ``itertools.product`` order.
+
+    A word covers the sample when its last letter supplies whatever its prefix
+    misses: any letter if nothing is missing, the one missing element if it is
+    in the universe, and no letter otherwise.
+    """
+    letters = set(universe)
+    for length in range(1, max_len + 1):
+        for prefix in itertools.product(universe, repeat=length - 1):
+            missing = sample_set.difference(prefix)
+            if not missing:
+                for x in universe:
+                    yield prefix + (x,)
+            elif len(missing) == 1:
+                [m] = missing
+                if m in letters:
+                    yield prefix + (m,)
 
 
 def check_characteristic_sample(
@@ -139,6 +186,10 @@ def check_characteristic_sample(
     ``make_learner`` is called once per check: the one learner and the target,
     which answers its queries when ``use_oracle`` is set, serve every run,
     since each run starts a fresh program.
+    Exhaustive mode walks only the covering words, in ``itertools.product``
+    order (see ``_covering_words``).  Sampled mode draws with ``getrandbits``
+    rejection draws, the seeded stream that ``randint``, ``choice`` and
+    ``shuffle`` give (see ``_sampled_sequences``), and keeps the covering ones.
     A deterministic learner gives the same output on the same sequence, so a
     sampled check runs each distinct covering sequence once; a repeat still
     counts in ``covering_prefixes_checked``.  Exhaustive sequences are
@@ -159,23 +210,21 @@ def check_characteristic_sample(
         return Verdict(False, "empty-universe", {})
     count = _arrangement_count(len(universe), max_text_len)
     exhaustive = count <= EXHAUSTIVE_ARRANGEMENT_LIMIT
-    if exhaustive:
-        sequences = itertools.chain.from_iterable(
-            itertools.product(universe, repeat=length)
-            for length in range(1, max_text_len + 1)
-        )
-    else:
-        sequences = _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS)
-
     sample_set = set(sample)
+    if exhaustive:
+        sequences = _covering_words(universe, sample_set, max_text_len)
+    else:
+        sequences = filter(
+            sample_set.issubset,
+            _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS),
+        )
+
     learner = make_learner()
     oracle = target if use_oracle else None
     already_run: set[tuple[int, ...]] | None = None if exhaustive else set()
     locked: int | None = None
     checked = 0
     for seq in sequences:
-        if not sample_set.issubset(seq):
-            continue
         checked += 1
         if already_run is not None:
             if seq in already_run:

@@ -626,6 +626,10 @@ def _psd_finite_values(config: dict) -> None:
 CSD_CHAIN_MAX_SWEEP = 1_000
 # Most candidates the csd-chain reference pair may search; read at call time.
 CSD_PAIR_MAX_CANDIDATES = 100_000
+# Greatest pcs-suite offset-power n: its check lists a universe of 2^n + 2 elements.
+# The whole suite took 0.54 s / 32 MB at 18, 0.78 s / 67 MB at 20 and 2.7 s / 210 MB
+# at 22 (ru_maxrss, Python 3.11); past about 26 it ends in MemoryError or an OOM kill.
+PCS_SUITE_MAX_THM64 = 20
 
 
 def _csd_chain_values(config: dict) -> None:
@@ -646,6 +650,14 @@ def _csd_chain_values(config: dict) -> None:
     for i in range(max_anchor + 1):
         if chains.anchor(i) + chains.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
             raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
+
+
+def _pcs_suite_values(config: dict) -> None:
+    """The offset-power sweep lists universes that fit in memory."""
+    if config["max_thm64"] > PCS_SUITE_MAX_THM64:
+        raise ConfigError(
+            f"max_thm64 must be at most {PCS_SUITE_MAX_THM64}, got {config['max_thm64']}"
+        )
 
 
 # Greatest swept i of W with a printable tower index 2^(2^i): Python prints ints of
@@ -782,6 +794,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "trap_learners": TRAP_LEARNERS,
                 "trap_budgets": TRAP_BUDGETS,  # optional: absent means the search defaults
             },
+            _pcs_suite_values,
         ),
         ExperimentSpec(
             "halting-psd",

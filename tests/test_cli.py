@@ -215,6 +215,10 @@ class Raw(NamedTuple):
             {"learner_ids": [], "poly": [3]},
             "poly must be increasing (some coefficient at degree >= 1), got [3]",
         ),
+        *[
+            ("pcs-suite", {"max_thm64": m}, f"max_thm64 must be at most 20, got {m}")
+            for m in (21, 26, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
