@@ -628,7 +628,7 @@ CSD_CHAIN_MAX_SWEEP = 1_000
 CSD_PAIR_MAX_CANDIDATES = 100_000
 # Greatest pcs-suite offset-power n: its check lists a universe of 2^n + 2 elements.
 # The whole suite took 0.54 s / 32 MB at 18, 0.78 s / 67 MB at 20 and 2.7 s / 210 MB
-# at 22 (ru_maxrss, Python 3.11); past about 26 it ends in MemoryError or an OOM kill.
+# at 22 (ru_maxrss, Python 3.11); the list doubles with each n past that.
 PCS_SUITE_MAX_THM64 = 20
 
 
