@@ -274,6 +274,31 @@ def trap_interval(k: int) -> Interval:
     return Interval(2 ** (2 * k + 1) + 1, 2 ** (2 * k + 2))
 
 
+def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random):
+    """``count`` seeded orders of ``core``, lazily: the stream of
+    ``rng.sample(core, len(core))``, at one ``getrandbits`` per position.
+
+    A full-length sample takes ``sample``'s pool path: position i draws j
+    below m = n - i (``r = getrandbits(m.bit_length())`` until ``r < m``, as
+    ``random.Random`` draws below m), takes ``pool[j]`` and moves the last
+    unchosen element into its place.  The last position draws below 1 too,
+    since ``sample`` spends bits there.
+    """
+    bits = rng.getrandbits
+    n = len(core)
+    draws = [(i, n - i, (n - i).bit_length()) for i in range(n)]
+    for _ in range(count):
+        pool = list(core)
+        arrangement = [0] * n
+        for i, m, k in draws:
+            j = bits(k)
+            while j >= m:
+                j = bits(k)
+            arrangement[i] = pool[j]
+            pool[j] = pool[m - 1]
+        yield arrangement
+
+
 def search_trap_sets(
     registry: dict[int, Learner],
     m_id: int,
@@ -333,7 +358,7 @@ def search_trap_sets(
         if exhaustive:
             arrangements = itertools.permutations(core)
         else:
-            arrangements = (rng.sample(core, len(core)) for _ in range(sample_size))
+            arrangements = _sampled_arrangements(core, sample_size, rng)
         for arrangement in arrangements:
             run = run_on_sequence(learner, arrangement, oracle=interval, max_actions=max_actions)
             if run.last_hypothesis != 2 * k:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +52,14 @@ class ExperimentSpec:
     schema: dict[str, ConfigType]  # every accepted key but ``seed``; a superset of ``defaults``
     # checks that relate values of a well-typed config; raises ConfigError
     check_values: Callable[[dict], None] | None = None
+    # upper bounds of natural sweep keys, each set from a stated cost
+    caps: dict[str, int] = field(default_factory=dict)
+
+
+def _texts(family, n: int, seeds: int) -> list:
+    """Member n's canonical text, then one seeded text for each seed below ``seeds``."""
+    target = family.member(n)
+    return [family.canonical_text(n)] + [make_text("seeded", target, seed=s) for s in range(seeds)]
 
 
 def _teacher_item_count(transcript) -> int:
@@ -121,18 +130,22 @@ def _msd_linear(config: dict) -> ExperimentResult:
     learner, teacher_factory = agents.make_msd_pair()
     rows = []
     ok = True
-    seeds = list(range(config["seeds"]))
     for n in range(0, config["max_n"] + 1):
-        target = family.member(n)
-        texts = [family.canonical_text(n)]
-        texts += [make_text("seeded", target, seed=s) for s in seeds]
+        horizon = n + 60
         ticks = None
-        for text in texts:
+        # a session reads at most `horizon` raw positions, and its learner and teacher
+        # start fresh, so texts that agree that far give the same transcript
+        already_run = set()
+        for text in _texts(family, n, config["seeds"]):
+            prefix = tuple(itertools.islice(text.stream(), horizon))
+            if prefix in already_run:
+                continue
+            already_run.add(prefix)
             transcript = run_session(
                 learner,
                 text,
                 teacher=teacher_factory(),
-                budget=Budget(horizon=n + 60, window=20),
+                budget=Budget(horizon=horizon, window=20),
             )
             ok = ok and transcript.converged and transcript.final_hypothesis == n
             if ticks is None:
@@ -289,11 +302,11 @@ def _merged_split(config: dict) -> ExperimentResult:
                 budget=Budget(horizon=120, window=15),
             )
         extra = transcript.ledger.oracle_queries - component.ledger.oracle_queries
-        correct = transcript.final_hypothesis == family.min_index(n)
+        expected = family.min_index(n)
         rows.append(
-            (n, transcript.final_hypothesis, family.min_index(n), transcript.ledger.oracle_queries, extra)
+            (n, transcript.final_hypothesis, expected, transcript.ledger.oracle_queries, extra)
         )
-        ok = ok and correct and extra == 1
+        ok = ok and transcript.final_hypothesis == expected and extra == 1
         ok = ok and (transcript.final_hypothesis % 2 == n % 2)
     return ExperimentResult(
         columns=["n", "hypothesis", "min_index", "oracle_queries", "extra_vs_component"],
@@ -332,16 +345,20 @@ def _psd_finite(config: dict) -> ExperimentResult:
             )
         )
         ok = ok and verdict.passed
-    index_a = family.index_of_set(frozenset(config["overlap_pair"][0]))
-    index_b = family.index_of_set(frozenset(config["overlap_pair"][1]))
-    text_a, text_b = adversary.repeat_prefix_texts(
+    index_a, index_b = (family.index_of_set(frozenset(s)) for s in config["overlap_pair"])
+    texts = adversary.repeat_prefix_texts(
         family, index_a, index_b, config["shared_element"], poly_encode([1, 1])
     )
-    shared = len(text_a.prefix)
-    run_a = run_session(learner, text_a, budget=Budget(horizon=shared + 20, window=5))
-    run_b = run_session(learner, text_b, budget=Budget(horizon=shared + 20, window=5))
-    hyp_a = [e for e in run_a.emissions if e.position <= shared][-1].hypothesis
-    hyp_b = [e for e in run_b.emissions if e.position <= shared][-1].hypothesis
+    shared = len(texts[0].prefix)
+    budget = Budget(horizon=shared + 20, window=5)
+    hyp_a, hyp_b = (
+        [
+            e.hypothesis
+            for e in run_session(learner, text, budget=budget).emissions
+            if e.position <= shared
+        ][-1]
+        for text in texts
+    )
     ok = ok and hyp_a == hyp_b
     return ExperimentResult(
         columns=["index", "set_size", "distinct_data", "psd_pass", "reason"],
@@ -368,12 +385,8 @@ def _conversions(config: dict) -> ExperimentResult:
     decoder, encoder_factory = agents.convert_pmc_to_psdT(catalog["pow2_pmc_learner"])
     rows = []
     ok = True
-    seeds = list(range(config["seeds_per_n"]))
     for n in range(0, config["max_n"] + 1):
-        target = family.member(n)
-        texts = [family.canonical_text(n)]
-        texts += [make_text("seeded", target, seed=s) for s in seeds]
-        for t_i, text in enumerate(texts):
+        for t_i, text in enumerate(_texts(family, n, config["seeds_per_n"])):
             budget = Budget(horizon=2**n + 60, window=20)
             pmc_run = run_session(gated, text, budget=budget)
             pmc_verdict = evaluate_run(pmc_run, family, n, poly, "PMC")
@@ -632,6 +645,13 @@ CSD_PAIR_MAX_CANDIDATES = 100_000
 PCS_SUITE_MAX_THM64 = 20
 
 
+# Greatest msd-linear index: it runs at most 3! = 6 distinct texts per n, each to
+# horizon n + 60, so its time grows with the square of max_n.  max_n 100 / 200 / 400
+# took 0.21 / 0.68 / 2.8 s and 800 took 10.6 s, all at about 20 MB (Python 3.11, 2 cores);
+# the cap keeps a run within a few seconds.
+MSD_LINEAR_MAX_N = 400
+
+
 def _csd_chain_values(config: dict) -> None:
     """The chain anchor lies in the swept table, above anchor 0, and the sweep is bounded.
 
@@ -650,14 +670,6 @@ def _csd_chain_values(config: dict) -> None:
     for i in range(max_anchor + 1):
         if chains.anchor(i) + chains.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
             raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
-
-
-def _pcs_suite_values(config: dict) -> None:
-    """The offset-power sweep lists universes that fit in memory."""
-    if config["max_thm64"] > PCS_SUITE_MAX_THM64:
-        raise ConfigError(
-            f"max_thm64 must be at most {PCS_SUITE_MAX_THM64}, got {config['max_thm64']}"
-        )
 
 
 # Greatest swept i of W with a printable tower index 2^(2^i): Python prints ints of
@@ -721,6 +733,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             _msd_linear,
             {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
             _marker_values(1),
+            caps={"max_n": MSD_LINEAR_MAX_N},
         ),
         ExperimentSpec(
             "msd-defeat",
@@ -794,7 +807,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "trap_learners": TRAP_LEARNERS,
                 "trap_budgets": TRAP_BUDGETS,  # optional: absent means the search defaults
             },
-            _pcs_suite_values,
+            caps={"max_thm64": PCS_SUITE_MAX_THM64},
         ),
         ExperimentSpec(
             "halting-psd",
@@ -826,14 +839,17 @@ def run_experiment(name: str, config: dict | None, out_dir) -> int:
     """Execute one experiment; returns the process exit code.
 
     Raises :class:`ConfigError` for an unknown key, a value outside its
-    schema type or values the spec's ``check_values`` rejects, before the
-    output directory is created.
+    schema type or above its cap, or values the spec's ``check_values``
+    rejects, before the output directory is created.
     """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
     merged = {**spec.defaults, "seed": 0, **(config or {})}
     _check_config({**spec.schema, "seed": INTEGER}, merged)
+    for key, cap in spec.caps.items():
+        if merged[key] > cap:
+            raise ConfigError(f"{key} must be at most {cap}, got {merged[key]}")
     if spec.check_values is not None:
         spec.check_values(merged)
     out = Path(out_dir)

@@ -56,6 +56,7 @@ class DefaultRun(NamedTuple):
     out: Path  # the experiment's output directory
     exit_code: int
     sessions: list  # (teacherless, transcript) of each of its run_session calls
+    inputs: list  # (text, budget) of each of its run_session calls, in the same order
     seconds: float
 
 
@@ -63,11 +64,12 @@ class DefaultRun(NamedTuple):
 def default_catalog(tmp_path_factory):
     """Every experiment on its default config, run once per session: name -> DefaultRun."""
     base = tmp_path_factory.mktemp("default-catalog")
-    sessions, runs = [], {}
+    sessions, inputs, runs = [], [], {}
 
     def recording_run_session(learner, text, *, budget, **kwargs):
         transcript = run_session(learner, text, budget=budget, **kwargs)
         sessions.append((kwargs.get("teacher") is None, transcript))
+        inputs.append((text, budget))
         return transcript
 
     with pytest.MonkeyPatch.context() as patch:
@@ -76,7 +78,8 @@ def default_catalog(tmp_path_factory):
         for name in experiments.EXPERIMENTS:
             before, start = len(sessions), time.perf_counter()
             code = experiments.run_experiment(name, None, base / name)
-            runs[name] = DefaultRun(base / name, code, sessions[before:], time.perf_counter() - start)
+            seconds = time.perf_counter() - start
+            runs[name] = DefaultRun(base / name, code, sessions[before:], inputs[before:], seconds)
     return runs
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -322,6 +323,36 @@ def test_search_trap_sets_names_the_exhausted_budget(registry, m_id, budgets, ex
     trap = adversary.search_trap_sets(registry, m_id, poly_encode([0]), 1, **budgets)
     assert not trap.resolved and not trap.decoys
     assert trap.stats["exhausted_budget"] == exhausted
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_sampled_arrangements_keep_the_sample_stream(seed):
+    # core sizes across several bit_length edges of the per-position draw bound
+    for size in range(1, 13):
+        core = tuple(range(5, 5 + 3 * size, 3))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = list(adversary._sampled_arrangements(core, 40, ours))
+        assert drawn == [theirs.sample(core, size) for _ in range(40)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_sampled_trap_search_draws_one_arrangement_per_failing_candidate(registry, monkeypatch):
+    """Arrangements are drawn lazily from one seeded stream shared by the candidates."""
+    runs = []
+
+    def recording_run_on_sequence(learner, sequence, **kwargs):
+        runs.append(list(sequence))
+        return run_on_sequence(learner, sequence, **kwargs)
+
+    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
+    trap = adversary.search_trap_sets(
+        registry, 2, poly_encode([3, 1]), 2, max_candidates=5, seed=3
+    )
+    assert trap.stats["exhaustive_arrangements"] is False
+    assert trap.stats["exhausted_budget"] == "max_candidates"
+    rng = random.Random(3)
+    combos = itertools.islice(itertools.combinations(INTERVAL_K2[1:], 8), 5)
+    assert runs == [rng.sample((INTERVAL_K2[0], *combo), 9) for combo in combos]
 
 
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))

@@ -219,6 +219,10 @@ class Raw(NamedTuple):
             ("pcs-suite", {"max_thm64": m}, f"max_thm64 must be at most 20, got {m}")
             for m in (21, 26, 10**9)
         ],
+        *[
+            ("msd-linear", {"max_n": m}, f"max_n must be at most 400, got {m}")
+            for m in (401, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -252,6 +256,7 @@ def test_default_configs_match_their_schema(name):
     spec = EXPERIMENTS[name]
     assert set(spec.defaults) <= set(spec.schema)
     _check_config(spec.schema, spec.defaults)
+    assert all(spec.defaults[key] <= cap for key, cap in spec.caps.items())
     if spec.check_values is not None:
         spec.check_values(spec.defaults)
 

@@ -1,0 +1,78 @@
+"""Experiment internals that the acceptance criteria do not see.
+
+``msd-linear`` runs one session per distinct horizon prefix of its texts; a
+session reads no further, so skipping a repeat must change no row, summary
+or verdict.
+"""
+
+import itertools
+
+import pytest
+
+from txtex_lab import agents, experiments, families
+from txtex_lab.codec import poly_encode
+from txtex_lab.session import Budget, run_session
+from txtex_lab.text import make_text
+
+
+class _OrderSensitiveTeacher(agents.DescriptorTeacher):
+    """The descriptor teacher, leading once too often when the descriptor arrived out
+    of increasing order: the pair then fails, a little later, on every order but one."""
+
+    def __init__(self):
+        super().__init__()
+        self.ascending, self.last = True, -1
+
+    def on_input(self, datum):
+        self.ascending, self.last = self.ascending and datum >= self.last, datum
+        planned = bool(self.plan)
+        items = super().on_input(datum)
+        if not planned and self.plan and not self.ascending:  # the descriptor just completed
+            self.plan.appendleft(self.plan[0])
+        return items
+
+
+def every_text_msd_linear(config):
+    """``msd-linear``'s rows, summary and ``ok`` with one session for every text."""
+    registry = agents.build_default_registry()
+    family = families.make_msd(registry, config["learner_id"], poly_encode(config["poly"]))
+    learner, teacher_factory = agents.make_msd_pair()
+    rows, ok = [], True
+    for n in range(config["max_n"] + 1):
+        texts = [family.canonical_text(n)]
+        texts += [make_text("seeded", family.member(n), seed=s) for s in range(config["seeds"])]
+        for position, text in enumerate(texts):
+            budget = Budget(horizon=n + 60, window=20)
+            transcript = run_session(learner, text, teacher=teacher_factory(), budget=budget)
+            ok = ok and transcript.converged and transcript.final_hypothesis == n
+            if position == 0:
+                rows.append((n, transcript.convergence.ticks))
+    c = sum(t * (n + 1) for n, t in rows) / sum((n + 1) ** 2 for n, _ in rows)
+    max_residual = max(abs(t - c * (n + 1)) for n, t in rows)
+    summary = {"fit_c": round(c, 6), "max_residual": round(max_residual, 6)}
+    return rows, summary, ok and max_residual <= c
+
+
+@pytest.mark.parametrize("teacher", [agents.DescriptorTeacher, _OrderSensitiveTeacher])
+def test_msd_linear_equals_a_session_for_every_text(monkeypatch, teacher):
+    learner, _ = agents.make_msd_pair()
+    monkeypatch.setattr(agents, "make_msd_pair", lambda: (learner, teacher))
+    config = {**experiments.EXPERIMENTS["msd-linear"].defaults, "max_n": 15, "seeds": 10}
+    result = experiments._msd_linear(config)
+    expected = every_text_msd_linear(config)
+    assert (result.rows, result.summary, result.ok) == expected
+    # the order-sensitive pair fails on some seeded order and passes on the canonical text,
+    # whose convergence ticks are the row's
+    assert result.ok is (teacher is agents.DescriptorTeacher)
+
+
+def test_default_msd_linear_runs_each_distinct_prefix_once(default_catalog):
+    # 101 indices x 11 texts; a member has 3 elements, so its texts open in one of 3! orders
+    inputs = default_catalog["msd-linear"].inputs
+    keys = [
+        (budget.horizon, tuple(itertools.islice(text.stream(), budget.horizon)))
+        for text, budget in inputs
+    ]
+    assert len(keys) == 606
+    assert len(set(keys)) == len(keys)
+    assert {horizon - 60 for horizon, _ in keys} == set(range(101))
