@@ -650,6 +650,14 @@ PCS_SUITE_MAX_THM64 = 20
 # took 0.21 / 0.68 / 2.8 s and 800 took 10.6 s, all at about 20 MB (Python 3.11, 2 cores);
 # the cap keeps a run within a few seconds.
 MSD_LINEAR_MAX_N = 400
+# Most msd-linear seeds: each seeded text is built and keyed by its first n + 60
+# elements even when its session is skipped.  Seeds 100 / 1,000 took 0.24 / 1.6 s at
+# max_n 100 and 2.2 / 9.5 s at max_n 400, all at about 20 MB (Python 3.11, 2 cores).
+MSD_LINEAR_MAX_SEEDS = 100
+# Greatest conversions-roundtrip index: its horizon is 2^n + 60, so time and memory
+# double with each n.  max_n 14 / 15 / 16 / 17 took 0.49 / 0.93 / 2.6 / 5.2 s at
+# 25 / 33 / 42 / 64 MB peak RSS (Python 3.11, 2 cores).
+CONVERSIONS_ROUNDTRIP_MAX_N = 16
 
 
 def _csd_chain_values(config: dict) -> None:
@@ -733,7 +741,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             _msd_linear,
             {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
             _marker_values(1),
-            caps={"max_n": MSD_LINEAR_MAX_N},
+            caps={"max_n": MSD_LINEAR_MAX_N, "seeds": MSD_LINEAR_MAX_SEEDS},
         ),
         ExperimentSpec(
             "msd-defeat",
@@ -787,6 +795,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"max_n": 10, "seeds_per_n": 5},
             _conversions,
             {"max_n": NATURAL, "seeds_per_n": NATURAL},
+            caps={"max_n": CONVERSIONS_ROUNDTRIP_MAX_N},
         ),
         ExperimentSpec(
             "pcs-suite",

@@ -1,0 +1,272 @@
+"""Scripted learners and teachers, and the reference semantics every action loop is held to.
+
+A learner here is a *script*, a list of ``(op, value)`` steps that
+``scripted_learner`` acts out in order:
+
+- ``read`` and ``skip`` take the next input element; a skipped element is
+  not observed (the learner asserts it gets ``None`` back);
+- ``query`` asks the oracle about the value;
+- ``emit`` emits the value, and ``emit-last`` emits the last result the
+  learner got back: the datum read, or a query's answer as 1 or 0;
+- ``work`` declares the value as ticks of internal work;
+- ``unknown`` yields ``EmitLookalike()``, which no loop accepts.
+
+Only ``query``, ``emit`` and ``work`` read the value.
+
+``reference_session`` walks a script directly and derives what a session
+over it logs, from the semantics that the ``session`` docstring and README
+state: one tick per action plus declared work, the tick check before each
+action, the horizon on raw text positions, the teacher pump with its one
+``teach`` event per non-empty batch and its ``abort`` on an unseen item, and
+convergence judged on raw positions.  It builds no learner program.
+``composed_script`` states what ``simulate_pair`` does as a script of its
+own, so the same reference covers pair composition.
+
+This is a helper module, not a test module: the session properties import
+it, and ``test_teacher_properties`` draws its learners from it.
+"""
+
+from typing import NamedTuple
+
+from hypothesis import strategies as st
+
+from txtex_lab.session import (
+    READ,
+    EmissionSnapshot,
+    Emit,
+    Event,
+    Learner,
+    Query,
+    ResourceLedger,
+    SessionTranscript,
+    Skip,
+    Teacher,
+    Work,
+)
+
+UNSEEN = 100  # above every drawn text element, so no teacher input ever holds it
+
+
+class EmitLookalike:
+    """Carries ``Emit``'s field, but every loop dispatches on the exact type."""
+
+    hypothesis = 1
+
+
+def scripted_learner(script, loops=False):
+    """Runs ``script`` once, or forever when ``loops``."""
+
+    def program():
+        last = 0
+        while True:
+            for op, value in script:
+                if op == "read":
+                    last = yield READ
+                elif op == "skip":
+                    assert (yield Skip()) is None
+                elif op == "query":
+                    last = int((yield Query(value)))
+                elif op == "emit":
+                    yield Emit(value)
+                elif op == "emit-last":
+                    yield Emit(last)
+                elif op == "work":
+                    yield Work(value)
+                else:
+                    yield EmitLookalike()
+            if not loops:
+                return
+
+    return Learner("scripted", program)
+
+
+class ScriptedTeacher(Teacher):
+    """On its i-th input passes on the seen data that ``script[i]`` picks, then nothing.
+
+    A pick of ``None`` is an element the teacher never received.
+    """
+
+    name = "scripted"
+
+    def __init__(self, script):
+        self.script = script
+        self.seen = []
+        self.cheated = False
+
+    def on_input(self, datum):
+        self.seen.append(datum)
+        if len(self.seen) > len(self.script):
+            return []
+        out = []
+        for pick in self.script[len(self.seen) - 1]:
+            if pick is None:
+                self.cheated = True
+                out.append(UNSEEN)
+            else:
+                out.append(self.seen[pick % len(self.seen)])
+        return out
+
+
+class Walk(NamedTuple):
+    transcript: SessionTranscript
+    actions: int  # actions the learner yielded, the one that ended the session included
+    raises: type | None  # the error the loop raises instead of returning
+
+
+def reference_session(script, raw, *, teacher=None, members=None, budget):
+    """What a session of ``scripted_learner(script)`` over the raw data ``raw`` logs.
+
+    ``raw`` holds at least ``budget.horizon`` elements.  ``members`` is the
+    oracle set (``None``: no oracle), and ``teacher`` a fresh teacher or
+    ``None``.
+    """
+    events, emissions = [], []
+    ticks = skips = queries = mind_changes = position = actions = 0
+    read = set()
+    convergence = None
+    buffer, given = [], set()  # the teacher's undelivered items and the data it was given
+    last = 0
+    end, raises = "idle", None
+    for step in [*script, None]:  # None: the learner idles
+        if ticks >= budget.max_ticks:
+            end = "ticks"
+            break
+        if step is None:
+            break
+        actions += 1
+        op, value = step
+        if op in ("read", "skip"):
+            while teacher is not None and not buffer and position < budget.horizon:
+                datum = raw[position]
+                position += 1
+                given.add(datum)
+                batch = teacher.on_input(datum)
+                unseen = [item for item in batch if item not in given]
+                if unseen:
+                    events.append(Event("abort", (f"teacher emitted unseen element {unseen[0]}",)))
+                    end = "contract-violation"
+                    break
+                if batch:
+                    events.append(Event("teach", (datum, tuple(batch))))
+                    buffer += batch
+            if end == "contract-violation":
+                break
+            if teacher is None and position < budget.horizon:
+                element = raw[position]
+                position += 1
+            elif buffer:
+                element = buffer.pop(0)
+            else:
+                end = "horizon"
+                break
+            ticks += 1
+            if op == "read":
+                last = element
+                read.add(element)
+                events.append(Event("read", (element,)))
+            else:
+                skips += 1
+                events.append(Event("skip", ()))
+        elif op in ("emit", "emit-last"):
+            hypothesis = value if op == "emit" else last
+            ticks += 1
+            events.append(Event("emit", (hypothesis,)))
+            snapshot = EmissionSnapshot(hypothesis, position, ticks, len(read), queries)
+            if convergence is None or hypothesis != convergence.hypothesis:
+                mind_changes += convergence is not None
+                convergence = snapshot
+            emissions.append(snapshot)
+        elif op == "query":
+            if members is None:
+                raises = ValueError
+                break
+            answer = value in members
+            last = int(answer)
+            ticks += 1
+            queries += 1
+            events.append(Event("query", (value, answer)))
+        elif op == "work":
+            ticks += value
+            events.append(Event("work", (value,)))
+        else:
+            raises = TypeError
+            break
+    converged = convergence is not None and (
+        end == "idle"
+        or end == "horizon" and position - convergence.position >= budget.effective_window()
+    )
+    ledger = ResourceLedger(ticks, len(read), mind_changes, queries, skips)
+    transcript = SessionTranscript(events, ledger, emissions, end, converged, convergence)
+    return Walk(transcript, actions, raises)
+
+
+def composed_script(script, raw, teacher, members):
+    """The script that ``simulate_pair(scripted_learner(script), teacher)`` acts out over ``raw``.
+
+    A teacher sees only the text, so the pair's actions are fixed by the
+    inner script and the raw data.  Each inner read or skip first reads raw
+    data, one datum per read, until the teacher has passed an item on; an
+    inner skip then costs ``("work", 1)``.  Every other op passes through,
+    and an inner ``emit-last`` emits the inner learner's own last result.
+    The script ends with a read past ``raw`` where the pair would run out of
+    raw data.
+    """
+    out, buffer, last, position = [], [], 0, 0
+    for op, value in script:
+        if op in ("read", "skip"):
+            while not buffer:
+                out.append(("read", 0))
+                if position == len(raw):
+                    return out
+                buffer += teacher.on_input(raw[position])
+                position += 1
+            item = buffer.pop(0)
+            if op == "read":
+                last = item
+            else:
+                out.append(("work", 1))
+        elif op == "emit-last":
+            out.append(("emit", last))
+        else:
+            out.append((op, value))
+            if op == "query":
+                if members is None:
+                    return out
+                last = int(value in members)
+    return out
+
+
+def ticks_and_taken(script):
+    """The ticks a whole script costs, and how many input elements it takes."""
+    ticks = sum(value if op == "work" else 1 for op, value in script if op != "unknown")
+    return ticks, sum(op in ("read", "skip") for op, _ in script)
+
+
+ELEMENTS = st.integers(0, 12)
+# one draw per step; Hypothesis draws the ops listed first more often
+QUERY_FREE_STEPS = st.tuples(st.sampled_from(["read", "emit-last", "skip", "emit", "work"]), ELEMENTS)
+STEPS = st.tuples(st.sampled_from(["read", "query", "emit-last", "skip", "emit", "work"]), ELEMENTS)
+TEACHER_PICKS = st.lists(st.integers(0, 7), max_size=3)  # an empty list passes nothing on
+# true about one draw in six; not an end of the range, which Hypothesis draws more often
+RARELY = st.integers(1, 6).map(lambda i: i == 3)
+
+
+@st.composite
+def scripts(draw):
+    """A script of up to 14 steps; now and then one of them is an unknown action."""
+    script = draw(st.lists(STEPS, max_size=14))
+    if draw(RARELY):
+        script.insert(draw(st.integers(0, len(script))), ("unknown", 0))
+    return script
+
+
+@st.composite
+def oracles(draw):
+    """The oracle's members, or now and then ``None``: no oracle."""
+    return None if draw(RARELY) else set(draw(st.lists(ELEMENTS, max_size=6)))
+
+
+# offsets from what a script costs or takes: at and around its end, or far past it;
+# the first listed is drawn most often
+TICK_OFFSETS = st.sampled_from([10**6, -1, 0, -2, 1, 2])
+HORIZON_OFFSETS = st.sampled_from([-1, 40, 0, -2, 1, 2, 3])

@@ -223,6 +223,14 @@ class Raw(NamedTuple):
             ("msd-linear", {"max_n": m}, f"max_n must be at most 400, got {m}")
             for m in (401, 10**9)
         ],
+        *[
+            ("msd-linear", {"seeds": m}, f"seeds must be at most 100, got {m}")
+            for m in (101, 10**9)
+        ],
+        *[
+            ("conversions-roundtrip", {"max_n": m}, f"max_n must be at most 16, got {m}")
+            for m in (17, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(

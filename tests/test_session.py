@@ -13,7 +13,6 @@ from txtex_lab.codec import poly_encode
 from txtex_lab.families import make_csd, make_msd
 from txtex_lab.session import (
     READ,
-    ActionBudgetExceeded,
     Budget,
     Emit,
     EmissionSnapshot,
@@ -24,11 +23,9 @@ from txtex_lab.session import (
     Skip,
     Teacher,
     Work,
-    compose_pair,
-    run_on_sequence,
     run_session,
 )
-from txtex_lab.sets import FiniteSet, Interval, SetSpec
+from txtex_lab.sets import FiniteSet, Interval
 from txtex_lab.text import make_text
 
 
@@ -118,37 +115,6 @@ def test_oracle_queries_counted_and_faithful():
             assert answer == target.contains(x)
 
 
-def test_query_without_oracle_raises():
-    text = make_text("canonical", Interval(0, 3))
-    with pytest.raises(ValueError):
-        run_session(scan_learner(), text, budget=Budget())
-
-
-def test_skip_costs_one_tick():
-    def program():
-        yield Skip()
-        datum = yield Read()
-        yield Emit(datum)
-
-    learner = Learner("skipper", program)
-    text = make_text("canonical", Interval(7, 9))
-    transcript = run_session(learner, text, budget=Budget(horizon=10))
-    assert transcript.ledger.skips == 1
-    assert transcript.final_hypothesis == 8
-    assert transcript.ledger.ticks == 3
-
-
-def test_work_units_add_ticks():
-    def program():
-        yield Work(5)
-        yield Emit(1)
-
-    transcript = run_session(
-        Learner("worker", program), make_text("canonical", FiniteSet({3})), budget=Budget()
-    )
-    assert transcript.ledger.ticks == 6
-
-
 class FirstOccurrenceTeacher(Teacher):
     name = "first-occurrence"
 
@@ -191,113 +157,6 @@ def test_teacher_contract_violation_aborts():
     assert transcript.end_reason == "contract-violation"
     assert not transcript.converged
     assert transcript.events[-1].kind == "abort"
-
-
-def test_compose_pair_matches_two_agent_session():
-    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
-    pair_run = run_session(
-        echo_counter_learner(),
-        text,
-        teacher=FirstOccurrenceTeacher(),
-        budget=Budget(horizon=20),
-    )
-    composed = compose_pair(echo_counter_learner(), FirstOccurrenceTeacher)
-    solo_run = run_session(composed, text, budget=Budget(horizon=20))
-    assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()
-    assert solo_run.ledger.mind_changes == pair_run.ledger.mind_changes
-
-
-def test_run_on_sequence_semantics():
-    run = run_on_sequence(echo_counter_learner(), [4, 4, 7])
-    assert run.emissions == [1, 1, 2]
-    assert run.actions == 7  # the read past the end is the last action
-
-    run = run_on_sequence(scan_learner(), [], oracle=Interval(2))
-    assert run.last_hypothesis == 2
-    assert run.actions == 4  # three queries and the emission, then the learner idles
-    assert run.queries == [(0, False), (1, False), (2, True)]
-
-
-def test_run_on_sequence_action_budget():
-    def spinner():
-        while True:
-            yield Work(0)
-
-    with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(Learner("spinner", spinner), [], max_actions=50)
-    assert exc_info.value.partial.actions == 50
-
-
-class Shout:
-    """Not an action the interpreters know."""
-
-
-class EmitLookalike:
-    """Carries ``Emit``'s field, but dispatch is by exact type."""
-
-    hypothesis = 1
-
-
-def shouting_learner(unknown):
-    def program():
-        yield Emit(1)
-        yield unknown
-
-    return Learner("shouter", program)
-
-
-def test_unknown_action_raises_type_error():
-    for unknown in (Shout(), EmitLookalike()):
-        with pytest.raises(TypeError, match="unknown action"):
-            run_session(
-                shouting_learner(unknown), make_text("canonical", Interval(0, 3)), budget=Budget()
-            )
-        with pytest.raises(TypeError, match="unknown action"):
-            run_on_sequence(shouting_learner(unknown), [1, 2])
-
-
-def test_run_on_sequence_skip_consumes_without_observing():
-    def program():
-        skipped = yield Skip()
-        datum = yield Read()
-        yield Emit(datum)
-        yield Emit(-1 if skipped is None else skipped)
-        yield Skip()
-
-    learner = Learner("skip-read", program)
-    run = run_on_sequence(learner, [7, 8])
-    assert run.emissions == [8, -1]
-    assert run.actions == 5  # the Skip past the end counts as an action
-
-
-def test_run_on_sequence_work_counts_as_action():
-    def program():
-        yield Work(5)
-        yield Work(0)
-        yield Emit(3)
-
-    run = run_on_sequence(Learner("worker", program), [])
-    assert run.actions == 3 and run.emissions == [3]
-    with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(Learner("worker", program), [], max_actions=2)
-    assert exc_info.value.partial.actions == 2
-    assert exc_info.value.partial.emissions == []
-
-
-class MultiplesOf3(SetSpec):
-    def contains(self, x):
-        return x % 3 == 0
-
-
-def test_run_on_sequence_tuple_and_list_inputs_agree():
-    oracle = MultiplesOf3()
-    for sequence in ([4, 4, 7], [], [0, 1, 2, 3, 4, 5]):
-        as_list = run_on_sequence(echo_counter_learner(), list(sequence))
-        as_tuple = run_on_sequence(echo_counter_learner(), tuple(sequence))
-        assert as_list == as_tuple
-        scan_list = run_on_sequence(scan_learner(), list(sequence), oracle=oracle)
-        scan_tuple = run_on_sequence(scan_learner(), tuple(sequence), oracle=oracle)
-        assert scan_list == scan_tuple
 
 
 def _sha256(text):
@@ -348,62 +207,12 @@ def test_readme_quick_session_prints_its_result():
     assert out.getvalue() == "9 10\n"
 
 
-def test_tick_budget_marks_non_converged():
-    text = make_text("canonical", Interval(0, None))
-    transcript = run_session(echo_counter_learner(), text, budget=Budget(max_ticks=9, horizon=50))
-    assert transcript.end_reason == "ticks"
-    assert not transcript.converged
-
-
 def test_agent_spec():
     spec = constant_learner(3).spec()
     assert spec == {"kind": "learner", "name": "constant-3", "costs": "one tick per action"}
     noted = Learner("worker", constant_learner().program, "five ticks")
     assert noted.spec()["costs"] == "five ticks"
     assert FirstOccurrenceTeacher().spec() == {"kind": "teacher", "name": "first-occurrence"}
-
-
-def emitter_learner(count):
-    """Emits 0..count-1 and idles: exactly ``count`` actions."""
-
-    def program():
-        for value in range(count):
-            yield Emit(value)
-
-    return Learner(f"emitter-{count}", program)
-
-
-def test_run_on_sequence_zero_budget_raises_before_any_action():
-    for learner in (emitter_learner(0), emitter_learner(3), echo_counter_learner()):
-        with pytest.raises(ActionBudgetExceeded) as exc_info:
-            run_on_sequence(learner, [1, 2], max_actions=0)
-        partial = exc_info.value.partial
-        assert partial.actions == 0
-        assert partial.emissions == [] and partial.queries == []
-
-
-def test_run_on_sequence_budget_spent_on_last_action_still_raises():
-    # the learner would idle right after its third action, but the budget is
-    # checked before the interpreter learns that
-    with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(emitter_learner(3), [], max_actions=3)
-    partial = exc_info.value.partial
-    assert partial.actions == 3
-    assert partial.emissions == [0, 1, 2]
-
-
-def test_run_on_sequence_read_past_end_on_last_budgeted_action():
-    run = run_on_sequence(echo_counter_learner(), [5], max_actions=3)
-    assert run.actions == 3  # read, emit, and the read past the end
-    assert run.emissions == [1]
-
-
-def test_run_on_sequence_idle_reports_true_action_count():
-    for count in (0, 1, 4):
-        for max_actions in (count + 1, count + 2, 100_000):
-            run = run_on_sequence(emitter_learner(count), [9], max_actions=max_actions)
-            assert run.actions == count
-            assert run.emissions == list(range(count))
 
 
 def test_read_and_skip_are_frozen_equal_and_hashable():

@@ -14,6 +14,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from session_scripts import QUERY_FREE_STEPS, scripted_learner
 
 from txtex_lab.adversary import marker_element
 from txtex_lab.agents import CountEncodingTeacher, DescriptorTeacher
@@ -111,37 +112,9 @@ class ReferenceDescriptorTeacher:
         return []
 
 
-def scripted_learner(script, loops):
-    """Runs ``script`` once, or forever when ``loops``; emits depend on the last datum read."""
-
-    def program():
-        last = 0
-        while True:
-            for op, value in script:
-                if op == "read":
-                    last = yield READ
-                elif op == "skip":
-                    assert (yield Skip()) is None  # a skipped element is not observed
-                elif op == "emit":
-                    yield Emit((value + last) % 5)
-                else:
-                    yield Work(value)
-            if not loops:
-                return
-
-    return Learner("scripted", program)
-
-
-OPS = st.one_of(
-    st.tuples(st.sampled_from(["read", "skip"]), st.just(0)),
-    st.tuples(st.just("emit"), st.integers(0, 6)),
-    st.tuples(st.just("work"), st.integers(0, 3)),
-)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
-    script=st.lists(OPS, max_size=10),
+    script=st.lists(QUERY_FREE_STEPS, max_size=10),
     loops=st.booleans(),
     data=st.lists(st.integers(0, 40), min_size=1, max_size=25),
 )
