@@ -13,6 +13,7 @@ from txtex_lab.codec import poly_encode
 from txtex_lab.families import make_csd, make_msd
 from txtex_lab.session import (
     READ,
+    ActionBudgetExceeded,
     Budget,
     Emit,
     EmissionSnapshot,
@@ -23,6 +24,8 @@ from txtex_lab.session import (
     Skip,
     Teacher,
     Work,
+    compose_pair,
+    run_on_sequence,
     run_session,
 )
 from txtex_lab.sets import FiniteSet, Interval
@@ -115,6 +118,37 @@ def test_oracle_queries_counted_and_faithful():
             assert answer == target.contains(x)
 
 
+def test_query_without_oracle_raises():
+    text = make_text("canonical", Interval(0, 3))
+    with pytest.raises(ValueError):
+        run_session(scan_learner(), text, budget=Budget())
+
+
+def test_skip_costs_one_tick():
+    def program():
+        yield Skip()
+        datum = yield Read()
+        yield Emit(datum)
+
+    learner = Learner("skipper", program)
+    text = make_text("canonical", Interval(7, 9))
+    transcript = run_session(learner, text, budget=Budget(horizon=10))
+    assert transcript.ledger.skips == 1
+    assert transcript.final_hypothesis == 8
+    assert transcript.ledger.ticks == 3
+
+
+def test_work_units_add_ticks():
+    def program():
+        yield Work(5)
+        yield Emit(1)
+
+    transcript = run_session(
+        Learner("worker", program), make_text("canonical", FiniteSet({3})), budget=Budget()
+    )
+    assert transcript.ledger.ticks == 6
+
+
 class FirstOccurrenceTeacher(Teacher):
     name = "first-occurrence"
 
@@ -157,6 +191,59 @@ def test_teacher_contract_violation_aborts():
     assert transcript.end_reason == "contract-violation"
     assert not transcript.converged
     assert transcript.events[-1].kind == "abort"
+
+
+def test_compose_pair_matches_two_agent_session():
+    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
+    pair_run = run_session(
+        echo_counter_learner(),
+        text,
+        teacher=FirstOccurrenceTeacher(),
+        budget=Budget(horizon=20),
+    )
+    composed = compose_pair(echo_counter_learner(), FirstOccurrenceTeacher)
+    solo_run = run_session(composed, text, budget=Budget(horizon=20))
+    assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()
+    assert solo_run.ledger.mind_changes == pair_run.ledger.mind_changes
+
+
+def test_run_on_sequence_semantics():
+    run = run_on_sequence(echo_counter_learner(), [4, 4, 7])
+    assert run.emissions == [1, 1, 2]
+    assert run.actions == 7  # the read past the end is the last action
+
+    run = run_on_sequence(scan_learner(), [], oracle=Interval(2))
+    assert run.last_hypothesis == 2
+    assert run.actions == 4  # three queries and the emission, then the learner idles
+    assert run.queries == [(0, False), (1, False), (2, True)]
+
+
+def test_run_on_sequence_skip_consumes_without_observing():
+    def program():
+        skipped = yield Skip()
+        datum = yield Read()
+        yield Emit(datum)
+        yield Emit(-1 if skipped is None else skipped)
+        yield Skip()
+
+    learner = Learner("skip-read", program)
+    run = run_on_sequence(learner, [7, 8])
+    assert run.emissions == [8, -1]
+    assert run.actions == 5  # the Skip past the end counts as an action
+
+
+def test_run_on_sequence_work_counts_as_action():
+    def program():
+        yield Work(5)
+        yield Work(0)
+        yield Emit(3)
+
+    run = run_on_sequence(Learner("worker", program), [])
+    assert run.actions == 3 and run.emissions == [3]
+    with pytest.raises(ActionBudgetExceeded) as exc_info:
+        run_on_sequence(Learner("worker", program), [], max_actions=2)
+    assert exc_info.value.partial.actions == 2
+    assert exc_info.value.partial.emissions == []
 
 
 def _sha256(text):
@@ -207,12 +294,25 @@ def test_readme_quick_session_prints_its_result():
     assert out.getvalue() == "9 10\n"
 
 
+def test_tick_budget_marks_non_converged():
+    text = make_text("canonical", Interval(0, None))
+    transcript = run_session(echo_counter_learner(), text, budget=Budget(max_ticks=9, horizon=50))
+    assert transcript.end_reason == "ticks"
+    assert not transcript.converged
+
+
 def test_agent_spec():
     spec = constant_learner(3).spec()
     assert spec == {"kind": "learner", "name": "constant-3", "costs": "one tick per action"}
     noted = Learner("worker", constant_learner().program, "five ticks")
     assert noted.spec()["costs"] == "five ticks"
     assert FirstOccurrenceTeacher().spec() == {"kind": "teacher", "name": "first-occurrence"}
+
+
+def test_run_on_sequence_read_past_end_on_last_budgeted_action():
+    run = run_on_sequence(echo_counter_learner(), [5], max_actions=3)
+    assert run.actions == 3  # read, emit, and the read past the end
+    assert run.emissions == [1]
 
 
 def test_read_and_skip_are_frozen_equal_and_hashable():
