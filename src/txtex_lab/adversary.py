@@ -20,9 +20,9 @@ from .session import (
     READ,
     ActionBudgetExceeded,
     Budget,
-    Emit,
     Learner,
     compose_pair,
+    emit,
     run_on_sequence,
     run_session,
 )
@@ -414,12 +414,12 @@ def make_chain_chaser(family, chain: list[int]) -> Learner:
     members = [(index, family.member(index)) for index in chain]
 
     def program():
-        yield Emit(0)
+        yield emit(0)
         consistent = members
         while True:
             datum = yield READ
             consistent = [entry for entry in consistent if entry[1].contains(datum)]
             if consistent:
-                yield Emit(consistent[0][0])
+                yield emit(consistent[0][0])
 
     return Learner("chain-chaser", program)

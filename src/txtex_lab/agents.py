@@ -18,7 +18,7 @@ from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import RecognizerState, recognizer_step
 from .families import CsdFamily, PcsFFamily
-from .session import READ, Emit, Learner, Query, Read, Skip, Teacher, Work, simulate_pair
+from .session import READ, Emit, Learner, Read, Skip, Teacher, Work, emit, query, simulate_pair
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +68,7 @@ def query_plan(plan, encode: Callable[[int], int] = lambda v: v):
     try:
         probe = next(plan)
         while True:
-            answer = yield Query(encode(probe))
+            answer = yield query(encode(probe))
             probe = plan.send(answer)
     except StopIteration as stop:
         return stop.value
@@ -108,7 +108,7 @@ class DescriptorTeacher(Teacher):
 
 def _count_core(transform: Callable[[int], int]):
     """Emit transform(occurrences of the first element seen) after each item."""
-    yield Emit(transform(0))
+    yield emit(transform(0))
     first = None
     count = 0
     while True:
@@ -117,7 +117,7 @@ def _count_core(transform: Callable[[int], int]):
             first = item
         if item == first:
             count += 1
-        yield Emit(transform(count))
+        yield emit(transform(count))
 
 
 def make_msd_pair() -> tuple[Learner, Callable[[], Teacher]]:
@@ -134,7 +134,7 @@ def make_pmc_msd_learner() -> Learner:
             state, result = recognizer_step(state, datum)
             yield Work(1)
             if result.status == "complete":
-                yield Emit(result.value)
+                yield emit(result.value)
                 return
 
     return Learner("descriptor-wait", program, "one work unit per recognizer step")
@@ -148,7 +148,7 @@ def _csd_core(family: CsdFamily):
     """Find (top column, widest base element), invert through the family's anchors."""
     top = yield from query_plan(exp_search_plan(2), encode=lambda j: pair(0, j))
     t = 1
-    while (yield Query(pair(t, top))):
+    while (yield query(pair(t, top))):
         t += 1
     index = family.identify(top, t - 1)
     return 0 if index is None else index  # 0: out of contract, not a chain-family member
@@ -159,7 +159,7 @@ def make_csd_learner(family: CsdFamily | None = None) -> Learner:
 
     def program():
         index = yield from _csd_core(family)
-        yield Emit(index)
+        yield emit(index)
 
     return Learner("chain-column-oracle", program, "queries per column/element probe")
 
@@ -169,9 +169,9 @@ def make_merged_learner() -> Learner:
     descriptor count pair (simulated by ``simulate_pair``) doubled plus one."""
 
     def program():
-        if (yield Query(0)):
+        if (yield query(0)):
             index = yield from _csd_core(CsdFamily(3))
-            yield Emit(2 * index)
+            yield emit(2 * index)
             return
         yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher())
 
@@ -187,7 +187,7 @@ def make_finite_psd_learner() -> Learner:
         seen: set[int] = set()
         while True:
             seen.add((yield READ))
-            yield Emit(pair(len(seen), canonical_encode(seen)))
+            yield emit(pair(len(seen), canonical_encode(seen)))
 
     return Learner("finite-size-mask", program)
 
@@ -202,7 +202,7 @@ def make_pow2_plain_learner() -> Learner:
             seen.add((yield READ))
             while covered + 1 in seen:
                 covered += 1
-            yield Emit(covered.bit_length() - 1 if covered >= 1 else 0)
+            yield emit(covered.bit_length() - 1 if covered >= 1 else 0)
 
     return Learner("pow2-collector", program)
 
@@ -210,7 +210,7 @@ def make_pow2_plain_learner() -> Learner:
 def make_pow2_oracle_learner() -> Learner:
     def program():
         endpoint = yield from query_plan(exp_search_plan(2))
-        yield Emit(endpoint.bit_length() - 1 if endpoint >= 1 else 0)
+        yield emit(endpoint.bit_length() - 1 if endpoint >= 1 else 0)
 
     return Learner("pow2-endpoint-oracle", program, "queries per endpoint probe")
 
@@ -248,7 +248,7 @@ def make_pow2_pmc_learner() -> Learner:
         peak = 0
         while True:
             peak = max(peak, (yield READ))
-            yield Emit((peak - 1).bit_length() if peak >= 1 else 0)
+            yield emit((peak - 1).bit_length() if peak >= 1 else 0)
 
     return Learner("pow2-threshold", program)
 
@@ -260,7 +260,7 @@ def make_join_evens_learner() -> Learner:
         while True:
             datum = yield READ
             if datum % 2 == 0:
-                yield Emit(datum // 2)
+                yield emit(datum // 2)
                 return
 
     return Learner("even-spotter", program)
@@ -302,11 +302,11 @@ def convert_psdT_to_pmc(learner: Learner, teacher_factory: Callable[[], Teacher]
                 latest = action.hypothesis
                 continue
             if kind is Read and latest != emitted:
-                yield Emit(latest)
+                yield emit(latest)
                 emitted = latest
             result = yield action
         if latest != emitted:
-            yield Emit(latest)
+            yield emit(latest)
 
     return Learner(f"extension-gated({learner.name})", program)
 
@@ -381,7 +381,7 @@ def make_count_decoder_learner() -> Learner:
         while True:
             yield READ
             count += 1
-            yield Emit(unpair(count)[1])
+            yield emit(unpair(count)[1])
 
     return Learner("count-decoder", program)
 
@@ -402,10 +402,10 @@ def make_pcsG_oracle_learner() -> Learner:
         while True:
             datum = yield READ
             peak = datum if peak is None else max(peak, datum)
-            if (yield Query(peak + 1)):
-                yield Emit(0)
+            if (yield query(peak + 1)):
+                yield emit(0)
             else:
-                yield Emit(peak)
+                yield emit(peak)
 
     return Learner("segment-prober", program)
 
@@ -482,10 +482,10 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
         k = left_endpoint_bracket(first)
         if k is None:
             return
-        yield Emit(2 * k + 1)
+        yield emit(2 * k + 1)
         while True:
             yield READ
-            yield Emit(2 * k)
+            yield emit(2 * k)
 
     pair_learner = Learner("trap-item-counter", pair_program)
 
@@ -502,11 +502,11 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
                     k = maybe
                     allowed = set(family.trap_sets(k).decoys) | {datum}
             if k is None:
-                yield Emit(0)
+                yield emit(0)
             elif seen <= allowed:
-                yield Emit(2 * k + 1)
+                yield emit(2 * k + 1)
             else:
-                yield Emit(2 * k)
+                yield emit(2 * k)
 
     pmc_learner = Learner("trap-membership-watch", pmc_program)
     return {
@@ -525,14 +525,14 @@ def make_thm64_pcs_learner() -> Learner:
             datum = yield READ
             (evens if datum % 2 == 0 else odds).add(datum)
             if not evens or not odds:
-                yield Emit(0)
+                yield emit(0)
                 continue
             n = min(evens) // 2
             m = (max(odds) - 1) // 2
             if m == 2**n:
-                yield Emit(2 * n)
+                yield emit(2 * n)
             else:
-                yield Emit(2 * (m + 2**n) + 1)
+                yield emit(2 * (m + 2**n) + 1)
 
     return Learner("join-shape-split", program)
 
@@ -541,7 +541,7 @@ def make_halting_psd_learner() -> Learner:
     """Initial guess 6; a lone even 2i means 2i+1, any odd means the tower."""
 
     def program():
-        yield Emit(6)
+        yield emit(6)
         distinct: set[int] = set()
         while True:
             datum = yield READ
@@ -549,11 +549,11 @@ def make_halting_psd_learner() -> Learner:
             odds = [x for x in distinct if x % 2 == 1]
             if odds:
                 i = odds[0] // 2
-                yield Emit(2 ** (2**i))
+                yield emit(2 ** (2**i))
             elif len(distinct) == 1:
-                yield Emit(next(iter(distinct)) + 1)
+                yield emit(next(iter(distinct)) + 1)
             else:
-                yield Emit(6)
+                yield emit(6)
 
     return Learner("pair-or-tower", program)
 
@@ -564,7 +564,7 @@ def make_halting_psd_learner() -> Learner:
 
 def make_constant_zero_learner() -> Learner:
     def program():
-        yield Emit(0)
+        yield emit(0)
 
     return Learner("constant-zero", program, "single emission")
 
@@ -577,7 +577,7 @@ def make_trap_parity_learner(offset: int) -> Learner:
             datum = yield READ
             # least k >= 0 with datum <= 4**(k+1)
             k = max(0, ((datum - 1).bit_length() - 1) // 2)
-            yield Emit(2 * k + offset)
+            yield emit(2 * k + offset)
 
     name = ("trap-even-guesser", "trap-odd-guesser")[offset]
     return Learner(name, program, "one emit per read")

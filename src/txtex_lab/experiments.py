@@ -658,6 +658,10 @@ MSD_LINEAR_MAX_SEEDS = 100
 # double with each n.  max_n 14 / 15 / 16 / 17 took 0.49 / 0.93 / 2.6 / 5.2 s at
 # 25 / 33 / 42 / 64 MB peak RSS (Python 3.11, 2 cores).
 CONVERSIONS_ROUNDTRIP_MAX_N = 16
+# Most conversions-roundtrip seeds per index: each seed runs two sessions to horizon
+# 2^n + 60 for every n, so time grows linearly with it.  At max_n 16, seeds_per_n
+# 10 / 20 took 4.7 / 8.9 s at 42 MB peak RSS (Python 3.11, 2 cores).
+CONVERSIONS_ROUNDTRIP_MAX_SEEDS = 20
 
 
 def _csd_chain_values(config: dict) -> None:
@@ -795,7 +799,10 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"max_n": 10, "seeds_per_n": 5},
             _conversions,
             {"max_n": NATURAL, "seeds_per_n": NATURAL},
-            caps={"max_n": CONVERSIONS_ROUNDTRIP_MAX_N},
+            caps={
+                "max_n": CONVERSIONS_ROUNDTRIP_MAX_N,
+                "seeds_per_n": CONVERSIONS_ROUNDTRIP_MAX_SEEDS,
+            },
         ),
         ExperimentSpec(
             "pcs-suite",

@@ -12,12 +12,15 @@ action's result back::
 
     def program():
         datum = yield READ
-        answer = yield Query(datum + 1)
-        yield Emit(0 if answer else datum)
+        answer = yield query(datum + 1)
+        yield emit(0 if answer else datum)
 
-Field-less actions are shared: a learner yields the constant ``READ`` (an
-equal ``Read()`` works too).  ``Query``, ``Emit`` and ``Work`` are slotted
-one-shot messages; each interpreter reads the payload once, at ``send``.
+Actions are frozen values, so one instance may serve every step that yields
+it.  A learner yields the constant ``READ`` (an equal ``Read()`` works too),
+and builds its payload actions with ``emit(h)`` and ``query(x)``: each
+returns an instance shared since import for an ``int`` payload below
+``SHARED_PAYLOADS`` and a new one otherwise.  ``Emit(h)`` and ``Query(x)``
+stay valid and equal; ``Work`` is frozen too, but not shared.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -55,10 +58,10 @@ from .sets import SetSpec
 # actions
 
 
-# Field-less actions are frozen and shared (``READ``).  Payload actions are
-# one-shot messages that each interpreter reads once, so they are slotted, not
-# frozen: the generated ``__init__`` stores through the slot instead of
-# calling ``object.__setattr__``.
+# Every action is frozen, so a shared instance cannot change under another
+# step.  Field-less actions are shared as ``READ``; ``emit`` and ``query``
+# share one instance per natural payload below ``SHARED_PAYLOADS``, built
+# here at import, so no learner step builds one and no table fills at run time.
 @dataclass(frozen=True, init=False)
 class Read:
     """Consume and observe the next element of the learner's input stream."""
@@ -72,21 +75,40 @@ class Skip:
     """Advance the input stream without observing the element (fixed cost 1)."""
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     x: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Emit:
     hypothesis: int
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Work:
     """Declare ``units`` ticks of internal computation."""
 
     units: int
+
+
+SHARED_PAYLOADS = 256
+_EMITS = tuple(Emit(h) for h in range(SHARED_PAYLOADS))
+_QUERIES = tuple(Query(x) for x in range(SHARED_PAYLOADS))
+
+
+def emit(hypothesis: int) -> Emit:
+    """``Emit(hypothesis)``: the shared instance for an ``int`` in ``[0, SHARED_PAYLOADS)``."""
+    if type(hypothesis) is int and 0 <= hypothesis < SHARED_PAYLOADS:
+        return _EMITS[hypothesis]
+    return Emit(hypothesis)
+
+
+def query(x: int) -> Query:
+    """``Query(x)``: the shared instance for an ``int`` in ``[0, SHARED_PAYLOADS)``."""
+    if type(x) is int and 0 <= x < SHARED_PAYLOADS:
+        return _QUERIES[x]
+    return Query(x)
 
 
 Action = Read | Skip | Query | Emit | Work

@@ -231,6 +231,14 @@ class Raw(NamedTuple):
             ("conversions-roundtrip", {"max_n": m}, f"max_n must be at most 16, got {m}")
             for m in (17, 10**9)
         ],
+        *[
+            (
+                "conversions-roundtrip",
+                {"seeds_per_n": m},
+                f"seeds_per_n must be at most 20, got {m}",
+            )
+            for m in (21, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(

@@ -63,6 +63,25 @@ def test_every_library_symbol_has_a_caller_outside_the_tests():
     assert unused == [], f"defined in src/ but used by nothing in src/ or perfbench/: {unused}"
 
 
+def direct_calls(package: Path, names: set[str]) -> list[str]:
+    """``module:line name`` of each call in ``package`` whose callee is spelled as one of ``names``."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in names:
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+    return found
+
+
+def test_only_session_builds_payload_actions():
+    """Learners yield ``session.emit`` and ``session.query``, which share small payloads."""
+    calls = direct_calls(ROOT / "src" / "txtex_lab", {"Emit", "Query"})
+    outside = [call for call in calls if not call.startswith("session:")]
+    assert calls and outside == [], f"Emit or Query built outside session: {outside}"
+
+
 def function_level_imports(package: Path) -> list[str]:
     """``module:line`` of each import inside a function or method body.
 

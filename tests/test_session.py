@@ -8,9 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from txtex_lab.agents import build_default_registry, make_csd_learner, make_msd_pair
+from txtex_lab.adversary import search_trap_sets
+from txtex_lab.agents import (
+    build_default_registry,
+    make_csd_learner,
+    make_msd_pair,
+    make_pcsG_oracle_learner,
+)
 from txtex_lab.codec import poly_encode
-from txtex_lab.families import make_csd, make_msd
+from txtex_lab.evaluate import check_characteristic_sample
+from txtex_lab.families import make_basic_family, make_csd, make_msd
 from txtex_lab.session import (
     READ,
     ActionBudgetExceeded,
@@ -332,6 +339,35 @@ def test_payload_actions_are_slotted_and_compare_by_kind_and_value():
     assert Emit(1) != Query(1) and Emit(1) != Work(1)
     for action in (Query(1), Emit(1), Work(1)):
         assert not hasattr(action, "__dict__")
+
+
+def test_searches_build_no_payload_action(monkeypatch):
+    """The learner-1 trap search and a pcs-G check take every ``Emit`` and ``Query`` shared."""
+    built = []
+
+    def counting(init):
+        def counted(self, value):
+            built.append(value)
+            init(self, value)
+
+        return counted
+
+    for cls in (Emit, Query):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+    trap = search_trap_sets(build_default_registry(), 1, poly_encode([2, 1]), 2)
+    verdict = check_characteristic_sample(
+        make_pcsG_oracle_learner,
+        make_basic_family("pcs-G"),
+        12,
+        [12],
+        poly_encode([2, 1]),
+        max_text_len=4,
+        max_universe=20,
+    )
+    assert trap.stats["arrangements_per_candidate"] == 40_320
+    assert verdict.details["covering_prefixes_checked"] == 8_320
+    assert built == []
+    assert Emit(300) == Emit(300) and built == [300, 300]
 
 
 def test_library_learners_yield_the_shared_read():
