@@ -299,6 +299,50 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
         yield arrangement
 
 
+def _every_order_ends_on(learner: Learner, core: tuple[int, ...], target: int) -> bool:
+    """Whether the step learner ends on ``target`` after reading every order of ``core``.
+
+    What a step learner does next depends only on its state and the data still
+    to come, so two orders of one subset that reach the same state with the
+    same last hypothesis end alike on every extension.  A depth-first walk
+    over the orders keys each node by (consumed subset as a bitmask, state,
+    last hypothesis) and records it once its whole subtree has passed; it
+    returns at the first order that ends elsewhere.  This is the subset
+    recursion of Held and Karp: when every order of a subset reaches one
+    state and hypothesis, it decides all n! orders in n·2^(n−1) steps, and
+    it checks order-independence rather than assuming it.  The walk's first
+    leaf, the core in its own order, is run flat first: most failing cores
+    fail there, without a memo.
+    """
+    step = learner.step
+    state, last = learner.start, None
+    for datum in core:
+        state, hypothesis = step(state, datum)
+        if hypothesis is not None:
+            last = hypothesis
+    if last != target:
+        return False
+    full = (1 << len(core)) - 1
+    passed: set[tuple] = set()
+
+    def walk(consumed: int, state, last) -> bool:
+        if consumed == full:
+            return last == target
+        node = (consumed, state, last)
+        if node in passed:
+            return True
+        for i, datum in enumerate(core):
+            bit = 1 << i
+            if not consumed & bit:
+                after, hypothesis = step(state, datum)
+                if not walk(consumed | bit, after, last if hypothesis is None else hypothesis):
+                    return False
+        passed.add(node)
+        return True
+
+    return walk(0, learner.start, None)
+
+
 def search_trap_sets(
     registry: dict[int, Learner],
     m_id: int,
@@ -325,10 +369,15 @@ def search_trap_sets(
     ``max_actions`` on some run, returns unresolved with the budget's name
     under ``stats["exhausted_budget"]``.
 
-    One learner and the interval, which answers its queries, serve every run
-    of the search; each run starts a fresh program of the learner.  A
-    ``sample_size`` below 1 raises ``ValueError``: a core tested on no
-    arrangement proves nothing.
+    With at most ``arrangement_limit`` orders the verdict is exhaustive.  For
+    a learner made by ``Learner.from_step`` whose runs over a core fit in
+    ``max_actions``, a memoized walk over its states decides every order
+    (``_every_order_ends_on``); any other learner runs each order through
+    ``run_on_sequence``.  Past the limit, ``sample_size`` seeded orders are
+    run.  One learner and the interval, which answers its queries, serve
+    every run of the search; each run starts a fresh program of the
+    learner.  A ``sample_size`` below 1 raises ``ValueError``: a core
+    tested on no arrangement proves nothing.
     """
     if sample_size < 1:
         raise ValueError(f"sample_size must be at least 1, got {sample_size}")
@@ -353,8 +402,14 @@ def search_trap_sets(
     stats["arrangements_per_candidate"] = perm_count if exhaustive else sample_size
 
     learner = registry[m_id]
+    # A step learner's run over a core takes a read and at most one emit per
+    # element and one read past the end; with fewer actions the runs below
+    # exhaust ``max_actions`` instead.
+    walks = exhaustive and learner.step is not None and 2 * core_size + 1 <= max_actions
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
+        if walks:
+            return _every_order_ends_on(learner, core, 2 * k)
         if exhaustive:
             arrangements = itertools.permutations(core)
         else:

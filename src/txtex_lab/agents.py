@@ -570,17 +570,15 @@ def make_constant_zero_learner() -> Learner:
 
 
 def make_trap_parity_learner(offset: int) -> Learner:
-    """Reads interval elements and emits 2k+offset for their bracket k."""
+    """Reads interval elements and emits 2k+offset for their bracket k; it keeps no state."""
 
-    def program():
-        while True:
-            datum = yield READ
-            # least k >= 0 with datum <= 4**(k+1)
-            k = max(0, ((datum - 1).bit_length() - 1) // 2)
-            yield emit(2 * k + offset)
+    def step(state, datum):
+        # least k >= 0 with datum <= 4**(k+1)
+        k = max(0, ((datum - 1).bit_length() - 1) // 2)
+        return None, 2 * k + offset
 
     name = ("trap-even-guesser", "trap-odd-guesser")[offset]
-    return Learner(name, program, "one emit per read")
+    return Learner.from_step(name, None, step, "one emit per read")
 
 
 def build_default_registry() -> dict[int, Learner]:

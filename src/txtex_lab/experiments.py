@@ -284,22 +284,27 @@ def _merged_split(config: dict) -> ExperimentResult:
     rows = []
     ok = True
     for n in range(0, config["max_index"] + 1):
+        # an odd index's descriptor count is read from about n raw positions
+        horizon = max(120, n + 60)
         target = family.member(n)
         transcript = run_session(
             merged_learner,
             family.canonical_text(n),
             oracle=target,
-            budget=Budget(horizon=120, window=15),
+            budget=Budget(horizon=horizon, window=15),
         )
         if n % 2 == 0:
             component = run_session(
-                csd3_learner, csd3.canonical_text(n // 2), oracle=target, budget=Budget(horizon=120)
+                csd3_learner,
+                csd3.canonical_text(n // 2),
+                oracle=target,
+                budget=Budget(horizon=horizon),
             )
         else:
             component = run_session(
                 composed,
                 family.canonical_text(n),
-                budget=Budget(horizon=120, window=15),
+                budget=Budget(horizon=horizon, window=15),
             )
         extra = transcript.ledger.oracle_queries - component.ledger.oracle_queries
         expected = family.min_index(n)
@@ -662,6 +667,10 @@ CONVERSIONS_ROUNDTRIP_MAX_N = 16
 # 2^n + 60 for every n, so time grows linearly with it.  At max_n 16, seeds_per_n
 # 10 / 20 took 4.7 / 8.9 s at 42 MB peak RSS (Python 3.11, 2 cores).
 CONVERSIONS_ROUNDTRIP_MAX_SEEDS = 20
+# Greatest merged-split index: it runs two sessions per n, each to horizon
+# max(120, n + 60), so its time grows with the square of max_index.  max_index
+# 300 / 1,000 / 2,000 took 0.24 / 1.8 / 7.8 s at 21-22 MB peak RSS (Python 3.11, 2 cores).
+MERGED_SPLIT_MAX_INDEX = 1_000
 
 
 def _csd_chain_values(config: dict) -> None:
@@ -774,6 +783,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             _merged_split,
             {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL},
             _marker_values(families.MERGED_STRETCH),
+            caps={"max_index": MERGED_SPLIT_MAX_INDEX},
         ),
         ExperimentSpec(
             "psd-finite",

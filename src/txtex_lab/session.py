@@ -22,6 +22,12 @@ returns an instance shared since import for an ``int`` payload below
 ``SHARED_PAYLOADS`` and a new one otherwise.  ``Emit(h)`` and ``Query(x)``
 stay valid and equal; ``Work`` is frozen too, but not shared.
 
+A learner that only reads and emits may be built by ``Learner.from_step``
+from a hashable start state and ``step(state, datum) -> (state, hypothesis
+or None)``.  Its program is derived from the step (read a datum, step, emit
+the hypothesis unless None), and both interpreters run it like any other;
+the learner keeps its step, so a search may walk its states instead.
+
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
 their input so far.  A teacher sees only the text, never the learner's
@@ -49,7 +55,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, Generator, Hashable, NamedTuple, Sequence
 
 from .sets import SetSpec
 
@@ -119,8 +125,12 @@ class Learner:
     """A deterministic learner: a name, a cost note and a maker of fresh programs.
 
     ``program()`` starts a new generator on each call, so one learner serves
-    any number of sessions and runs.
+    any number of sessions and runs.  A learner made by ``from_step`` also
+    keeps its ``start`` state and its ``step``; any other has ``step`` None.
     """
+
+    start: Hashable = None
+    step: Callable | None = None
 
     def __init__(
         self,
@@ -131,6 +141,26 @@ class Learner:
         self.name = name
         self.program = make_program
         self.cost_note = cost_note
+
+    @classmethod
+    def from_step(cls, name: str, start: Hashable, step: Callable, cost_note: str) -> Learner:
+        """The learner that reads a datum, steps, and emits the step's hypothesis unless None.
+
+        ``step(state, datum)`` returns ``(state, hypothesis or None)``; the
+        program starts from ``start``, never queries and declares no work.
+        """
+
+        def program():
+            state = start
+            while True:
+                state, hypothesis = step(state, (yield READ))
+                if hypothesis is not None:
+                    yield emit(hypothesis)
+
+        learner = cls(name, program, cost_note)
+        learner.start = start
+        learner.step = step
+        return learner
 
     def spec(self) -> dict:
         return {"kind": "learner", "name": self.name, "costs": self.cost_note}

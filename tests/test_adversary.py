@@ -325,6 +325,36 @@ def test_search_trap_sets_names_the_exhausted_budget(registry, m_id, budgets, ex
     assert trap.stats["exhausted_budget"] == exhausted
 
 
+@pytest.mark.parametrize("max_actions,resolved", [(16, False), (17, True)])
+def test_the_trap_walk_keeps_the_action_budget_boundary(registry, max_actions, resolved):
+    """A run over 8 elements takes 8 reads, 8 emits and a read past the end: 17 actions."""
+    trap = adversary.search_trap_sets(
+        registry, 1, poly_encode([2, 1]), 2, max_actions=max_actions
+    )
+    assert trap.resolved is resolved
+    assert trap.stats.get("exhausted_budget") == (None if resolved else "max_actions")
+    assert sorted(trap.trap_core) == (INTERVAL_K2[:8] if resolved else [])
+
+
+@pytest.mark.parametrize("program_only", [False, True])
+def test_only_a_step_learner_skips_the_order_runs(registry, monkeypatch, program_only):
+    """The same learner without its step runs all 3! orders of the core, then the decoy run."""
+    runs = []
+
+    def recording_run_on_sequence(learner, sequence, **kwargs):
+        runs.append(tuple(sequence))
+        return run_on_sequence(learner, sequence, **kwargs)
+
+    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
+    learner = registry[1]
+    if program_only:
+        learner = Learner(learner.name, learner.program, learner.cost_note)
+    trap = adversary.search_trap_sets({1: learner}, 1, poly_encode([2]), 1)
+    assert trap.resolved and trap.trap_core == {9, 10, 11}
+    orders = list(itertools.permutations((9, 10, 11))) if program_only else []
+    assert runs == orders + [(9, 10, 11)]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_sampled_arrangements_keep_the_sample_stream(seed):
     # core sizes across several bit_length edges of the per-position draw bound

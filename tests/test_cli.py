@@ -239,6 +239,10 @@ class Raw(NamedTuple):
             )
             for m in (21, 10**9)
         ],
+        *[
+            ("merged-split", {"max_index": m}, f"max_index must be at most 1000, got {m}")
+            for m in (1001, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(

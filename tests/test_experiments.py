@@ -2,9 +2,11 @@
 
 ``msd-linear`` runs one session per distinct horizon prefix of its texts; a
 session reads no further, so skipping a repeat must change no row, summary
-or verdict.
+or verdict.  ``merged-split`` sizes its horizon from the index, so a large
+odd index still reads its whole descriptor count.
 """
 
+import csv
 import itertools
 
 import pytest
@@ -76,3 +78,13 @@ def test_default_msd_linear_runs_each_distinct_prefix_once(default_catalog):
     assert len(keys) == 606
     assert len(set(keys)) == len(keys)
     assert {horizon - 60 for horizon, _ in keys} == set(range(101))
+
+
+def test_merged_split_sessions_reach_an_odd_index_past_236(tmp_path):
+    """At a fixed horizon of 120, n = 237 held 235: its descriptor count did not fit."""
+    assert experiments.run_experiment("merged-split", {"max_index": 240}, tmp_path / "out") == 0
+    with (tmp_path / "out" / "results.csv").open() as handle:
+        rows = list(csv.DictReader(handle))
+    family = families.make_merged(agents.build_default_registry(), 0, poly_encode([0, 1]))
+    assert rows[237]["n"] == "237"
+    assert int(rows[237]["hypothesis"]) == family.min_index(237) == int(rows[237]["min_index"])
