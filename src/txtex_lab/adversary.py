@@ -36,6 +36,13 @@ COMPUTE_Q_MAX_ACTIONS = 200_000
 CHAIN_FORCE_UNIVERSE = 4096
 # Raw positions a defeat session reads past the marker prefix.
 DEFEAT_HORIZON_SLACK = 64
+# Budgets of ``search_trap_sets``, read at call time: the most candidate cores
+# tried, the most orders of a core run exhaustively (8! = 40,320 fits, 9! does
+# not), the seeded orders run per core past that, and the actions of one run.
+TRAP_MAX_CANDIDATES = 2_000
+TRAP_ARRANGEMENT_LIMIT = 100_000
+TRAP_SAMPLE_SIZE = 10_000
+TRAP_MAX_ACTIONS = 50_000
 
 
 def marker_element(j: int) -> int:
@@ -349,11 +356,7 @@ def search_trap_sets(
     p_code: int,
     k: int,
     *,
-    max_candidates: int = 2_000,
-    arrangement_limit: int = 100_000,
-    sample_size: int = 10_000,
     seed: int = 0,
-    max_actions: int = 50_000,
 ) -> TrapSets:
     """Find a core set the learner mistakes for the whole interval.
 
@@ -365,25 +368,23 @@ def search_trap_sets(
     learner queries while reading E in increasing order, padded with the
     least unused interval elements.
 
-    A search that runs out of ``max_candidates``, or whose learner runs out of
-    ``max_actions`` on some run, returns unresolved with the budget's name
-    under ``stats["exhausted_budget"]``.
+    A search that runs out of ``TRAP_MAX_CANDIDATES`` candidates, or whose
+    learner runs out of ``TRAP_MAX_ACTIONS`` on some run, returns unresolved
+    with the budget's name (``max_candidates`` or ``max_actions``) under
+    ``stats["exhausted_budget"]``.
 
-    With at most ``arrangement_limit`` orders the verdict is exhaustive.  For
-    a learner made by ``Learner.from_step`` whose runs over a core fit in
-    ``max_actions``, a memoized walk over its states decides every order
+    With at most ``TRAP_ARRANGEMENT_LIMIT`` orders the verdict is exhaustive.
+    For a learner made by ``Learner.from_step`` whose runs over a core fit in
+    ``TRAP_MAX_ACTIONS``, a memoized walk over its states decides every order
     (``_every_order_ends_on``); any other learner runs each order through
-    ``run_on_sequence``.  Past the limit, ``sample_size`` seeded orders are
-    run.  One learner and the interval, which answers its queries, serve
-    every run of the search; each run starts a fresh program of the
-    learner.  A ``sample_size`` below 1 raises ``ValueError``: a core
-    tested on no arrangement proves nothing.
+    ``run_on_sequence``.  Past the limit, ``TRAP_SAMPLE_SIZE`` seeded orders
+    are run.  One learner and the interval, which answers its queries, serve
+    every run of the search; each run starts a fresh program of the learner.
     """
-    if sample_size < 1:
-        raise ValueError(f"sample_size must be at least 1, got {sample_size}")
     interval = trap_interval(k)
-    elements = list(interval.iter_increasing())
-    lo = elements[0]
+    # 2^(2k+1) elements, of which the search reads only the least few
+    elements = range(interval.lo, interval.hi + 1)
+    lo = interval.lo
     pk = poly_eval(p_code, 2 * k + 1)
     core_size = pk + 1
     decoy_size = 2 * pk + 1
@@ -397,14 +398,15 @@ def search_trap_sets(
     }
 
     perm_count = math.factorial(core_size)
-    exhaustive = perm_count <= arrangement_limit
+    exhaustive = perm_count <= TRAP_ARRANGEMENT_LIMIT
     stats["exhaustive_arrangements"] = exhaustive
-    stats["arrangements_per_candidate"] = perm_count if exhaustive else sample_size
+    stats["arrangements_per_candidate"] = perm_count if exhaustive else TRAP_SAMPLE_SIZE
 
     learner = registry[m_id]
     # A step learner's run over a core takes a read and at most one emit per
     # element and one read past the end; with fewer actions the runs below
-    # exhaust ``max_actions`` instead.
+    # exhaust ``TRAP_MAX_ACTIONS`` instead.
+    max_actions = TRAP_MAX_ACTIONS
     walks = exhaustive and learner.step is not None and 2 * core_size + 1 <= max_actions
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
@@ -413,19 +415,21 @@ def search_trap_sets(
         if exhaustive:
             arrangements = itertools.permutations(core)
         else:
-            arrangements = _sampled_arrangements(core, sample_size, rng)
+            arrangements = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
         for arrangement in arrangements:
             run = run_on_sequence(learner, arrangement, oracle=interval, max_actions=max_actions)
             if run.last_hypothesis != 2 * k:
                 return False
         return True
 
-    rest = [x for x in elements if x != lo]
+    # In lexicographic order the first TRAP_MAX_CANDIDATES + 1 combinations of
+    # r elements use only the first r + TRAP_MAX_CANDIDATES of them.
+    pool = elements[1 : core_size + TRAP_MAX_CANDIDATES]
     found: tuple[int, ...] | None = None
     try:
-        for combo in itertools.combinations(rest, core_size - 1):
+        for combo in itertools.combinations(pool, core_size - 1):
             stats["candidates_checked"] += 1
-            if stats["candidates_checked"] > max_candidates:
+            if stats["candidates_checked"] > TRAP_MAX_CANDIDATES:
                 stats["exhausted_budget"] = "max_candidates"
                 break
             core = (lo,) + combo

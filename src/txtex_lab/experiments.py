@@ -49,7 +49,7 @@ class ExperimentSpec:
     description: str
     defaults: dict  # besides ``seed``, which every experiment accepts and defaults to 0
     fn: Callable[[dict], ExperimentResult]
-    schema: dict[str, ConfigType]  # every accepted key but ``seed``; a superset of ``defaults``
+    schema: dict[str, ConfigType]  # every accepted key but ``seed``: the same keys as ``defaults``
     # checks that relate values of a well-typed config; raises ConfigError
     check_values: Callable[[dict], None] | None = None
     # upper bounds of natural sweep keys, each set from a stated cost
@@ -490,13 +490,7 @@ def _pcs_suite(config: dict) -> ExperimentResult:
     registry = agents.build_default_registry()
     for m_id, p_coeffs in config["trap_learners"]:
         p_code = poly_encode(p_coeffs)
-        family = families.make_pcs_f(
-            registry,
-            m_id,
-            p_code,
-            max_k=config["max_k"],
-            search_budgets=config.get("trap_budgets"),
-        )
+        family = families.make_pcs_f(registry, m_id, p_code, max_k=config["max_k"])
         try:
             pcs_agents = agents.make_pcsF_agents(family)
         except ValueError:
@@ -723,18 +717,6 @@ NATURAL_SET_PAIR = ConfigType(
     "two lists of natural numbers", lambda v: NATURAL_SETS.check(v) and len(v) == 2
 )
 TRAP_LEARNERS = ConfigType("a list of [learner id, coefficients] pairs", _list_of(_is_trap_learner))
-# the budgets of adversary.search_trap_sets; a sampled search draws at least one arrangement
-SEARCH_BUDGETS = {
-    "max_candidates": NATURAL,
-    "arrangement_limit": NATURAL,
-    "sample_size": POSITIVE,
-    "max_actions": NATURAL,
-}
-TRAP_BUDGETS = ConfigType(
-    f"an object mapping some of {list(SEARCH_BUDGETS)} to natural numbers (sample_size positive)",
-    lambda v: type(v) is dict
-    and all(k in SEARCH_BUDGETS and SEARCH_BUDGETS[k].check(n) for k, n in v.items()),
-)
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.name: spec
@@ -831,7 +813,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "max_join": NATURAL,
                 "max_k": NATURAL,
                 "trap_learners": TRAP_LEARNERS,
-                "trap_budgets": TRAP_BUDGETS,  # optional: absent means the search defaults
             },
             caps={"max_thm64": PCS_SUITE_MAX_THM64},
         ),

@@ -399,7 +399,6 @@ class PcsFFamily(IndexedFamily):
         p_code: int,
         *,
         max_k: int,
-        search_budgets: dict | None,
     ):
         registry[m_id]  # unregistered ids fail here
         self.p_code = p_code
@@ -407,8 +406,7 @@ class PcsFFamily(IndexedFamily):
         self.k_star = pair(m_id, p_code)
         self.trap: adversary.TrapSets | None = None
         if self.k_star <= max_k:
-            budgets = search_budgets or {}
-            self.trap = adversary.search_trap_sets(registry, m_id, p_code, self.k_star, **budgets)
+            self.trap = adversary.search_trap_sets(registry, m_id, p_code, self.k_star)
 
     def member(self, n):
         k = n // 2
@@ -437,9 +435,8 @@ def make_pcs_f(
     p_code: int,
     *,
     max_k: int,
-    search_budgets: dict | None = None,
 ) -> PcsFFamily:
-    return PcsFFamily(registry, m_id, p_code, max_k=max_k, search_budgets=search_budgets)
+    return PcsFFamily(registry, m_id, p_code, max_k=max_k)
 
 
 # ---------------------------------------------------------------------------

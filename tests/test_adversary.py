@@ -293,14 +293,6 @@ def test_search_trap_sets_invariants(registry):
         assert 9 in trap.trap_core
 
 
-def test_search_trap_sets_refuses_an_empty_sample(registry):
-    """A core tested on no arrangement would pass: the odd guesser has no core at k=1."""
-    with pytest.raises(ValueError, match="sample_size must be at least 1, got 0"):
-        adversary.search_trap_sets(
-            registry, 2, poly_encode([0]), 1, arrangement_limit=0, sample_size=0
-        )
-
-
 INTERVAL_K2 = list(range(33, 65))
 
 # (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked) at k=2, seed 0
@@ -315,22 +307,44 @@ TRAP_SEARCHES_K2 = {
 @pytest.mark.parametrize(
     "m_id,budgets,exhausted",
     [
-        (2, {"max_candidates": 0}, "max_candidates"),
-        (1, {"max_actions": 2}, "max_actions"),
+        (2, {"TRAP_MAX_CANDIDATES": 0}, "max_candidates"),
+        (1, {"TRAP_MAX_ACTIONS": 2}, "max_actions"),
     ],
 )
-def test_search_trap_sets_names_the_exhausted_budget(registry, m_id, budgets, exhausted):
-    trap = adversary.search_trap_sets(registry, m_id, poly_encode([0]), 1, **budgets)
+def test_search_trap_sets_names_the_exhausted_budget(
+    registry, monkeypatch, m_id, budgets, exhausted
+):
+    for name, value in budgets.items():
+        monkeypatch.setattr(adversary, name, value)
+    trap = adversary.search_trap_sets(registry, m_id, poly_encode([0]), 1)
     assert not trap.resolved and not trap.decoys
     assert trap.stats["exhausted_budget"] == exhausted
 
 
+def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, monkeypatch):
+    """The candidate pool is a prefix of the interval, yet the cores tried are unchanged."""
+    tried = []
+
+    def recording_walk(learner, core, target):
+        tried.append(core)
+        return False
+
+    monkeypatch.setattr(adversary, "_every_order_ends_on", recording_walk)
+    monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 3)
+    trap = adversary.search_trap_sets(registry, 1, poly_encode([2]), 2)
+    assert trap.stats["candidates_checked"] == 4
+    assert trap.stats["exhausted_budget"] == "max_candidates"
+    combos = itertools.combinations(INTERVAL_K2[1:], 2)
+    assert tried == [(INTERVAL_K2[0], *combo) for combo in itertools.islice(combos, 3)]
+
+
 @pytest.mark.parametrize("max_actions,resolved", [(16, False), (17, True)])
-def test_the_trap_walk_keeps_the_action_budget_boundary(registry, max_actions, resolved):
+def test_the_trap_walk_keeps_the_action_budget_boundary(
+    registry, monkeypatch, max_actions, resolved
+):
     """A run over 8 elements takes 8 reads, 8 emits and a read past the end: 17 actions."""
-    trap = adversary.search_trap_sets(
-        registry, 1, poly_encode([2, 1]), 2, max_actions=max_actions
-    )
+    monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
+    trap = adversary.search_trap_sets(registry, 1, poly_encode([2, 1]), 2)
     assert trap.resolved is resolved
     assert trap.stats.get("exhausted_budget") == (None if resolved else "max_actions")
     assert sorted(trap.trap_core) == (INTERVAL_K2[:8] if resolved else [])
@@ -375,9 +389,8 @@ def test_sampled_trap_search_draws_one_arrangement_per_failing_candidate(registr
         return run_on_sequence(learner, sequence, **kwargs)
 
     monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
-    trap = adversary.search_trap_sets(
-        registry, 2, poly_encode([3, 1]), 2, max_candidates=5, seed=3
-    )
+    monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 5)
+    trap = adversary.search_trap_sets(registry, 2, poly_encode([3, 1]), 2, seed=3)
     assert trap.stats["exhaustive_arrangements"] is False
     assert trap.stats["exhausted_budget"] == "max_candidates"
     rng = random.Random(3)

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import pytest
 
-from txtex_lab import cli, experiments, families
+from txtex_lab import adversary, cli, experiments, families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
 from txtex_lab.codec import encode_tuple, poly_encode, poly_eval
@@ -77,13 +77,6 @@ class Raw(NamedTuple):
             "trap_learners must be a list of [learner id, coefficients] pairs, got [[1]]",
         ),
         (
-            "pcs-suite",
-            {"trap_budgets": {"max_candidates": -1}},
-            "trap_budgets must be an object mapping some of ['max_candidates', "
-            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers "
-            "(sample_size positive), got {'max_candidates': -1}",
-        ),
-        (
             "psd-finite",
             {"shared_element": 7},
             "shared_element 7 must be in both overlap_pair sets [0, 2] and [0, 5]",
@@ -126,13 +119,6 @@ class Raw(NamedTuple):
             ("csd-chain", {"max_anchor": m}, f"max_anchor must be at most 24, got {m}")
             for m in (25, 40, 10**9)
         ],
-        (
-            "pcs-suite",
-            {"trap_budgets": {"sample_size": 0}},
-            "trap_budgets must be an object mapping some of ['max_candidates', "
-            "'arrangement_limit', 'sample_size', 'max_actions'] to natural numbers "
-            "(sample_size positive), got {'sample_size': 0}",
-        ),
         (
             "halting-psd",
             {"max_i": 14, "w_set": [14]},
@@ -243,6 +229,12 @@ class Raw(NamedTuple):
             ("merged-split", {"max_index": m}, f"max_index must be at most 1000, got {m}")
             for m in (1001, 10**9)
         ],
+        (
+            "pcs-suite",
+            {"trap_budgets": {"max_candidates": 0}},
+            "unknown key 'trap_budgets'; expected one of ['max_g', 'max_join', 'max_k', "
+            "'max_thm64', 'seed', 'trap_learners']",
+        ),
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -274,11 +266,12 @@ def test_run_config_outside_schema_is_usage_error(
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_default_configs_match_their_schema(name):
     spec = EXPERIMENTS[name]
-    assert set(spec.defaults) <= set(spec.schema)
-    _check_config(spec.schema, spec.defaults)
-    assert all(spec.defaults[key] <= cap for key, cap in spec.caps.items())
-    if spec.check_values is not None:
-        spec.check_values(spec.defaults)
+    assert set(spec.defaults) == set(spec.schema)
+    for config in (spec.defaults, {**spec.defaults, **spec.caps}):
+        _check_config(spec.schema, config)
+        assert all(config[key] <= cap for key, cap in spec.caps.items())
+        if spec.check_values is not None:
+            spec.check_values(config)
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -318,25 +311,25 @@ def test_verify_suite_exit_codes(capsys, monkeypatch, verify_run):
 
 
 @pytest.mark.parametrize(
-    "budgets", [{"max_candidates": 0}, {"max_actions": 2}], ids=["max_candidates", "max_actions"]
+    "trap,max_actions",
+    [
+        # k* = 12: the odd guesser passes no core, and the interval has 2^25 elements
+        ({"max_k": 12, "trap_learners": [[2, [1]]]}, None),
+        ({"trap_learners": [[1, [0]]]}, 2),
+    ],
+    ids=["max_candidates", "max_actions"],
 )
-def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, budgets):
+def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, monkeypatch, trap, max_actions):
+    if max_actions is not None:
+        monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
     out = tmp_path / "partial"
     config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "max_g": 1,
-                "max_thm64": 1,
-                "max_join": 1,
-                "trap_learners": [[1, [0]]],
-                "trap_budgets": budgets,
-            }
-        )
-    )
+    config.write_text(json.dumps({"max_g": 1, "max_thm64": 1, "max_join": 1, **trap}))
+    start = time.perf_counter()
     code = main(
         ["run", "--experiment", "pcs-suite", "--config", str(config), "--out", str(out)]
     )
+    assert time.perf_counter() - start < 1.0
     assert code == 3
     assert capsys.readouterr().out == f"pcs-suite: partial (budget) -> {out}\n"
     report = json.loads((out / "report.json").read_text())

@@ -31,7 +31,6 @@ KIND = {
     experiments.NATURAL_SETS: list,
     experiments.NATURAL_SET_PAIR: list,
     experiments.TRAP_LEARNERS: list,
-    experiments.TRAP_BUDGETS: dict,
 }
 
 # Strings are drawn from a small alphabet: any string is wrong, and small ones draw fast.
@@ -61,11 +60,9 @@ def wrong_values(draw, expected: type):
     if expected is int or draw(st.booleans()):
         others = [values for kind, values in BY_KIND.items() if kind is not expected]
         return draw(st.one_of(others))
-    if expected is list:
-        members = draw(BY_KIND[list])
-        members.insert(draw(st.integers(0, len(members))), draw(wrong_scalars))
-        return members
-    return {draw(strings): draw(wrong_scalars)}
+    members = draw(BY_KIND[list])
+    members.insert(draw(st.integers(0, len(members))), draw(wrong_scalars))
+    return members
 
 
 @st.composite

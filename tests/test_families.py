@@ -177,10 +177,9 @@ def test_pcs_f_unmatched_odd_indices_are_singletons(registry):
     assert family.member(5) == FiniteSet({adversary.trap_interval(2).lo})
 
 
-def test_pcs_f_unresolved_when_budget_exhausted(registry):
-    family = families.make_pcs_f(
-        registry, 1, poly_encode([0]), max_k=1, search_budgets={"max_candidates": 0}
-    )
+def test_pcs_f_unresolved_when_budget_exhausted(registry, monkeypatch):
+    monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 0)
+    family = families.make_pcs_f(registry, 1, poly_encode([0]), max_k=1)
     assert not family.trap_sets(1).resolved
     with pytest.raises(families.UnresolvedIndexError):
         family.member(3)
