@@ -338,6 +338,18 @@ def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, 
     assert tried == [(INTERVAL_K2[0], *combo) for combo in itertools.islice(combos, 3)]
 
 
+@pytest.mark.parametrize("max_candidates,resolved", [(6, False), (7, True)])
+def test_a_trap_search_that_tries_every_core_in_budget_is_resolved(
+    registry, monkeypatch, max_candidates, resolved
+):
+    """At k=1 the pool reaches past the interval 9..16: the odd guesser has 7 cores of size 2."""
+    monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", max_candidates)
+    trap = adversary.search_trap_sets(registry, 2, poly_encode([1]), 1)
+    assert trap.resolved is resolved and not trap.trap_core
+    assert trap.stats["candidates_checked"] == 7
+    assert trap.stats.get("exhausted_budget") == (None if resolved else "max_candidates")
+
+
 @pytest.mark.parametrize("max_actions,resolved", [(16, False), (17, True)])
 def test_the_trap_walk_keeps_the_action_budget_boundary(
     registry, monkeypatch, max_actions, resolved
