@@ -23,10 +23,11 @@ from .session import (
     Learner,
     compose_pair,
     emit,
+    resolve_step,
     run_on_sequence,
     run_session,
 )
-from .sets import FiniteSet, Interval, set_equal
+from .sets import FiniteSet, Interval, SetSpec, set_equal
 from .text import Text, make_text
 
 
@@ -306,8 +307,12 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
         yield arrangement
 
 
-def _every_order_ends_on(learner: Learner, core: tuple[int, ...], target: int) -> bool:
+def _every_order_ends_on(
+    learner: Learner, core: tuple[int, ...], target: int, oracle: SetSpec | None
+) -> bool:
     """Whether the step learner ends on ``target`` after reading every order of ``core``.
+
+    ``oracle`` answers the learner's queries, through ``resolve_step``.
 
     What a step learner does next depends only on its state and the data still
     to come, so two orders of one subset that reach the same state with the
@@ -321,10 +326,9 @@ def _every_order_ends_on(learner: Learner, core: tuple[int, ...], target: int) -
     leaf, the core in its own order, is run flat first: most failing cores
     fail there, without a memo.
     """
-    step = learner.step
     state, last = learner.start, None
     for datum in core:
-        state, hypothesis = step(state, datum)
+        state, hypothesis = resolve_step(learner, state, datum, oracle)
         if hypothesis is not None:
             last = hypothesis
     if last != target:
@@ -341,7 +345,7 @@ def _every_order_ends_on(learner: Learner, core: tuple[int, ...], target: int) -
         for i, datum in enumerate(core):
             bit = 1 << i
             if not consumed & bit:
-                after, hypothesis = step(state, datum)
+                after, hypothesis = resolve_step(learner, state, datum, oracle)
                 if not walk(consumed | bit, after, last if hypothesis is None else hypothesis):
                     return False
         passed.add(node)
@@ -403,15 +407,15 @@ def search_trap_sets(
     stats["arrangements_per_candidate"] = perm_count if exhaustive else TRAP_SAMPLE_SIZE
 
     learner = registry[m_id]
-    # A step learner's run over a core takes a read and at most one emit per
-    # element and one read past the end; with fewer actions the runs below
-    # exhaust ``TRAP_MAX_ACTIONS`` instead.
+    # A step learner's run over a core takes a read, at most one query and at
+    # most one emit per element and one read past the end; with fewer actions
+    # the runs below may exhaust ``TRAP_MAX_ACTIONS`` instead.
     max_actions = TRAP_MAX_ACTIONS
-    walks = exhaustive and learner.step is not None and 2 * core_size + 1 <= max_actions
+    walks = exhaustive and learner.step is not None and 3 * core_size + 1 <= max_actions
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
         if walks:
-            return _every_order_ends_on(learner, core, 2 * k)
+            return _every_order_ends_on(learner, core, 2 * k, interval)
         if exhaustive:
             arrangements = itertools.permutations(core)
         else:

@@ -254,7 +254,11 @@ def make_pow2_pmc_learner() -> Learner:
 
 
 def make_join_evens_learner() -> Learner:
-    """For singleton-join targets: the unique even element names the index."""
+    """For singleton-join targets: the unique even element names the index.
+
+    Its program ends after its first emit, and a step learner reads for ever,
+    so it stays a plain program.
+    """
 
     def program():
         while True:
@@ -395,19 +399,20 @@ def convert_pmc_to_psdT(learner: Learner) -> tuple[Learner, Callable[[], Teacher
 
 
 def make_pcsG_oracle_learner() -> Learner:
-    """Query max+1 after each datum: inside means the unbounded member."""
+    """Query max+1 after each datum: inside means the unbounded member.
 
-    def program():
-        peak: int | None = None
-        while True:
-            datum = yield READ
-            peak = datum if peak is None else max(peak, datum)
-            if (yield query(peak + 1)):
-                yield emit(0)
-            else:
-                yield emit(peak)
+    A step learner with state (running max, asked): a datum raises the max
+    and asks about max+1, and the answer emits 0 or the max.
+    """
 
-    return Learner("segment-prober", program)
+    def step(state, datum):
+        peak, asked = state
+        if asked:  # the datum is the oracle's answer about peak + 1
+            return (peak, False), 0 if datum else peak
+        peak = datum if peak is None else max(peak, datum)
+        return (peak, True), query(peak + 1)
+
+    return Learner.from_step("segment-prober", (None, False), step, "one tick per action")
 
 
 def left_endpoint_bracket(x: int) -> int | None:
@@ -516,25 +521,25 @@ def make_pcsF_agents(family: PcsFFamily) -> dict:
 
 
 def make_thm64_pcs_learner() -> Learner:
-    """Least even and greatest odd decide between the two join shapes."""
+    """Least even and greatest odd decide between the two join shapes.
 
-    def program():
-        evens: set[int] = set()
-        odds: set[int] = set()
-        while True:
-            datum = yield READ
-            (evens if datum % 2 == 0 else odds).add(datum)
-            if not evens or not odds:
-                yield emit(0)
-                continue
-            n = min(evens) // 2
-            m = (max(odds) - 1) // 2
-            if m == 2**n:
-                yield emit(2 * n)
-            else:
-                yield emit(2 * (m + 2**n) + 1)
+    A step learner with state (least even, greatest odd), each None until seen.
+    """
 
-    return Learner("join-shape-split", program)
+    def step(state, datum):
+        least_even, greatest_odd = state
+        if datum % 2 == 0:
+            least_even = datum if least_even is None else min(least_even, datum)
+        else:
+            greatest_odd = datum if greatest_odd is None else max(greatest_odd, datum)
+        state = (least_even, greatest_odd)
+        if least_even is None or greatest_odd is None:
+            return state, 0
+        n = least_even // 2
+        m = (greatest_odd - 1) // 2
+        return state, 2 * n if m == 2**n else 2 * (m + 2**n) + 1
+
+    return Learner.from_step("join-shape-split", (None, None), step, "one tick per action")
 
 
 def make_halting_psd_learner() -> Learner:

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .codec import poly_eval
-from .session import Learner, SessionTranscript, run_on_sequence
-from .sets import set_equal
+from .session import Learner, SessionTranscript, resolve_step, run_on_sequence
+from .sets import SetSpec, set_equal
 
 CRITERIA = ("PRT", "PSD", "PMC")
 
 EXHAUSTIVE_ARRANGEMENT_LIMIT = 100_000
 SAMPLED_ARRANGEMENTS = 10_000
+# Action budget of one run of the learner over a characteristic-sample word.
+CHECK_MAX_ACTIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -164,6 +166,58 @@ def _covering_words(universe: list[int], sample_set: set[int], max_len: int):
                     yield prefix + (m,)
 
 
+def _run_outputs(learner: Learner, sequences, oracle: SetSpec | None, *, repeats: bool):
+    """Each sequence with the learner's output on it, from a fresh run.
+
+    With ``repeats``, a sequence met again takes its first run's output
+    instead of a run: a deterministic learner gives the same output.
+    """
+    outputs: dict[tuple[int, ...], int | None] = {}
+    for seq in sequences:
+        if seq in outputs:
+            yield seq, outputs[seq]
+            continue
+        run = run_on_sequence(learner, seq, oracle=oracle, max_actions=CHECK_MAX_ACTIONS)
+        output = run.last_hypothesis
+        if repeats:
+            outputs[seq] = output
+        yield seq, output
+
+
+def _walked_outputs(
+    learner: Learner,
+    universe: list[int],
+    sample_set: set[int],
+    max_len: int,
+    oracle: SetSpec | None,
+):
+    """Each covering word with the step learner's output on it, in ``_covering_words``' order.
+
+    For each length the walk steps the learner depth first, once per prefix,
+    and drops a prefix as soon as the sample elements it misses outnumber the
+    slots left after it, so every prefix it steps begins a covering word.
+    """
+    if not sample_set.issubset(universe):
+        return
+    bits = {x: 1 << i for i, x in enumerate(sample_set)}
+
+    def below(prefix, slots, state, last, missing):
+        for x in universe:
+            left = missing & ~bits.get(x, 0)
+            if left.bit_count() >= slots:
+                continue
+            after, hypothesis = resolve_step(learner, state, x, oracle)
+            word = prefix + (x,)
+            output = last if hypothesis is None else hypothesis
+            if slots == 1:
+                yield word, output
+            else:
+                yield from below(word, slots - 1, after, output, left)
+
+    for length in range(1, max_len + 1):
+        yield from below((), length, learner.start, None, (1 << len(bits)) - 1)
+
+
 def check_characteristic_sample(
     make_learner: Callable[[], Learner],
     family,
@@ -187,7 +241,12 @@ def check_characteristic_sample(
     which answers its queries when ``use_oracle`` is set, serve every run,
     since each run starts a fresh program.
     Exhaustive mode walks only the covering words, in ``itertools.product``
-    order (see ``_covering_words``).  Sampled mode draws with ``getrandbits``
+    order (see ``_covering_words``).  For a learner made by
+    ``Learner.from_step`` whose runs over a word fit in ``CHECK_MAX_ACTIONS``
+    (at most 3 * max_text_len + 1 actions), it steps the learner once per
+    prefix of the covering words instead of running each word, and gives the
+    same verdict, counts and errors (see ``_walked_outputs``).
+    Sampled mode draws with ``getrandbits``
     rejection draws, the seeded stream that ``randint``, ``choice`` and
     ``shuffle`` give (see ``_sampled_sequences``), and keeps the covering ones.
     A deterministic learner gives the same output on the same sequence, so a
@@ -211,27 +270,25 @@ def check_characteristic_sample(
     count = _arrangement_count(len(universe), max_text_len)
     exhaustive = count <= EXHAUSTIVE_ARRANGEMENT_LIMIT
     sample_set = set(sample)
-    if exhaustive:
-        sequences = _covering_words(universe, sample_set, max_text_len)
-    else:
+    learner = make_learner()
+    oracle = target if use_oracle else None
+    if not exhaustive:
         sequences = filter(
             sample_set.issubset,
             _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS),
         )
-
-    learner = make_learner()
-    oracle = target if use_oracle else None
-    already_run: set[tuple[int, ...]] | None = None if exhaustive else set()
+        outputs = _run_outputs(learner, sequences, oracle, repeats=True)
+    # A step learner's run over a word takes a read, a query and an emit per
+    # letter and a read past the end; with fewer actions the runs exhaust theirs.
+    elif learner.step is not None and 3 * max_text_len + 1 <= CHECK_MAX_ACTIONS:
+        outputs = _walked_outputs(learner, universe, sample_set, max_text_len, oracle)
+    else:
+        words = _covering_words(universe, sample_set, max_text_len)
+        outputs = _run_outputs(learner, words, oracle, repeats=False)
     locked: int | None = None
     checked = 0
-    for seq in sequences:
+    for seq, output in outputs:
         checked += 1
-        if already_run is not None:
-            if seq in already_run:
-                continue
-            already_run.add(seq)
-        run = run_on_sequence(learner, seq, oracle=oracle)
-        output = run.last_hypothesis
         if output is None:
             return Verdict(False, "no-output", {"prefix": list(seq)})
         if locked is None:

@@ -642,6 +642,14 @@ CSD_PAIR_MAX_CANDIDATES = 100_000
 # The whole suite took 0.54 s / 32 MB at 18, 0.78 s / 67 MB at 20 and 2.7 s / 210 MB
 # at 22 (ru_maxrss, Python 3.11); the list doubles with each n past that.
 PCS_SUITE_MAX_THM64 = 20
+# Greatest pcs-suite pcs-G n: each n from 17 on is a sampled check of 10,000 seeded
+# draws over a universe of at most 21 elements, so time grows linearly.  max_g 100 /
+# 200 / 400 took 2.7 / 6.6 / 14.3 s at 20 MB peak RSS (Python 3.11, 2 cores).
+PCS_SUITE_MAX_G = 200
+# Greatest pcs-suite join-singletons n: its universe has n + 4 elements, and each n
+# from 43 on is a sampled check of 10,000 seeded draws.  max_join 100 / 200 / 400
+# took 2.3 / 4.2 / 10.6 s at 20 MB peak RSS (Python 3.11, 2 cores).
+PCS_SUITE_MAX_JOIN = 200
 
 
 # Greatest msd-linear index: it runs at most 3! = 6 distinct texts per n, each to
@@ -814,7 +822,11 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "max_k": NATURAL,
                 "trap_learners": TRAP_LEARNERS,
             },
-            caps={"max_thm64": PCS_SUITE_MAX_THM64},
+            caps={
+                "max_g": PCS_SUITE_MAX_G,
+                "max_thm64": PCS_SUITE_MAX_THM64,
+                "max_join": PCS_SUITE_MAX_JOIN,
+            },
         ),
         ExperimentSpec(
             "halting-psd",

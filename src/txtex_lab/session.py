@@ -22,11 +22,15 @@ returns an instance shared since import for an ``int`` payload below
 ``SHARED_PAYLOADS`` and a new one otherwise.  ``Emit(h)`` and ``Query(x)``
 stay valid and equal; ``Work`` is frozen too, but not shared.
 
-A learner that only reads and emits may be built by ``Learner.from_step``
-from a hashable start state and ``step(state, datum) -> (state, hypothesis
-or None)``.  Its program is derived from the step (read a datum, step, emit
-the hypothesis unless None), and both interpreters run it like any other;
-the learner keeps its step, so a search may walk its states instead.
+A learner that takes at most a read, a query and an emit per datum may be
+built by ``Learner.from_step`` from a hashable start state and
+``step(state, datum) -> (state, hypothesis or None or a Query)``.  A
+``Query`` is answered by the next call, ``step(state, answer)``, which must
+return a hypothesis or None.  Its program is derived from the step (read a
+datum, step, ask the query if any and step on its answer, emit the
+hypothesis unless None), and both interpreters run it like any other; the
+learner keeps its step, so a search may walk its states instead, resolving
+each datum and its query with ``resolve_step``.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -126,7 +130,8 @@ class Learner:
 
     ``program()`` starts a new generator on each call, so one learner serves
     any number of sessions and runs.  A learner made by ``from_step`` also
-    keeps its ``start`` state and its ``step``; any other has ``step`` None.
+    keeps its ``start`` state and its ``step``, which may ask one query per
+    datum; any other has ``step`` None.
     """
 
     start: Hashable = None
@@ -146,16 +151,23 @@ class Learner:
     def from_step(cls, name: str, start: Hashable, step: Callable, cost_note: str) -> Learner:
         """The learner that reads a datum, steps, and emits the step's hypothesis unless None.
 
-        ``step(state, datum)`` returns ``(state, hypothesis or None)``; the
-        program starts from ``start``, never queries and declares no work.
+        ``step(state, datum)`` returns ``(state, hypothesis or None or a
+        Query)``.  The program yields a ``Query`` and steps on its answer,
+        ``step(state, answer)``, which must return a hypothesis or None: a
+        second ``Query`` raises ``TypeError``.  It starts from ``start`` and
+        declares no work.
         """
 
         def program():
             state = start
             while True:
-                state, hypothesis = step(state, (yield READ))
-                if hypothesis is not None:
-                    yield emit(hypothesis)
+                state, out = step(state, (yield READ))
+                if type(out) is Query:
+                    state, out = step(state, (yield out))
+                    if type(out) is Query:
+                        raise TypeError(f"learner {name} queried twice on one datum")
+                if out is not None:
+                    yield emit(out)
 
         learner = cls(name, program, cost_note)
         learner.start = start
@@ -164,6 +176,24 @@ class Learner:
 
     def spec(self) -> dict:
         return {"kind": "learner", "name": self.name, "costs": self.cost_note}
+
+
+def resolve_step(learner: Learner, state, datum, oracle: SetSpec | None):
+    """A step learner's step on ``datum``, with its query answered by ``oracle``.
+
+    Returns ``(state, hypothesis or None)``, as the derived program reaches
+    them.  A query raises ``ValueError`` without an oracle, as in the
+    interpreters, and a second query ``TypeError``, as in the program.
+    """
+    step = learner.step
+    state, out = step(state, datum)
+    if type(out) is Query:
+        if oracle is None:
+            raise ValueError(f"learner {learner.name} queried without an oracle")
+        state, out = step(state, oracle.contains(out.x))
+        if type(out) is Query:
+            raise TypeError(f"learner {learner.name} queried twice on one datum")
+    return state, out
 
 
 class Teacher:

@@ -22,8 +22,14 @@ convergence judged on raw positions.  It builds no learner program.
 ``composed_script`` states what ``simulate_pair`` does as a script of its
 own, so the same reference covers pair composition.
 
+It also draws step learners as tables: ``step_tables`` gives a start state,
+a step table over ``STEP_DATA`` whose outputs include queries, and the table
+the step reads a query's answer from; ``derived_learner`` builds them with
+``Learner.from_step``.
+
 This is a helper module, not a test module: the session properties import
-it, and ``test_teacher_properties`` draws its learners from it.
+it, ``test_teacher_properties`` draws its learners from it, and the step and
+characteristic-sample properties draw their step learners from it.
 """
 
 from typing import NamedTuple
@@ -42,6 +48,7 @@ from txtex_lab.session import (
     Skip,
     Teacher,
     Work,
+    query,
 )
 
 UNSEEN = 100  # above every drawn text element, so no teacher input ever holds it
@@ -270,3 +277,46 @@ def oracles(draw):
 # the first listed is drawn most often
 TICK_OFFSETS = st.sampled_from([10**6, -1, 0, -2, 1, 2])
 HORIZON_OFFSETS = st.sampled_from([-1, 40, 0, -2, 1, 2, 3])
+
+
+# step learners drawn as tables (see ``test_step_properties``)
+STEP_DATA = range(7)
+HYPOTHESES = st.none() | st.integers(0, 2)
+QUERIES = st.builds(query, st.integers(0, 12))
+
+
+@st.composite
+def step_tables(draw):
+    """A start state, a full table over 1–4 states and ``STEP_DATA``, and its answer table."""
+    states = draw(st.integers(1, 4))
+    state = st.integers(0, states - 1)
+    entry = st.tuples(state, HYPOTHESES | QUERIES)
+    table = {(s, datum): draw(entry) for s in range(states) for datum in STEP_DATA}
+    second = QUERIES if draw(RARELY) else st.nothing()
+    answer = st.tuples(state, HYPOTHESES | second)
+    answers = {(s, a): draw(answer) for s in range(states) for a in (False, True)}
+    return draw(state), table, answers
+
+
+def table_step(table, answers):
+    """The step of drawn tables; a state ``(s,)`` awaits the answer to a query."""
+
+    def step(state, datum):
+        if type(state) is tuple:
+            return answers[state[0], datum]
+        after, out = table[state, datum]
+        return ((after,) if type(out) is Query else after), out
+
+    return step
+
+
+def derived_learner(start, table, answers):
+    return Learner.from_step("table", start, table_step(table, answers), "drawn")
+
+
+def outcome(run):
+    """``run()``'s value, or the type of the error it raises."""
+    try:
+        return run()
+    except (TypeError, ValueError) as error:
+        return type(error)

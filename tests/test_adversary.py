@@ -12,6 +12,7 @@ from txtex_lab.session import (
     Query,
     Read,
     compose_pair,
+    query,
     run_on_sequence,
 )
 from txtex_lab.sets import set_equal
@@ -325,7 +326,7 @@ def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, 
     """The candidate pool is a prefix of the interval, yet the cores tried are unchanged."""
     tried = []
 
-    def recording_walk(learner, core, target):
+    def recording_walk(learner, core, target, oracle):
         tried.append(core)
         return False
 
@@ -379,6 +380,64 @@ def test_only_a_step_learner_skips_the_order_runs(registry, monkeypatch, program
     assert trap.resolved and trap.trap_core == {9, 10, 11}
     orders = list(itertools.permutations((9, 10, 11))) if program_only else []
     assert runs == orders + [(9, 10, 11)]
+
+
+def predecessor_prober(remembers: bool) -> Learner:
+    """Asks whether datum - 1 lies in the oracle; a no means the datum is the left endpoint.
+
+    It emits 2k for the datum's bracket k when it has read the left endpoint
+    (ever, if it ``remembers``, else as this datum), and 2k + 1 otherwise.
+    """
+
+    def step(state, datum):
+        seen_lo, pending = state
+        if pending is None:
+            return (seen_lo, datum), query(datum - 1)
+        seen_lo = (remembers and seen_lo) or not datum  # the datum is the answer
+        k = max(0, ((pending - 1).bit_length() - 1) // 2)
+        return (seen_lo, None), 2 * k + (not seen_lo)
+
+    return Learner.from_step("predecessor-prober", (False, None), step, "drawn")
+
+
+@pytest.mark.parametrize("remembers", [True, False])
+def test_a_querying_step_learner_gets_the_verdict_of_every_order(monkeypatch, remembers):
+    """The walk answers the learner's queries from the interval and makes only the decoy run."""
+    runs = []
+
+    def recording_run_on_sequence(learner, sequence, **kwargs):
+        runs.append(tuple(sequence))
+        return run_on_sequence(learner, sequence, **kwargs)
+
+    stepped = predecessor_prober(remembers)
+    program_only = Learner(stepped.name, stepped.program, stepped.cost_note)
+    want = adversary.search_trap_sets({5: program_only}, 5, poly_encode([2]), 1)
+    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
+    got = adversary.search_trap_sets({5: stepped}, 5, poly_encode([2]), 1)
+    assert got == want
+    if remembers:
+        assert got.trap_core == {9, 10, 11} and got.decoys == {9, 10, 11, 12, 13}
+        assert runs == [(9, 10, 11)]
+    else:
+        assert got.resolved and not got.trap_core and runs == []
+
+
+@pytest.mark.parametrize("max_actions,walks", [(9, False), (10, True)])
+def test_the_trap_walk_needs_three_actions_per_element_and_one(monkeypatch, max_actions, walks):
+    """A run over 3 elements takes 3 reads, 3 queries, 3 emits and a read past the end."""
+    walked = []
+    every_order_ends_on = adversary._every_order_ends_on
+
+    def recording_walk(learner, core, target, oracle):
+        walked.append(core)
+        return every_order_ends_on(learner, core, target, oracle)
+
+    monkeypatch.setattr(adversary, "_every_order_ends_on", recording_walk)
+    monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
+    trap = adversary.search_trap_sets({5: predecessor_prober(True)}, 5, poly_encode([2]), 1)
+    assert walked == ([(9, 10, 11)] if walks else [])
+    assert trap.resolved is walks
+    assert trap.stats.get("exhausted_budget") == (None if walks else "max_actions")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -8,12 +9,15 @@ from txtex_lab.codec import encode_tuple, pair, poly_encode
 from txtex_lab.descriptor import build_descriptor
 from txtex_lab.evaluate import evaluate_run, hypothesis_correct
 from txtex_lab.session import (
+    READ,
     Budget,
     Emit,
     Learner,
     Read,
     Skip,
     compose_pair,
+    emit,
+    query,
     run_on_sequence,
     run_session,
 )
@@ -385,6 +389,54 @@ def test_thm64_learner_rules():
     assert run.emissions[-1] == 2 * (2 + 8) + 1
     run = run_on_sequence(learner, [1, 3, 5])
     assert run.emissions[-1] == 0
+
+
+def generator_pcsG_learner():
+    """The pcs-G prober written as a generator: read, query max+1, emit 0 or the max."""
+
+    def program():
+        peak = None
+        while True:
+            datum = yield READ
+            peak = datum if peak is None else max(peak, datum)
+            yield emit(0 if (yield query(peak + 1)) else peak)
+
+    return Learner("segment-prober", program)
+
+
+def generator_thm64_learner():
+    """The offset-power learner written as a generator over the evens and odds seen."""
+
+    def program():
+        evens, odds = set(), set()
+        while True:
+            datum = yield READ
+            (evens if datum % 2 == 0 else odds).add(datum)
+            if not evens or not odds:
+                yield emit(0)
+                continue
+            n, m = min(evens) // 2, (max(odds) - 1) // 2
+            yield emit(2 * n if m == 2**n else 2 * (m + 2**n) + 1)
+
+    return Learner("join-shape-split", program)
+
+
+@pytest.mark.parametrize(
+    "make_learner,reference,oracle",
+    [
+        (agents.make_pcsG_oracle_learner, generator_pcsG_learner, Interval(0, 5)),
+        (agents.make_pcsG_oracle_learner, generator_pcsG_learner, Interval(0, None)),
+        (agents.make_thm64_pcs_learner, generator_thm64_learner, None),
+    ],
+)
+def test_step_built_pcs_learners_log_their_generators_sessions(make_learner, reference, oracle):
+    learner, want = make_learner(), reference()
+    assert learner.step is not None and learner.spec() == want.spec()
+    for data in itertools.product([0, 3, 4, 5, 6, 9, 17], repeat=3):
+        text = make_text("prefixed", FiniteSet(set(data)), prefix=list(data))
+        budget = Budget(horizon=3, window=1)
+        got = run_session(learner, text, oracle=oracle, budget=budget)
+        assert got == run_session(want, text, oracle=oracle, budget=budget)
 
 
 def test_halting_learner_rules():

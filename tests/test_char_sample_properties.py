@@ -1,9 +1,12 @@
-"""The characteristic-sample check's two sequence sources against their plain forms.
+"""The characteristic-sample check's sequence sources and its walk against their plain forms.
 
 Exhaustive mode walks only the covering words; it must give exactly the
 covering words of the full product, in product order.  Sampled mode draws
 with ``getrandbits``; it must give exactly the stream that ``randint``,
-``choice`` and ``shuffle`` give for the same seed.
+``choice`` and ``shuffle`` give for the same seed.  For a step learner,
+exhaustive mode walks the learner's states over the covering words; it must
+give the verdict, or the error, of running the same learner without its
+step over each covering word.
 """
 
 import itertools
@@ -15,8 +18,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from session_scripts import derived_learner, outcome, step_tables
 
-from txtex_lab.evaluate import _covering_words, _sampled_sequences
+from txtex_lab.codec import poly_encode
+from txtex_lab.evaluate import _covering_words, _sampled_sequences, check_characteristic_sample
+from txtex_lab.session import Learner
+from txtex_lab.sets import FiniteSet
 
 
 def filtered_product(universe, sample_set, max_len):
@@ -45,6 +52,53 @@ def test_covering_words_examples():
     assert list(_covering_words([2, 1], {1}, 2)) == [(1,), (2, 1), (1, 2), (1, 1)]
     # an element outside the universe is never covered
     assert list(_covering_words([1, 2], {1, 9}, 3)) == []
+
+
+class DrawnFamily:
+    """Index ``target_index`` codes the drawn target; any other index n codes {100 + n}."""
+
+    def __init__(self, target_index, target):
+        self.target_index = target_index
+        self.target = target
+
+    def member(self, index):
+        return self.target if index == self.target_index else FiniteSet({100 + index})
+
+    def min_index(self, index):
+        return index
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tables=step_tables(),
+    target=st.frozensets(st.integers(0, 6), min_size=1),
+    target_index=st.integers(0, 2),
+    max_universe=st.integers(0, 7),
+    data=st.data(),
+    max_len=st.integers(0, 3),
+    use_oracle=st.booleans(),
+)
+def test_the_walk_gives_the_verdict_of_a_run_per_covering_word(
+    tables, target, target_index, max_universe, data, max_len, use_oracle
+):
+    sample = data.draw(st.lists(st.sampled_from(sorted(target)), max_size=3))
+    stepped = derived_learner(*tables)
+    program_only = Learner(stepped.name, stepped.program, stepped.cost_note)
+
+    def check(learner):
+        return check_characteristic_sample(
+            lambda: learner,
+            DrawnFamily(target_index, FiniteSet(target)),
+            target_index,
+            sample,
+            poly_encode([4]),
+            max_text_len=max_len,
+            max_universe=max_universe,
+            use_oracle=use_oracle,
+        )
+
+    want = outcome(lambda: check(program_only))
+    assert outcome(lambda: check(stepped)) == want
 
 
 def reference_sampled_sequences(universe, sample, max_len, seed, count):

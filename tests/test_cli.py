@@ -235,6 +235,14 @@ class Raw(NamedTuple):
             "unknown key 'trap_budgets'; expected one of ['max_g', 'max_join', 'max_k', "
             "'max_thm64', 'seed', 'trap_learners']",
         ),
+        *[
+            ("pcs-suite", {"max_g": m}, f"max_g must be at most 200, got {m}")
+            for m in (201, 10**9)
+        ],
+        *[
+            ("pcs-suite", {"max_join": m}, f"max_join must be at most 200, got {m}")
+            for m in (201, 10**9)
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(

@@ -1,12 +1,16 @@
-"""Properties: a step learner runs what its table says, and the trap walk decides every order.
+"""Properties: a step learner runs what its table says, and the walks decide what the runs decide.
 
 A drawn step learner is a table ``(state, datum) -> (state, hypothesis or
-None)`` over 1–4 states and the data 0–6.  ``Learner.from_step`` derives its
-program; a hand-written generator of the same table must log the same
-session, and both must match the script that the table unrolls to over the
-text, under ``session_scripts``' reference.  The trap search's memoized walk
-(``adversary._every_order_ends_on``) must give the verdict of running every
-order of a drawn core through ``run_on_sequence``.
+None or a Query)`` over 1–4 states and the data 0–6, with an answer table
+``(state, answer) -> (state, hypothesis or None)`` that its step reads after
+a query; now and then the answer table asks a second query, which every path
+must refuse with ``TypeError``.  ``Learner.from_step`` derives its program; a
+hand-written generator of the same tables must log the same session, and
+both must match the script that the tables unroll to over the text and the
+oracle, under ``session_scripts``' reference.  The trap search's memoized
+walk (``adversary._every_order_ends_on``) must give the outcome of running
+every order of a drawn core through ``run_on_sequence``: the same verdict,
+or the same error.
 """
 
 import itertools
@@ -17,90 +21,147 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from session_scripts import HORIZON_OFFSETS, TICK_OFFSETS, reference_session, ticks_and_taken
+from session_scripts import (
+    HORIZON_OFFSETS,
+    STEP_DATA,
+    TICK_OFFSETS,
+    derived_learner,
+    oracles,
+    outcome,
+    reference_session,
+    step_tables,
+    ticks_and_taken,
+)
 
+from txtex_lab import families
 from txtex_lab.adversary import _every_order_ends_on
-from txtex_lab.session import READ, Budget, Learner, emit, run_on_sequence, run_session
+from txtex_lab.codec import poly_encode
+from txtex_lab.evaluate import check_characteristic_sample
+from txtex_lab.session import (
+    READ,
+    Budget,
+    Learner,
+    Query,
+    emit,
+    query,
+    run_on_sequence,
+    run_session,
+)
 from txtex_lab.sets import FiniteSet
 from txtex_lab.text import make_text
 
-DATA = range(7)
-HYPOTHESES = st.none() | st.integers(0, 2)
-
-
-@st.composite
-def step_tables(draw):
-    """A start state and a full table over 1–4 states and ``DATA``."""
-    states = draw(st.integers(1, 4))
-    entry = st.tuples(st.integers(0, states - 1), HYPOTHESES)
-    table = {(state, datum): draw(entry) for state in range(states) for datum in DATA}
-    return draw(st.integers(0, states - 1)), table
-
-
-def derived_learner(start, table):
-    return Learner.from_step("table", start, lambda state, datum: table[state, datum], "drawn")
-
-
-def handwritten_learner(start, table):
+def handwritten_learner(start, table, answers):
     def program():
         state = start
         while True:
             datum = yield READ
-            state, hypothesis = table[state, datum]
-            if hypothesis is not None:
-                yield emit(hypothesis)
+            state, out = table[state, datum]
+            if type(out) is Query:
+                state, out = answers[state, (yield out)]
+                if type(out) is Query:
+                    raise TypeError("learner table queried twice on one datum")
+            if out is not None:
+                yield emit(out)
 
     return Learner("table", program)
 
 
-def unrolled_script(start, table, raw):
-    """The table's actions over ``raw``: a read, then an emit unless None, per datum."""
+def unrolled_script(start, table, answers, raw, members):
+    """The tables' actions over ``raw`` with ``members`` answering: per datum a read,
+    the query if any, then an emit unless None.
+
+    The script stops at a query without an oracle, where the reference
+    raises ``ValueError``, and ends on an unknown action at a second query,
+    where it raises ``TypeError``.
+    """
     script, state = [], start
     for datum in raw:
-        state, hypothesis = table[state, datum]
         script.append(("read", 0))
-        if hypothesis is not None:
-            script.append(("emit", hypothesis))
+        state, out = table[state, datum]
+        if type(out) is Query:
+            script.append(("query", out.x))
+            if members is None:
+                return script
+            state, out = answers[state, out.x in members]
+            if type(out) is Query:
+                return script + [("unknown", 0)]
+        if out is not None:
+            script.append(("emit", out))
     return script + [("read", 0)]  # the learner wants more
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    learner_table=step_tables(),
-    data=st.lists(st.sampled_from(DATA), min_size=1, max_size=8),
+    tables=step_tables(),
+    data=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=8),
+    members=oracles(),
     tick_offset=TICK_OFFSETS,
     horizon_offset=HORIZON_OFFSETS,
     window=st.none() | st.integers(1, 4),
 )
 def test_a_derived_program_is_its_table_unrolled(
-    learner_table, data, tick_offset, horizon_offset, window
+    tables, data, members, tick_offset, horizon_offset, window
 ):
-    start, table = learner_table
     horizon = max(0, len(data) + horizon_offset)
     text = make_text("prefixed", FiniteSet(set(data)), prefix=data)
     raw = list(itertools.islice(text.stream(), horizon))
-    script = unrolled_script(start, table, raw)
+    script = unrolled_script(*tables, raw, members)
     budget = Budget(
         max_ticks=max(0, ticks_and_taken(script)[0] + tick_offset), horizon=horizon, window=window
     )
-    want = reference_session(script, raw, budget=budget).transcript
-    for learner in (derived_learner(start, table), handwritten_learner(start, table)):
-        assert run_session(learner, text, budget=budget) == want
-    run = run_on_sequence(derived_learner(start, table), raw)
+    want = reference_session(script, raw, members=members, budget=budget)
+    oracle = None if members is None else FiniteSet(members)
+    for learner in (derived_learner(*tables), handwritten_learner(*tables)):
+        got = outcome(lambda: run_session(learner, text, oracle=oracle, budget=budget))
+        assert got == (want.transcript if want.raises is None else want.raises)
+    run = outcome(lambda: run_on_sequence(derived_learner(*tables), raw, oracle=oracle))
+    whole = reference_session(
+        script, raw, members=members, budget=Budget(max_ticks=10**9, horizon=len(raw))
+    )
+    if whole.raises is not None:
+        assert run is whole.raises
+        return
     assert run.emissions == [value for op, value in script if op == "emit"]
+    queries = [event.payload for event in whole.transcript.events if event.kind == "query"]
+    assert run.queries == queries
     assert run.actions == len(script)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
-    learner_table=step_tables(),
-    core=st.lists(st.sampled_from(DATA), min_size=1, max_size=6, unique=True),
+    tables=step_tables(),
+    core=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=6, unique=True),
     target=st.integers(0, 2),
+    members=oracles(),
 )
-def test_the_walk_decides_every_order(learner_table, core, target):
-    learner = derived_learner(*learner_table)
-    every_order = all(
-        run_on_sequence(learner, order).last_hypothesis == target
-        for order in itertools.permutations(core)
-    )
-    assert _every_order_ends_on(learner, tuple(core), target) is every_order
+def test_the_walk_decides_every_order(tables, core, target, members):
+    learner = derived_learner(*tables)
+    oracle = None if members is None else FiniteSet(members)
+
+    def every_order():
+        return all(
+            run_on_sequence(learner, order, oracle=oracle).last_hypothesis == target
+            for order in itertools.permutations(core)
+        )
+
+    want = outcome(every_order)
+    assert outcome(lambda: _every_order_ends_on(learner, tuple(core), target, oracle)) is want
+
+
+def test_a_second_query_on_one_datum_is_refused_by_the_program_and_both_walks():
+    learner = Learner.from_step("asks-twice", 0, lambda state, datum: (state, query(1)), "drawn")
+    oracle = FiniteSet({1})
+    with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
+        run_on_sequence(learner, [3], oracle=oracle)
+    with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
+        _every_order_ends_on(learner, (3,), 0, oracle)
+    with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
+        check_characteristic_sample(
+            lambda: learner,
+            families.make_basic_family("pcs-G"),
+            3,
+            [3],
+            poly_encode([2, 1]),
+            max_text_len=2,
+            max_universe=5,
+        )
