@@ -26,6 +26,7 @@ from .session import (
     resolve_step,
     run_on_sequence,
     run_session,
+    step_through,
 )
 from .sets import FiniteSet, Interval, SetSpec, set_equal
 from .text import Text, make_text
@@ -323,15 +324,10 @@ def _every_order_ends_on(
     recursion of Held and Karp: when every order of a subset reaches one
     state and hypothesis, it decides all n! orders in n·2^(n−1) steps, and
     it checks order-independence rather than assuming it.  The walk's first
-    leaf, the core in its own order, is run flat first: most failing cores
-    fail there, without a memo.
+    leaf, the core in its own order, is stepped flat first (``step_through``):
+    most failing cores fail there, without a memo.
     """
-    state, last = learner.start, None
-    for datum in core:
-        state, hypothesis = resolve_step(learner, state, datum, oracle)
-        if hypothesis is not None:
-            last = hypothesis
-    if last != target:
+    if step_through(learner, core, oracle) != target:
         return False
     full = (1 << len(core)) - 1
     passed: set[tuple] = set()

@@ -256,18 +256,16 @@ def make_pow2_pmc_learner() -> Learner:
 def make_join_evens_learner() -> Learner:
     """For singleton-join targets: the unique even element names the index.
 
-    Its program ends after its first emit, and a step learner reads for ever,
-    so it stays a plain program.
+    Its state is the first even datum's half, or None before one; it emits
+    that half on that datum and nothing after it.
     """
 
-    def program():
-        while True:
-            datum = yield READ
-            if datum % 2 == 0:
-                yield emit(datum // 2)
-                return
+    def step(half, datum):
+        if half is None and datum % 2 == 0:
+            return datum // 2, datum // 2
+        return half, None
 
-    return Learner("even-spotter", program)
+    return Learner.from_step("even-spotter", None, step, "one tick per action")
 
 
 def make_basic_agents() -> dict:

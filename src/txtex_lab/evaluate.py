@@ -4,6 +4,8 @@ The three per-session criteria measure, at the convergence point, computation
 ticks (PRT), distinct data consumed (PSD) or total mind changes (PMC) against
 a polynomial in the target's minimal index; oracle use is bounded by the same
 polynomial in every case, counting positive and negative answers alike.
+A characteristic-sample check takes a step learner and steps it over the
+covering sequences; it starts no learner program.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .codec import poly_eval
-from .session import Learner, SessionTranscript, resolve_step, run_on_sequence
+from .session import Learner, SessionTranscript, resolve_step, step_through
 from .sets import SetSpec, set_equal
 
 CRITERIA = ("PRT", "PSD", "PMC")
 
 EXHAUSTIVE_ARRANGEMENT_LIMIT = 100_000
 SAMPLED_ARRANGEMENTS = 10_000
-# Action budget of one run of the learner over a characteristic-sample word.
-CHECK_MAX_ACTIONS = 100_000
+# Longest text a characteristic-sample check takes.  The walk nests one
+# generator per letter, so a one-letter universe, which stays exhaustive up to
+# 100,000 letters, would pass the interpreter's recursion limit near 1,000.
+CHECK_MAX_TEXT_LEN = 100
 
 
 @dataclass(frozen=True)
@@ -145,61 +149,21 @@ def _sampled_sequences(
         yield tuple(seq)
 
 
-def _covering_words(universe: list[int], sample_set: set[int], max_len: int):
-    """The words of length 1..max_len over ``universe`` that contain every element
-    of ``sample_set``, in ``itertools.product`` order.
-
-    A word covers the sample when its last letter supplies whatever its prefix
-    misses: any letter if nothing is missing, the one missing element if it is
-    in the universe, and no letter otherwise.
-    """
-    letters = set(universe)
-    for length in range(1, max_len + 1):
-        for prefix in itertools.product(universe, repeat=length - 1):
-            missing = sample_set.difference(prefix)
-            if not missing:
-                for x in universe:
-                    yield prefix + (x,)
-            elif len(missing) == 1:
-                [m] = missing
-                if m in letters:
-                    yield prefix + (m,)
-
-
-def _run_outputs(learner: Learner, sequences, oracle: SetSpec | None, *, repeats: bool):
-    """Each sequence with the learner's output on it, from a fresh run.
-
-    With ``repeats``, a sequence met again takes its first run's output
-    instead of a run: a deterministic learner gives the same output.
-    """
-    outputs: dict[tuple[int, ...], int | None] = {}
-    for seq in sequences:
-        if seq in outputs:
-            yield seq, outputs[seq]
-            continue
-        run = run_on_sequence(learner, seq, oracle=oracle, max_actions=CHECK_MAX_ACTIONS)
-        output = run.last_hypothesis
-        if repeats:
-            outputs[seq] = output
-        yield seq, output
-
-
 def _walked_outputs(
     learner: Learner,
     universe: list[int],
-    sample_set: set[int],
+    sample: Sequence[int],
     max_len: int,
     oracle: SetSpec | None,
 ):
-    """Each covering word with the step learner's output on it, in ``_covering_words``' order.
+    """Each word of length 1..max_len over ``universe`` that holds every element of
+    ``sample``, with the step learner's output on it, in ``itertools.product`` order.
 
     For each length the walk steps the learner depth first, once per prefix,
     and drops a prefix as soon as the sample elements it misses outnumber the
     slots left after it, so every prefix it steps begins a covering word.
     """
-    if not sample_set.issubset(universe):
-        return
-    bits = {x: 1 << i for i, x in enumerate(sample_set)}
+    bits = {x: 1 << i for i, x in enumerate(sample)}
 
     def below(prefix, slots, state, last, missing):
         for x in universe:
@@ -235,25 +199,27 @@ def check_characteristic_sample(
     Enumerates every sequence of length <= max_text_len over target elements
     <= max_universe (exhaustively when that space is small, seeded-sampled
     otherwise); on every sequence whose content covers ``sample`` the learner
-    must output one fixed correct index of the target.
+    must output one fixed correct index of the target.  A ``max_text_len``
+    above ``CHECK_MAX_TEXT_LEN`` raises ``ValueError``.
 
-    ``make_learner`` is called once per check: the one learner and the target,
-    which answers its queries when ``use_oracle`` is set, serve every run,
-    since each run starts a fresh program.
-    Exhaustive mode walks only the covering words, in ``itertools.product``
-    order (see ``_covering_words``).  For a learner made by
-    ``Learner.from_step`` whose runs over a word fit in ``CHECK_MAX_ACTIONS``
-    (at most 3 * max_text_len + 1 actions), it steps the learner once per
-    prefix of the covering words instead of running each word, and gives the
-    same verdict, counts and errors (see ``_walked_outputs``).
-    Sampled mode draws with ``getrandbits``
-    rejection draws, the seeded stream that ``randint``, ``choice`` and
-    ``shuffle`` give (see ``_sampled_sequences``), and keeps the covering ones.
-    A deterministic learner gives the same output on the same sequence, so a
-    sampled check runs each distinct covering sequence once; a repeat still
-    counts in ``covering_prefixes_checked``.  Exhaustive sequences are
-    distinct, so that mode keeps no record of them.
+    ``make_learner`` is called once per check, and must give a learner made by
+    ``Learner.from_step`` (``TypeError`` otherwise): the check steps it and
+    starts no program.  The target answers its queries when ``use_oracle`` is
+    set.  A sample element above ``max_universe`` is in no sequence over the
+    universe, so no sequence covers the sample.
+    Exhaustive mode walks the covering words in ``itertools.product`` order,
+    stepping the learner once per prefix (see ``_walked_outputs``).  Sampled
+    mode draws with ``getrandbits`` rejection draws, the seeded stream that
+    ``randint``, ``choice`` and ``shuffle`` give (see ``_sampled_sequences``),
+    keeps the covering ones and steps the learner through each
+    (``step_through``); a repeat counts again in ``covering_prefixes_checked``.
+    Either way the verdict is that of running the learner on each sequence.
     """
+    if max_text_len > CHECK_MAX_TEXT_LEN:
+        raise ValueError(f"max_text_len {max_text_len} is above {CHECK_MAX_TEXT_LEN}")
+    learner = make_learner()
+    if learner.step is None:
+        raise TypeError(f"learner {learner.name} has no step for a characteristic-sample check")
     target = family.member(target_index)
     sample = sorted(set(sample))
     for x in sample:
@@ -269,22 +235,17 @@ def check_characteristic_sample(
         return Verdict(False, "empty-universe", {})
     count = _arrangement_count(len(universe), max_text_len)
     exhaustive = count <= EXHAUSTIVE_ARRANGEMENT_LIMIT
-    sample_set = set(sample)
-    learner = make_learner()
+    if sample and sample[-1] > max_universe:
+        return Verdict(False, "no-covering-prefix", {"exhaustive": exhaustive})
     oracle = target if use_oracle else None
-    if not exhaustive:
+    if exhaustive:
+        outputs = _walked_outputs(learner, universe, sample, max_text_len, oracle)
+    else:
         sequences = filter(
-            sample_set.issubset,
+            set(sample).issubset,
             _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS),
         )
-        outputs = _run_outputs(learner, sequences, oracle, repeats=True)
-    # A step learner's run over a word takes a read, a query and an emit per
-    # letter and a read past the end; with fewer actions the runs exhaust theirs.
-    elif learner.step is not None and 3 * max_text_len + 1 <= CHECK_MAX_ACTIONS:
-        outputs = _walked_outputs(learner, universe, sample_set, max_text_len, oracle)
-    else:
-        words = _covering_words(universe, sample_set, max_text_len)
-        outputs = _run_outputs(learner, words, oracle, repeats=False)
+        outputs = ((seq, step_through(learner, seq, oracle)) for seq in sequences)
     locked: int | None = None
     checked = 0
     for seq, output in outputs:

@@ -448,7 +448,7 @@ def _pcs_suite(config: dict) -> ExperimentResult:
             [n],
             poly,
             max_text_len=4,
-            max_universe=20,
+            max_universe=max(20, n),
         )
         rows.append(("pcs-G", n, 1, int(verdict.passed), verdict.reason))
         ok = ok and verdict.passed
@@ -643,12 +643,12 @@ CSD_PAIR_MAX_CANDIDATES = 100_000
 # at 22 (ru_maxrss, Python 3.11); the list doubles with each n past that.
 PCS_SUITE_MAX_THM64 = 20
 # Greatest pcs-suite pcs-G n: each n from 17 on is a sampled check of 10,000 seeded
-# draws over a universe of at most 21 elements, so time grows linearly.  max_g 100 /
-# 200 / 400 took 2.7 / 6.6 / 14.3 s at 20 MB peak RSS (Python 3.11, 2 cores).
+# draws over the member's n + 1 elements, so time grows linearly.  max_g 100 / 200 /
+# 400 took 2.7 / 7.1 / 15.1 s at 20 MB peak RSS (Python 3.11, 2 cores).
 PCS_SUITE_MAX_G = 200
 # Greatest pcs-suite join-singletons n: its universe has n + 4 elements, and each n
 # from 43 on is a sampled check of 10,000 seeded draws.  max_join 100 / 200 / 400
-# took 2.3 / 4.2 / 10.6 s at 20 MB peak RSS (Python 3.11, 2 cores).
+# took 1.8 / 3.0 / 6.8 s at 20 MB peak RSS (Python 3.11, 2 cores).
 PCS_SUITE_MAX_JOIN = 200
 
 

@@ -30,7 +30,8 @@ return a hypothesis or None.  Its program is derived from the step (read a
 datum, step, ask the query if any and step on its answer, emit the
 hypothesis unless None), and both interpreters run it like any other; the
 learner keeps its step, so a search may walk its states instead, resolving
-each datum and its query with ``resolve_step``.
+each datum and its query with ``resolve_step``, or fold them over a finite
+input with ``step_through``, which gives that input's run output.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -48,10 +49,10 @@ is ``(kind, payload)``: its step is its index in the event list, which
 Every loop that steps a learner program, here and in ``agents``, dispatches
 on ``type(action)``.
 
-``run_on_sequence`` is the bounded searches' interpreter for finite inputs.
-A learner object only makes programs and a set holds no state, so a search
-holds one learner and one oracle set per call and starts a fresh program for
-each run.
+``run_on_sequence`` is the trap and chain searches' interpreter for finite
+inputs; characteristic-sample checks only step their learners.  A learner
+object only makes programs and a set holds no state, so a search holds one
+learner and one oracle set per call and starts a fresh program for each run.
 """
 
 from __future__ import annotations
@@ -194,6 +195,16 @@ def resolve_step(learner: Learner, state, datum, oracle: SetSpec | None):
         if type(out) is Query:
             raise TypeError(f"learner {learner.name} queried twice on one datum")
     return state, out
+
+
+def step_through(learner: Learner, data: Sequence[int], oracle: SetSpec | None) -> int | None:
+    """A step learner's last hypothesis over ``data``, or None: the output of its run on them."""
+    state, last = learner.start, None
+    for datum in data:
+        state, hypothesis = resolve_step(learner, state, datum, oracle)
+        if hypothesis is not None:
+            last = hypothesis
+    return last
 
 
 class Teacher:
@@ -423,7 +434,7 @@ def run_session(
 
 
 # ---------------------------------------------------------------------------
-# finite-prefix runs (used by searches and characteristic-sample checks)
+# finite-prefix runs (used by the query-ceiling, trap and chain searches)
 
 
 class ActionBudgetExceeded(Exception):

@@ -3,27 +3,37 @@
 Exhaustive mode walks only the covering words; it must give exactly the
 covering words of the full product, in product order.  Sampled mode draws
 with ``getrandbits``; it must give exactly the stream that ``randint``,
-``choice`` and ``shuffle`` give for the same seed.  For a step learner,
-exhaustive mode walks the learner's states over the covering words; it must
-give the verdict, or the error, of running the same learner without its
-step over each covering word.
+``choice`` and ``shuffle`` give for the same seed.  In either mode the check
+steps a step learner; it must give the verdict, or the error, of running the
+learner's derived program over each covering sequence through
+``run_on_sequence``.
 """
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from session_scripts import derived_learner, outcome, step_tables
 
+from txtex_lab import evaluate
 from txtex_lab.codec import poly_encode
-from txtex_lab.evaluate import _covering_words, _sampled_sequences, check_characteristic_sample
-from txtex_lab.session import Learner
+from txtex_lab.evaluate import (
+    Verdict,
+    _sampled_sequences,
+    _walked_outputs,
+    check_characteristic_sample,
+    hypothesis_correct,
+)
+from txtex_lab.session import Learner, run_on_sequence
 from txtex_lab.sets import FiniteSet
+
+SILENT = Learner.from_step("silent", None, lambda state, datum: (state, None), "drawn")
 
 
 def filtered_product(universe, sample_set, max_len):
@@ -39,19 +49,14 @@ def filtered_product(universe, sample_set, max_len):
     sample=st.frozensets(st.integers(0, 8), max_size=3),
     max_len=st.integers(0, 4),
 )
-def test_covering_words_are_the_covering_product_words_in_order(universe, sample, max_len):
+@example(universe=[], sample=frozenset(), max_len=3)
+@example(universe=[5], sample=frozenset({5}), max_len=3)
+@example(universe=[2, 1], sample=frozenset({1}), max_len=2)
+@example(universe=[1, 2], sample=frozenset({1, 9}), max_len=3)  # 9 is never covered
+def test_the_walk_yields_the_covering_product_words_in_order(universe, sample, max_len):
     # the universe is drawn in any order, so a walker that yields in sorted or set order fails
-    assert list(_covering_words(universe, set(sample), max_len)) == filtered_product(
-        universe, sample, max_len
-    )
-
-
-def test_covering_words_examples():
-    assert list(_covering_words([], set(), 3)) == []
-    assert list(_covering_words([5], {5}, 3)) == [(5,), (5, 5), (5, 5, 5)]
-    assert list(_covering_words([2, 1], {1}, 2)) == [(1,), (2, 1), (1, 2), (1, 1)]
-    # an element outside the universe is never covered
-    assert list(_covering_words([1, 2], {1, 9}, 3)) == []
+    words = [word for word, _ in _walked_outputs(SILENT, universe, sorted(sample), max_len, None)]
+    assert words == filtered_product(universe, sample, max_len)
 
 
 class DrawnFamily:
@@ -68,6 +73,47 @@ class DrawnFamily:
         return index
 
 
+def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe, oracle, seed):
+    """The check's verdict from one ``run_on_sequence`` per covering sequence over the universe.
+
+    The drawn samples lie in the target and fit the size bound, so only the
+    universe can end the check before the runs.
+    """
+    universe = family.member(target_index).elements_up_to(max_universe)
+    if not universe:
+        return Verdict(False, "empty-universe", {})
+    count = evaluate._arrangement_count(len(universe), max_len)
+    exhaustive = count <= evaluate.EXHAUSTIVE_ARRANGEMENT_LIMIT
+    sample = sorted(set(sample))
+    if exhaustive:
+        sequences = filtered_product(universe, set(sample), max_len)
+    else:
+        drawn = _sampled_sequences(universe, sample, max_len, seed, evaluate.SAMPLED_ARRANGEMENTS)
+        sequences = (seq for seq in drawn if set(sample) <= set(seq) <= set(universe))
+    locked, checked = None, 0
+    for seq in sequences:
+        checked += 1
+        output = run_on_sequence(learner, seq, oracle=oracle).last_hypothesis
+        if output is None:
+            return Verdict(False, "no-output", {"prefix": list(seq)})
+        if locked is None:
+            locked = output
+        elif output != locked:
+            details = {"prefix": list(seq), "output": output, "expected": locked}
+            return Verdict(False, "output-not-fixed", details)
+    if locked is None:
+        return Verdict(False, "no-covering-prefix", {"exhaustive": exhaustive})
+    if not hypothesis_correct(family, locked, target_index):
+        return Verdict(False, "locked-output-incorrect", {"output": locked})
+    details = {
+        "locked_output": locked,
+        "covering_prefixes_checked": checked,
+        "exhaustive": exhaustive,
+        "sample_size": len(sample),
+    }
+    return Verdict(True, "ok", details)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     tables=step_tables(),
@@ -77,28 +123,38 @@ class DrawnFamily:
     data=st.data(),
     max_len=st.integers(0, 3),
     use_oracle=st.booleans(),
+    sampled=st.booleans(),
+    seed=st.integers(0, 3),
 )
-def test_the_walk_gives_the_verdict_of_a_run_per_covering_word(
-    tables, target, target_index, max_universe, data, max_len, use_oracle
+def test_the_check_gives_the_verdict_of_a_run_per_covering_sequence(
+    tables, target, target_index, max_universe, data, max_len, use_oracle, sampled, seed
 ):
     sample = data.draw(st.lists(st.sampled_from(sorted(target)), max_size=3))
-    stepped = derived_learner(*tables)
-    program_only = Learner(stepped.name, stepped.program, stepped.cost_note)
-
-    def check(learner):
-        return check_characteristic_sample(
-            lambda: learner,
-            DrawnFamily(target_index, FiniteSet(target)),
-            target_index,
-            sample,
-            poly_encode([4]),
-            max_text_len=max_len,
-            max_universe=max_universe,
-            use_oracle=use_oracle,
+    learner = derived_learner(*tables)
+    family = DrawnFamily(target_index, FiniteSet(target))
+    oracle = family.target if use_oracle else None
+    # with no exhaustive arrangements, every max_len of at least 1 is sampled
+    limit = 0 if sampled else evaluate.EXHAUSTIVE_ARRANGEMENT_LIMIT
+    with mock.patch.multiple(evaluate, EXHAUSTIVE_ARRANGEMENT_LIMIT=limit, SAMPLED_ARRANGEMENTS=40):
+        want = outcome(
+            lambda: verdict_of_runs(
+                learner, family, target_index, sample, max_len, max_universe, oracle, seed
+            )
         )
-
-    want = outcome(lambda: check(program_only))
-    assert outcome(lambda: check(stepped)) == want
+        got = outcome(
+            lambda: check_characteristic_sample(
+                lambda: learner,
+                family,
+                target_index,
+                sample,
+                poly_encode([4]),
+                max_text_len=max_len,
+                max_universe=max_universe,
+                use_oracle=use_oracle,
+                seed=seed,
+            )
+        )
+    assert got == want
 
 
 def reference_sampled_sequences(universe, sample, max_len, seed, count):

@@ -33,6 +33,59 @@ def test_list_commands(capsys):
         assert spec == {"kind": "learner", "name": learner.name, "costs": learner.cost_note}
 
 
+# ``txtex-lab list`` output, byte for byte
+LIST_OUTPUT = {
+    "experiments": """\
+pow2-gap                 distinct-data vs oracle-query vs teacher-item costs on dyadic intervals
+msd-linear               descriptor teacher pair: hypothesis = index, ticks linear in index
+msd-defeat               marker-trapped descriptor family defeats registered oracle learners
+csd-chain                chain-column family: oracle learner exact, forced mind changes on chains
+merged-split             parity-merged family: one oracle probe picks the branch
+psd-finite               size+mask learner on finite sets; shared-prefix indistinguishability
+conversions-roundtrip    teacher-dataset and mind-change conversions preserve learning
+pcs-suite                characteristic samples: segments, joins, offset powers, trap families
+halting-psd              two distinct data suffice on the staged pair family
+""",
+    "families": """\
+up-intervals
+pair-intervals
+tuple-contents
+finite-canonical
+pow2
+join-singletons
+pcs-G
+msd (registry learner + polynomial)
+csd
+merged (registry learner + polynomial)
+pcs-F (registry learner + polynomial)
+offset-power-joins
+halting (parameter set)
+""",
+    "agents": """\
+# registry (attackable oracle learners)
+0: {"costs":"single emission","kind":"learner","name":"constant-zero"}
+1: {"costs":"one emit per read","kind":"learner","name":"trap-even-guesser"}
+2: {"costs":"one emit per read","kind":"learner","name":"trap-odd-guesser"}
+3: {"costs":"queries per column/element probe","kind":"learner","name":"chain-column-oracle"}
+4: {"costs":"queries per endpoint probe","kind":"learner","name":"pow2-endpoint-oracle"}
+# basic catalog
+finite_psd_learner: {"costs":"one tick per action","kind":"learner","name":"finite-size-mask"}
+pow2_plain_learner: {"costs":"one tick per action","kind":"learner","name":"pow2-collector"}
+pow2_oracle_learner: {"costs":"queries per endpoint probe","kind":"learner","name":"pow2-endpoint-oracle"}
+pow2_teacher_pair: {"costs":"one tick per action","kind":"learner","name":"repeat-counter"} + {"kind":"teacher","name":"bracket-repeater"}
+pow2_pmc_learner: {"costs":"one tick per action","kind":"learner","name":"pow2-threshold"}
+pmc_msd_learner: {"costs":"one work unit per recognizer step","kind":"learner","name":"descriptor-wait"}
+join_evens_learner: {"costs":"one tick per action","kind":"learner","name":"even-spotter"}
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LIST_OUTPUT))
+def test_list_output_is_pinned(capsys, kind):
+    assert main(["list", kind]) == 0
+    assert capsys.readouterr().out == LIST_OUTPUT[kind]
+
+
 class Raw(NamedTuple):
     """A usage error outside the config schema.
 

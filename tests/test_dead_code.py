@@ -36,10 +36,10 @@ def identifiers(tree: ast.AST) -> list[str]:
 def unused_definitions(package: Path, code_roots: list[Path]) -> list[str]:
     """Definitions in ``package`` that nothing under ``code_roots`` names.
 
-    Lists ``module.name`` of each function, class or method whose name
-    appears among the identifiers of the Python files under ``code_roots``
-    only where it is defined.  Dunder methods are skipped: the language
-    calls them, not a name.
+    Lists ``module.name`` of each function, class or method, and each name a
+    module-level assignment binds, whose name appears among the identifiers
+    of the Python files under ``code_roots`` only where it is defined.
+    Dunders are skipped: the language or its tools read them, not a name.
     """
     words = Counter()
     for root in code_roots:
@@ -47,9 +47,19 @@ def unused_definitions(package: Path, code_roots: list[Path]) -> list[str]:
             words.update(identifiers(ast.parse(path.read_text())))
     found = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 found.append((path.stem, node.name))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.extend(
+                    (path.stem, name.id)
+                    for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)
+                )
     defined = Counter(name for _, name in found)
     return [
         f"{module}.{name}"

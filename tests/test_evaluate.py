@@ -3,8 +3,7 @@ import pytest
 from txtex_lab import agents, families
 from txtex_lab.codec import poly_encode
 from txtex_lab.evaluate import (
-    SAMPLED_ARRANGEMENTS,
-    _sampled_sequences,
+    Verdict,
     check_characteristic_sample,
     evaluate_run,
     hypothesis_correct,
@@ -236,55 +235,79 @@ def test_sampled_char_sample_verdicts_are_pinned(seed, n):
     }
 
 
-class CountingFactory:
-    """Learner factory that counts learners made and programs started."""
+def without_program(make_learner, made):
+    """``make_learner``, whose learners raise if their program starts; ``made`` lists them."""
 
-    def __init__(self, make_learner):
-        self.make_learner = make_learner
-        self.learners = 0
-        self.programs = 0
+    def program():
+        raise AssertionError("a characteristic-sample check started a learner program")
 
-    def __call__(self):
-        self.learners += 1
-        inner = self.make_learner()
+    def make():
+        learner = make_learner()
+        learner.program = program
+        made.append(learner)
+        return learner
 
-        def program():
-            self.programs += 1
-            return inner.program()
-
-        return Learner(inner.name, program)
+    return make
 
 
-def _distinct_covering_sequences(n, seed):
-    universe = families.make_thm64_g().member(2 * n).elements_up_to(2 * 2**n + 2)
-    sample = sorted({2 * n, 2 * 2**n + 1})
-    sequences = _sampled_sequences(universe, sample, 3, seed, SAMPLED_ARRANGEMENTS)
-    return {tuple(seq) for seq in sequences if set(sample) <= set(seq)}
+@pytest.mark.parametrize("exhaustive", [True, False])
+def test_a_check_steps_its_learner_and_starts_no_program(exhaustive):
+    made = []
+    if exhaustive:
+        verdict = check_characteristic_sample(
+            without_program(agents.make_pcsG_oracle_learner, made),
+            families.make_basic_family("pcs-G"),
+            3,
+            [3],
+            poly_encode([2, 1]),
+            max_text_len=3,
+            max_universe=10,
+        )
+    else:
+        verdict = _offset_power_check(6, 11, without_program(agents.make_thm64_pcs_learner, made))
+        assert verdict.details["covering_prefixes_checked"] == SAMPLED_COVERING_COUNTS[11, 6]
+    assert verdict.passed and verdict.details["exhaustive"] is exhaustive
+    assert len(made) == 1
 
 
-@pytest.mark.parametrize("seed,n", sorted(SAMPLED_COVERING_COUNTS))
-def test_sampled_char_sample_runs_each_distinct_sequence_once(seed, n):
-    factory = CountingFactory(agents.make_thm64_pcs_learner)
-    verdict = _offset_power_check(n, seed, factory)
-    assert verdict.passed
-    assert factory.learners == 1
-    distinct = _distinct_covering_sequences(n, seed)
-    assert factory.programs == len(distinct) < SAMPLED_COVERING_COUNTS[seed, n]
-    if (seed, n) == (11, 6):
-        assert len(distinct) == 388
+def test_a_learner_without_a_step_is_refused_by_name():
+    stepped = agents.make_pcsG_oracle_learner()
+    program_only = Learner("program-only", stepped.program, stepped.cost_note)
+    with pytest.raises(TypeError, match="learner program-only has no step"):
+        check_characteristic_sample(
+            lambda: program_only,
+            families.make_basic_family("pcs-G"),
+            3,
+            [3],
+            poly_encode([2, 1]),
+            max_text_len=3,
+            max_universe=10,
+        )
 
 
-def test_exhaustive_char_sample_runs_every_covering_sequence():
-    factory = CountingFactory(agents.make_pcsG_oracle_learner)
+def test_a_sample_above_the_universe_is_covered_by_no_sequence():
+    """No word over pcs-G 21's elements up to 20 holds 21, though the sampler splices it in."""
     verdict = check_characteristic_sample(
-        factory,
+        agents.make_pcsG_oracle_learner,
         families.make_basic_family("pcs-G"),
-        3,
-        [3],
+        21,
+        [21],
         poly_encode([2, 1]),
-        max_text_len=3,
-        max_universe=10,
+        max_text_len=4,
+        max_universe=20,
     )
-    assert verdict.passed and verdict.details["exhaustive"]
-    assert factory.learners == 1
-    assert factory.programs == verdict.details["covering_prefixes_checked"]
+    assert verdict == Verdict(False, "no-covering-prefix", {"exhaustive": False})
+
+
+def test_a_text_longer_than_the_walk_can_nest_is_refused():
+    """A one-letter universe keeps 1,100 letters exhaustive; the walk would nest 1,100 deep."""
+    with pytest.raises(ValueError, match="max_text_len 1100 is above 100"):
+        check_characteristic_sample(
+            agents.make_pcsG_oracle_learner,
+            families.make_basic_family("pcs-G"),
+            0,
+            [0],
+            poly_encode([2, 1]),
+            max_text_len=1100,
+            max_universe=0,
+        )
