@@ -4,7 +4,8 @@ Everything here is explicitly budgeted and reports whether a search was
 exhaustive or sampled; verdicts are reproducible from the same seed and
 budgets.  The attacked learner is a plain ``session.Learner``: ``compute_q``
 takes it directly, ``msd_defeat`` reads it from the family built to defeat
-it, and ``search_trap_sets`` looks it up by id in a registry dict.
+it, and ``search_trap_sets`` looks it up by id in a registry dict and steps
+it, so it must be a step learner.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .codec import encode_tuple, poly_eval
 from .evaluate import hypothesis_correct
 from .session import (
     READ,
-    ActionBudgetExceeded,
     Budget,
     Learner,
     compose_pair,
@@ -39,12 +39,11 @@ CHAIN_FORCE_UNIVERSE = 4096
 # Raw positions a defeat session reads past the marker prefix.
 DEFEAT_HORIZON_SLACK = 64
 # Budgets of ``search_trap_sets``, read at call time: the most candidate cores
-# tried, the most orders of a core run exhaustively (8! = 40,320 fits, 9! does
-# not), the seeded orders run per core past that, and the actions of one run.
+# tried, the most orders of a core walked exhaustively (8! = 40,320 fits, 9!
+# does not), and the seeded orders stepped through per core past that.
 TRAP_MAX_CANDIDATES = 2_000
 TRAP_ARRANGEMENT_LIMIT = 100_000
 TRAP_SAMPLE_SIZE = 10_000
-TRAP_MAX_ACTIONS = 50_000
 
 
 def marker_element(j: int) -> int:
@@ -358,7 +357,7 @@ def search_trap_sets(
     *,
     seed: int = 0,
 ) -> TrapSets:
-    """Find a core set the learner mistakes for the whole interval.
+    """Find a core set the step learner mistakes for the whole interval.
 
     A candidate core E (left endpoint forced in, size p(2k+1)+1) passes when
     the learner, with the interval as its oracle, answers the even index after
@@ -368,19 +367,18 @@ def search_trap_sets(
     learner queries while reading E in increasing order, padded with the
     least unused interval elements.
 
-    A search that runs out of ``TRAP_MAX_CANDIDATES`` candidates, or whose
-    learner runs out of ``TRAP_MAX_ACTIONS`` on some run, returns unresolved
-    with the budget's name (``max_candidates`` or ``max_actions``) under
-    ``stats["exhausted_budget"]``.
-
-    With at most ``TRAP_ARRANGEMENT_LIMIT`` orders the verdict is exhaustive.
-    For a learner made by ``Learner.from_step`` whose runs over a core fit in
-    ``TRAP_MAX_ACTIONS``, a memoized walk over its states decides every order
-    (``_every_order_ends_on``); any other learner runs each order through
-    ``run_on_sequence``.  Past the limit, ``TRAP_SAMPLE_SIZE`` seeded orders
-    are run.  One learner and the interval, which answers its queries, serve
-    every run of the search; each run starts a fresh program of the learner.
+    The learner must be made by ``Learner.from_step`` (``TypeError``
+    otherwise, before any candidate is tried), and the interval answers its
+    queries.  With at most ``TRAP_ARRANGEMENT_LIMIT`` orders a memoized walk
+    over its states decides every order (``_every_order_ends_on``); past the
+    limit it is stepped through ``TRAP_SAMPLE_SIZE`` seeded orders, drawn
+    lazily from one stream the candidates share.  The decoy run is the one
+    program run.  A search that runs out of ``TRAP_MAX_CANDIDATES``
+    candidates returns unresolved with ``stats["exhausted_budget"]``.
     """
+    learner = registry[m_id]
+    if learner.step is None:
+        raise TypeError(f"learner {learner.name} has no step for a trap search")
     interval = trap_interval(k)
     # 2^(2k+1) elements, of which the search reads only the least few
     elements = range(interval.lo, interval.hi + 1)
@@ -402,48 +400,28 @@ def search_trap_sets(
     stats["exhaustive_arrangements"] = exhaustive
     stats["arrangements_per_candidate"] = perm_count if exhaustive else TRAP_SAMPLE_SIZE
 
-    learner = registry[m_id]
-    # A step learner's run over a core takes a read, at most one query and at
-    # most one emit per element and one read past the end; with fewer actions
-    # the runs below may exhaust ``TRAP_MAX_ACTIONS`` instead.
-    max_actions = TRAP_MAX_ACTIONS
-    walks = exhaustive and learner.step is not None and 3 * core_size + 1 <= max_actions
-
     def candidate_passes(core: tuple[int, ...]) -> bool:
-        if walks:
-            return _every_order_ends_on(learner, core, 2 * k, interval)
         if exhaustive:
-            arrangements = itertools.permutations(core)
-        else:
-            arrangements = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
-        for arrangement in arrangements:
-            run = run_on_sequence(learner, arrangement, oracle=interval, max_actions=max_actions)
-            if run.last_hypothesis != 2 * k:
-                return False
-        return True
+            return _every_order_ends_on(learner, core, 2 * k, interval)
+        orders = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
+        return all(step_through(learner, order, interval) == 2 * k for order in orders)
 
     # In lexicographic order the first TRAP_MAX_CANDIDATES + 1 combinations of
     # r elements use only the first r + TRAP_MAX_CANDIDATES of them.
     pool = elements[1 : core_size + TRAP_MAX_CANDIDATES]
-    found: tuple[int, ...] | None = None
-    try:
-        for combo in itertools.combinations(pool, core_size - 1):
-            stats["candidates_checked"] += 1
-            if stats["candidates_checked"] > TRAP_MAX_CANDIDATES:
-                stats["exhausted_budget"] = "max_candidates"
-                break
-            core = (lo,) + combo
-            if candidate_passes(core):
-                found = core
-                break
-        if found is None:
-            resolved = "exhausted_budget" not in stats
-            return TrapSets(frozenset(), frozenset(), resolved=resolved, stats=stats)
-        # decoys: core plus first pk interval members queried on the increasing core
-        run = run_on_sequence(learner, sorted(found), oracle=interval, max_actions=max_actions)
-    except ActionBudgetExceeded:
-        stats["exhausted_budget"] = "max_actions"
-        return TrapSets(frozenset(found or ()), frozenset(), resolved=False, stats=stats)
+    for checked, combo in enumerate(itertools.combinations(pool, core_size - 1), 1):
+        stats["candidates_checked"] = checked
+        if checked > TRAP_MAX_CANDIDATES:
+            stats["exhausted_budget"] = "max_candidates"
+            return TrapSets(frozenset(), frozenset(), resolved=False, stats=stats)
+        found = (lo,) + combo
+        if candidate_passes(found):
+            break
+    else:
+        return TrapSets(frozenset(), frozenset(), resolved=True, stats=stats)
+    # decoys: core plus first pk interval members queried on the increasing core, in the
+    # most actions a derived program takes: a read, a query and an emit per datum, one more read
+    run = run_on_sequence(learner, sorted(found), oracle=interval, max_actions=3 * core_size + 1)
     queried_members: list[int] = []
     for x, _answer in run.queries:
         if interval.contains(x) and x not in queried_members:

@@ -579,9 +579,13 @@ def _is_learner_id(value) -> bool:
 
 
 def _is_trap_learner(value) -> bool:
-    """``[learner id, coefficients]``."""
+    """``[step learner id, coefficients]``: the trap search steps its learner."""
     return (
-        type(value) is list and len(value) == 2 and _is_learner_id(value[0]) and _is_poly(value[1])
+        type(value) is list
+        and len(value) == 2
+        and _is_learner_id(value[0])
+        and agents.build_default_registry()[value[0]].step is not None
+        and _is_poly(value[1])
     )
 
 
@@ -638,6 +642,11 @@ def _psd_finite_values(config: dict) -> None:
 CSD_CHAIN_MAX_SWEEP = 1_000
 # Most candidates the csd-chain reference pair may search; read at call time.
 CSD_PAIR_MAX_CANDIDATES = 100_000
+# Longest csd-chain chain: the chaser's forcing search replays its growing prefix per
+# candidate.  At chain_anchor 23 (356 members), chain_length 37 / 44 / 47 took 4.4 /
+# 6.6 / 11-14 s (exit 0), and 50 / 75 / 356 exited 3 after 10 / 23 / 98 s.  At 37,
+# anchors 12 / 17 / 19 took 3.1 / 4.6 / 3.7 s; all at 20 MB peak RSS (Python 3.11, 2 cores).
+CSD_CHAIN_MAX_LENGTH = 37
 # Greatest pcs-suite offset-power n: its check lists a universe of 2^n + 2 elements.
 # The whole suite took 0.54 s / 32 MB at 18, 0.78 s / 67 MB at 20 and 2.7 s / 210 MB
 # at 22 (ru_maxrss, Python 3.11); the list doubles with each n past that.
@@ -724,7 +733,9 @@ NATURAL_SETS = ConfigType("a list of lists of natural numbers", _list_of(_is_nat
 NATURAL_SET_PAIR = ConfigType(
     "two lists of natural numbers", lambda v: NATURAL_SETS.check(v) and len(v) == 2
 )
-TRAP_LEARNERS = ConfigType("a list of [learner id, coefficients] pairs", _list_of(_is_trap_learner))
+TRAP_LEARNERS = ConfigType(
+    "a list of [step learner id, coefficients] pairs", _list_of(_is_trap_learner)
+)
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.name: spec
@@ -765,6 +776,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "chain_length": POSITIVE,  # an empty chain forces nothing
             },
             _csd_chain_values,
+            caps={"chain_length": CSD_CHAIN_MAX_LENGTH},
         ),
         ExperimentSpec(
             "merged-split",

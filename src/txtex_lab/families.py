@@ -389,7 +389,8 @@ class PcsFFamily(IndexedFamily):
 
     Odd index 2k+1 holds the decoy set plus the interval's left endpoint when
     k is k* = <m, p>, the attacked (learner, polynomial) pair; otherwise just
-    the left endpoint.  k*'s trap is searched at construction when k* <= ``max_k``.
+    the left endpoint.  k*'s trap is searched at construction when k* <= ``max_k``;
+    the search steps the learner, so it must then be a step learner.
     """
 
     def __init__(

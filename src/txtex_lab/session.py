@@ -49,10 +49,11 @@ is ``(kind, payload)``: its step is its index in the event list, which
 Every loop that steps a learner program, here and in ``agents``, dispatches
 on ``type(action)``.
 
-``run_on_sequence`` is the trap and chain searches' interpreter for finite
-inputs; characteristic-sample checks only step their learners.  A learner
-object only makes programs and a set holds no state, so a search holds one
-learner and one oracle set per call and starts a fresh program for each run.
+``run_on_sequence`` is the chain search's interpreter for finite inputs, and
+the trap search's for its one decoy run; otherwise the trap search and the
+characteristic-sample checks only step their learners.  A learner object
+only makes programs and a set holds no state, so a search holds one learner
+and one oracle set per call and starts a fresh program for each run.
 """
 
 from __future__ import annotations
@@ -434,7 +435,7 @@ def run_session(
 
 
 # ---------------------------------------------------------------------------
-# finite-prefix runs (used by the query-ceiling, trap and chain searches)
+# finite-prefix runs (used by the query-ceiling and chain searches and the trap decoy run)
 
 
 class ActionBudgetExceeded(Exception):

@@ -172,10 +172,11 @@ def test_criterion_09_pcs_suite(default_catalog):
     assert Counter(row["check"] for row in rows) == counts
     samples = {(row["check"], row["sample_size"]) for row in rows if row["note"] != "session"}
     assert samples == {("pcs-G", 1), ("offset-power", 2), ("join-singletons", 1)}
-    # a matched k where no trap core exists: constant-zero vs k=2 (wants 2k=4)
-    empty_family = families.make_pcs_f(registry, 0, 1, max_k=2)
-    assert empty_family.trap_sets(2).resolved
-    assert not empty_family.trap_sets(2).trap_core
+    # a matched k where no trap core exists: the odd guesser at k* = 3 (wants 2k = 6)
+    empty_family = families.make_pcs_f(registry, 2, 0, max_k=3)
+    assert empty_family.k_star == 3
+    assert empty_family.trap_sets(3).resolved
+    assert not empty_family.trap_sets(3).trap_core
     announce(
         9,
         "segment samples {n} for n <= 8; offset-power samples of size 2 for n <= 8; "

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from txtex_lab import adversary, agents, families
-from txtex_lab.codec import poly_encode
+from txtex_lab.codec import poly_encode, poly_eval
 from txtex_lab.evaluate import hypothesis_correct
 from txtex_lab.session import (
     ActionBudgetExceeded,
@@ -305,21 +305,11 @@ TRAP_SEARCHES_K2 = {
 }
 
 
-@pytest.mark.parametrize(
-    "m_id,budgets,exhausted",
-    [
-        (2, {"TRAP_MAX_CANDIDATES": 0}, "max_candidates"),
-        (1, {"TRAP_MAX_ACTIONS": 2}, "max_actions"),
-    ],
-)
-def test_search_trap_sets_names_the_exhausted_budget(
-    registry, monkeypatch, m_id, budgets, exhausted
-):
-    for name, value in budgets.items():
-        monkeypatch.setattr(adversary, name, value)
-    trap = adversary.search_trap_sets(registry, m_id, poly_encode([0]), 1)
+def test_search_trap_sets_names_the_exhausted_budget(registry, monkeypatch):
+    monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 0)
+    trap = adversary.search_trap_sets(registry, 2, poly_encode([0]), 1)
     assert not trap.resolved and not trap.decoys
-    assert trap.stats["exhausted_budget"] == exhausted
+    assert trap.stats["exhausted_budget"] == "max_candidates"
 
 
 def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, monkeypatch):
@@ -351,35 +341,39 @@ def test_a_trap_search_that_tries_every_core_in_budget_is_resolved(
     assert trap.stats.get("exhausted_budget") == (None if resolved else "max_candidates")
 
 
-@pytest.mark.parametrize("max_actions,resolved", [(16, False), (17, True)])
-def test_the_trap_walk_keeps_the_action_budget_boundary(
-    registry, monkeypatch, max_actions, resolved
-):
-    """A run over 8 elements takes 8 reads, 8 emits and a read past the end: 17 actions."""
-    monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
-    trap = adversary.search_trap_sets(registry, 1, poly_encode([2, 1]), 2)
-    assert trap.resolved is resolved
-    assert trap.stats.get("exhausted_budget") == (None if resolved else "max_actions")
-    assert sorted(trap.trap_core) == (INTERVAL_K2[:8] if resolved else [])
+def recording(calls, function):
+    """``function``, appending each call's second argument to ``calls`` as a tuple."""
+
+    def record(learner, data, *args, **kwargs):
+        calls.append(tuple(data))
+        return function(learner, data, *args, **kwargs)
+
+    return record
 
 
-@pytest.mark.parametrize("program_only", [False, True])
-def test_only_a_step_learner_skips_the_order_runs(registry, monkeypatch, program_only):
-    """The same learner without its step runs all 3! orders of the core, then the decoy run."""
+def test_a_trap_search_runs_only_the_decoy_order(registry, monkeypatch):
+    """Every order of the core is walked; the one program run is the decoy run."""
     runs = []
-
-    def recording_run_on_sequence(learner, sequence, **kwargs):
-        runs.append(tuple(sequence))
-        return run_on_sequence(learner, sequence, **kwargs)
-
-    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
-    learner = registry[1]
-    if program_only:
-        learner = Learner(learner.name, learner.program, learner.cost_note)
-    trap = adversary.search_trap_sets({1: learner}, 1, poly_encode([2]), 1)
+    monkeypatch.setattr(adversary, "run_on_sequence", recording(runs, run_on_sequence))
+    trap = adversary.search_trap_sets(registry, 1, poly_encode([2]), 1)
     assert trap.resolved and trap.trap_core == {9, 10, 11}
-    orders = list(itertools.permutations((9, 10, 11))) if program_only else []
-    assert runs == orders + [(9, 10, 11)]
+    assert runs == [(9, 10, 11)]
+
+
+def test_a_learner_without_a_step_is_refused_by_name(monkeypatch):
+    """Nothing is stepped, walked or run before the refusal."""
+    calls = []
+    for name in ("run_on_sequence", "step_through", "_every_order_ends_on"):
+        monkeypatch.setattr(adversary, name, recording(calls, getattr(adversary, name)))
+
+    def program():
+        raise AssertionError("the program ran")
+        yield  # a generator function that raises when stepped
+
+    learner = Learner("program-only", program)
+    with pytest.raises(TypeError, match="learner program-only has no step for a trap search"):
+        adversary.search_trap_sets({5: learner}, 5, poly_encode([2]), 1)
+    assert calls == []
 
 
 def predecessor_prober(remembers: bool) -> Learner:
@@ -400,44 +394,87 @@ def predecessor_prober(remembers: bool) -> Learner:
     return Learner.from_step("predecessor-prober", (False, None), step, "drawn")
 
 
+def endpoint_spotter() -> Learner:
+    """Asks whether datum - 1 lies in the oracle, and emits 2k only on a no: the left
+    endpoint of bracket k.  Any other datum emits nothing, so its last hypothesis
+    stays 2k once the endpoint is read."""
+
+    def step(pending, datum):
+        if pending is None:
+            return datum, query(datum - 1)
+        if datum:  # the answer: datum - 1 is in the interval
+            return None, None
+        return None, 2 * max(0, ((pending - 1).bit_length() - 1) // 2)
+
+    return Learner.from_step("endpoint-spotter", None, step, "drawn")
+
+
+def search_by_runs(learner, k, p_coeffs, orders_of):
+    """The search's core and candidate count, with each order run by ``run_on_sequence``.
+
+    Cores are tried in the search's order, and a core passes when every order
+    that ``orders_of(core)`` yields ends on 2k; the orders are taken lazily.
+    """
+    interval = adversary.trap_interval(k)
+    size = poly_eval(poly_encode(p_coeffs), 2 * k + 1) + 1
+    rest = range(interval.lo + 1, interval.hi + 1)
+    checked = 0
+    for combo in itertools.combinations(rest, size - 1):
+        checked += 1
+        core = (interval.lo, *combo)
+        runs = (run_on_sequence(learner, order, oracle=interval) for order in orders_of(core))
+        if all(run.last_hypothesis == 2 * k for run in runs):
+            return set(core), checked
+    return set(), checked
+
+
 @pytest.mark.parametrize("remembers", [True, False])
 def test_a_querying_step_learner_gets_the_verdict_of_every_order(monkeypatch, remembers):
     """The walk answers the learner's queries from the interval and makes only the decoy run."""
+    learner = predecessor_prober(remembers)
+    want = search_by_runs(learner, 1, [2], itertools.permutations)
     runs = []
-
-    def recording_run_on_sequence(learner, sequence, **kwargs):
-        runs.append(tuple(sequence))
-        return run_on_sequence(learner, sequence, **kwargs)
-
-    stepped = predecessor_prober(remembers)
-    program_only = Learner(stepped.name, stepped.program, stepped.cost_note)
-    want = adversary.search_trap_sets({5: program_only}, 5, poly_encode([2]), 1)
-    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
-    got = adversary.search_trap_sets({5: stepped}, 5, poly_encode([2]), 1)
-    assert got == want
+    monkeypatch.setattr(adversary, "run_on_sequence", recording(runs, run_on_sequence))
+    got = adversary.search_trap_sets({5: learner}, 5, poly_encode([2]), 1)
+    assert got.resolved and (got.trap_core, got.stats["candidates_checked"]) == want
     if remembers:
         assert got.trap_core == {9, 10, 11} and got.decoys == {9, 10, 11, 12, 13}
         assert runs == [(9, 10, 11)]
     else:
-        assert got.resolved and not got.trap_core and runs == []
+        assert not got.trap_core and not got.decoys and runs == []
 
 
-@pytest.mark.parametrize("max_actions,walks", [(9, False), (10, True)])
-def test_the_trap_walk_needs_three_actions_per_element_and_one(monkeypatch, max_actions, walks):
-    """A run over 3 elements takes 3 reads, 3 queries, 3 emits and a read past the end."""
-    walked = []
-    every_order_ends_on = adversary._every_order_ends_on
+SAMPLED_LEARNERS = {
+    "remembering-prober": lambda registry: predecessor_prober(True),
+    "forgetting-prober": lambda registry: predecessor_prober(False),
+    "even-guesser": lambda registry: registry[1],
+    "odd-guesser": lambda registry: registry[2],
+    "endpoint-spotter": lambda registry: endpoint_spotter(),
+}
 
-    def recording_walk(learner, core, target, oracle):
-        walked.append(core)
-        return every_order_ends_on(learner, core, target, oracle)
 
-    monkeypatch.setattr(adversary, "_every_order_ends_on", recording_walk)
-    monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
-    trap = adversary.search_trap_sets({5: predecessor_prober(True)}, 5, poly_encode([2]), 1)
-    assert walked == ([(9, 10, 11)] if walks else [])
-    assert trap.resolved is walks
-    assert trap.stats.get("exhausted_budget") == (None if walks else "max_actions")
+@pytest.mark.parametrize("name", sorted(SAMPLED_LEARNERS))
+def test_a_sampled_search_gets_the_verdict_of_runs_over_the_seeded_orders(
+    registry, monkeypatch, name
+):
+    """Past the arrangement limit, the fold over each drawn order decides as its run does.
+
+    The orders come from one seeded ``random.Random(seed).sample`` stream shared
+    by the candidates, drawn only while the candidate still passes.
+    """
+    learner = SAMPLED_LEARNERS[name](registry)
+    monkeypatch.setattr(adversary, "TRAP_ARRANGEMENT_LIMIT", 0)
+    monkeypatch.setattr(adversary, "TRAP_SAMPLE_SIZE", 3)
+    for seed in range(6):
+        rng = random.Random(seed)
+
+        def orders_of(core):
+            return (rng.sample(core, len(core)) for _ in range(3))
+
+        want = search_by_runs(learner, 1, [2], orders_of)
+        got = adversary.search_trap_sets({5: learner}, 5, poly_encode([2]), 1, seed=seed)
+        assert got.stats["exhaustive_arrangements"] is False
+        assert got.resolved and (got.trap_core, got.stats["candidates_checked"]) == want, seed
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
@@ -453,20 +490,15 @@ def test_sampled_arrangements_keep_the_sample_stream(seed):
 
 def test_sampled_trap_search_draws_one_arrangement_per_failing_candidate(registry, monkeypatch):
     """Arrangements are drawn lazily from one seeded stream shared by the candidates."""
-    runs = []
-
-    def recording_run_on_sequence(learner, sequence, **kwargs):
-        runs.append(list(sequence))
-        return run_on_sequence(learner, sequence, **kwargs)
-
-    monkeypatch.setattr(adversary, "run_on_sequence", recording_run_on_sequence)
+    orders = []
+    monkeypatch.setattr(adversary, "step_through", recording(orders, adversary.step_through))
     monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 5)
     trap = adversary.search_trap_sets(registry, 2, poly_encode([3, 1]), 2, seed=3)
     assert trap.stats["exhaustive_arrangements"] is False
     assert trap.stats["exhausted_budget"] == "max_candidates"
     rng = random.Random(3)
     combos = itertools.islice(itertools.combinations(INTERVAL_K2[1:], 8), 5)
-    assert runs == [rng.sample((INTERVAL_K2[0], *combo), 9) for combo in combos]
+    assert orders == [tuple(rng.sample((INTERVAL_K2[0], *combo), 9)) for combo in combos]
 
 
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))

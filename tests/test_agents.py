@@ -363,7 +363,10 @@ def test_pcsG_learner_behavior():
 
 @pytest.mark.parametrize("m_id", [0, 1])  # traps at k=0 and k=1
 def test_trap_teacher_pair_and_pmc(registry, m_id):
-    family = families.make_pcs_f(registry, m_id, poly_encode([0]), max_k=2)
+    # id 0 names the even guesser too, so k* = <0, 0> = 0 holds a trap
+    family = families.make_pcs_f({**registry, 0: registry[1]}, m_id, poly_encode([0]), max_k=2)
+    if m_id == 0:
+        assert family.trap_sets(0).trap_core == family.trap_sets(0).decoys == {3}
     catalog = agents.make_pcsF_agents(family)
     learner, teacher_factory = catalog["teacher_pair"]
     pmc = catalog["pmc_learner"]

@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import pytest
 
-from txtex_lab import adversary, cli, experiments, families
+from txtex_lab import cli, experiments, families
 from txtex_lab.agents import build_default_registry
 from txtex_lab.cli import main
 from txtex_lab.codec import encode_tuple, poly_encode, poly_eval
@@ -127,7 +127,7 @@ class Raw(NamedTuple):
         (
             "pcs-suite",
             {"trap_learners": [[1]]},
-            "trap_learners must be a list of [learner id, coefficients] pairs, got [[1]]",
+            "trap_learners must be a list of [step learner id, coefficients] pairs, got [[1]]",
         ),
         (
             "psd-finite",
@@ -296,6 +296,23 @@ class Raw(NamedTuple):
             ("pcs-suite", {"max_join": m}, f"max_join must be at most 200, got {m}")
             for m in (201, 10**9)
         ],
+        *[
+            (
+                "pcs-suite",
+                {"trap_learners": [[m_id, [0]]]},
+                "trap_learners must be a list of [step learner id, coefficients] pairs, "
+                f"got [[{m_id}, [0]]]",
+            )
+            for m_id in (0, 3, 4)
+        ],
+        *[
+            ("csd-chain", config, f"chain_length must be at most 37, got {config['chain_length']}")
+            for config in (
+                {"chain_length": 38},
+                {"max_anchor": 24, "chain_anchor": 23, "chain_length": 356},
+                {"chain_length": 10**9},
+            )
+        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -371,20 +388,11 @@ def test_verify_suite_exit_codes(capsys, monkeypatch, verify_run):
     assert out.endswith("5/5 checks passed\n")
 
 
-@pytest.mark.parametrize(
-    "trap,max_actions",
-    [
-        # k* = 12: the odd guesser passes no core, and the interval has 2^25 elements
-        ({"max_k": 12, "trap_learners": [[2, [1]]]}, None),
-        ({"trap_learners": [[1, [0]]]}, 2),
-    ],
-    ids=["max_candidates", "max_actions"],
-)
-def test_exhausted_trap_budget_reports_partial(tmp_path, capsys, monkeypatch, trap, max_actions):
-    if max_actions is not None:
-        monkeypatch.setattr(adversary, "TRAP_MAX_ACTIONS", max_actions)
+def test_exhausted_trap_budget_reports_partial(tmp_path, capsys):
+    """At k* = 12 the odd guesser passes no core, and the interval has 2^25 elements."""
     out = tmp_path / "partial"
     config = tmp_path / "config.json"
+    trap = {"max_k": 12, "trap_learners": [[2, [1]]]}
     config.write_text(json.dumps({"max_g": 1, "max_thm64": 1, "max_join": 1, **trap}))
     start = time.perf_counter()
     code = main(

@@ -1,4 +1,5 @@
-"""No library symbol lives on that only the tests reach, and no default that never takes effect.
+"""No library symbol lives on that only the tests reach, no import its module never
+names, and no default that never takes effect.
 
 A default never takes effect when no call leaves its parameter out: either no
 call reaches it or every call sets it.
@@ -71,6 +72,36 @@ def unused_definitions(package: Path, code_roots: list[Path]) -> list[str]:
 def test_every_library_symbol_has_a_caller_outside_the_tests():
     unused = unused_definitions(ROOT / "src" / "txtex_lab", [ROOT / "src", ROOT / "perfbench"])
     assert unused == [], f"defined in src/ but used by nothing in src/ or perfbench/: {unused}"
+
+
+def unused_imports(roots: list[Path]) -> list[str]:
+    """``path:line name`` of each module-level import whose module never names what it binds.
+
+    ``import a.b`` binds ``a``, and an alias binds its ``as`` name.  A name
+    counts once the module spells it outside the import, alone or as the base
+    of an attribute.  ``from __future__`` imports bind nothing and are skipped.
+    """
+    found = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                found.extend(
+                    f"{path.relative_to(ROOT)}:{node.lineno} {bound}"
+                    for bound in (a.asname or a.name.split(".")[0] for a in node.names)
+                    if bound not in names
+                )
+    return found
+
+
+def test_every_import_is_used():
+    unused = unused_imports([ROOT / "src", ROOT / "tests", ROOT / "perfbench"])
+    assert unused == [], f"module-level imports their module never names: {unused}"
 
 
 def direct_calls(package: Path, names: set[str]) -> list[str]:
