@@ -4,8 +4,8 @@ Everything here is explicitly budgeted and reports whether a search was
 exhaustive or sampled; verdicts are reproducible from the same seed and
 budgets.  The attacked learner is a plain ``session.Learner``: ``compute_q``
 takes it directly, ``msd_defeat`` reads it from the family built to defeat
-it, and ``search_trap_sets`` looks it up by id in a registry dict and steps
-it, so it must be a step learner.
+it, ``search_trap_sets`` looks it up by id in a registry dict and steps it,
+and ``chain_force`` steps it, so those two need a step learner.
 """
 
 from __future__ import annotations
@@ -17,17 +17,7 @@ from dataclasses import dataclass, field
 
 from .codec import encode_tuple, poly_eval
 from .evaluate import hypothesis_correct
-from .session import (
-    READ,
-    Budget,
-    Learner,
-    compose_pair,
-    emit,
-    resolve_step,
-    run_on_sequence,
-    run_session,
-    step_through,
-)
+from .session import Budget, Learner, resolve_step, run_on_sequence, run_session, step_through
 from .sets import FiniteSet, Interval, SetSpec, set_equal
 from .text import Text, make_text
 
@@ -129,20 +119,25 @@ def chain_force(
     max_ext_len: int = 3,
     max_candidates: int = 20_000,
 ) -> ChainForceResult:
-    """Grow one prefix on which a data-driven pair endorses each chain member.
+    """Grow one prefix on which a data-driven learner endorses each chain member.
 
     ``chain`` lists family indices of strictly increasing sets.  For each
     member in turn, extensions over that member's elements are searched in
-    deterministic order until the pair's output codes the member; if the
+    deterministic order until the learner's output codes the member; if the
     search space is exhausted the member is returned as a failure witness,
     and if the candidate budget runs out first the verdict is inconclusive.
     Extensions draw on the member's elements below ``CHAIN_FORCE_UNIVERSE``.
+
+    The learner must be made by ``Learner.from_step`` (``TypeError``
+    otherwise).  It is stepped, never run: each extension is stepped from its
+    state and emissions after the prefix, and with ``teacher_factory`` over
+    what a fresh teacher, fed the prefix first, passes on from the extension.
     """
-    if teacher_factory is not None:
-        agent: Learner = compose_pair(learner, teacher_factory)
-    else:
-        agent = learner
+    if learner.step is None:
+        raise TypeError(f"learner {learner.name} has no step for a chain search")
     sigma: list[int] = []
+    state = learner.start
+    emissions = [] if learner.first is None else [learner.first]
     checked = 0
     for position, index in enumerate(chain):
         member = family.member(index)
@@ -157,15 +152,26 @@ def chain_force(
                 if checked > max_candidates:
                     budget_hit = True
                     break
-                candidate = sigma + list(ext)
-                run = run_on_sequence(agent, candidate)
-                output = run.last_hypothesis
+                items = ext
+                if teacher_factory is not None:
+                    teacher = teacher_factory()
+                    for datum in sigma:
+                        teacher.on_input(datum)
+                    items = [item for datum in ext for item in teacher.on_input(datum)]
+                after, emitted = state, []
+                for item in items:
+                    after, hypothesis = resolve_step(learner, after, item, None)
+                    if hypothesis is not None:
+                        emitted.append(hypothesis)
+                output = emitted[-1] if emitted else (emissions[-1] if emissions else None)
                 if output is None:
                     continue
                 if output not in verdicts:
                     verdicts[output] = hypothesis_correct(family, output, index, member)
                 if verdicts[output]:
-                    sigma = candidate
+                    sigma += ext
+                    state = after
+                    emissions += emitted
                     found = True
                     break
             if found or budget_hit:
@@ -178,12 +184,11 @@ def chain_force(
                 witness_index=index,
                 details={"chain_position": position, "candidates_checked": checked},
             )
-    replay = run_on_sequence(agent, sigma)
     return ChainForceResult(
         status="forced",
         prefix=sigma,
-        forced_mind_changes=_emission_changes(replay.emissions),
-        details={"candidates_checked": checked, "emissions": replay.emissions},
+        forced_mind_changes=_emission_changes(emissions),
+        details={"candidates_checked": checked, "emissions": emissions},
     )
 
 
@@ -346,7 +351,7 @@ def _every_order_ends_on(
         passed.add(node)
         return True
 
-    return walk(0, learner.start, None)
+    return walk(0, learner.start, learner.first)
 
 
 def search_trap_sets(
@@ -440,23 +445,19 @@ def search_trap_sets(
 
 
 def make_chain_chaser(family, chain: list[int]) -> Learner:
-    """Scripted data-driven learner that endorses the least consistent chain member.
+    """Scripted data-driven step learner that endorses the least consistent chain member.
 
     Emits 0 before any data, then after each datum the first chain index
     whose member contains everything seen so far.  Against a strict chain
     this is exactly the mind-change ladder the forcing search exploits.
-    The program keeps the members still holding every datum so far, in chain
-    order, and tests each new datum against those alone.
+    Its state is the chain positions whose members hold every datum so far,
+    in chain order, and it tests each new datum against those alone.
     """
-    members = [(index, family.member(index)) for index in chain]
+    members = [family.member(index) for index in chain]
 
-    def program():
-        yield emit(0)
-        consistent = members
-        while True:
-            datum = yield READ
-            consistent = [entry for entry in consistent if entry[1].contains(datum)]
-            if consistent:
-                yield emit(consistent[0][0])
+    def step(consistent, datum):
+        consistent = tuple(i for i in consistent if members[i].contains(datum))
+        return consistent, (chain[consistent[0]] if consistent else None)
 
-    return Learner("chain-chaser", program)
+    everywhere = tuple(range(len(chain)))
+    return Learner.from_step("chain-chaser", everywhere, step, "one tick per action", first=0)

@@ -106,22 +106,23 @@ class DescriptorTeacher(Teacher):
         return []
 
 
-def _count_core(transform: Callable[[int], int]):
-    """Emit transform(occurrences of the first element seen) after each item."""
-    yield emit(transform(0))
-    first = None
-    count = 0
-    while True:
-        item = yield READ
-        if first is None:
-            first = item
-        if item == first:
+def _count_learner(name: str, transform: Callable[[int], int]) -> Learner:
+    """Emit transform(occurrences of the first item seen) before any item and after each.
+    Its state is (the first item, or None before one; its count so far)."""
+
+    def step(state, item):
+        lead, count = state
+        if lead is None:
+            lead = item
+        if item == lead:
             count += 1
-        yield emit(transform(count))
+        return (lead, count), transform(count)
+
+    return Learner.from_step(name, (None, 0), step, "one tick per action", first=transform(0))
 
 
 def make_msd_pair() -> tuple[Learner, Callable[[], Teacher]]:
-    return Learner("lead-count", lambda: _count_core(lambda c: c)), DescriptorTeacher
+    return _count_learner("lead-count", lambda c: c), DescriptorTeacher
 
 
 def make_pmc_msd_learner() -> Learner:
@@ -167,13 +168,14 @@ def make_csd_learner(family: CsdFamily | None = None) -> Learner:
 def make_merged_learner() -> Learner:
     """One probe for 0 picks the branch: chain logic doubled, or the
     descriptor count pair (simulated by ``simulate_pair``) doubled plus one."""
+    odd = _count_learner("odd-count", lambda c: 2 * c + 1)
 
     def program():
         if (yield query(0)):
             index = yield from _csd_core(CsdFamily(3))
             yield emit(2 * index)
             return
-        yield from simulate_pair(_count_core(lambda c: 2 * c + 1), DescriptorTeacher())
+        yield from simulate_pair(odd.program(), DescriptorTeacher())
 
     return Learner("merged-branch", program)
 
@@ -238,7 +240,7 @@ class BracketRepeatTeacher(Teacher):
 
 
 def make_pow2_teacher_pair() -> tuple[Learner, Callable[[], Teacher]]:
-    return Learner("repeat-counter", lambda: _count_core(lambda c: c)), BracketRepeatTeacher
+    return _count_learner("repeat-counter", lambda c: c), BracketRepeatTeacher
 
 
 def make_pow2_pmc_learner() -> Learner:

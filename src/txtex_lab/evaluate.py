@@ -179,7 +179,7 @@ def _walked_outputs(
                 yield from below(word, slots - 1, after, output, left)
 
     for length in range(1, max_len + 1):
-        yield from below((), length, learner.start, None, (1 << len(bits)) - 1)
+        yield from below((), length, learner.start, learner.first, (1 << len(bits)) - 1)
 
 
 def check_characteristic_sample(

@@ -642,11 +642,6 @@ def _psd_finite_values(config: dict) -> None:
 CSD_CHAIN_MAX_SWEEP = 1_000
 # Most candidates the csd-chain reference pair may search; read at call time.
 CSD_PAIR_MAX_CANDIDATES = 100_000
-# Longest csd-chain chain: the chaser's forcing search replays its growing prefix per
-# candidate.  At chain_anchor 23 (356 members), chain_length 37 / 44 / 47 took 4.4 /
-# 6.6 / 11-14 s (exit 0), and 50 / 75 / 356 exited 3 after 10 / 23 / 98 s.  At 37,
-# anchors 12 / 17 / 19 took 3.1 / 4.6 / 3.7 s; all at 20 MB peak RSS (Python 3.11, 2 cores).
-CSD_CHAIN_MAX_LENGTH = 37
 # Greatest pcs-suite offset-power n: its check lists a universe of 2^n + 2 elements.
 # The whole suite took 0.54 s / 32 MB at 18, 0.78 s / 67 MB at 20 and 2.7 s / 210 MB
 # at 22 (ru_maxrss, Python 3.11); the list doubles with each n past that.
@@ -776,7 +771,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
                 "chain_length": POSITIVE,  # an empty chain forces nothing
             },
             _csd_chain_values,
-            caps={"chain_length": CSD_CHAIN_MAX_LENGTH},
         ),
         ExperimentSpec(
             "merged-split",

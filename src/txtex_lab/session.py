@@ -23,15 +23,14 @@ returns an instance shared since import for an ``int`` payload below
 stay valid and equal; ``Work`` is frozen too, but not shared.
 
 A learner that takes at most a read, a query and an emit per datum may be
-built by ``Learner.from_step`` from a hashable start state and
-``step(state, datum) -> (state, hypothesis or None or a Query)``.  A
-``Query`` is answered by the next call, ``step(state, answer)``, which must
-return a hypothesis or None.  Its program is derived from the step (read a
-datum, step, ask the query if any and step on its answer, emit the
-hypothesis unless None), and both interpreters run it like any other; the
-learner keeps its step, so a search may walk its states instead, resolving
-each datum and its query with ``resolve_step``, or fold them over a finite
-input with ``step_through``, which gives that input's run output.
+built by ``Learner.from_step`` from a hashable start state, a step
+``step(state, datum) -> (state, hypothesis or None or a Query)`` and an
+optional first hypothesis.  A ``Query`` is answered by the next call,
+``step(state, answer)``, which must return a hypothesis or None.  Both
+interpreters run its derived program like any other; the learner keeps its
+step, so a search may walk its states instead, resolving each datum and its
+query with ``resolve_step``, or fold them over a finite input with
+``step_through``, which gives that input's run output.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -49,11 +48,11 @@ is ``(kind, payload)``: its step is its index in the event list, which
 Every loop that steps a learner program, here and in ``agents``, dispatches
 on ``type(action)``.
 
-``run_on_sequence`` is the chain search's interpreter for finite inputs, and
-the trap search's for its one decoy run; otherwise the trap search and the
-characteristic-sample checks only step their learners.  A learner object
-only makes programs and a set holds no state, so a search holds one learner
-and one oracle set per call and starts a fresh program for each run.
+``run_on_sequence`` runs a program over a finite input: ``compute_q``'s
+marker run and the trap search's one decoy run.  The three searches, the
+characteristic-sample checks, the trap search and chain forcing, otherwise
+only step their learners.  A learner object only makes programs and a set
+holds no state, so a search holds one learner and one oracle set per call.
 """
 
 from __future__ import annotations
@@ -132,11 +131,12 @@ class Learner:
 
     ``program()`` starts a new generator on each call, so one learner serves
     any number of sessions and runs.  A learner made by ``from_step`` also
-    keeps its ``start`` state and its ``step``, which may ask one query per
-    datum; any other has ``step`` None.
+    keeps its ``start`` state, its ``first`` hypothesis and its ``step``,
+    which may ask one query per datum; any other has ``step`` None.
     """
 
     start: Hashable = None
+    first: int | None = None
     step: Callable | None = None
 
     def __init__(
@@ -150,17 +150,21 @@ class Learner:
         self.cost_note = cost_note
 
     @classmethod
-    def from_step(cls, name: str, start: Hashable, step: Callable, cost_note: str) -> Learner:
+    def from_step(
+        cls, name: str, start: Hashable, step: Callable, cost_note: str, first: int | None = None
+    ) -> Learner:
         """The learner that reads a datum, steps, and emits the step's hypothesis unless None.
 
         ``step(state, datum)`` returns ``(state, hypothesis or None or a
         Query)``.  The program yields a ``Query`` and steps on its answer,
         ``step(state, answer)``, which must return a hypothesis or None: a
-        second ``Query`` raises ``TypeError``.  It starts from ``start`` and
-        declares no work.
+        second ``Query`` raises ``TypeError``.  It emits ``first`` before its
+        first read unless None, starts from ``start`` and declares no work.
         """
 
         def program():
+            if first is not None:
+                yield emit(first)
             state = start
             while True:
                 state, out = step(state, (yield READ))
@@ -173,6 +177,7 @@ class Learner:
 
         learner = cls(name, program, cost_note)
         learner.start = start
+        learner.first = first
         learner.step = step
         return learner
 
@@ -200,7 +205,7 @@ def resolve_step(learner: Learner, state, datum, oracle: SetSpec | None):
 
 def step_through(learner: Learner, data: Sequence[int], oracle: SetSpec | None) -> int | None:
     """A step learner's last hypothesis over ``data``, or None: the output of its run on them."""
-    state, last = learner.start, None
+    state, last = learner.start, learner.first
     for datum in data:
         state, hypothesis = resolve_step(learner, state, datum, oracle)
         if hypothesis is not None:
@@ -435,7 +440,7 @@ def run_session(
 
 
 # ---------------------------------------------------------------------------
-# finite-prefix runs (used by the query-ceiling and chain searches and the trap decoy run)
+# finite-prefix runs (used by the query-ceiling measure and the trap decoy run)
 
 
 class ActionBudgetExceeded(Exception):
@@ -454,10 +459,6 @@ class PrefixRun:
     emissions: list[int]
     queries: list[tuple[int, bool]]
     actions: int
-
-    @property
-    def last_hypothesis(self) -> int | None:
-        return self.emissions[-1] if self.emissions else None
 
 
 def run_on_sequence(

@@ -25,11 +25,12 @@ own, so the same reference covers pair composition.
 It also draws step learners as tables: ``step_tables`` gives a start state,
 a step table over ``STEP_DATA`` whose outputs include queries, and the table
 the step reads a query's answer from; ``derived_learner`` builds them with
-``Learner.from_step``.
+``Learner.from_step``, with an optional first hypothesis.
 
 This is a helper module, not a test module: the session properties import
-it, ``test_teacher_properties`` draws its learners from it, and the step and
-characteristic-sample properties draw their step learners from it.
+it, ``test_teacher_properties`` draws its learners from it, the step and
+characteristic-sample properties draw their step learners from it, and the
+chain-forcing property draws its scripted teachers from it.
 """
 
 from typing import NamedTuple
@@ -310,8 +311,8 @@ def table_step(table, answers):
     return step
 
 
-def derived_learner(start, table, answers):
-    return Learner.from_step("table", start, table_step(table, answers), "drawn")
+def derived_learner(start, table, answers, first=None):
+    return Learner.from_step("table", start, table_step(table, answers), "drawn", first)
 
 
 def outcome(run):

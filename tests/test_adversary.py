@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from txtex_lab import adversary, agents, families
+from txtex_lab import adversary, agents, families, session
 from txtex_lab.codec import poly_encode, poly_eval
 from txtex_lab.evaluate import hypothesis_correct
 from txtex_lab.session import (
@@ -121,7 +121,7 @@ def test_shared_prefix_forces_shared_hypothesis():
     run_a = run_on_sequence(learner, list(text_a.prefix))
     run_b = run_on_sequence(learner, list(text_b.prefix))
     assert run_a.emissions == run_b.emissions
-    assert run_a.last_hypothesis == run_b.last_hypothesis
+    assert run_a.emissions[-1] == run_b.emissions[-1]
 
 
 def test_chain_force_success_path():
@@ -167,9 +167,12 @@ def test_chain_force_inconclusive_on_tiny_budget():
 
 
 def _chain_force_judging_every_output(agent, chain, family, max_ext_len, max_candidates):
-    """``chain_force``'s search with each candidate's output judged afresh.
+    """``chain_force``'s search with each candidate run from scratch by ``run_on_sequence``
+    and its output judged afresh.
 
-    Returns (status, prefix, witness index, candidates checked).
+    ``agent`` is the learner, or its pair composed with ``compose_pair``.
+    Returns (status, prefix, witness index, candidates checked, and the
+    emissions of a run over a forced prefix, or None).
     """
     sigma, checked = [], 0
     for index in chain:
@@ -179,14 +182,26 @@ def _chain_force_judging_every_output(agent, chain, family, max_ext_len, max_can
         for ext in (e for n in lengths for e in itertools.product(alphabet, repeat=n)):
             checked += 1
             if checked > max_candidates:
-                return "inconclusive", sigma, index, checked
-            output = run_on_sequence(agent, sigma + list(ext)).last_hypothesis
-            if output is not None and hypothesis_correct(family, output, index, member):
+                return "inconclusive", sigma, index, checked, None
+            emissions = run_on_sequence(agent, sigma + list(ext)).emissions
+            if emissions and hypothesis_correct(family, emissions[-1], index, member):
                 sigma = sigma + list(ext)
                 break
         else:
-            return "failure-witness", sigma, index, checked
-    return "forced", sigma, None, checked
+            return "failure-witness", sigma, index, checked, None
+    return "forced", sigma, None, checked, run_on_sequence(agent, sigma).emissions
+
+
+def chain_force_outcome(result):
+    """A ``chain_force`` result in the form ``_chain_force_judging_every_output`` returns."""
+    details = result.details
+    return (
+        result.status,
+        result.prefix,
+        result.witness_index,
+        details["candidates_checked"],
+        details.get("emissions"),
+    )
 
 
 def _chaser(family, chain):
@@ -213,13 +228,8 @@ def test_chain_force_judging_each_output_once_changes_nothing(anchor, length, ma
         max_candidates=max_candidates,
     )
     agent = learner if teacher_factory is None else compose_pair(learner, teacher_factory)
-    status, prefix, witness, checked = _chain_force_judging_every_output(
-        agent, chain, family, max_ext_len, max_candidates
-    )
-    assert (result.status, result.prefix, result.witness_index) == (status, prefix, witness)
-    assert result.details["candidates_checked"] == checked
-    if status == "forced":
-        assert result.details["emissions"] == run_on_sequence(agent, prefix).emissions
+    want = _chain_force_judging_every_output(agent, chain, family, max_ext_len, max_candidates)
+    assert chain_force_outcome(result) == want
 
 
 def test_chain_force_judges_each_distinct_output_once_per_member(monkeypatch):
@@ -341,6 +351,22 @@ def test_a_trap_search_that_tries_every_core_in_budget_is_resolved(
     assert trap.stats.get("exhausted_budget") == (None if resolved else "max_candidates")
 
 
+def refused(name):
+    """A stand-in for ``name`` that fails the test when called."""
+
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return call
+
+
+def refuse_runs(monkeypatch):
+    """Fail the test on any run of a program or composition of a pair."""
+    monkeypatch.setattr(adversary, "run_on_sequence", refused("run_on_sequence"))
+    for name in ("run_on_sequence", "compose_pair", "simulate_pair"):
+        monkeypatch.setattr(session, name, refused(name))
+
+
 def recording(calls, function):
     """``function``, appending each call's second argument to ``calls`` as a tuple."""
 
@@ -374,6 +400,36 @@ def test_a_learner_without_a_step_is_refused_by_name(monkeypatch):
     with pytest.raises(TypeError, match="learner program-only has no step for a trap search"):
         adversary.search_trap_sets({5: learner}, 5, poly_encode([2]), 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [_chaser, _msd_pair], ids=["chaser", "msd-pair"])
+def test_a_chain_search_only_steps_its_learner(make, monkeypatch):
+    """No program is started, run or composed into a pair: the search steps the learner."""
+    refuse_runs(monkeypatch)
+    family = families.make_csd()
+    chain = family.chain_indices(8)[:4]
+    learner, teacher_factory, max_ext_len, max_candidates = make(family, chain)
+    learner.program = refused("program")
+    result = adversary.chain_force(
+        learner,
+        teacher_factory,
+        chain,
+        family,
+        max_ext_len=max_ext_len,
+        max_candidates=max_candidates,
+    )
+    assert result.status == ("forced" if teacher_factory is None else "failure-witness")
+
+
+def test_a_chain_search_refuses_a_learner_without_a_step_by_name(monkeypatch):
+    """Nothing is stepped, run or composed, and no teacher is made, before the refusal."""
+    refuse_runs(monkeypatch)
+    monkeypatch.setattr(adversary, "resolve_step", refused("resolve_step"))
+    family = families.make_csd()
+    chain = family.chain_indices(5)[:2]
+    learner = Learner("program-only", refused("program"))
+    with pytest.raises(TypeError, match="learner program-only has no step for a chain search"):
+        adversary.chain_force(learner, refused("teacher_factory"), chain, family)
 
 
 def predecessor_prober(remembers: bool) -> Learner:
@@ -423,7 +479,7 @@ def search_by_runs(learner, k, p_coeffs, orders_of):
         checked += 1
         core = (interval.lo, *combo)
         runs = (run_on_sequence(learner, order, oracle=interval) for order in orders_of(core))
-        if all(run.last_hypothesis == 2 * k for run in runs):
+        if all(run.emissions[-1:] == [2 * k] for run in runs):
             return set(core), checked
     return set(), checked
 

@@ -93,7 +93,7 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
     locked, checked = None, 0
     for seq in sequences:
         checked += 1
-        output = run_on_sequence(learner, seq, oracle=oracle).last_hypothesis
+        output = (run_on_sequence(learner, seq, oracle=oracle).emissions or [None])[-1]
         if output is None:
             return Verdict(False, "no-output", {"prefix": list(seq)})
         if locked is None:

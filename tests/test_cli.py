@@ -305,14 +305,6 @@ class Raw(NamedTuple):
             )
             for m_id in (0, 3, 4)
         ],
-        *[
-            ("csd-chain", config, f"chain_length must be at most 37, got {config['chain_length']}")
-            for config in (
-                {"chain_length": 38},
-                {"max_anchor": 24, "chain_anchor": 23, "chain_length": 356},
-                {"chain_length": 10**9},
-            )
-        ],
     ],
 )
 def test_run_config_outside_schema_is_usage_error(

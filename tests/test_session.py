@@ -220,7 +220,7 @@ def test_run_on_sequence_semantics():
     assert run.actions == 7  # the read past the end is the last action
 
     run = run_on_sequence(scan_learner(), [], oracle=Interval(2))
-    assert run.last_hypothesis == 2
+    assert run.emissions == [2]
     assert run.actions == 4  # three queries and the emission, then the learner idles
     assert run.queries == [(0, False), (1, False), (2, True)]
 

@@ -4,13 +4,17 @@ A drawn step learner is a table ``(state, datum) -> (state, hypothesis or
 None or a Query)`` over 1–4 states and the data 0–6, with an answer table
 ``(state, answer) -> (state, hypothesis or None)`` that its step reads after
 a query; now and then the answer table asks a second query, which every path
-must refuse with ``TypeError``.  ``Learner.from_step`` derives its program; a
+must refuse with ``TypeError``.  It may have a first hypothesis, emitted
+before its first read.  ``Learner.from_step`` derives its program; a
 hand-written generator of the same tables must log the same session, and
 both must match the script that the tables unroll to over the text and the
-oracle, under ``session_scripts``' reference.  The trap search's memoized
-walk (``adversary._every_order_ends_on``) must give the outcome of running
-every order of a drawn core through ``run_on_sequence``: the same verdict,
-or the same error.
+oracle, under ``session_scripts``' reference.  ``step_through`` must give
+the run's last emission.  The trap search's memoized walk
+(``adversary._every_order_ends_on``) must give the outcome of running every
+order of a drawn core through ``run_on_sequence``, and the
+characteristic-sample walk (``evaluate._walked_outputs``) the last emission
+of a run over each word: the same value, or the same error, empty input
+included.
 """
 
 import itertools
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from session_scripts import (
     HORIZON_OFFSETS,
+    HYPOTHESES,
     STEP_DATA,
     TICK_OFFSETS,
     derived_learner,
@@ -36,7 +41,7 @@ from session_scripts import (
 from txtex_lab import families
 from txtex_lab.adversary import _every_order_ends_on
 from txtex_lab.codec import poly_encode
-from txtex_lab.evaluate import check_characteristic_sample
+from txtex_lab.evaluate import _walked_outputs, check_characteristic_sample
 from txtex_lab.session import (
     READ,
     Budget,
@@ -46,12 +51,15 @@ from txtex_lab.session import (
     query,
     run_on_sequence,
     run_session,
+    step_through,
 )
 from txtex_lab.sets import FiniteSet
 from txtex_lab.text import make_text
 
-def handwritten_learner(start, table, answers):
+def handwritten_learner(start, table, answers, first=None):
     def program():
+        if first is not None:
+            yield emit(first)
         state = start
         while True:
             datum = yield READ
@@ -66,15 +74,16 @@ def handwritten_learner(start, table, answers):
     return Learner("table", program)
 
 
-def unrolled_script(start, table, answers, raw, members):
-    """The tables' actions over ``raw`` with ``members`` answering: per datum a read,
-    the query if any, then an emit unless None.
+def unrolled_script(start, table, answers, first, raw, members):
+    """The tables' actions over ``raw`` with ``members`` answering: an emit of
+    ``first`` unless None, then per datum a read, the query if any, then an
+    emit unless None.
 
     The script stops at a query without an oracle, where the reference
     raises ``ValueError``, and ends on an unknown action at a second query,
     where it raises ``TypeError``.
     """
-    script, state = [], start
+    script, state = ([] if first is None else [("emit", first)]), start
     for datum in raw:
         script.append(("read", 0))
         state, out = table[state, datum]
@@ -90,9 +99,15 @@ def unrolled_script(start, table, answers, raw, members):
     return script + [("read", 0)]  # the learner wants more
 
 
+def last_emission(learner, word, oracle):
+    """The last hypothesis a run of ``learner`` over ``word`` emits, or None."""
+    return (run_on_sequence(learner, word, oracle=oracle).emissions or [None])[-1]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     tables=step_tables(),
+    first=HYPOTHESES,
     data=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=8),
     members=oracles(),
     tick_offset=TICK_OFFSETS,
@@ -100,28 +115,33 @@ def unrolled_script(start, table, answers, raw, members):
     window=st.none() | st.integers(1, 4),
 )
 def test_a_derived_program_is_its_table_unrolled(
-    tables, data, members, tick_offset, horizon_offset, window
+    tables, first, data, members, tick_offset, horizon_offset, window
 ):
     horizon = max(0, len(data) + horizon_offset)
     text = make_text("prefixed", FiniteSet(set(data)), prefix=data)
     raw = list(itertools.islice(text.stream(), horizon))
-    script = unrolled_script(*tables, raw, members)
+    script = unrolled_script(*tables, first, raw, members)
     budget = Budget(
         max_ticks=max(0, ticks_and_taken(script)[0] + tick_offset), horizon=horizon, window=window
     )
     want = reference_session(script, raw, members=members, budget=budget)
     oracle = None if members is None else FiniteSet(members)
-    for learner in (derived_learner(*tables), handwritten_learner(*tables)):
+    derived = derived_learner(*tables, first)
+    for learner in (derived, handwritten_learner(*tables, first)):
         got = outcome(lambda: run_session(learner, text, oracle=oracle, budget=budget))
         assert got == (want.transcript if want.raises is None else want.raises)
-    run = outcome(lambda: run_on_sequence(derived_learner(*tables), raw, oracle=oracle))
+    run = outcome(lambda: run_on_sequence(derived, raw, oracle=oracle))
     whole = reference_session(
         script, raw, members=members, budget=Budget(max_ticks=10**9, horizon=len(raw))
     )
+    stepped = outcome(lambda: step_through(derived, raw, oracle))
+    assert step_through(derived, [], oracle) == first
     if whole.raises is not None:
-        assert run is whole.raises
+        assert run is stepped is whole.raises
         return
-    assert run.emissions == [value for op, value in script if op == "emit"]
+    emissions = [value for op, value in script if op == "emit"]
+    assert run.emissions == emissions
+    assert stepped == (emissions or [None])[-1]
     queries = [event.payload for event in whole.transcript.events if event.kind == "query"]
     assert run.queries == queries
     assert run.actions == len(script)
@@ -130,22 +150,39 @@ def test_a_derived_program_is_its_table_unrolled(
 @settings(max_examples=150, deadline=None)
 @given(
     tables=step_tables(),
-    core=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=6, unique=True),
+    first=HYPOTHESES,
+    core=st.lists(st.sampled_from(STEP_DATA), max_size=6, unique=True),
     target=st.integers(0, 2),
     members=oracles(),
 )
-def test_the_walk_decides_every_order(tables, core, target, members):
-    learner = derived_learner(*tables)
+def test_the_walk_decides_every_order(tables, first, core, target, members):
+    learner = derived_learner(*tables, first)
     oracle = None if members is None else FiniteSet(members)
 
     def every_order():
         return all(
-            run_on_sequence(learner, order, oracle=oracle).last_hypothesis == target
+            run_on_sequence(learner, order, oracle=oracle).emissions[-1:] == [target]
             for order in itertools.permutations(core)
         )
 
     want = outcome(every_order)
     assert outcome(lambda: _every_order_ends_on(learner, tuple(core), target, oracle)) is want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=step_tables(),
+    first=HYPOTHESES,
+    universe=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=3, unique=True),
+    max_len=st.integers(0, 3),
+    members=oracles(),
+)
+def test_the_covering_word_walk_gives_each_run_output(tables, first, universe, max_len, members):
+    learner = derived_learner(*tables, first)
+    oracle = None if members is None else FiniteSet(members)
+    words = [w for n in range(1, max_len + 1) for w in itertools.product(universe, repeat=n)]
+    want = outcome(lambda: [(word, last_emission(learner, word, oracle)) for word in words])
+    assert outcome(lambda: list(_walked_outputs(learner, universe, [], max_len, oracle))) == want
 
 
 def test_a_second_query_on_one_datum_is_refused_by_the_program_and_both_walks():
