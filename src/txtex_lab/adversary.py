@@ -22,7 +22,7 @@ from .sets import FiniteSet, Interval, SetSpec, set_equal
 from .text import Text, make_text
 
 
-# Action budget of one ``compute_q`` run; read at call time.
+# Tick budget of one ``compute_q`` marker run; read at call time.
 COMPUTE_Q_MAX_ACTIONS = 200_000
 # Every element a chain-forcing extension may use lies below this bound.
 CHAIN_FORCE_UNIVERSE = 4096
@@ -44,7 +44,7 @@ def marker_element(j: int) -> int:
 def marker_stream(ell: int) -> tuple[int, ...]:
     """Marker-only input: the base marker ``marker_element(0)`` repeated ``ell`` times.
 
-    A tuple, so ``run_on_sequence`` and ``make_text`` keep it without a copy.
+    A tuple, which ``run_on_sequence`` and ``make_text`` keep as a text's prefix without a copy.
     """
     return (marker_element(0),) * ell
 
@@ -54,9 +54,10 @@ def compute_q(learner: Learner, ell: int) -> int:
 
     The learner runs against the marker-set oracle; since it is deterministic,
     one run over the full stream visits the states of every prefix.  Returns 0
-    when it never queries.  A learner that blows the action budget,
-    ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (the error propagates); each read
-    is an action, so no run reads past that many markers, and the stream stops there.
+    when it never queries.  A learner whose run reaches the tick budget,
+    ``COMPUTE_Q_MAX_ACTIONS``, is ineligible (``ActionBudgetExceeded``
+    propagates); each read costs a tick, so no run reads past that many
+    markers, and the stream stops there.
     """
     oracle = FiniteSet({marker_element(0)})
     stream = marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))
@@ -425,7 +426,7 @@ def search_trap_sets(
     else:
         return TrapSets(frozenset(), frozenset(), resolved=True, stats=stats)
     # decoys: core plus first pk interval members queried on the increasing core, in the
-    # most actions a derived program takes: a read, a query and an emit per datum, one more read
+    # most ticks a derived program takes: a read, a query and an emit per datum, one more read
     run = run_on_sequence(learner, sorted(found), oracle=interval, max_actions=3 * core_size + 1)
     queried_members: list[int] = []
     for x, _answer in run.queries:

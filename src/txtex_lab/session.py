@@ -26,10 +26,10 @@ A learner that takes at most a read, a query and an emit per datum may be
 built by ``Learner.from_step`` from a hashable start state, a step
 ``step(state, datum) -> (state, hypothesis or None or a Query)`` and an
 optional first hypothesis.  A ``Query`` is answered by the next call,
-``step(state, answer)``, which must return a hypothesis or None.  Both
-interpreters run its derived program like any other; the learner keeps its
-step, so a search may walk its states instead, resolving each datum and its
-query with ``resolve_step``, or fold them over a finite input with
+``step(state, answer)``, which must return a hypothesis or None.
+``run_session`` runs its derived program like any other; the learner keeps
+its step, so a search may walk its states instead, resolving each datum and
+its query with ``resolve_step``, or fold them over a finite input with
 ``step_through``, which gives that input's run output.
 
 Teachers are stream transducers over the text: per input datum they return
@@ -45,11 +45,14 @@ into a tuple only when it is non-empty.  The ledger is built once, when the
 session ends.  An event
 is ``(kind, payload)``: its step is its index in the event list, which
 ``events_jsonl`` writes as each line's ``step``, so the JSONL is the same.
-Every loop that steps a learner program, here and in ``agents``, dispatches
-on ``type(action)``.
 
-``run_on_sequence`` runs a program over a finite input: ``compute_q``'s
-marker run and the trap search's one decoy run.  The three searches, the
+``run_session`` is the one interpreter of learner programs: it alone meters
+and budgets them.  The other loops that step a program, ``simulate_pair``
+here and the conversions in ``agents``, transform it into another program.
+Each of them dispatches on ``type(action)``.  ``run_on_sequence`` runs a
+program over a finite input as a session stopped past its end, with no loop
+of its own: ``compute_q``'s marker run, the trap search's one decoy run and
+one chain replay in ``verify``.  The three searches, the
 characteristic-sample checks, the trap search and chain forcing, otherwise
 only step their learners.  A learner object only makes programs and a set
 holds no state, so a search holds one learner and one oracle set per call.
@@ -62,7 +65,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Generator, Hashable, NamedTuple, Sequence
 
-from .sets import SetSpec
+from .sets import FiniteSet, SetSpec
+from .text import Text
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ class Emit:
 
 @dataclass(frozen=True, slots=True)
 class Work:
-    """Declare ``units`` ticks of internal computation."""
+    """Declare ``units`` ticks of internal computation; ``units`` must be a natural."""
 
     units: int
 
@@ -189,8 +193,8 @@ def resolve_step(learner: Learner, state, datum, oracle: SetSpec | None):
     """A step learner's step on ``datum``, with its query answered by ``oracle``.
 
     Returns ``(state, hypothesis or None)``, as the derived program reaches
-    them.  A query raises ``ValueError`` without an oracle, as in the
-    interpreters, and a second query ``TypeError``, as in the program.
+    them.  A query raises ``ValueError`` without an oracle, as in
+    ``run_session``, and a second query ``TypeError``, as in the program.
     """
     step = learner.step
     state, out = step(state, datum)
@@ -325,7 +329,8 @@ def run_session(
     logged as one ``teach`` event and buffered for the learner.  Queries go
     to the oracle set alone; the teacher never hears of them.  Convergence is
     judged on raw text positions: the elements a teacher took, or without a
-    teacher the elements the learner took.
+    teacher the elements the learner took.  A ``Work`` whose units are not
+    a natural raises ``ValueError``, naming the learner.
     """
     max_ticks = budget.max_ticks
     horizon = budget.horizon
@@ -415,8 +420,11 @@ def run_session(
                 append(new(Event, ("query", (action.x, answer))))
                 result = answer
             elif kind is Work:
-                ticks += action.units
-                append(new(Event, ("work", (action.units,))))
+                units = action.units
+                if type(units) is not int or units < 0:
+                    raise ValueError(f"learner {learner.name} declared work of {units!r} units")
+                ticks += units
+                append(new(Event, ("work", (units,))))
             else:
                 raise TypeError(f"unknown action {action!r}")
     except ContractViolation as violation:
@@ -440,11 +448,11 @@ def run_session(
 
 
 # ---------------------------------------------------------------------------
-# finite-prefix runs (used by the query-ceiling measure and the trap decoy run)
+# finite-prefix runs (the query-ceiling measure, the trap decoy run, a replay)
 
 
 class ActionBudgetExceeded(Exception):
-    """A bounded simulation ran out of its action budget.
+    """A ``run_on_sequence`` run ran out of its tick budget, ``max_actions``.
 
     Carries the partial run so callers can report what was observed.
     """
@@ -470,47 +478,27 @@ def run_on_sequence(
 ) -> PrefixRun:
     """Run ``learner`` over a finite input, stopping when it wants more.
 
-    The learner's output on the finite string is the last hypothesis emitted
-    before it requests an element past the end of ``sequence``.  A run that
-    has taken ``max_actions`` actions without idling or reading past the end
-    raises :class:`ActionBudgetExceeded`, even if the next step would idle.
-    A tuple input is used as it is; anything else is copied into one.
+    A ``run_session`` over ``sequence`` with its length as the horizon and
+    ``max_actions`` as the tick budget, so ``Work(u)`` costs u.  The learner's
+    output on the finite string is the last hypothesis emitted before it
+    requests an element past the end of ``sequence``; that request counts as
+    one of the run's ``actions``.  A run whose ticks reach ``max_actions``
+    before it idles or reads past the end raises
+    :class:`ActionBudgetExceeded`, even if the next step would idle.  A tuple
+    input is used as it is; anything else is copied into one.
     """
-    program = learner.program()
-    send = program.send
     items = tuple(sequence)
-    size = len(items)
-    pos = 0
-    emissions: list[int] = []
-    queries: list[tuple[int, bool]] = []
-    result: object = None
-    for actions in range(1, max_actions + 1):  # the number of the action about to run
-        try:
-            action = send(result)
-        except StopIteration:
-            return PrefixRun(emissions, queries, actions - 1)
-        result = None
-        kind = type(action)
-        if kind is Read or kind is Skip:
-            if pos == size:
-                return PrefixRun(emissions, queries, actions)
-            if kind is Read:
-                result = items[pos]
-            pos += 1
-        elif kind is Emit:
-            emissions.append(action.hypothesis)
-        elif kind is Query:
-            if oracle is None:
-                raise ValueError(f"learner {learner.name} queried without an oracle")
-            answer = oracle.contains(action.x)
-            queries.append((action.x, answer))
-            result = answer
-        elif kind is not Work:
-            raise TypeError(f"unknown action {action!r}")
-    raise ActionBudgetExceeded(
-        f"{learner.name} exceeded {max_actions} actions",
-        PrefixRun(emissions, queries, max(max_actions, 0)),
+    text = Text("prefixed", FiniteSet(items), items)
+    budget = Budget(max_ticks=max_actions, horizon=len(items))
+    transcript = run_session(learner, text, oracle=oracle, budget=budget)
+    run = PrefixRun(
+        transcript.hypothesis_stream(),
+        [event.payload for event in transcript.events if event.kind == "query"],
+        len(transcript.events) + (transcript.end_reason == "horizon"),
     )
+    if transcript.end_reason == "ticks":
+        raise ActionBudgetExceeded(f"{learner.name} exceeded {max_actions} actions", run)
+    return run
 
 
 # ---------------------------------------------------------------------------

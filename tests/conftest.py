@@ -4,7 +4,8 @@ Tier-1 draws the same Hypothesis examples on every run and writes no
 ``.hypothesis/``: the profile turns off the example database.  Hypothesis
 still caches the constants it reads from local source files, already while
 collecting, so its storage directory is a temporary one removed when the run
-ends.
+ends.  The ``mutants`` profile draws the same examples but does not shrink a
+failure.
 """
 
 import math
@@ -21,13 +22,18 @@ from txtex_lab.session import run_session
 from txtex_lab.verify import verify_suite
 
 try:
-    from hypothesis import settings
+    from hypothesis import Phase, settings
     from hypothesis.configuration import set_hypothesis_home_dir
 except ImportError:
     _storage = None
 else:
     settings.register_profile("deterministic", derandomize=True, database=None)
     settings.load_profile("deterministic")
+    # the same examples without shrinking a failure: ``tests/mutants.py`` asks only
+    # whether a test fails, through ``--hypothesis-profile mutants``
+    settings.register_profile(
+        "mutants", settings.get_profile("deterministic"), phases=[Phase.explicit, Phase.generate]
+    )
     _storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
     set_hypothesis_home_dir(_storage.name)
 

@@ -1,0 +1,198 @@
+"""Kept mutants: each breaks one spot of the library, and names the tests that must fail on it.
+
+A mutant is an exact snippet of a source file, the text that replaces it and
+the node ids of the tests that must fail once it is replaced.  Together the
+entries measure how strong the checks are; a later refactor of a test, or of
+the code under it, that lets a mutant survive is seen at once.
+
+``tests/test_mutants.py`` checks at every Tier-1 run that each snippet
+occurs exactly once in its file, so a refactor updates this list instead of
+orphaning it.  Running this file does the mutation run::
+
+    python tests/mutants.py
+
+It copies the checkout (without ``.git``) into a temporary directory,
+applies each mutant there in turn, runs only its named tests against the
+copy's ``src``, and exits 1 if some named test still passes.  The checkout
+itself is never written.  It needs only the standard library and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str  # relative to the repository root
+    snippet: str  # occurs exactly once in the file
+    replacement: str
+    killed_by: tuple[str, ...]  # pytest node ids that must fail
+
+
+SESSION = "src/txtex_lab/session.py"
+SESSION_PROPERTIES = "tests/test_session_properties.py"
+
+MUTANTS = [
+    # run_session's tick check lets one action run past the budget
+    Mutant(
+        SESSION,
+        "            if ticks >= max_ticks:\n",
+        "            if ticks > max_ticks:\n",
+        (
+            f"{SESSION_PROPERTIES}::test_run_session_logs_what_the_reference_derives[False]",
+            f"{SESSION_PROPERTIES}::test_run_session_logs_what_the_reference_derives[True]",
+            f"{SESSION_PROPERTIES}::test_run_on_sequence_is_the_session_stopped_past_the_end",
+            "tests/test_session.py::test_run_on_sequence_work_counts_its_units",
+        ),
+    ),
+    # a teacherless session reads one raw position past its horizon
+    Mutant(
+        SESSION,
+        "                    if raw >= horizon:\n",
+        "                    if raw > horizon:\n",
+        (
+            f"{SESSION_PROPERTIES}::test_run_session_logs_what_the_reference_derives[False]",
+            f"{SESSION_PROPERTIES}::test_run_on_sequence_is_the_session_stopped_past_the_end",
+            "tests/test_session.py::test_run_on_sequence_semantics",
+        ),
+    ),
+    # run_on_sequence stops counting the read past the end as an action
+    Mutant(
+        SESSION,
+        'len(transcript.events) + (transcript.end_reason == "horizon")',
+        "len(transcript.events)",
+        (
+            f"{SESSION_PROPERTIES}::test_run_on_sequence_is_the_session_stopped_past_the_end",
+            "tests/test_session.py::test_run_on_sequence_semantics",
+        ),
+    ),
+    # negative work refunds ticks
+    Mutant(
+        SESSION,
+        "if type(units) is not int or units < 0:",
+        "if type(units) is not int:",
+        (
+            "tests/test_session.py::test_work_units_must_be_a_natural[-1]",
+            f"{SESSION_PROPERTIES}::test_run_session_logs_what_the_reference_derives[False]",
+            f"{SESSION_PROPERTIES}::"
+            "test_composed_pair_is_its_script_and_matches_the_two_agent_session",
+        ),
+    ),
+    # the derived program of a step learner never emits its first hypothesis
+    Mutant(
+        SESSION,
+        "            if first is not None:\n                yield emit(first)\n",
+        "",
+        ("tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",),
+    ),
+    # step_through lets a None hypothesis overwrite the last one
+    Mutant(
+        SESSION,
+        "        if hypothesis is not None:\n            last = hypothesis\n",
+        "        last = hypothesis\n",
+        ("tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",),
+    ),
+    # the marker family's floor ignores the query ceiling
+    Mutant(
+        "src/txtex_lab/families.py",
+        "self.floor = max(self.query_ceiling, max(self.markers))",
+        "self.floor = max(self.markers)",
+        ("tests/test_defeat_properties.py::test_the_marker_trap_defeats_every_oracle_learner",),
+    ),
+    # compute_q's marker run stops one marker short of the prefix
+    Mutant(
+        "src/txtex_lab/adversary.py",
+        "marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))",
+        "marker_stream(min(ell - 1, COMPUTE_Q_MAX_ACTIONS))",
+        ("tests/test_defeat_properties.py::test_the_marker_trap_defeats_every_oracle_learner",),
+    ),
+    # the trap walk memoizes on the consumed subset alone
+    Mutant(
+        "src/txtex_lab/adversary.py",
+        "node = (consumed, state, last)",
+        "node = consumed",
+        ("tests/test_step_properties.py::test_the_walk_decides_every_order",),
+    ),
+    # the covering-word walk prunes a prefix one slot early
+    Mutant(
+        "src/txtex_lab/evaluate.py",
+        "if left.bit_count() >= slots:",
+        "if left.bit_count() >= slots - 1:",
+        (
+            "tests/test_char_sample_properties.py::test_the_walk_yields_the_covering_product_words_in_order",
+            "tests/test_step_properties.py::test_the_covering_word_walk_gives_each_run_output",
+        ),
+    ),
+    # chain forcing's fresh teacher never hears the prefix
+    Mutant(
+        "src/txtex_lab/adversary.py",
+        "                    for datum in sigma:\n                        teacher.on_input(datum)\n",
+        "",
+        (
+            "tests/test_chaser_properties.py::test_stepped_chain_forcing_finds_what_runs_from_scratch_find",
+        ),
+    ),
+]
+
+IGNORED = shutil.ignore_patterns(
+    ".git", ".hypothesis", ".pytest_cache", ".benchmarks", "__pycache__", "out"
+)
+FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
+
+
+def survivors(mutant: Mutant, copy: Path) -> tuple[list[str], str]:
+    """The named tests that pass on ``copy`` with ``mutant`` applied, and pytest's output."""
+    source = copy / mutant.path
+    original = source.read_text()
+    if original.count(mutant.snippet) != 1:
+        raise SystemExit(f"{mutant.path}: the snippet does not occur once: {mutant.snippet!r}")
+    source.write_text(original.replace(mutant.snippet, mutant.replacement))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-rf",
+             "--hypothesis-profile", "mutants", *mutant.killed_by],
+            cwd=copy,
+            env={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+        )
+    finally:
+        source.write_text(original)
+    if done.returncode not in (0, 1):  # 0: all passed, 1: some failed; anything else is broken
+        raise SystemExit(f"pytest exited {done.returncode} on {mutant.killed_by}:\n{done.stdout}")
+    failed = set(FAILED.findall(done.stdout))
+    return [test for test in mutant.killed_by if test not in failed], done.stdout
+
+
+def main() -> int:
+    start = time.perf_counter()
+    survived = 0
+    with tempfile.TemporaryDirectory(prefix="txtex-mutants-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORED)
+        for number, mutant in enumerate(MUTANTS, 1):
+            alive, output = survivors(mutant, copy)
+            first_line = mutant.snippet.strip().splitlines()[0]
+            print(f"mutant {number} ({mutant.path}: {first_line}): ", end="")
+            if alive:
+                survived += 1
+                print("SURVIVED; these tests passed:", *alive, sep="\n  ")
+                print(output)
+            else:
+                print(f"killed by all {len(mutant.killed_by)} named tests")
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} killed in {time.perf_counter() - start:.1f} s")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,8 @@ A learner here is a *script*, a list of ``(op, value)`` steps that
 - ``query`` asks the oracle about the value;
 - ``emit`` emits the value, and ``emit-last`` emits the last result the
   learner got back: the datum read, or a query's answer as 1 or 0;
-- ``work`` declares the value as ticks of internal work;
+- ``work`` declares the value as ticks of internal work; a negative value
+  is refused;
 - ``unknown`` yields ``EmitLookalike()``, which no loop accepts.
 
 Only ``query``, ``emit`` and ``work`` read the value.
@@ -119,6 +120,7 @@ class Walk(NamedTuple):
     transcript: SessionTranscript
     actions: int  # actions the learner yielded, the one that ended the session included
     raises: type | None  # the error the loop raises instead of returning
+    message: str | None  # a part of that error's message
 
 
 def reference_session(script, raw, *, teacher=None, members=None, budget):
@@ -134,7 +136,7 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
     convergence = None
     buffer, given = [], set()  # the teacher's undelivered items and the data it was given
     last = 0
-    end, raises = "idle", None
+    end, raises, message = "idle", None, None
     for step in [*script, None]:  # None: the learner idles
         if ticks >= budget.max_ticks:
             end = "ticks"
@@ -186,7 +188,7 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
             emissions.append(snapshot)
         elif op == "query":
             if members is None:
-                raises = ValueError
+                raises, message = ValueError, "queried without an oracle"
                 break
             answer = value in members
             last = int(answer)
@@ -194,10 +196,13 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
             queries += 1
             events.append(Event("query", (value, answer)))
         elif op == "work":
+            if value < 0:
+                raises, message = ValueError, f"declared work of {value} units"
+                break
             ticks += value
             events.append(Event("work", (value,)))
         else:
-            raises = TypeError
+            raises, message = TypeError, "unknown action"
             break
     converged = convergence is not None and (
         end == "idle"
@@ -205,7 +210,7 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
     )
     ledger = ResourceLedger(ticks, len(read), mind_changes, queries, skips)
     transcript = SessionTranscript(events, ledger, emissions, end, converged, convergence)
-    return Walk(transcript, actions, raises)
+    return Walk(transcript, actions, raises, message)
 
 
 def composed_script(script, raw, teacher, members):
@@ -261,10 +266,13 @@ RARELY = st.integers(1, 6).map(lambda i: i == 3)
 
 @st.composite
 def scripts(draw):
-    """A script of up to 14 steps; now and then one of them is an unknown action."""
+    """A script of up to 14 steps; now and then one of them is an unknown action,
+    and now and then one declares negative work."""
     script = draw(st.lists(STEPS, max_size=14))
     if draw(RARELY):
         script.insert(draw(st.integers(0, len(script))), ("unknown", 0))
+    if draw(RARELY):
+        script.insert(draw(st.integers(0, len(script))), ("work", draw(st.integers(-3, -1))))
     return script
 
 

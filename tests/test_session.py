@@ -239,18 +239,41 @@ def test_run_on_sequence_skip_consumes_without_observing():
     assert run.actions == 5  # the Skip past the end counts as an action
 
 
-def test_run_on_sequence_work_counts_as_action():
+def test_run_on_sequence_work_counts_its_units():
     def program():
         yield Work(5)
         yield Work(0)
         yield Emit(3)
 
-    run = run_on_sequence(Learner("worker", program), [])
+    worker = Learner("worker", program)
+    run = run_on_sequence(worker, [], max_actions=7)
     assert run.actions == 3 and run.emissions == [3]
-    with pytest.raises(ActionBudgetExceeded) as exc_info:
-        run_on_sequence(Learner("worker", program), [], max_actions=2)
-    assert exc_info.value.partial.actions == 2
-    assert exc_info.value.partial.emissions == []
+    # Work(5) spends five ticks of the budget, and the idle is seen one tick after the emit
+    for max_actions, actions, emissions in [(5, 1, []), (6, 3, [3])]:
+        with pytest.raises(ActionBudgetExceeded) as exc_info:
+            run_on_sequence(worker, [], max_actions=max_actions)
+        assert exc_info.value.partial.actions == actions
+        assert exc_info.value.partial.emissions == emissions
+
+
+@pytest.mark.parametrize("units", [-1, 1.5, True, None])
+def test_work_units_must_be_a_natural(units):
+    """Negative work would refund ticks; every interpreter path refuses it by learner name."""
+
+    def program():
+        yield Work(units)
+        yield READ
+
+    worker = Learner("worker", program)
+    message = re.escape(f"declared work of {units!r} units")
+    text = make_text("canonical", Interval(0, None))
+    with pytest.raises(ValueError, match="^learner worker " + message):
+        run_session(worker, text, budget=Budget(max_ticks=20, horizon=50))
+    with pytest.raises(ValueError, match="^learner worker " + message):
+        run_on_sequence(worker, [1, 2])
+    composed = compose_pair(worker, FirstOccurrenceTeacher)
+    with pytest.raises(ValueError, match=r"^learner composed\(worker\) " + message):
+        run_session(composed, text, budget=Budget(max_ticks=20, horizon=50))
 
 
 def _sha256(text):
