@@ -4,9 +4,10 @@ Learners are ``session.Learner`` objects: each carries its own name and cost
 note and starts a fresh generator program per run, so one object can serve
 any number of sessions.  Teachers carry per-session state and are handed
 around as zero-argument factories.  Pair constructors return
-``(learner, teacher_factory)``.  The registry is a plain dict from learner
-id to learner; the diagonalizing families look up the learner they attack
-in it.
+``(learner, teacher_factory)``.  Pairs and conversions step their
+``Learner.from_step`` learners; only ``session.run_session`` interprets
+actions.  The registry is a plain dict from learner id to learner; the
+diagonalizing families look up the learner they attack in it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .adversary import trap_interval
 from .codec import canonical_encode, pair, poly_eval, unpair
 from .descriptor import RecognizerState, recognizer_step
 from .families import CsdFamily, PcsFFamily
-from .session import READ, Emit, Learner, Read, Skip, Teacher, Work, emit, query, simulate_pair
+from .session import READ, Learner, Query, Teacher, Work, compose_pair, emit, query, resolve_step
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +168,16 @@ def make_csd_learner(family: CsdFamily | None = None) -> Learner:
 
 def make_merged_learner() -> Learner:
     """One probe for 0 picks the branch: chain logic doubled, or the
-    descriptor count pair (simulated by ``simulate_pair``) doubled plus one."""
-    odd = _count_learner("odd-count", lambda c: 2 * c + 1)
+    descriptor count pair doubled plus one, its count learner stepped behind
+    its own teacher by ``compose_pair``."""
+    odd = compose_pair(_count_learner("odd-count", lambda c: 2 * c + 1), DescriptorTeacher)
 
     def program():
         if (yield query(0)):
             index = yield from _csd_core(CsdFamily(3))
             yield emit(2 * index)
             return
-        yield from simulate_pair(odd.program(), DescriptorTeacher())
+        yield from odd.program()
 
     return Learner("merged-branch", program)
 
@@ -244,15 +246,13 @@ def make_pow2_teacher_pair() -> tuple[Learner, Callable[[], Teacher]]:
 
 
 def make_pow2_pmc_learner() -> Learner:
-    """Emit ceil(log2(max)) after every datum."""
+    """Emit ceil(log2(max)) after every datum; its state is the max so far (0 before any)."""
 
-    def program():
-        peak = 0
-        while True:
-            peak = max(peak, (yield READ))
-            yield emit((peak - 1).bit_length() if peak >= 1 else 0)
+    def step(peak, datum):
+        peak = max(peak, datum)
+        return peak, (peak - 1).bit_length() if peak >= 1 else 0
 
-    return Learner("pow2-threshold", program)
+    return Learner.from_step("pow2-threshold", 0, step, "one tick per action")
 
 
 def make_join_evens_learner() -> Learner:
@@ -287,107 +287,78 @@ def make_basic_agents() -> dict:
 
 
 def convert_psdT_to_pmc(learner: Learner, teacher_factory: Callable[[], Teacher]) -> Learner:
-    """Simulate the pair internally; emit its latest hypothesis, if it changed,
-    just before each raw read and once when the pair ends."""
+    """Step ``learner``, a step learner, over what a fresh teacher passes on; emit its
+    latest hypothesis, if it changed, just before each raw read."""
+    if learner.step is None:
+        raise TypeError(f"learner {learner.name} has no step for a gated conversion")
+    step = learner.step
 
     def program():
-        simulated = simulate_pair(learner.program(), teacher_factory())
-        latest: int | None = None
-        emitted: int | None = None
-        result: object = None
+        on_input = teacher_factory().on_input
+        state, latest, emitted = learner.start, learner.first, None
         while True:
-            try:
-                action = simulated.send(result)
-            except StopIteration:
-                break
-            result = None
-            kind = type(action)
-            if kind is Emit:
-                latest = action.hypothesis
-                continue
-            if kind is Read and latest != emitted:
+            if latest != emitted:
                 yield emit(latest)
                 emitted = latest
-            result = yield action
-        if latest != emitted:
-            yield emit(latest)
+            for item in on_input((yield READ)):
+                state, out = step(state, item)
+                if type(out) is Query:
+                    state, out = step(state, (yield out))
+                    if type(out) is Query:
+                        raise TypeError(f"learner {learner.name} queried twice on one datum")
+                if out is not None:
+                    latest = out
 
     return Learner(f"extension-gated({learner.name})", program)
 
 
 class CountEncodingTeacher(Teacher):
-    """Simulates a mind-change learner and encodes its hypotheses as counts.
+    """Steps a mind-change step learner once per datum and encodes its hypotheses as counts.
 
-    On each hypothesis change to h, pads its cumulative output with copies of
-    one anchor element (the least seen when emission began) up to the least
-    count whose pair decoding has second coordinate h.  The learner on the
-    other side just decodes its running item count.
+    With no oracle, a query raises ``ValueError``; ``first`` comes with the
+    first datum.  On each hypothesis change to h, pads its cumulative output
+    with copies of one anchor element (the least seen when emission began) up
+    to the least count whose pair decoding has second coordinate h.  The
+    learner on the other side just decodes its running item count.
     """
 
     name = "count-encoder"
 
     def __init__(self, learner: Learner):
-        self._encoder = _encode_counts(learner.program())
-        next(self._encoder)  # runs nothing of the learner: it waits for the first datum
+        if learner.step is None:
+            raise TypeError(f"learner {learner.name} has no step for a count encoding")
+        self.learner = learner
+        self.state = learner.start
+        self.first = learner.first
+        self.count = 0
+        self.anchor = self.last = self.least = None
 
     def on_input(self, datum: int) -> list[int]:
-        return self._encoder.send(datum)
-
-
-def _encode_counts(program):
-    """The count encoding as a coroutine: send a datum, get the items it passes on.
-
-    Each datum serves the program's next read or skip.  The program then runs
-    on until it asks for the one after, and waits there, suspended with this
-    generator, for the next datum.
-    """
-    out: list[int] = []
-    count = 0
-    anchor = last = None
-    least = datum = yield
-    result: object = None
-    while True:
-        try:
-            action = program.send(result)
-        except StopIteration:
-            break
-        result = None
-        kind = type(action)
-        if kind is Read or kind is Skip:
-            if datum is None:  # the datum is used up: pass on its items, wait for the next
-                datum = yield out
-                out = []
-                least = min(least, datum)
-            if kind is Read:
-                result = datum
-            datum = None
-        elif kind is Emit:
-            if action.hypothesis != last:
-                last = action.hypothesis
-                if anchor is None:
-                    anchor = least
+        self.least = datum if self.least is None else min(self.least, datum)
+        self.state, hypothesis = resolve_step(self.learner, self.state, datum, None)
+        out: list[int] = []
+        for h in (self.first, hypothesis):
+            if h is not None and h != self.last:
+                self.last = h
+                if self.anchor is None:
+                    self.anchor = self.least
                 j = 0
-                while pair(j, last) <= count:
+                while pair(j, h) <= self.count:
                     j += 1
-                target = pair(j, last)
-                out.extend([anchor] * (target - count))
-                count = target
-        elif kind is not Work:
-            raise ValueError("count encoding needs a query-free learner")
-    while True:  # the program has ended: nothing more to pass on
-        yield out
-        out = []
+                target = pair(j, h)
+                out.extend([self.anchor] * (target - self.count))
+                self.count = target
+        self.first = None
+        return out
 
 
 def make_count_decoder_learner() -> Learner:
-    def program():
-        count = 0
-        while True:
-            yield READ
-            count += 1
-            yield emit(unpair(count)[1])
+    """Emit the second coordinate of the item count after every item; its state is the count."""
 
-    return Learner("count-decoder", program)
+    def step(count, item):
+        return count + 1, unpair(count + 1)[1]
+
+    return Learner.from_step("count-decoder", 0, step, "one tick per action")
 
 
 def convert_pmc_to_psdT(learner: Learner) -> tuple[Learner, Callable[[], Teacher]]:

@@ -36,22 +36,22 @@ Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
 their input so far.  A teacher sees only the text, never the learner's
 queries or their answers.  ``run_session`` pumps a teacher inline, feeding it
-raw data while its buffer is empty; ``simulate_pair`` folds a (learner,
-teacher) pair into one learner program.  Events and emission snapshots are
-named tuples; ``run_session`` builds each with ``tuple.__new__`` on its
-type, in C, which skips the arity check of the named tuple's own
-constructor, so every site passes all fields.  A teacher output is copied
-into a tuple only when it is non-empty.  The ledger is built once, when the
-session ends.  An event
-is ``(kind, payload)``: its step is its index in the event list, which
-``events_jsonl`` writes as each line's ``step``, so the JSONL is the same.
+raw data while its buffer is empty; ``compose_pair`` makes one learner
+program that steps a step learner behind its own teacher.  Events and
+emission snapshots are named tuples; ``run_session`` builds each with
+``tuple.__new__`` on its type, in C, which skips the arity check of the
+named tuple's own constructor, so every site passes all fields.  A teacher
+output is copied into a tuple only when it is non-empty.  The ledger is
+built once, when the session ends.  An event is ``(kind, payload)``: its
+step is its index in the event list, which ``events_jsonl`` writes as each
+line's ``step``, so the JSONL is the same.
 
-``run_session`` is the one interpreter of learner programs: it alone meters
-and budgets them.  The other loops that step a program, ``simulate_pair``
-here and the conversions in ``agents``, transform it into another program.
-Each of them dispatches on ``type(action)``.  ``run_on_sequence`` runs a
-program over a finite input as a session stopped past its end, with no loop
-of its own: ``compute_q``'s marker run, the trap search's one decoy run and
+``run_session`` is the one interpreter of learner programs: it alone gives
+actions their meaning, meters and budgets them.  Pairs and conversions
+step their learners: ``from_step`` and ``compose_pair`` share one step
+program, and the conversions in ``agents`` step theirs.
+``run_on_sequence`` runs a program over a finite input as a session
+stopped past its end, with no loop of its own: ``compute_q``'s marker run, the trap search's one decoy run and
 one chain replay in ``verify``.  The three searches, the
 characteristic-sample checks, the trap search and chain forcing, otherwise
 only step their learners.  A learner object only makes programs and a set
@@ -102,7 +102,7 @@ class Emit:
 
 @dataclass(frozen=True, slots=True)
 class Work:
-    """Declare ``units`` ticks of internal computation; ``units`` must be a natural."""
+    """Declare ``units`` ticks of internal computation; ``units`` must be a positive ``int``."""
 
     units: int
 
@@ -165,21 +165,7 @@ class Learner:
         second ``Query`` raises ``TypeError``.  It emits ``first`` before its
         first read unless None, starts from ``start`` and declares no work.
         """
-
-        def program():
-            if first is not None:
-                yield emit(first)
-            state = start
-            while True:
-                state, out = step(state, (yield READ))
-                if type(out) is Query:
-                    state, out = step(state, (yield out))
-                    if type(out) is Query:
-                        raise TypeError(f"learner {name} queried twice on one datum")
-                if out is not None:
-                    yield emit(out)
-
-        learner = cls(name, program, cost_note)
+        learner = cls(name, lambda: _step_program(learner, None), cost_note)
         learner.start = start
         learner.first = first
         learner.step = step
@@ -330,7 +316,8 @@ def run_session(
     to the oracle set alone; the teacher never hears of them.  Convergence is
     judged on raw text positions: the elements a teacher took, or without a
     teacher the elements the learner took.  A ``Work`` whose units are not
-    a natural raises ``ValueError``, naming the learner.
+    a positive ``int`` raises ``ValueError``, naming the learner, so every
+    action spends at least one tick.
     """
     max_ticks = budget.max_ticks
     horizon = budget.horizon
@@ -421,7 +408,7 @@ def run_session(
                 result = answer
             elif kind is Work:
                 units = action.units
-                if type(units) is not int or units < 0:
+                if type(units) is not int or units < 1:
                     raise ValueError(f"learner {learner.name} declared work of {units!r} units")
                 ticks += units
                 append(new(Event, ("work", (units,))))
@@ -502,42 +489,37 @@ def run_on_sequence(
 
 
 # ---------------------------------------------------------------------------
-# pair simulation
+# step programs: a step learner alone, or behind its own teacher
 
 
-def simulate_pair(inner: LearnerProgram, teacher: Teacher) -> LearnerProgram:
-    """One learner program that runs ``inner`` behind its own ``teacher``.
+def _step_program(learner: Learner, make_teacher: Callable[[], Teacher] | None) -> LearnerProgram:
+    """The program of step learner ``learner``, alone or behind a fresh ``make_teacher()``.
 
-    Raw data are read only while the teacher's buffer is empty, and each goes
-    through ``teacher.on_input``; an inner ``Skip`` drops one buffered item and
-    costs one ``Work(1)``; ``Query``, ``Emit`` and ``Work`` pass through
-    unchanged, and a query's answer goes back to ``inner`` alone.  Its
-    hypothesis stream equals the pair's.
+    It emits ``first`` unless None.  Then per raw datum it steps over that
+    datum, or over each item the teacher passes on: a ``Query`` is yielded
+    and the learner steps on its answer, and an output that is not None is
+    emitted.
     """
-    buffer: deque[int] = deque()
-    result: object = None
+    step = learner.step
+    on_input = None if make_teacher is None else make_teacher().on_input
+    if learner.first is not None:
+        yield emit(learner.first)
+    state = learner.start
     while True:
-        try:
-            action = inner.send(result)
-        except StopIteration:
-            return
-        result = None
-        kind = type(action)
-        if kind is Read or kind is Skip:
-            while not buffer:
-                buffer.extend(teacher.on_input((yield READ)))
-            item = buffer.popleft()
-            if kind is Read:
-                result = item
-            else:
-                yield Work(1)
-        else:
-            result = yield action
+        datum = yield READ
+        for item in (datum,) if on_input is None else on_input(datum):
+            state, out = step(state, item)
+            if type(out) is Query:
+                state, out = step(state, (yield out))
+                if type(out) is Query:
+                    raise TypeError(f"learner {learner.name} queried twice on one datum")
+            if out is not None:
+                yield emit(out)
 
 
 def compose_pair(learner: Learner, make_teacher: Callable[[], Teacher]) -> Learner:
-    """One learner that simulates a (learner, teacher) pair internally."""
-    return Learner(
-        f"composed({learner.name})",
-        lambda: simulate_pair(learner.program(), make_teacher()),
-    )
+    """One learner stepping step learner ``learner`` behind a fresh teacher; its
+    hypothesis stream is the pair's."""
+    if learner.step is None:
+        raise TypeError(f"learner {learner.name} has no step for a composed pair")
+    return Learner(f"composed({learner.name})", lambda: _step_program(learner, make_teacher))

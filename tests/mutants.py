@@ -40,6 +40,7 @@ class Mutant(NamedTuple):
 
 
 SESSION = "src/txtex_lab/session.py"
+AGENTS = "src/txtex_lab/agents.py"
 SESSION_PROPERTIES = "tests/test_session_properties.py"
 
 MUTANTS = [
@@ -76,24 +77,64 @@ MUTANTS = [
             "tests/test_session.py::test_run_on_sequence_semantics",
         ),
     ),
-    # negative work refunds ticks
+    # negative work refunds ticks, and no work spends none
     Mutant(
         SESSION,
-        "if type(units) is not int or units < 0:",
+        "if type(units) is not int or units < 1:",
         "if type(units) is not int:",
         (
             "tests/test_session.py::test_work_units_must_be_a_natural[-1]",
+            "tests/test_session.py::test_work_units_must_be_a_natural[0]",
             f"{SESSION_PROPERTIES}::test_run_session_logs_what_the_reference_derives[False]",
-            f"{SESSION_PROPERTIES}::"
-            "test_composed_pair_is_its_script_and_matches_the_two_agent_session",
+            f"{SESSION_PROPERTIES}::test_run_on_sequence_is_the_session_stopped_past_the_end",
         ),
     ),
-    # the derived program of a step learner never emits its first hypothesis
+    # the step program, alone or composed, never emits its learner's first hypothesis
     Mutant(
         SESSION,
-        "            if first is not None:\n                yield emit(first)\n",
+        "    if learner.first is not None:\n        yield emit(learner.first)\n",
         "",
-        ("tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",),
+        (
+            "tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",
+            f"{SESSION_PROPERTIES}::"
+            "test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session[composed]",
+        ),
+    ),
+    # the composed pair steps only the first item a teacher passes on
+    Mutant(
+        SESSION,
+        "for item in (datum,) if on_input is None else on_input(datum):",
+        "for item in (datum,) if on_input is None else on_input(datum)[:1]:",
+        (
+            f"{SESSION_PROPERTIES}::"
+            "test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session[composed]",
+        ),
+    ),
+    # the gated conversion emits the latest hypothesis after the raw read, not before it
+    Mutant(
+        AGENTS,
+        "            if latest != emitted:\n"
+        "                yield emit(latest)\n"
+        "                emitted = latest\n"
+        "            for item in on_input((yield READ)):\n",
+        "            datum = yield READ\n"
+        "            if latest != emitted:\n"
+        "                yield emit(latest)\n"
+        "                emitted = latest\n"
+        "            for item in on_input(datum):\n",
+        (
+            f"{SESSION_PROPERTIES}::"
+            "test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session[gated]",
+            "tests/test_agents.py::"
+            "test_convert_psdT_to_pmc_emits_the_latest_hypothesis_before_each_raw_read",
+        ),
+    ),
+    # the count encoder anchors to the latest datum, not the least seen
+    Mutant(
+        AGENTS,
+        "                    self.anchor = self.least\n",
+        "                    self.anchor = datum\n",
+        ("tests/test_teacher_properties.py::test_count_encoding_teacher_matches_the_reference",),
     ),
     # step_through lets a None hypothesis overwrite the last one
     Mutant(

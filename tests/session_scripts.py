@@ -8,7 +8,7 @@ A learner here is a *script*, a list of ``(op, value)`` steps that
 - ``query`` asks the oracle about the value;
 - ``emit`` emits the value, and ``emit-last`` emits the last result the
   learner got back: the datum read, or a query's answer as 1 or 0;
-- ``work`` declares the value as ticks of internal work; a negative value
+- ``work`` declares the value as ticks of internal work; a value below 1
   is refused;
 - ``unknown`` yields ``EmitLookalike()``, which no loop accepts.
 
@@ -20,13 +20,14 @@ state: one tick per action plus declared work, the tick check before each
 action, the horizon on raw text positions, the teacher pump with its one
 ``teach`` event per non-empty batch and its ``abort`` on an unseen item, and
 convergence judged on raw positions.  It builds no learner program.
-``composed_script`` states what ``simulate_pair`` does as a script of its
-own, so the same reference covers pair composition.
 
 It also draws step learners as tables: ``step_tables`` gives a start state,
 a step table over ``STEP_DATA`` whose outputs include queries, and the table
 the step reads a query's answer from; ``derived_learner`` builds them with
 ``Learner.from_step``, with an optional first hypothesis.
+``composed_script`` states as a script what a step learner composed with a
+teacher by ``compose_pair``, or gated by ``agents.convert_psdT_to_pmc``,
+does over the raw data, so the same reference covers both.
 
 This is a helper module, not a test module: the session properties import
 it, ``test_teacher_properties`` draws its learners from it, the step and
@@ -57,7 +58,7 @@ UNSEEN = 100  # above every drawn text element, so no teacher input ever holds i
 
 
 class EmitLookalike:
-    """Carries ``Emit``'s field, but every loop dispatches on the exact type."""
+    """Carries ``Emit``'s field, but ``run_session`` dispatches on the exact type."""
 
     hypothesis = 1
 
@@ -196,11 +197,14 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
             queries += 1
             events.append(Event("query", (value, answer)))
         elif op == "work":
-            if value < 0:
+            if value < 1:
                 raises, message = ValueError, f"declared work of {value} units"
                 break
             ticks += value
             events.append(Event("work", (value,)))
+        elif op == "queried-twice":
+            raises, message = TypeError, "queried twice on one datum"
+            break
         else:
             raises, message = TypeError, "unknown action"
             break
@@ -213,52 +217,68 @@ def reference_session(script, raw, *, teacher=None, members=None, budget):
     return Walk(transcript, actions, raises, message)
 
 
-def composed_script(script, raw, teacher, members):
-    """The script that ``simulate_pair(scripted_learner(script), teacher)`` acts out over ``raw``.
+def composed_script(learner, raw, teacher, members, gated=False):
+    """The script that step learner ``learner`` behind ``teacher`` acts out over ``raw``.
 
     A teacher sees only the text, so the pair's actions are fixed by the
-    inner script and the raw data.  Each inner read or skip first reads raw
-    data, one datum per read, until the teacher has passed an item on; an
-    inner skip then costs ``("work", 1)``.  Every other op passes through,
-    and an inner ``emit-last`` emits the inner learner's own last result.
-    The script ends with a read past ``raw`` where the pair would run out of
-    raw data.
+    step, the raw data and the oracle's ``members``.  Composed: an emit of
+    ``first`` unless None, then per raw datum a read, and for each item the
+    teacher passes on the step's query, if any, and an emit of its output
+    unless None.  ``gated`` (the extension-gated conversion) holds the
+    emits back and emits the latest output, if it changed, just before each
+    read.  The script ends with the read past ``raw``, or at a query
+    without an oracle, or with ``("queried-twice", 0)`` at a second query.
     """
-    out, buffer, last, position = [], [], 0, 0
-    for op, value in script:
-        if op in ("read", "skip"):
-            while not buffer:
-                out.append(("read", 0))
-                if position == len(raw):
-                    return out
-                buffer += teacher.on_input(raw[position])
-                position += 1
-            item = buffer.pop(0)
-            if op == "read":
-                last = item
-            else:
-                out.append(("work", 1))
-        elif op == "emit-last":
-            out.append(("emit", last))
-        else:
-            out.append((op, value))
-            if op == "query":
+    out, state, latest, emitted = [], learner.start, learner.first, None
+    if not gated and latest is not None:
+        out.append(("emit", latest))
+    for datum in [*raw, None]:
+        if gated and latest != emitted:
+            out.append(("emit", latest))
+            emitted = latest
+        out.append(("read", 0))
+        if datum is None:
+            return out
+        for item in teacher.on_input(datum):
+            state, result = learner.step(state, item)
+            if type(result) is Query:
+                out.append(("query", result.x))
                 if members is None:
                     return out
-                last = int(value in members)
-    return out
+                state, result = learner.step(state, result.x in members)
+                if type(result) is Query:
+                    out.append(("queried-twice", 0))
+                    return out
+            if result is None:
+                continue
+            if gated:
+                latest = result
+            else:
+                out.append(("emit", result))
 
 
 def ticks_and_taken(script):
     """The ticks a whole script costs, and how many input elements it takes."""
-    ticks = sum(value if op == "work" else 1 for op, value in script if op != "unknown")
+    ticks = sum(
+        value if op == "work" else 1
+        for op, value in script
+        if op not in ("unknown", "queried-twice")
+    )
     return ticks, sum(op in ("read", "skip") for op, _ in script)
 
 
 ELEMENTS = st.integers(0, 12)
-# one draw per step; Hypothesis draws the ops listed first more often
-QUERY_FREE_STEPS = st.tuples(st.sampled_from(["read", "emit-last", "skip", "emit", "work"]), ELEMENTS)
-STEPS = st.tuples(st.sampled_from(["read", "query", "emit-last", "skip", "emit", "work"]), ELEMENTS)
+
+
+def _positive_work(step):
+    op, value = step
+    return (op, value + 1) if op == "work" else step
+
+
+# one draw per step; Hypothesis draws the ops listed first more often; work is 1–13 units
+STEPS = st.tuples(
+    st.sampled_from(["read", "query", "emit-last", "skip", "emit", "work"]), ELEMENTS
+).map(_positive_work)
 TEACHER_PICKS = st.lists(st.integers(0, 7), max_size=3)  # an empty list passes nothing on
 # true about one draw in six; not an end of the range, which Hypothesis draws more often
 RARELY = st.integers(1, 6).map(lambda i: i == 3)
@@ -267,12 +287,12 @@ RARELY = st.integers(1, 6).map(lambda i: i == 3)
 @st.composite
 def scripts(draw):
     """A script of up to 14 steps; now and then one of them is an unknown action,
-    and now and then one declares negative work."""
+    and now and then one declares no work or negative work."""
     script = draw(st.lists(STEPS, max_size=14))
     if draw(RARELY):
         script.insert(draw(st.integers(0, len(script))), ("unknown", 0))
     if draw(RARELY):
-        script.insert(draw(st.integers(0, len(script))), ("work", draw(st.integers(-3, -1))))
+        script.insert(draw(st.integers(0, len(script))), ("work", draw(st.integers(-3, 0))))
     return script
 
 
@@ -295,11 +315,14 @@ QUERIES = st.builds(query, st.integers(0, 12))
 
 
 @st.composite
-def step_tables(draw):
-    """A start state, a full table over 1–4 states and ``STEP_DATA``, and its answer table."""
+def step_tables(draw, queries=True):
+    """A start state, a full table over 1–4 states and ``STEP_DATA``, and its answer table.
+
+    Without ``queries`` the table asks none, and its answer table is never read.
+    """
     states = draw(st.integers(1, 4))
     state = st.integers(0, states - 1)
-    entry = st.tuples(state, HYPOTHESES | QUERIES)
+    entry = st.tuples(state, HYPOTHESES | QUERIES if queries else HYPOTHESES)
     table = {(s, datum): draw(entry) for s in range(states) for datum in STEP_DATA}
     second = QUERIES if draw(RARELY) else st.nothing()
     answer = st.tuples(state, HYPOTHESES | second)

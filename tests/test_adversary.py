@@ -363,7 +363,7 @@ def refused(name):
 def refuse_runs(monkeypatch):
     """Fail the test on any run of a program or composition of a pair."""
     monkeypatch.setattr(adversary, "run_on_sequence", refused("run_on_sequence"))
-    for name in ("run_on_sequence", "compose_pair", "simulate_pair"):
+    for name in ("run_on_sequence", "compose_pair", "_step_program"):
         monkeypatch.setattr(session, name, refused(name))
 
 

@@ -11,10 +11,7 @@ from txtex_lab.evaluate import evaluate_run, hypothesis_correct
 from txtex_lab.session import (
     READ,
     Budget,
-    Emit,
     Learner,
-    Read,
-    Skip,
     compose_pair,
     emit,
     query,
@@ -250,26 +247,38 @@ def test_convert_psdT_to_pmc_silent_teacher():
     assert transcript.hypothesis_stream() == [0]
 
 
-def test_convert_psdT_to_pmc_gates_emits_and_charges_skips():
-    def program():
-        yield Emit(1)
-        yield Emit(2)
-        yield Read()
-        yield Skip()
-
-    class PassTeacher(agents.Teacher):
+def test_convert_psdT_to_pmc_emits_the_latest_hypothesis_before_each_raw_read():
+    class TwiceTeacher(agents.Teacher):
         def on_input(self, datum):
-            return [datum]
+            return [datum, datum]
 
-    gated = agents.convert_psdT_to_pmc(Learner("scripted", program), PassTeacher)
+    def step(count, item):  # emits item + count, then the count of items stepped
+        return count + 1, item + count
+
+    learner = Learner.from_step("adder", 0, step, "one tick per action", first=1)
+    gated = agents.convert_psdT_to_pmc(learner, TwiceTeacher)
     transcript = run_session(
-        gated, make_text("canonical", FiniteSet({3, 8})), budget=Budget(horizon=10)
+        gated, make_text("canonical", FiniteSet({3, 8})), budget=Budget(horizon=2)
     )
     logged = [(event.kind, event.payload) for event in transcript.events]
-    # both inner emissions precede the first raw read: only the latest goes out
-    assert logged[:2] == [("emit", (2,)), ("read", (3,))]
-    # the inner Skip pulls one more raw datum and costs one unit of work
-    assert logged[2:] == [("read", (8,)), ("work", (1,))]
+    # of the two outputs stepped per raw datum only the second goes out, before the next read
+    assert logged == [
+        ("emit", (1,)),
+        ("read", (3,)),
+        ("emit", (4,)),
+        ("read", (8,)),
+        ("emit", (11,)),
+    ]
+    assert transcript.end_reason == "horizon"
+
+
+def test_conversions_refuse_a_learner_without_a_step_by_name():
+    program_only = Learner("program-only", lambda: iter(()))
+    refusal = "^learner program-only has no step for a "
+    with pytest.raises(TypeError, match=refusal + "gated conversion$"):
+        agents.convert_psdT_to_pmc(program_only, agents.DescriptorTeacher)
+    with pytest.raises(TypeError, match=refusal + "count encoding$"):
+        agents.convert_pmc_to_psdT(program_only)[1]()
 
 
 def test_convert_pmc_to_psdT_dataset_bound():

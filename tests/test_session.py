@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import re
 from pathlib import Path
@@ -57,6 +58,16 @@ def echo_counter_learner():
             yield Emit(len(seen))
 
     return Learner("echo-counter", program)
+
+
+def distinct_step_counter():
+    """A step learner emitting how many distinct elements it has read; its state is their set."""
+
+    def step(seen, datum):
+        seen = seen | {datum}
+        return seen, len(seen)
+
+    return Learner.from_step("distinct-counter", frozenset(), step, "one tick per action")
 
 
 def scan_learner():
@@ -200,18 +211,30 @@ def test_teacher_contract_violation_aborts():
     assert transcript.events[-1].kind == "abort"
 
 
-def test_compose_pair_matches_two_agent_session():
+def test_composed_step_pair_matches_two_agent_session():
     text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
     pair_run = run_session(
-        echo_counter_learner(),
+        distinct_step_counter(),
         text,
         teacher=FirstOccurrenceTeacher(),
         budget=Budget(horizon=20),
     )
-    composed = compose_pair(echo_counter_learner(), FirstOccurrenceTeacher)
+    composed = compose_pair(distinct_step_counter(), FirstOccurrenceTeacher)
     solo_run = run_session(composed, text, budget=Budget(horizon=20))
-    assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream()
+    assert solo_run.hypothesis_stream() == pair_run.hypothesis_stream() == [1, 2]
     assert solo_run.ledger.mind_changes == pair_run.ledger.mind_changes
+    # the composed pair reads every raw datum up to the horizon; its learner stepped on 5 and 9
+    raw = list(itertools.islice(text.stream(), 20))
+    assert [payload for kind, payload in solo_run.events if kind == "read"] == [(x,) for x in raw]
+    assert [payload for kind, payload in pair_run.events if kind == "read"] == [(5,), (9,)]
+
+
+def test_compose_pair_refuses_a_learner_without_a_step_by_name():
+    def teacher():
+        raise AssertionError("no teacher is made before the refusal")
+
+    with pytest.raises(TypeError, match="^learner echo-counter has no step for a composed pair$"):
+        compose_pair(echo_counter_learner(), teacher)
 
 
 def test_run_on_sequence_semantics():
@@ -242,23 +265,25 @@ def test_run_on_sequence_skip_consumes_without_observing():
 def test_run_on_sequence_work_counts_its_units():
     def program():
         yield Work(5)
-        yield Work(0)
+        yield Work(1)
         yield Emit(3)
 
     worker = Learner("worker", program)
-    run = run_on_sequence(worker, [], max_actions=7)
+    run = run_on_sequence(worker, [], max_actions=8)
     assert run.actions == 3 and run.emissions == [3]
     # Work(5) spends five ticks of the budget, and the idle is seen one tick after the emit
-    for max_actions, actions, emissions in [(5, 1, []), (6, 3, [3])]:
+    for max_actions, actions, emissions in [(5, 1, []), (6, 2, []), (7, 3, [3])]:
         with pytest.raises(ActionBudgetExceeded) as exc_info:
             run_on_sequence(worker, [], max_actions=max_actions)
         assert exc_info.value.partial.actions == actions
         assert exc_info.value.partial.emissions == emissions
 
 
-@pytest.mark.parametrize("units", [-1, 1.5, True, None])
+@pytest.mark.parametrize("units", [-1, 0, 1.5, True, None])
 def test_work_units_must_be_a_natural(units):
-    """Negative work would refund ticks; every interpreter path refuses it by learner name."""
+    """Negative work would refund ticks and no work would spend none, so that a learner
+    yielding it forever never met a budget; both paths that run a program refuse it by
+    learner name.  A composed pair takes a step learner only, which declares no work."""
 
     def program():
         yield Work(units)
@@ -271,9 +296,8 @@ def test_work_units_must_be_a_natural(units):
         run_session(worker, text, budget=Budget(max_ticks=20, horizon=50))
     with pytest.raises(ValueError, match="^learner worker " + message):
         run_on_sequence(worker, [1, 2])
-    composed = compose_pair(worker, FirstOccurrenceTeacher)
-    with pytest.raises(ValueError, match=r"^learner composed\(worker\) " + message):
-        run_session(composed, text, budget=Budget(max_ticks=20, horizon=50))
+    with pytest.raises(TypeError, match="^learner worker has no step"):
+        compose_pair(worker, FirstOccurrenceTeacher)
 
 
 def _sha256(text):
@@ -403,6 +427,23 @@ def test_library_learners_yield_the_shared_read():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Read"
     ]
     assert len(calls) == 1 and calls[0][0] == "session.py"
+
+
+def test_only_the_session_module_names_the_interpreted_actions():
+    """``run_session`` alone gives ``Read``, ``Skip`` and ``Emit`` their meaning: no other
+    library module names them, so no second loop that interprets actions comes back."""
+    package = Path(__file__).resolve().parents[1] / "src" / "txtex_lab"
+    interpreted = {"Read", "Skip", "Emit"}
+    named = sorted(
+        (path.name, node.lineno)
+        for path in package.glob("*.py")
+        if path.name != "session.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id in interpreted)
+        or (isinstance(node, ast.Attribute) and node.attr in interpreted)
+        or (isinstance(node, ast.alias) and node.name in interpreted)
+    )
+    assert named == []
 
 
 # ---------------------------------------------------------------------------

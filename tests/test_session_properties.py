@@ -1,6 +1,8 @@
-"""Properties: ``run_session``, ``run_on_sequence`` and ``compose_pair`` do what the reference says.
+"""Properties: ``run_session``, ``run_on_sequence``, ``compose_pair`` and the extension-gated
+conversion do what the reference says.
 
-Every learner is a drawn script and every teacher a scripted one (see
+Every teacher is a scripted one, and every learner a drawn script or, behind
+a composed pair or the gated conversion, a drawn step table (see
 ``session_scripts``).  Budgets are drawn at and around the point where the
 script ends, so each end reason and each budget boundary is reached.
 """
@@ -13,22 +15,28 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from session_scripts import (
     ELEMENTS,
     HORIZON_OFFSETS,
+    HYPOTHESES,
+    STEP_DATA,
     TEACHER_PICKS,
     TICK_OFFSETS,
     ScriptedTeacher,
     composed_script,
+    derived_learner,
     oracles,
+    outcome,
     reference_session,
     scripted_learner,
     scripts,
+    step_tables,
     ticks_and_taken,
 )
 
+from txtex_lab.agents import convert_psdT_to_pmc
 from txtex_lab.session import (
     ActionBudgetExceeded,
     Budget,
@@ -68,6 +76,15 @@ def run_or_raise(want, run):
     horizon_offset=HORIZON_OFFSETS,
     window=WINDOWS,
     members=oracles(),
+)
+# work that spends no tick is refused, whatever the drawn examples reach
+@example(
+    script=[("read", 0), ("work", 0), ("emit", 1)], data=[1], teacher_script=[[0]],
+    cheat_at=None, tick_offset=10**6, horizon_offset=40, window=None, members=None,
+)
+@example(
+    script=[("work", -1), ("emit", 1)], data=[1], teacher_script=[], cheat_at=None,
+    tick_offset=10**6, horizon_offset=40, window=None, members=None,
 )
 def test_run_session_logs_what_the_reference_derives(
     with_teacher, script, data, teacher_script, cheat_at, tick_offset, horizon_offset, window,
@@ -114,6 +131,10 @@ def test_run_session_logs_what_the_reference_derives(
     budget_offset=st.none() | st.sampled_from([-(10**6), -2, -1, 0, 1]),
     members=oracles(),
 )
+@example(
+    script=[("work", 0), ("emit", 1)], data=[1], length_offset=0, as_tuple=True,
+    budget_offset=None, members=None,
+)
 def test_run_on_sequence_is_the_session_stopped_past_the_end(
     script, data, length_offset, as_tuple, budget_offset, members
 ):
@@ -145,42 +166,61 @@ def test_run_on_sequence_is_the_session_stopped_past_the_end(
     assert (got.emissions, got.queries) == (want.transcript.hypothesis_stream(), queries)
 
 
+def without_repeats(stream):
+    return [h for i, h in enumerate(stream) if i == 0 or stream[i - 1] != h]
+
+
+@pytest.mark.parametrize("gated", [False, True], ids=["composed", "gated"])
 @settings(max_examples=120, deadline=None)
 @given(
-    script=scripts(),
-    data=DATA,
+    tables=step_tables(),
+    first=HYPOTHESES,
+    data=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=8),
     teacher_script=st.lists(TEACHER_PICKS, max_size=10),
+    taken=st.integers(0, 10),
     tick_offset=TICK_OFFSETS,
     horizon_offset=HORIZON_OFFSETS,
     window=WINDOWS,
     members=oracles(),
 )
-def test_composed_pair_is_its_script_and_matches_the_two_agent_session(
-    script, data, teacher_script, tick_offset, horizon_offset, window, members
+def test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session(
+    gated, tables, first, data, teacher_script, taken, tick_offset, horizon_offset, window,
+    members,
 ):
-    horizon = max(0, ticks_and_taken(script)[1] + horizon_offset)
+    """A step learner behind a scripted teacher, composed by ``compose_pair`` or gated by
+    ``convert_psdT_to_pmc``, logs what its script does; the composed pair's hypotheses are
+    the two-agent session's, and the gated ones are those without repeats."""
+    learner = derived_learner(*tables, first)
+    horizon = max(0, taken + horizon_offset)
     text, raw = text_and_raw(data, horizon)
-    composed = composed_script(script, raw, ScriptedTeacher(teacher_script), members)
-    ticks = ticks_and_taken(composed)[0]
+    script = composed_script(learner, raw, ScriptedTeacher(teacher_script), members, gated)
+    ticks = ticks_and_taken(script)[0]
     budget = Budget(max_ticks=max(0, ticks + tick_offset), horizon=horizon, window=window)
-    want = reference_session(composed, raw, members=members, budget=budget)
+    want = reference_session(script, raw, members=members, budget=budget)
     oracle = None if members is None else FiniteSet(members)
-    learner = compose_pair(scripted_learner(script), lambda: ScriptedTeacher(teacher_script))
-    got = run_or_raise(want, lambda: run_session(learner, text, oracle=oracle, budget=budget))
+
+    def teacher():
+        return ScriptedTeacher(teacher_script)
+
+    pair = convert_psdT_to_pmc(learner, teacher) if gated else compose_pair(learner, teacher)
+    got = run_or_raise(want, lambda: run_session(pair, text, oracle=oracle, budget=budget))
     if got is not None:
         assert got == want.transcript
     if want.transcript.end_reason == "ticks":
         return
-    # the pair's ledger differs (raw reads, a Work(1) per skip), its hypotheses do not
-    pair = reference_session(
-        script,
-        raw,
-        teacher=ScriptedTeacher(teacher_script),
-        members=members,
-        budget=replace(budget, max_ticks=10**9),
+    two_agent = outcome(
+        lambda: run_session(
+            learner,
+            text,
+            teacher=teacher(),
+            oracle=oracle,
+            budget=replace(budget, max_ticks=10**9),
+        )
     )
-    assert pair.raises is want.raises
-    if got is not None:
-        assert got.hypothesis_stream() == pair.transcript.hypothesis_stream()
-        assert got.ledger.mind_changes == pair.transcript.ledger.mind_changes
-        assert got.ledger.oracle_queries == pair.transcript.ledger.oracle_queries
+    if got is None:
+        assert two_agent is want.raises
+        return
+    stream = two_agent.hypothesis_stream()
+    assert got.hypothesis_stream() == (without_repeats(stream) if gated else stream)
+    assert got.ledger.mind_changes == two_agent.ledger.mind_changes
+    assert got.ledger.oracle_queries == two_agent.ledger.oracle_queries

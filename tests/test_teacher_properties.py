@@ -1,9 +1,10 @@
 """Properties: the teachers match the state machines they replaced, datum for datum.
 
-The references below are the earlier teachers, kept whole: a count-encoding
-teacher that steps its learner with explicit ``awaiting``/``pending``/
-``fuel`` state, and a descriptor teacher that keeps ``halted`` and
-``was_complete`` flags beside its recognizer.
+The references below are the earlier teachers: a count-encoding teacher that
+pumps its learner's program with explicit ``awaiting``/``pending``/``fuel``
+state, restated for the step learners it now takes, and a descriptor teacher
+that keeps ``halted`` and ``was_complete`` flags beside its recognizer, kept
+whole.
 """
 
 from collections import deque
@@ -14,20 +15,25 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from session_scripts import QUERY_FREE_STEPS, scripted_learner
+from session_scripts import HYPOTHESES, RARELY, STEP_DATA, derived_learner, outcome, step_tables
 
 from txtex_lab.adversary import marker_element
 from txtex_lab.agents import CountEncodingTeacher, DescriptorTeacher
 from txtex_lab.codec import encode_tuple, pair
 from txtex_lab.descriptor import RecognizerState, build_descriptor, recognizer_step
-from txtex_lab.session import READ, Emit, Learner, Query, Read, Skip, Work
+from txtex_lab.session import Emit, Learner, Read, query
 
 
 class ReferenceCountEncodingTeacher:
+    """Pumps a step learner's derived program, one datum per read.
+
+    The program reads, emits and queries; with no oracle a query is refused.
+    """
+
     def __init__(self, learner):
+        self.name = learner.name
         self.inner = learner.program()
-        self.inner_done = False
-        self.awaiting = None
+        self.awaiting = False
         self.pending = None
         self.count = 0
         self.anchor = None
@@ -37,31 +43,21 @@ class ReferenceCountEncodingTeacher:
     def _pump(self, datum):
         changes = []
         fuel = datum
-        while not self.inner_done:
-            if self.awaiting is not None:
+        while True:  # a step program never ends
+            if self.awaiting:
                 if fuel is None:
                     break
-                self.pending = fuel if self.awaiting == "read" else None
-                fuel = None
-                self.awaiting = None
-            try:
-                action = self.inner.send(self.pending)
-            except StopIteration:
-                self.inner_done = True
-                break
+                self.pending, fuel, self.awaiting = fuel, None, False
+            action = self.inner.send(self.pending)
             self.pending = None
             if isinstance(action, Read):
-                self.awaiting = "read"
-            elif isinstance(action, Skip):
-                self.awaiting = "skip"
+                self.awaiting = True
             elif isinstance(action, Emit):
                 if action.hypothesis != self.last_hypothesis:
                     self.last_hypothesis = action.hypothesis
                     changes.append(action.hypothesis)
-            elif isinstance(action, Work):
-                pass
             else:
-                raise ValueError("count encoding needs a query-free learner")
+                raise ValueError(f"learner {self.name} queried without an oracle")
         return changes
 
     def on_input(self, datum):
@@ -114,29 +110,31 @@ class ReferenceDescriptorTeacher:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    script=st.lists(QUERY_FREE_STEPS, max_size=10),
-    loops=st.booleans(),
-    data=st.lists(st.integers(0, 40), min_size=1, max_size=25),
+    tables=RARELY.flatmap(lambda queries: step_tables(queries=queries)),
+    first=HYPOTHESES,
+    data=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=25),
 )
-def test_count_encoding_teacher_matches_the_state_machine(script, loops, data):
-    # a looping script with no read or skip never waits for a datum
-    loops = loops and any(op in ("read", "skip") for op, _ in script)
-    learner = scripted_learner(script, loops)
+def test_count_encoding_teacher_matches_the_reference(tables, first, data):
+    """Drawn step learners, querying now and then: the same items per datum, or both refuse."""
+    learner = derived_learner(*tables, first)
     teacher, reference = CountEncodingTeacher(learner), ReferenceCountEncodingTeacher(learner)
     for datum in data:
-        assert teacher.on_input(datum) == reference.on_input(datum)
+        passed = outcome(lambda: teacher.on_input(datum))
+        assert passed == outcome(lambda: reference.on_input(datum))
+        if passed is ValueError:
+            break
 
 
-@pytest.mark.parametrize("reads_first", [False, True])
-def test_count_encoding_teacher_refuses_a_querying_learner(reads_first):
-    def program():
-        if reads_first:
-            yield READ
-        yield Emit(1)
-        yield Query(0)
+@pytest.mark.parametrize("queries_at", [0, 2])
+def test_count_encoding_teacher_refuses_a_querying_step_learner_by_name(queries_at):
+    def step(count, datum):
+        return count + 1, query(datum) if count == queries_at else count
 
-    teacher = CountEncodingTeacher(Learner("querying", program))
-    with pytest.raises(ValueError, match="query-free"):
+    learner = Learner.from_step("querying", 0, step, "one tick per action", first=1)
+    teacher = CountEncodingTeacher(learner)
+    for datum in range(queries_at):
+        teacher.on_input(datum)
+    with pytest.raises(ValueError, match="^learner querying queried without an oracle$"):
         teacher.on_input(3)
 
 
