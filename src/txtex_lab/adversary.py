@@ -314,7 +314,7 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
 
 
 def _every_order_ends_on(
-    learner: Learner, core: tuple[int, ...], target: int, oracle: SetSpec | None
+    learner: Learner, core: tuple[int, ...], target: int, oracle: SetSpec | None, max_steps=math.inf
 ) -> bool:
     """Whether the step learner ends on ``target`` after reading every order of ``core``.
 
@@ -330,12 +330,16 @@ def _every_order_ends_on(
     state and hypothesis, it decides all n! orders in n·2^(n−1) steps, and
     it checks order-independence rather than assuming it.  The walk's first
     leaf, the core in its own order, is stepped flat first (``step_through``):
-    most failing cores fail there, without a memo.
+    most failing cores fail there, without a memo.  An unhashable state raises
+    ``TypeError``; past ``max_steps`` steps, the flat ones included, it is False,
+    and a core too large to pass within them is not stepped at all.
     """
-    if step_through(learner, core, oracle) != target:
+    n = len(core)  # a walk that passes leaves each subset once per datum it lacks
+    if n * 2 ** (n - 1) > max_steps - n or step_through(learner, core, oracle) != target:
         return False
-    full = (1 << len(core)) - 1
+    full = (1 << n) - 1
     passed: set[tuple] = set()
+    steps = itertools.count(n + 1)  # numbers the walk's steps after the flat ones
 
     def walk(consumed: int, state, last) -> bool:
         if consumed == full:
@@ -346,13 +350,18 @@ def _every_order_ends_on(
         for i, datum in enumerate(core):
             bit = 1 << i
             if not consumed & bit:
+                if next(steps) > max_steps:
+                    return False
                 after, hypothesis = resolve_step(learner, state, datum, oracle)
                 if not walk(consumed | bit, after, last if hypothesis is None else hypothesis):
                     return False
         passed.add(node)
         return True
 
-    return walk(0, learner.start, learner.first)
+    try:
+        return walk(0, learner.start, learner.first)
+    finally:
+        del walk  # it refers to itself: free its memo now, not at the next cyclic gc
 
 
 def search_trap_sets(
@@ -378,9 +387,10 @@ def search_trap_sets(
     queries.  With at most ``TRAP_ARRANGEMENT_LIMIT`` orders a memoized walk
     over its states decides every order (``_every_order_ends_on``); past the
     limit it is stepped through ``TRAP_SAMPLE_SIZE`` seeded orders, drawn
-    lazily from one stream the candidates share.  The decoy run is the one
-    program run.  A search that runs out of ``TRAP_MAX_CANDIDATES``
-    candidates returns unresolved with ``stats["exhausted_budget"]``.
+    lazily from one stream the candidates share, unless the first one ends
+    on 2k and the walk, within the sample's cost, passes every order and so
+    every drawn one.  The decoy run is the one program run.  Past ``TRAP_MAX_CANDIDATES``
+    candidates the search returns unresolved with ``stats["exhausted_budget"]``.
     """
     learner = registry[m_id]
     if learner.step is None:
@@ -410,7 +420,11 @@ def search_trap_sets(
         if exhaustive:
             return _every_order_ends_on(learner, core, 2 * k, interval)
         orders = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
-        return all(step_through(learner, order, interval) == 2 * k for order in orders)
+        ends_on = (step_through(learner, order, interval) == 2 * k for order in orders)
+        if not all(itertools.islice(ends_on, 1)):
+            return False
+        walked = _every_order_ends_on(learner, core, 2 * k, interval, TRAP_SAMPLE_SIZE * core_size)
+        return walked or all(ends_on)
 
     # In lexicographic order the first TRAP_MAX_CANDIDATES + 1 combinations of
     # r elements use only the first r + TRAP_MAX_CANDIDATES of them.

@@ -24,7 +24,7 @@ CRITERIA = ("PRT", "PSD", "PMC")
 EXHAUSTIVE_ARRANGEMENT_LIMIT = 100_000
 SAMPLED_ARRANGEMENTS = 10_000
 # Longest text a characteristic-sample check takes.  The walk nests one
-# generator per letter, so a one-letter universe, which stays exhaustive up to
+# call per letter, so a one-letter universe, which stays exhaustive up to
 # 100,000 letters, would pass the interpreter's recursion limit near 1,000.
 CHECK_MAX_TEXT_LEN = 100
 
@@ -149,37 +149,57 @@ def _sampled_sequences(
         yield tuple(seq)
 
 
-def _walked_outputs(
-    learner: Learner,
-    universe: list[int],
-    sample: Sequence[int],
-    max_len: int,
-    oracle: SetSpec | None,
-):
-    """Each word of length 1..max_len over ``universe`` that holds every element of
-    ``sample``, with the step learner's output on it, in ``itertools.product`` order.
+def _walk_covering_words(
+    learner: Learner, universe: list[int], sample: list[int], max_len: int, oracle: SetSpec | None
+) -> tuple[int, int | None, tuple[int, ...] | None, int | None]:
+    """``(words, locked, bad, output)`` over the words of length 1..max_len over
+    ``universe`` that hold all of ``sample``, in ``itertools.product`` order:
+    the first word whose output is None or not the first word's, ``locked``,
+    with its output (both None if none), and the count of words before it.
 
-    For each length the walk steps the learner depth first, once per prefix,
-    and drops a prefix as soon as the sample elements it misses outnumber the
-    slots left after it, so every prefix it steps begins a covering word.
+    The walk steps the learner once per prefix, over any letter while fewer
+    sample elements are missing than slots remain, else over the missing ones
+    in universe order.  A node whose words all ended on ``locked`` is counted
+    again, not walked: its key (slots left, state, last hypothesis, missing
+    elements) decides them, so an unhashable state raises ``TypeError``.
     """
     bits = {x: 1 << i for i, x in enumerate(sample)}
+    needed = [(x, bits[x]) for x in universe if x in bits]
+    counted: dict[tuple, int] = {}
+    locked = bad = output = None
 
-    def below(prefix, slots, state, last, missing):
-        for x in universe:
-            left = missing & ~bits.get(x, 0)
-            if left.bit_count() >= slots:
-                continue
+    def below(prefix, slots, state, last, missing) -> int:
+        nonlocal locked, bad, output
+        node = (slots, state, last, missing)
+        if node in counted:
+            return counted[node]
+        words = 0
+        letters = universe if missing.bit_count() < slots else [x for x, b in needed if missing & b]
+        for x in letters:
             after, hypothesis = resolve_step(learner, state, x, oracle)
-            word = prefix + (x,)
-            output = last if hypothesis is None else hypothesis
-            if slots == 1:
-                yield word, output
+            out = last if hypothesis is None else hypothesis
+            if slots > 1:
+                words += below(prefix + (x,), slots - 1, after, out, missing & ~bits.get(x, 0))
+                if bad is not None:
+                    return words
+            elif out is None or locked not in (None, out):
+                bad, output = prefix + (x,), out
+                return words
             else:
-                yield from below(word, slots - 1, after, output, left)
+                locked = out
+                words += 1
+        counted[node] = words
+        return words
 
-    for length in range(1, max_len + 1):
-        yield from below((), length, learner.start, learner.first, (1 << len(bits)) - 1)
+    words, full = 0, (1 << len(bits)) - 1
+    try:
+        for length in range(max(1, len(bits)), max_len + 1):
+            words += below((), length, learner.start, learner.first, full)
+            if bad is not None:
+                break
+    finally:
+        del below  # it refers to itself: free its memo now, not at the next cyclic gc
+    return words, locked, bad, output
 
 
 def check_characteristic_sample(
@@ -207,13 +227,12 @@ def check_characteristic_sample(
     starts no program.  The target answers its queries when ``use_oracle`` is
     set.  A sample element above ``max_universe`` is in no sequence over the
     universe, so no sequence covers the sample.
-    Exhaustive mode walks the covering words in ``itertools.product`` order,
-    stepping the learner once per prefix (see ``_walked_outputs``).  Sampled
-    mode draws with ``getrandbits`` rejection draws, the seeded stream that
-    ``randint``, ``choice`` and ``shuffle`` give (see ``_sampled_sequences``),
-    keeps the covering ones and steps the learner through each
-    (``step_through``); a repeat counts again in ``covering_prefixes_checked``.
-    Either way the verdict is that of running the learner on each sequence.
+    Exhaustive mode walks the covering words in ``itertools.product`` order
+    and memoizes the learner's states (``_walk_covering_words``); sampled mode
+    steps the learner (``step_through``) through each covering sequence of the
+    seeded ``getrandbits`` stream that ``randint``, ``choice`` and ``shuffle``
+    give (``_sampled_sequences``), counting repeats in ``covering_prefixes_checked``.
+    Both stop at the first bad output; the verdict is that of a run on each.
     """
     if max_text_len > CHECK_MAX_TEXT_LEN:
         raise ValueError(f"max_text_len {max_text_len} is above {CHECK_MAX_TEXT_LEN}")
@@ -239,27 +258,23 @@ def check_characteristic_sample(
         return Verdict(False, "no-covering-prefix", {"exhaustive": exhaustive})
     oracle = target if use_oracle else None
     if exhaustive:
-        outputs = _walked_outputs(learner, universe, sample, max_text_len, oracle)
-    else:
-        sequences = filter(
-            set(sample).issubset,
-            _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS),
+        words, locked, bad, output = _walk_covering_words(
+            learner, universe, sample, max_text_len, oracle
         )
-        outputs = ((seq, step_through(learner, seq, oracle)) for seq in sequences)
-    locked: int | None = None
-    checked = 0
-    for seq, output in outputs:
-        checked += 1
-        if output is None:
-            return Verdict(False, "no-output", {"prefix": list(seq)})
-        if locked is None:
-            locked = output
-        elif output != locked:
-            return Verdict(
-                False,
-                "output-not-fixed",
-                {"prefix": list(seq), "output": output, "expected": locked},
-            )
+    else:
+        words, locked, bad = 0, None, None
+        drawn = _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS)
+        for seq in filter(set(sample).issubset, drawn):
+            output = step_through(learner, seq, oracle)
+            if output is None or locked not in (None, output):
+                bad = seq
+                break
+            locked, words = output, words + 1
+    if bad is not None and output is None:
+        return Verdict(False, "no-output", {"prefix": list(bad)})
+    if bad is not None:
+        details = {"prefix": list(bad), "output": output, "expected": locked}
+        return Verdict(False, "output-not-fixed", details)
     if locked is None:
         return Verdict(False, "no-covering-prefix", {"exhaustive": exhaustive})
     if not hypothesis_correct(family, locked, target_index):
@@ -269,7 +284,7 @@ def check_characteristic_sample(
         "ok",
         {
             "locked_output": locked,
-            "covering_prefixes_checked": checked,
+            "covering_prefixes_checked": words,
             "exhaustive": exhaustive,
             "sample_size": len(sample),
         },

@@ -172,20 +172,20 @@ def require_increasing_poly(poly: list[int]) -> None:
         raise ValueError(f"poly must be increasing (some coefficient at degree >= 1), got {poly}")
 
 
-# Longest marker prefix a marker family may have.  Only msd-defeat builds it, one
-# tuple of ell 8-byte slots: under a 2 GB address-space limit, ell 105,713,070
-# (poly [4, 1]) runs in 828 MB, and 322,579,555 (poly [3, 2]) raises MemoryError.
+# Longest marker prefix msd-defeat may build, one tuple of ell 8-byte slots: under
+# a 2 GB address-space limit, ell 105,713,070 (poly [4, 1]) runs in 828 MB, and
+# 322,579,555 (poly [3, 2]) raises MemoryError.
 MARKER_MAX_PREFIX = 100_000_000
 
 
-def marker_prefix_length(poly: list[int], m_id: int, stretch: int) -> int:
+def marker_prefix_length(poly: list[int], m_id: int, stretch: int, cap: int | None) -> int:
     """ell of the marker family on ``poly`` trapping learner ``m_id``.
 
     ell = p*(stretch * t), t = <m, p*, 1>.  Raises ``ValueError`` when ell is
-    above ``MARKER_MAX_PREFIX``.  A pair is at least each of its arguments,
-    and an increasing p has p(x) >= x, so ell is at least t, p* and every
-    partial code of p*.  p* is paired up one coefficient at a time and each
-    bound is checked before the next step, so no code grows large.
+    above ``cap``, None for a family that never builds its prefix, or when a
+    partial code of p* passes ``MARKER_MAX_PREFIX``: p* is paired up one
+    coefficient at a time, so no code grows large.  A pair is at least each
+    of its arguments and an increasing p has p(x) >= x, so ell >= t >= p*.
     """
     code = poly[-1]
     for x in [*reversed(poly[:-1]), len(poly) - 1]:  # p* = pair(degree, encode_tuple(poly))
@@ -194,9 +194,10 @@ def marker_prefix_length(poly: list[int], m_id: int, stretch: int) -> int:
         code = pair(x, code)
     else:
         t = encode_tuple([m_id, code, 1])
-        if t <= MARKER_MAX_PREFIX and (ell := poly_eval(code, stretch * t)) <= MARKER_MAX_PREFIX:
-            return ell
-    cap = MARKER_MAX_PREFIX
+        if cap is None or (t <= cap and poly_eval(code, stretch * t) <= cap):
+            return poly_eval(code, stretch * t)
+    if cap is None:
+        raise ValueError(f"poly {poly} gives a marker family code above {MARKER_MAX_PREFIX}")
     raise ValueError(f"poly {poly} gives learner {m_id} a marker prefix longer than {cap}")
 
 
@@ -208,15 +209,15 @@ class MsdFamily(IndexedFamily):
     attacked learner's query ceiling on the marker stream of length
     ``marker_prefix_length``; all other indices use floor 0.  ``stretch`` is
     3 inside the merged family, which holds member t at index 2t+1 <= 3t, and
-    1 elsewhere.
+    1 elsewhere; ``cap`` bounds ell as in ``marker_prefix_length``.
     """
 
-    def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int, stretch: int):
+    def __init__(self, registry: dict, m_id: int, p_code: int, stretch: int, cap: int | None):
         poly = list(poly_decode(p_code))
         require_increasing_poly(poly)
         self.learner = registry[m_id]  # unregistered ids fail here
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
-        self.ell = marker_prefix_length(poly, m_id, stretch)
+        self.ell = marker_prefix_length(poly, m_id, stretch, cap)
         self.query_ceiling = adversary.compute_q(self.learner, self.ell)
         self.markers = frozenset({adversary.marker_element(0)})
         self.floor = max(self.query_ceiling, max(self.markers))
@@ -229,8 +230,8 @@ class MsdFamily(IndexedFamily):
         return n  # described numbers differ, so members are pairwise distinct
 
 
-def make_msd(registry: dict[int, Learner], m_id: int, p_code: int) -> MsdFamily:
-    return MsdFamily(registry, m_id, p_code, 1)
+def make_msd(registry: dict[int, Learner], m_id: int, p_code: int, cap=MARKER_MAX_PREFIX):
+    return MsdFamily(registry, m_id, p_code, 1, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +359,7 @@ class MergedFamily(IndexedFamily):
     """
 
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
-        self.descriptors = MsdFamily(registry, m_id, p_code, MERGED_STRETCH)
+        self.descriptors = MsdFamily(registry, m_id, p_code, MERGED_STRETCH, None)
         self.chains = CsdFamily(3)
 
     def member(self, n):

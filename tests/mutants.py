@@ -41,7 +41,11 @@ class Mutant(NamedTuple):
 
 SESSION = "src/txtex_lab/session.py"
 AGENTS = "src/txtex_lab/agents.py"
+ADVERSARY = "src/txtex_lab/adversary.py"
+EVALUATE = "src/txtex_lab/evaluate.py"
 SESSION_PROPERTIES = "tests/test_session_properties.py"
+STEP_PROPERTIES = "tests/test_step_properties.py"
+CHAR_SAMPLE_PROPERTIES = "tests/test_char_sample_properties.py"
 
 MUTANTS = [
     # run_session's tick check lets one action run past the budget
@@ -95,7 +99,7 @@ MUTANTS = [
         "    if learner.first is not None:\n        yield emit(learner.first)\n",
         "",
         (
-            "tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",
+            f"{STEP_PROPERTIES}::test_a_derived_program_is_its_table_unrolled",
             f"{SESSION_PROPERTIES}::"
             "test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session[composed]",
         ),
@@ -141,7 +145,7 @@ MUTANTS = [
         SESSION,
         "        if hypothesis is not None:\n            last = hypothesis\n",
         "        last = hypothesis\n",
-        ("tests/test_step_properties.py::test_a_derived_program_is_its_table_unrolled",),
+        (f"{STEP_PROPERTIES}::test_a_derived_program_is_its_table_unrolled",),
     ),
     # the marker family's floor ignores the query ceiling
     Mutant(
@@ -152,31 +156,85 @@ MUTANTS = [
     ),
     # compute_q's marker run stops one marker short of the prefix
     Mutant(
-        "src/txtex_lab/adversary.py",
+        ADVERSARY,
         "marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))",
         "marker_stream(min(ell - 1, COMPUTE_Q_MAX_ACTIONS))",
         ("tests/test_defeat_properties.py::test_the_marker_trap_defeats_every_oracle_learner",),
     ),
     # the trap walk memoizes on the consumed subset alone
     Mutant(
-        "src/txtex_lab/adversary.py",
+        ADVERSARY,
         "node = (consumed, state, last)",
         "node = consumed",
-        ("tests/test_step_properties.py::test_the_walk_decides_every_order",),
+        (f"{STEP_PROPERTIES}::test_the_walk_decides_every_order",),
     ),
-    # the covering-word walk prunes a prefix one slot early
+    # the covering-word walk keeps to the missing letters one slot early
     Mutant(
-        "src/txtex_lab/evaluate.py",
-        "if left.bit_count() >= slots:",
-        "if left.bit_count() >= slots - 1:",
+        EVALUATE,
+        "if missing.bit_count() < slots else",
+        "if missing.bit_count() < slots - 1 else",
         (
-            "tests/test_char_sample_properties.py::test_the_walk_yields_the_covering_product_words_in_order",
-            "tests/test_step_properties.py::test_the_covering_word_walk_gives_each_run_output",
+            f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",
+            f"{STEP_PROPERTIES}::test_the_covering_word_walk_folds_each_run_output",
         ),
+    ),
+    # the covering-word walk's memo forgets the last hypothesis
+    Mutant(
+        EVALUATE,
+        "node = (slots, state, last, missing)",
+        "node = (slots, state, missing)",
+        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
+    ),
+    # the covering-word walk's memo forgets which sample elements are missing
+    Mutant(
+        EVALUATE,
+        "node = (slots, state, last, missing)",
+        "node = (slots, state, last)",
+        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
+    ),
+    # the covering-word walk takes the missing letters in sample order, not universe order
+    # (the check itself sorts its sample and its universe, so only the walk's own test sees it)
+    Mutant(
+        EVALUATE,
+        "needed = [(x, bits[x]) for x in universe if x in bits]",
+        "needed = [(x, bit) for x, bit in bits.items() if x in universe]",
+        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
+    ),
+    # the covering-word walk's memo lives on in a reference cycle until the next gc
+    Mutant(
+        EVALUATE,
+        "        del below  # it refers to itself: free its memo now, not at the next cyclic gc\n",
+        "        pass\n",
+        (f"{STEP_PROPERTIES}::test_the_walks_leave_no_cyclic_garbage",),
+    ),
+    # a sampled core whose walk fails or runs past its bound fails without the rest of the sample
+    Mutant(
+        ADVERSARY,
+        "        return walked or all(ends_on)\n",
+        "        return walked\n",
+        (
+            "tests/test_adversary.py::test_a_walk_past_its_bound_falls_back_to_the_drawn_orders",
+            "tests/test_adversary.py::"
+            "test_a_sampled_search_gets_the_verdict_of_runs_over_the_seeded_orders[even-guesser]",
+        ),
+    ),
+    # a core whose walk could just pass within its bound is not walked
+    Mutant(
+        ADVERSARY,
+        "if n * 2 ** (n - 1) > max_steps - n or",
+        "if n * 2 ** (n - 1) >= max_steps - n or",
+        ("tests/test_adversary.py::test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound",),
+    ),
+    # the trap walk's memo lives on in a reference cycle until the next gc
+    Mutant(
+        ADVERSARY,
+        "        del walk  # it refers to itself: free its memo now, not at the next cyclic gc\n",
+        "        pass\n",
+        (f"{STEP_PROPERTIES}::test_the_walks_leave_no_cyclic_garbage",),
     ),
     # chain forcing's fresh teacher never hears the prefix
     Mutant(
-        "src/txtex_lab/adversary.py",
+        ADVERSARY,
         "                    for datum in sigma:\n                        teacher.on_input(datum)\n",
         "",
         (

@@ -24,7 +24,9 @@ convergence judged on raw positions.  It builds no learner program.
 It also draws step learners as tables: ``step_tables`` gives a start state,
 a step table over ``STEP_DATA`` whose outputs include queries, and the table
 the step reads a query's answer from; ``derived_learner`` builds them with
-``Learner.from_step``, with an optional first hypothesis.
+``Learner.from_step``, with an optional first hypothesis.  ``last_emission``
+is a step learner's output on a word by a run, and ``fold_outputs`` folds
+such outputs as the characteristic-sample walk must.
 ``composed_script`` states as a script what a step learner composed with a
 teacher by ``compose_pair``, or gated by ``agents.convert_psdT_to_pmc``,
 does over the raw data, so the same reference covers both.
@@ -52,6 +54,7 @@ from txtex_lab.session import (
     Teacher,
     Work,
     query,
+    run_on_sequence,
 )
 
 UNSEEN = 100  # above every drawn text element, so no teacher input ever holds it
@@ -352,3 +355,21 @@ def outcome(run):
         return run()
     except (TypeError, ValueError) as error:
         return type(error)
+
+
+def last_emission(learner, word, oracle=None):
+    """The last hypothesis a run of ``learner`` over ``word`` emits, or None."""
+    return (run_on_sequence(learner, word, oracle=oracle).emissions or [None])[-1]
+
+
+def fold_outputs(words, output_of):
+    """``evaluate._walk_covering_words``'s ``(words, locked, bad, output)``, by a loop over
+    ``words``: the first word whose output is None or not the first word's, and the count
+    before it."""
+    count, locked = 0, None
+    for word in words:
+        output = output_of(word)
+        if output is None or (locked is not None and output != locked):
+            return count, locked, word, output
+        count, locked = count + 1, output
+    return count, locked, None, None

@@ -557,6 +557,83 @@ def test_sampled_trap_search_draws_one_arrangement_per_failing_candidate(registr
     assert orders == [tuple(rng.sample((INTERVAL_K2[0], *combo), 9)) for combo in combos]
 
 
+def test_a_sampled_core_the_walk_passes_steps_one_drawn_order(registry, monkeypatch):
+    """Learner 1 at x+3 steps the first drawn order, then the walk passes all 9! orders.
+
+    The walk steps its own first order flat, and memoizes the rest: two
+    ``step_through`` calls decide the core that 10,000 drawn orders would.
+    """
+    orders = []
+    monkeypatch.setattr(adversary, "step_through", recording(orders, adversary.step_through))
+    trap = adversary.search_trap_sets(registry, 1, poly_encode([3, 1]), 2, seed=3)
+    core = tuple(INTERVAL_K2[:9])
+    assert sorted(trap.trap_core) == list(core) and trap.resolved
+    assert trap.stats["exhaustive_arrangements"] is False
+    assert trap.stats["arrangements_per_candidate"] == 10_000
+    assert orders == [tuple(random.Random(3).sample(core, 9)), core]
+
+
+def test_a_walk_past_its_bound_falls_back_to_the_drawn_orders(registry, monkeypatch):
+    """A learner whose states never merge (its state is the data read) outgrows the walk's
+    bound on a 9-element core; the rest of the sample then decides, as stepping the whole
+    sample decides.
+
+    The bound is the sample's own cost, so the search takes more steps than
+    the sample does, but at most twice as many.
+    """
+    size = 300
+    monkeypatch.setattr(adversary, "TRAP_SAMPLE_SIZE", size)
+    even_guesser = registry[1]
+    steps = []
+
+    def step(read, datum):
+        steps.append(datum)
+        return read + (datum,), even_guesser.step(None, datum)[1]
+
+    learner = Learner.from_step("data-keeper", (), step, "drawn")
+    drawn = []
+    rng = random.Random(3)
+
+    def orders_of(core):
+        for _ in range(size):
+            drawn.append(rng.sample(core, len(core)))
+            yield drawn[-1]
+
+    want = search_by_runs(learner, 2, [3, 1], orders_of)
+    steps.clear()
+    got = adversary.search_trap_sets({5: learner}, 5, poly_encode([3, 1]), 2, seed=3)
+    assert got.stats["exhaustive_arrangements"] is False
+    assert (got.trap_core, got.stats["candidates_checked"]) == want
+    assert sorted(got.decoys) == INTERVAL_K2[:17]
+    sample_steps = sum(map(len, drawn))
+    assert sample_steps == 9 * size
+    assert sample_steps < len(steps) - 9 <= 2 * sample_steps  # less the decoy run's 9 steps
+
+
+def test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound(registry):
+    """A walk that passes leaves each of the 2^n subsets once per datum it lacks.
+
+    Learner 1's orders all merge, so on 10 elements it takes exactly those
+    10·2^9 steps after the 10 flat ones; one step less of bound, and the
+    core is not stepped at all.
+    """
+    even_guesser = registry[1]
+    steps = []
+
+    def step(state, datum):
+        steps.append(datum)
+        return even_guesser.step(state, datum)
+
+    learner = Learner.from_step("counted", None, step, "drawn")
+    core, interval = tuple(INTERVAL_K2[:10]), adversary.trap_interval(2)
+    least = 10 + 10 * 2**9
+    assert adversary._every_order_ends_on(learner, core, 4, interval, least)
+    assert len(steps) == least
+    steps.clear()
+    assert not adversary._every_order_ends_on(learner, core, 4, interval, least - 1)
+    assert steps == []
+
+
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))
 def test_search_trap_sets_k2_is_pinned(registry, m_id, p_coeffs):
     trap = adversary.search_trap_sets(registry, m_id, poly_encode(list(p_coeffs)), 2, seed=0)

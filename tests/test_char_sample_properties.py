@@ -1,16 +1,17 @@
 """The characteristic-sample check's sequence sources and its walk against their plain forms.
 
-Exhaustive mode walks only the covering words; it must give exactly the
-covering words of the full product, in product order.  Sampled mode draws
-with ``getrandbits``; it must give exactly the stream that ``randint``,
-``choice`` and ``shuffle`` give for the same seed.  In either mode the check
-steps a step learner; it must give the verdict, or the error, of running the
-learner's derived program over each covering sequence through
-``run_on_sequence``.
+Exhaustive mode walks only the covering words; it must fold them as a run
+over each covering word of the full product, in product order, would.
+Sampled mode draws with ``getrandbits``; it must give exactly the stream
+that ``randint``, ``choice`` and ``shuffle`` give for the same seed.  In
+either mode the check steps a step learner; it must give the verdict, or the
+error, of running the learner's derived program over each covering sequence
+through ``run_on_sequence``.
 """
 
 import itertools
 import random
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -19,21 +20,26 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from session_scripts import derived_learner, outcome, step_tables
+from session_scripts import derived_learner, fold_outputs, last_emission, outcome, step_tables
 
 from txtex_lab import evaluate
 from txtex_lab.codec import poly_encode
 from txtex_lab.evaluate import (
     Verdict,
     _sampled_sequences,
-    _walked_outputs,
+    _walk_covering_words,
     check_characteristic_sample,
     hypothesis_correct,
 )
 from txtex_lab.session import Learner, run_on_sequence
 from txtex_lab.sets import FiniteSet
 
-SILENT = Learner.from_step("silent", None, lambda state, datum: (state, None), "drawn")
+# emits 0 before its first read and nothing after, so every word ends on 0
+SILENT = Learner.from_step("silent", None, lambda state, datum: (state, None), "drawn", 0)
+# emits its first datum alone, so a word's output is its first letter
+FIRST_LETTER = Learner.from_step(
+    "first-letter", True, lambda fresh, datum: (False, datum if fresh else None), "drawn"
+)
 
 
 def filtered_product(universe, sample_set, max_len):
@@ -43,20 +49,38 @@ def filtered_product(universe, sample_set, max_len):
     return [word for word in words if sample_set.issubset(word)]
 
 
+@st.composite
+def mostly_agreeing_learners(draw):
+    """A step learner over 1–4 states and the data 0–6 whose steps mostly emit 1.
+
+    Its output depends on the word, through the states it merges and the
+    hypotheses it keeps when a step emits nothing, so a walk that takes the
+    words out of order, or counts a node for the wrong words, reads another
+    output; as most words end on 1, the fold reaches far into the product.
+    """
+    states = draw(st.integers(1, 4))
+    entry = st.tuples(st.integers(0, states - 1), st.sampled_from([1] * 8 + [None, None, 2]))
+    table = {(s, datum): draw(entry) for s in range(states) for datum in range(7)}
+    first = draw(st.sampled_from([None, 1, 2]))
+    return Learner.from_step("agreeing", 0, lambda state, datum: table[state, datum], "drawn", first)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
+    learner=mostly_agreeing_learners(),
     universe=st.lists(st.integers(0, 6), unique=True, max_size=5),
     sample=st.frozensets(st.integers(0, 8), max_size=3),
     max_len=st.integers(0, 4),
 )
-@example(universe=[], sample=frozenset(), max_len=3)
-@example(universe=[5], sample=frozenset({5}), max_len=3)
-@example(universe=[2, 1], sample=frozenset({1}), max_len=2)
-@example(universe=[1, 2], sample=frozenset({1, 9}), max_len=3)  # 9 is never covered
-def test_the_walk_yields_the_covering_product_words_in_order(universe, sample, max_len):
-    # the universe is drawn in any order, so a walker that yields in sorted or set order fails
-    words = [word for word, _ in _walked_outputs(SILENT, universe, sorted(sample), max_len, None)]
-    assert words == filtered_product(universe, sample, max_len)
+@example(learner=SILENT, universe=[], sample=frozenset(), max_len=3)
+@example(learner=SILENT, universe=[5], sample=frozenset({5}), max_len=3)
+@example(learner=SILENT, universe=[2, 1], sample=frozenset({1}), max_len=2)
+@example(learner=SILENT, universe=[1, 2], sample=frozenset({1, 9}), max_len=3)  # 9 is never covered
+@example(learner=FIRST_LETTER, universe=[2, 1], sample=frozenset({1, 2}), max_len=2)
+def test_the_walk_folds_the_covering_product_words_in_order(learner, universe, sample, max_len):
+    # the universe is drawn in any order, so a walk that takes sorted or sample order fails
+    want = fold_outputs(filtered_product(universe, sample, max_len), partial(last_emission, learner))
+    assert _walk_covering_words(learner, universe, sorted(sample), max_len, None) == want
 
 
 class DrawnFamily:

@@ -216,8 +216,8 @@ class Raw(NamedTuple):
         ),
         (
             "msd-linear",
-            {"poly": [0, 1, 6]},
-            "poly [0, 1, 6] gives learner 0 a marker prefix longer than 100000000",
+            {"poly": [99999, 1]},
+            "poly [99999, 1] gives a marker family code above 100000000",
         ),
         (
             "msd-defeat",
@@ -226,8 +226,8 @@ class Raw(NamedTuple):
         ),
         (
             "merged-split",
-            {"poly": [4, 1]},
-            "poly [4, 1] gives learner 0 a marker prefix longer than 100000000",
+            {"poly": [99999, 1]},
+            "poly [99999, 1] gives a marker family code above 100000000",
         ),
         (
             "msd-defeat",
@@ -450,14 +450,14 @@ def test_marker_prefix_length_is_the_family_ell():
         for m_id in m_ids:
             for stretch in (1, families.MERGED_STRETCH):
                 t = encode_tuple([m_id, p_code, 1])
-                assert families.marker_prefix_length(poly, m_id, stretch) == (
+                assert families.marker_prefix_length(poly, m_id, stretch, None) == (
                     poly_eval(p_code, stretch * t)
                 )
             assert families.make_msd(registry, m_id, p_code).ell == (
-                families.marker_prefix_length(poly, m_id, 1)
+                families.marker_prefix_length(poly, m_id, 1, families.MARKER_MAX_PREFIX)
             )
             assert families.make_merged(registry, m_id, p_code).descriptors.ell == (
-                families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH)
+                families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH, None)
             )
 
 
@@ -470,30 +470,44 @@ def test_marker_prefix_length_is_the_family_ell():
         ("msd-defeat", {"learner_ids": [3], "poly": [1, 2, 0]}, 81_911_543),
         ("merged-split", {"learner_id": 3, "poly": [2, 2]}, 89_615_048),
         ("msd-defeat", {"learner_ids": [3], "poly": [4, 1]}, None),
-        ("merged-split", {"learner_id": 3, "poly": [1, 2, 0]}, None),
+        ("merged-split", {"learner_id": 3, "poly": [1, 2, 0]}, 245_734_627),
         ("msd-linear", {"learner_id": 4, "poly": [1] * 64}, None),
+        ("merged-split", {"learner_id": 3, "poly": [4, 1]}, 317_139_202),
+        (
+            "msd-linear",
+            {"learner_id": 0, "poly": [0, 1, 6]},
+            240_254_518_123_360_008_721_381_658_745_868_144_114_880,
+        ),
+        ("merged-split", {"learner_id": 3, "poly": [99999, 1]}, None),
     ],
 )
-def test_marker_prefix_cap_admits_what_runs(experiment, config, ell):
-    """Prefixes that run under a 2 GB address-space limit pass the value check; longer ones do not.
+def test_marker_prefix_cap_admits_what_runs(experiment, config, ell, tmp_path):
+    """msd-defeat, the one experiment that builds its prefix, admits the prefixes that run
+    under a 2 GB address-space limit; the others admit any prefix whose codes stay small.
 
-    msd-defeat, the one experiment that builds its prefix, ran the largest
-    admitted ell there in 647 MB, and the smallest rejected one, [4, 1], in
-    828 MB; the cap is kept, so no config changes verdict.  A 64-coefficient
-    poly is rejected after a few pairs, before its code grows large.
+    msd-defeat ran the largest admitted ell there in 647 MB, and the smallest
+    rejected one, [4, 1], in 828 MB.  msd-linear and merged-split read at most
+    ``adversary.COMPUTE_Q_MAX_ACTIONS`` markers of their prefix, so only a
+    partial code of p* above ``MARKER_MAX_PREFIX`` refuses them, before any
+    code grows large: a 64-coefficient poly after a few pairs; an admitted
+    prefix past the cap runs to exit 0.  ``ell`` None is a refusal.
     """
     spec = EXPERIMENTS[experiment]
     merged = {**spec.defaults, **config}
     [m_id] = merged.get("learner_ids", [merged.get("learner_id")])
     stretch = families.MERGED_STRETCH if experiment == "merged-split" else 1
+    cap = families.MARKER_MAX_PREFIX if experiment == "msd-defeat" else None
     if ell is None:
-        with pytest.raises(ValueError, match="marker prefix longer than"):
-            families.marker_prefix_length(merged["poly"], m_id, stretch)
-        with pytest.raises(experiments.ConfigError, match="marker prefix longer than"):
+        refusal = "marker prefix longer than" if cap else "marker family code above"
+        with pytest.raises(ValueError, match=f"{refusal} 100000000"):
+            families.marker_prefix_length(merged["poly"], m_id, stretch, cap)
+        with pytest.raises(experiments.ConfigError, match=refusal):
             spec.check_values(merged)
     else:
-        assert families.marker_prefix_length(merged["poly"], m_id, stretch) == ell
+        assert families.marker_prefix_length(merged["poly"], m_id, stretch, cap) == ell
         spec.check_values(merged)
+        if ell > families.MARKER_MAX_PREFIX:
+            assert experiments.run_experiment(experiment, config, tmp_path / "run") == 0
 
 
 # VmHWM, not ru_maxrss, which Linux carries across fork and exec from the test runner.
@@ -516,7 +530,7 @@ def test_marker_defeat_holds_one_copy_of_its_prefix(tmp_path):
     1.5 prefixes of 8-byte slots: the prefix is one tuple, which the texts share."""
     if not Path("/proc/self/status").exists():
         pytest.skip("reads the peak resident set from Linux procfs")
-    ell = families.marker_prefix_length([1, 2], 0, 1)
+    ell = families.marker_prefix_length([1, 2], 0, 1, families.MARKER_MAX_PREFIX)
     assert ell == 2_212_655
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

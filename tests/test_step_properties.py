@@ -12,11 +12,14 @@ oracle, under ``session_scripts``' reference.  ``step_through`` must give
 the run's last emission.  The trap search's memoized walk
 (``adversary._every_order_ends_on``) must give the outcome of running every
 order of a drawn core through ``run_on_sequence``, and the
-characteristic-sample walk (``evaluate._walked_outputs``) the last emission
-of a run over each word: the same value, or the same error, empty input
-included.
+characteristic-sample walk (``evaluate._walk_covering_words``) the fold of
+the last emissions of a run over each word, up to the first word that ends
+on None or on another hypothesis: the same value, or the same error, empty
+input included.  Both walks memoize the learner's states, and free their
+memos when they return.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -31,6 +34,8 @@ from session_scripts import (
     STEP_DATA,
     TICK_OFFSETS,
     derived_learner,
+    fold_outputs,
+    last_emission,
     oracles,
     outcome,
     reference_session,
@@ -38,10 +43,10 @@ from session_scripts import (
     ticks_and_taken,
 )
 
-from txtex_lab import families
-from txtex_lab.adversary import _every_order_ends_on
+from txtex_lab import agents, families
+from txtex_lab.adversary import _every_order_ends_on, search_trap_sets
 from txtex_lab.codec import poly_encode
-from txtex_lab.evaluate import _walked_outputs, check_characteristic_sample
+from txtex_lab.evaluate import _walk_covering_words, check_characteristic_sample
 from txtex_lab.session import (
     READ,
     Budget,
@@ -97,11 +102,6 @@ def unrolled_script(start, table, answers, first, raw, members):
         if out is not None:
             script.append(("emit", out))
     return script + [("read", 0)]  # the learner wants more
-
-
-def last_emission(learner, word, oracle):
-    """The last hypothesis a run of ``learner`` over ``word`` emits, or None."""
-    return (run_on_sequence(learner, word, oracle=oracle).emissions or [None])[-1]
 
 
 @settings(max_examples=120, deadline=None)
@@ -177,12 +177,56 @@ def test_the_walk_decides_every_order(tables, first, core, target, members):
     max_len=st.integers(0, 3),
     members=oracles(),
 )
-def test_the_covering_word_walk_gives_each_run_output(tables, first, universe, max_len, members):
+def test_the_covering_word_walk_folds_each_run_output(tables, first, universe, max_len, members):
     learner = derived_learner(*tables, first)
     oracle = None if members is None else FiniteSet(members)
     words = [w for n in range(1, max_len + 1) for w in itertools.product(universe, repeat=n)]
-    want = outcome(lambda: [(word, last_emission(learner, word, oracle)) for word in words])
-    assert outcome(lambda: list(_walked_outputs(learner, universe, [], max_len, oracle))) == want
+    want = outcome(lambda: fold_outputs(words, lambda word: last_emission(learner, word, oracle)))
+    assert outcome(lambda: _walk_covering_words(learner, universe, [], max_len, oracle)) == want
+
+
+def test_both_walks_memoize_states_so_an_unhashable_state_is_refused():
+    learner = Learner.from_step("list-state", [], lambda read, datum: (read + [datum], 0), "drawn")
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        _every_order_ends_on(learner, (3, 4), 0, None)
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):
+        _walk_covering_words(learner, [3, 4], [], 2, None)
+
+
+def test_the_walks_leave_no_cyclic_garbage():
+    """Each walk is a closure that calls itself; it is freed on return, not by the cyclic gc.
+
+    The learners and families are built first: a ``Learner.from_step``
+    learner refers to itself through its program.
+    """
+    registry = agents.build_default_registry()
+    pcs_g, prober = families.make_basic_family("pcs-G"), agents.make_pcsG_oracle_learner()
+    offsets, offset_power = families.make_thm64_g(), agents.make_thm64_pcs_learner()
+    x_plus_2 = poly_encode([2, 1])
+    gc.collect()
+    gc.disable()
+    try:
+        verdicts = [
+            check_characteristic_sample(
+                lambda: prober, pcs_g, 5, [5], x_plus_2, max_text_len=4, max_universe=20
+            ),
+            check_characteristic_sample(
+                lambda: offset_power,
+                offsets,
+                6,
+                [6, 17],
+                x_plus_2,
+                max_text_len=3,
+                max_universe=18,
+                use_oracle=False,
+            ),
+        ]
+        trap = search_trap_sets(registry, 1, poly_encode([3, 1]), 2, seed=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(verdict.details["exhaustive"] for verdict in verdicts) and all(verdicts)
+    assert trap.resolved and not trap.stats["exhaustive_arrangements"]
 
 
 def test_a_second_query_on_one_datum_is_refused_by_the_program_and_both_walks():
