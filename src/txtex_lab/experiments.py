@@ -99,13 +99,13 @@ def _pow2_gap(config: dict) -> ExperimentResult:
         sessions = {"plain": plain, "oracle": oracle_run, "teacher-pair": pair}
         ended = [[n, name] for name, run in sessions.items() if run.end_reason == "ticks"]
         out_of_ticks += ended
-        if ended:  # the meter ran out, not the claim: this row decides nothing
-            continue
-        exponential = exponential and plain_distinct == 2**n + 1
-        ok = ok and plain.final_hypothesis == n == oracle_run.final_hypothesis
-        ok = ok and pair.final_hypothesis == n
-        ok = ok and queries <= (n + 2) ** 3
-        ok = ok and teacher_items <= n + 2
+        if not ended:  # a row whose meter ran out, not the claim, decides nothing
+            exponential = exponential and plain_distinct == 2**n + 1
+            ok = ok and plain.final_hypothesis == n == oracle_run.final_hypothesis
+            ok = ok and pair.final_hypothesis == n
+            ok = ok and queries <= (n + 2) ** 3
+            ok = ok and teacher_items <= n + 2
+        del plain, oracle_run, pair, sessions  # free index n's transcripts before n + 1 runs
     return ExperimentResult(
         columns=["n", "plain_distinct", "oracle_queries", "teacher_items"],
         rows=rows,

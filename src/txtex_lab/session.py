@@ -40,11 +40,12 @@ raw data while its buffer is empty; ``compose_pair`` makes one learner
 program that steps a step learner behind its own teacher.  Events and
 emission snapshots are named tuples; ``run_session`` builds each with
 ``tuple.__new__`` on its type, in C, which skips the arity check of the
-named tuple's own constructor, so every site passes all fields.  A teacher
-output is copied into a tuple only when it is non-empty.  The ledger is
-built once, when the session ends.  An event is ``(kind, payload)``: its
-step is its index in the event list, which ``events_jsonl`` writes as each
-line's ``step``, so the JSONL is the same.
+named tuple's own constructor, so every site passes all fields; it logs a
+repeated emit or any skip by its last record.  A teacher output is copied
+into a tuple only when it is non-empty.  The ledger is built once, when the
+session ends.  An event is ``(kind, payload)``: its step is its index in
+the event list, which ``events_jsonl`` writes as each line's ``step``, so
+the JSONL is the same.
 
 ``run_session`` is the one interpreter of learner programs: it alone gives
 actions their meaning, meters and budgets them.  Pairs and conversions
@@ -136,7 +137,8 @@ class Learner:
     ``program()`` starts a new generator on each call, so one learner serves
     any number of sessions and runs.  A learner made by ``from_step`` also
     keeps its ``start`` state, its ``first`` hypothesis and its ``step``,
-    which may ask one query per datum; any other has ``step`` None.
+    which may ask one query per datum, and derives its programs from them;
+    any other has ``step`` None and calls its ``make_program``.
     """
 
     start: Hashable = None
@@ -146,12 +148,16 @@ class Learner:
     def __init__(
         self,
         name: str,
-        make_program: Callable[[], LearnerProgram],
+        make_program: Callable[[], LearnerProgram] | None,
         cost_note: str = "one tick per action",
     ):
         self.name = name
-        self.program = make_program
+        self.make_program = make_program
         self.cost_note = cost_note
+
+    def program(self) -> LearnerProgram:
+        # a method, not a closure over the learner: a step learner is no reference cycle
+        return self.make_program() if self.step is None else _step_program(self, None)
 
     @classmethod
     def from_step(
@@ -165,7 +171,7 @@ class Learner:
         second ``Query`` raises ``TypeError``.  It emits ``first`` before its
         first read unless None, starts from ``start`` and declares no work.
         """
-        learner = cls(name, lambda: _step_program(learner, None), cost_note)
+        learner = cls(name, None, cost_note)
         learner.start = start
         learner.first = first
         learner.step = step
@@ -266,6 +272,8 @@ class Budget:
 
 @dataclass
 class SessionTranscript:
+    """A session's record; one event object may stand at several steps of ``events``."""
+
     events: list[Event]
     ledger: ResourceLedger
     emissions: list[EmissionSnapshot]
@@ -317,7 +325,9 @@ def run_session(
     judged on raw text positions: the elements a teacher took, or without a
     teacher the elements the learner took.  A ``Work`` whose units are not
     a positive ``int`` raises ``ValueError``, naming the learner, so every
-    action spends at least one tick.
+    action spends at least one tick.  The last ``Emit`` object again, or
+    any skip, logs the last such record again, so a transcript may hold one
+    record object at several steps.
     """
     max_ticks = budget.max_ticks
     horizon = budget.horizon
@@ -331,6 +341,8 @@ def run_session(
     convergence: EmissionSnapshot | None = None  # first emission of the latest value
     end_reason = "idle"
     source = text.stream()
+    last_emit = emit_event = None  # the last Emit action and its record
+    skip_event = new(Event, ("skip", ()))
 
     if teacher is not None:
         on_input = teacher.on_input
@@ -386,11 +398,14 @@ def run_session(
                     result = element
                 else:
                     skips += 1
-                    append(new(Event, ("skip", ())))
+                    append(skip_event)
             elif kind is Emit:
                 hypothesis = action.hypothesis
                 ticks += 1
-                append(new(Event, ("emit", (hypothesis,))))
+                if action is not last_emit:
+                    last_emit = action
+                    emit_event = new(Event, ("emit", (hypothesis,)))
+                append(emit_event)
                 snapshot = new(EmissionSnapshot, (hypothesis, raw, ticks, len(seen_data), queries))
                 emissions.append(snapshot)
                 if convergence is None:

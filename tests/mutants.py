@@ -232,6 +232,31 @@ MUTANTS = [
         "        pass\n",
         (f"{STEP_PROPERTIES}::test_the_walks_leave_no_cyclic_garbage",),
     ),
+    # a session reuses an emit record for an equal action, not the same one: 1 and True merge
+    Mutant(
+        SESSION,
+        "                if action is not last_emit:\n",
+        "                if action != last_emit:\n",
+        (f"{SESSION_PROPERTIES}::test_a_repeated_emit_or_skip_logs_its_last_record_again",),
+    ),
+    # a step learner's program is a closure over the learner again: a reference cycle
+    Mutant(
+        SESSION,
+        "        learner = cls(name, None, cost_note)\n",
+        "        learner = cls(name, lambda: _step_program(learner, None), cost_note)\n",
+        (
+            f"{STEP_PROPERTIES}::test_a_step_learner_is_freed_with_its_last_reference",
+            f"{STEP_PROPERTIES}::test_the_walks_leave_no_cyclic_garbage",
+        ),
+    ),
+    # pow2-gap holds index n - 1's transcripts while index n runs
+    Mutant(
+        "src/txtex_lab/experiments.py",
+        "        del plain, oracle_run, pair, sessions"
+        "  # free index n's transcripts before n + 1 runs\n",
+        "",
+        ("tests/test_experiments.py::test_pow2_gap_holds_one_index_of_transcripts",),
+    ),
     # chain forcing's fresh teacher never hears the prefix
     Mutant(
         ADVERSARY,

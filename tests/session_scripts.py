@@ -23,7 +23,8 @@ convergence judged on raw positions.  It builds no learner program.
 
 It also draws step learners as tables: ``step_tables`` gives a start state,
 a step table over ``STEP_DATA`` whose outputs include queries, and the table
-the step reads a query's answer from; ``derived_learner`` builds them with
+the step reads a query's answer from, and ``explicit_tables`` states such
+tables for the explicit examples; ``derived_learner`` builds them with
 ``Learner.from_step``, with an optional first hypothesis.  ``last_emission``
 is a step learner's output on a word by a run, and ``fold_outputs`` folds
 such outputs as the characteristic-sample walk must.
@@ -331,6 +332,13 @@ def step_tables(draw, queries=True):
     answer = st.tuples(state, HYPOTHESES | second)
     answers = {(s, a): draw(answer) for s in range(states) for a in (False, True)}
     return draw(state), table, answers
+
+
+def explicit_tables(step, states=1):
+    """The tables of ``step(state, datum)`` over ``states`` states and ``STEP_DATA``, from
+    state 0; ``step`` asks no query, so the answer table is never read."""
+    table = {(s, datum): step(s, datum) for s in range(states) for datum in STEP_DATA}
+    return 0, table, {(s, answer): (s, None) for s in range(states) for answer in (False, True)}
 
 
 def table_step(table, answers):

@@ -40,6 +40,11 @@ SILENT = Learner.from_step("silent", None, lambda state, datum: (state, None), "
 FIRST_LETTER = Learner.from_step(
     "first-letter", True, lambda fresh, datum: (False, datum if fresh else None), "drawn"
 )
+# emits 5 on its first datum, or 6 if it is 3, and nothing after: words that open with 2
+# and with 3 step into one state with different hypotheses
+MERGING = Learner.from_step(
+    "merging", 0, lambda state, datum: (1, None if state else 5 + (datum == 3)), "drawn"
+)
 
 
 def filtered_product(universe, sample_set, max_len):
@@ -77,6 +82,7 @@ def mostly_agreeing_learners(draw):
 @example(learner=SILENT, universe=[2, 1], sample=frozenset({1}), max_len=2)
 @example(learner=SILENT, universe=[1, 2], sample=frozenset({1, 9}), max_len=3)  # 9 is never covered
 @example(learner=FIRST_LETTER, universe=[2, 1], sample=frozenset({1, 2}), max_len=2)
+@example(learner=MERGING, universe=[1, 2, 3], sample=frozenset({1}), max_len=2)
 def test_the_walk_folds_the_covering_product_words_in_order(learner, universe, sample, max_len):
     # the universe is drawn in any order, so a walk that takes sorted or sample order fails
     want = fold_outputs(filtered_product(universe, sample, max_len), partial(last_emission, learner))

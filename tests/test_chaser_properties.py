@@ -8,7 +8,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from session_scripts import TEACHER_PICKS, ScriptedTeacher
 from test_adversary import _chain_force_judging_every_output, chain_force_outcome
@@ -67,6 +67,11 @@ def test_chaser_emits_first_member_holding_all_data_seen(sets, picks, data):
     teacher_script=st.lists(TEACHER_PICKS, max_size=8),
     max_ext_len=st.integers(1, 2),
     max_candidates=st.integers(0, 120),
+)
+# the bracket teacher repeats its first datum once per bracket that the prefix's max entered
+@example(
+    sets=[frozenset({2, 3, 4, 5})] * 2, picks=[0, 0], agent="repeat-counter", teacher_script=[],
+    max_ext_len=1, max_candidates=2,
 )
 def test_stepped_chain_forcing_finds_what_runs_from_scratch_find(
     sets, picks, agent, teacher_script, max_ext_len, max_candidates

@@ -25,7 +25,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from txtex_lab import adversary, families
@@ -92,6 +92,8 @@ def oracle_learner(plan, stop_after, targets):
     plan=PLANS,
     stop_after=st.none() | st.integers(0, 1400),
 )
+# asks 0, 1, 2, ... one per datum: it reaches every value up to the ceiling on the prefix
+@example(m=0, plan=[("query-scan", 0, 0)], stop_after=None)
 def test_the_marker_trap_defeats_every_oracle_learner(m, plan, stop_after):
     targets = (encode_tuple([m, P_LINEAR, 0]), encode_tuple([m, P_LINEAR, 1]))
     family = families.make_msd({m: oracle_learner(plan, stop_after, targets)}, m, P_LINEAR)

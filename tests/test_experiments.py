@@ -3,11 +3,16 @@
 ``msd-linear`` runs one session per distinct horizon prefix of its texts; a
 session reads no further, so skipping a repeat must change no row, summary
 or verdict.  ``merged-split`` sizes its horizon from the index, so a large
-odd index still reads its whole descriptor count.
+odd index still reads its whole descriptor count.  ``pow2-gap`` holds one
+index's transcripts at a time.
 """
 
 import csv
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,3 +93,34 @@ def test_merged_split_sessions_reach_an_odd_index_past_236(tmp_path):
     family = families.make_merged(agents.build_default_registry(), 0, poly_encode([0, 1]))
     assert rows[237]["n"] == "237"
     assert int(rows[237]["hypothesis"]) == family.min_index(237) == int(rows[237]["min_index"])
+
+
+# a fresh interpreter, so no cache that an earlier test filled lowers the peak
+_POW2_GAP_PROBE = """
+import sys, tracemalloc
+from pathlib import Path
+from txtex_lab.experiments import run_experiment
+
+tracemalloc.start()
+code = run_experiment("pow2-gap", None, Path(sys.argv[1]))
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_pow2_gap_holds_one_index_of_transcripts(tmp_path):
+    """A default ``pow2-gap`` run peaks under 2 MB in ``tracemalloc``.
+
+    Holding index n - 1's transcripts while index n runs, with a new record
+    for every repeated emit, peaked at 3.0 MB.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _POW2_GAP_PROBE, str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    assert int(out[1]) < 2 << 20, f"pow2-gap peaked at {int(out[1]) / 2**20:.2f} MB"

@@ -5,6 +5,9 @@ Every teacher is a scripted one, and every learner a drawn script or, behind
 a composed pair or the gated conversion, a drawn step table (see
 ``session_scripts``).  Budgets are drawn at and around the point where the
 script ends, so each end reason and each budget boundary is reached.
+Explicit examples pin what the kept mutants break (``tests/mutants.py``),
+and one script checks that a repeated emit or a skip logs its last record
+object again, and an equal but new ``Emit`` a new record.
 """
 
 import itertools
@@ -27,6 +30,7 @@ from session_scripts import (
     ScriptedTeacher,
     composed_script,
     derived_learner,
+    explicit_tables,
     oracles,
     outcome,
     reference_session,
@@ -38,9 +42,14 @@ from session_scripts import (
 
 from txtex_lab.agents import convert_psdT_to_pmc
 from txtex_lab.session import (
+    READ,
     ActionBudgetExceeded,
     Budget,
+    Emit,
+    Learner,
+    Skip,
     compose_pair,
+    emit,
     run_on_sequence,
     run_session,
 )
@@ -76,6 +85,16 @@ def run_or_raise(want, run):
     horizon_offset=HORIZON_OFFSETS,
     window=WINDOWS,
     members=oracles(),
+)
+# the tick budget runs out after the first emit
+@example(
+    script=[("emit", 1), ("emit", 2)], data=[1], teacher_script=[], cheat_at=None,
+    tick_offset=-1, horizon_offset=40, window=None, members=None,
+)
+# the horizon stops the second read
+@example(
+    script=[("read", 0), ("read", 0), ("emit-last", 0)], data=[1, 2], teacher_script=[],
+    cheat_at=None, tick_offset=10**6, horizon_offset=-1, window=None, members=None,
 )
 # work that spends no tick is refused, whatever the drawn examples reach
 @example(
@@ -122,6 +141,40 @@ def test_run_session_logs_what_the_reference_derives(
         assert got.events[-1] == aborts[0] and got.end_reason == "contract-violation"
 
 
+def test_a_repeated_emit_or_skip_logs_its_last_record_again():
+    """The last ``Emit`` object again and a skip log the last such record; an equal but
+    new ``Emit`` gets a new one, and each read logs its own element object."""
+    big = 10**6  # above the ints CPython caches, so ``int(str(big))`` is another object
+    again = int(str(big))
+    data = [big, again, 5, 6, 6]
+    script = [
+        ("read", 0), ("emit", 7), ("emit", 7), ("read", 0), ("emit", 7),  # steps 0-4
+        ("skip", 0), ("skip", 0), ("read", 0),  # steps 5-7
+        ("emit", 300), ("emit", 300), ("emit", 1), ("emit", True),  # steps 8-11
+    ]
+
+    def program():  # the script, with the shared ``emit(7)`` and ``emit(1)``
+        for op, value in script:
+            if op != "emit":
+                yield READ if op == "read" else Skip()
+            else:
+                yield emit(value) if type(value) is int and value < 256 else Emit(value)
+
+    text, raw = text_and_raw(data, len(data))
+    budget = Budget(horizon=len(data))
+    got = run_session(Learner("repeats", program), text, budget=budget)
+    want = reference_session(script, raw, budget=budget).transcript
+    assert got == want and got.events_jsonl() == want.events_jsonl()
+    assert '"payload":[true]' in got.events_jsonl()
+    events = got.events
+    assert events[2] is events[1] and events[4] is events[1]  # a read between keeps it
+    assert events[3] == events[0] and events[3].payload[0] is again
+    assert events[5] is events[6] == ("skip", ())
+    assert events[8] == events[9] and events[8] is not events[9]  # two ``Emit(300)`` objects
+    assert events[10] is not events[11]
+    assert [type(event.payload[0]) for event in events[10:]] == [int, bool]
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     script=scripts(),
@@ -134,6 +187,16 @@ def test_run_session_logs_what_the_reference_derives(
 @example(
     script=[("work", 0), ("emit", 1)], data=[1], length_offset=0, as_tuple=True,
     budget_offset=None, members=None,
+)
+# the budget runs out after the first emit
+@example(
+    script=[("emit", 1), ("emit", 2)], data=[1], length_offset=0, as_tuple=True,
+    budget_offset=-1, members=None,
+)
+# the second read is past the end: no emit follows, and it counts as an action
+@example(
+    script=[("read", 0), ("read", 0), ("emit-last", 0)], data=[1, 2], length_offset=-1,
+    as_tuple=True, budget_offset=None, members=None,
 )
 def test_run_on_sequence_is_the_session_stopped_past_the_end(
     script, data, length_offset, as_tuple, budget_offset, members
@@ -182,6 +245,13 @@ def without_repeats(stream):
     horizon_offset=HORIZON_OFFSETS,
     window=WINDOWS,
     members=oracles(),
+)
+# the pair emits its first hypothesis, and the teacher passes on two items for one datum:
+# the pair steps and emits each
+@example(
+    tables=explicit_tables(lambda state, datum: (0, datum)), first=0, data=[1],
+    teacher_script=[[0, 0]], taken=2, tick_offset=10**6, horizon_offset=0, window=None,
+    members=None,
 )
 def test_a_stepped_pair_is_its_script_and_matches_the_two_agent_session(
     gated, tables, first, data, teacher_script, taken, tick_offset, horizon_offset, window,

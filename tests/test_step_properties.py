@@ -16,17 +16,18 @@ characteristic-sample walk (``evaluate._walk_covering_words``) the fold of
 the last emissions of a run over each word, up to the first word that ends
 on None or on another hypothesis: the same value, or the same error, empty
 input included.  Both walks memoize the learner's states, and free their
-memos when they return.
+memos when they return; a step learner is freed with its last reference.
 """
 
 import gc
 import itertools
+import weakref
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from session_scripts import (
     HORIZON_OFFSETS,
@@ -34,6 +35,7 @@ from session_scripts import (
     STEP_DATA,
     TICK_OFFSETS,
     derived_learner,
+    explicit_tables,
     fold_outputs,
     last_emission,
     oracles,
@@ -114,6 +116,11 @@ def unrolled_script(start, table, answers, first, raw, members):
     horizon_offset=HORIZON_OFFSETS,
     window=st.none() | st.integers(1, 4),
 )
+# the first hypothesis comes before the first read, and a step that emits nothing keeps the last
+@example(
+    tables=explicit_tables(lambda read, datum: (1, None if read else datum), states=2), first=0,
+    data=[1, 2], members=None, tick_offset=10**6, horizon_offset=0, window=None,
+)
 def test_a_derived_program_is_its_table_unrolled(
     tables, first, data, members, tick_offset, horizon_offset, window
 ):
@@ -147,6 +154,19 @@ def test_a_derived_program_is_its_table_unrolled(
     assert run.actions == len(script)
 
 
+def two_then_one(state, datum):
+    """Emits 1 if its first two data are 2 and 1, and holds it; else emits 0 per datum.
+
+    The orders 1, 2 and 2, 1 of a core reach two states with two hypotheses,
+    and only orders that open with 2, 1 end on 1.
+    """
+    if state == 0:
+        return (1 if datum == 2 else 2), 0
+    if state == 1:
+        return (3, 1) if datum == 1 else (2, 0)
+    return state, (0 if state == 2 else None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     tables=step_tables(),
@@ -154,6 +174,10 @@ def test_a_derived_program_is_its_table_unrolled(
     core=st.lists(st.sampled_from(STEP_DATA), max_size=6, unique=True),
     target=st.integers(0, 2),
     members=oracles(),
+)
+@example(
+    tables=explicit_tables(two_then_one, states=4), first=None, core=[1, 2, 3], target=0,
+    members=None,
 )
 def test_the_walk_decides_every_order(tables, first, core, target, members):
     learner = derived_learner(*tables, first)
@@ -177,6 +201,11 @@ def test_the_walk_decides_every_order(tables, first, core, target, members):
     max_len=st.integers(0, 3),
     members=oracles(),
 )
+# the one word of length 1 is walked, though no sample element is missing
+@example(
+    tables=explicit_tables(lambda state, datum: (0, 0)), first=None, universe=[1], max_len=1,
+    members=None,
+)
 def test_the_covering_word_walk_folds_each_run_output(tables, first, universe, max_len, members):
     learner = derived_learner(*tables, first)
     oracle = None if members is None else FiniteSet(members)
@@ -193,26 +222,43 @@ def test_both_walks_memoize_states_so_an_unhashable_state_is_refused():
         _walk_covering_words(learner, [3, 4], [], 2, None)
 
 
+def test_a_step_learner_is_freed_with_its_last_reference():
+    """A step learner's program is a method, not a closure over the learner: no cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        learner = Learner.from_step("echo", 0, lambda state, datum: (state, datum), "drawn", 1)
+        freed = weakref.ref(learner)
+        assert run_on_sequence(learner, [2, 3]).emissions == [1, 2, 3]
+        del learner
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_the_walks_leave_no_cyclic_garbage():
     """Each walk is a closure that calls itself; it is freed on return, not by the cyclic gc.
 
-    The learners and families are built first: a ``Learner.from_step``
-    learner refers to itself through its program.
+    The learners, families and registry are built with the collector off and
+    dropped before it runs: a step learner is no cycle either.
     """
-    registry = agents.build_default_registry()
-    pcs_g, prober = families.make_basic_family("pcs-G"), agents.make_pcsG_oracle_learner()
-    offsets, offset_power = families.make_thm64_g(), agents.make_thm64_pcs_learner()
     x_plus_2 = poly_encode([2, 1])
     gc.collect()
     gc.disable()
     try:
         verdicts = [
             check_characteristic_sample(
-                lambda: prober, pcs_g, 5, [5], x_plus_2, max_text_len=4, max_universe=20
+                agents.make_pcsG_oracle_learner,
+                families.make_basic_family("pcs-G"),
+                5,
+                [5],
+                x_plus_2,
+                max_text_len=4,
+                max_universe=20,
             ),
             check_characteristic_sample(
-                lambda: offset_power,
-                offsets,
+                agents.make_thm64_pcs_learner,
+                families.make_thm64_g(),
                 6,
                 [6, 17],
                 x_plus_2,
@@ -221,7 +267,7 @@ def test_the_walks_leave_no_cyclic_garbage():
                 use_oracle=False,
             ),
         ]
-        trap = search_trap_sets(registry, 1, poly_encode([3, 1]), 2, seed=3)
+        trap = search_trap_sets(agents.build_default_registry(), 1, poly_encode([3, 1]), 2, seed=3)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -13,9 +13,17 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from session_scripts import HYPOTHESES, RARELY, STEP_DATA, derived_learner, outcome, step_tables
+from session_scripts import (
+    HYPOTHESES,
+    RARELY,
+    STEP_DATA,
+    derived_learner,
+    explicit_tables,
+    outcome,
+    step_tables,
+)
 
 from txtex_lab.adversary import marker_element
 from txtex_lab.agents import CountEncodingTeacher, DescriptorTeacher
@@ -114,6 +122,8 @@ class ReferenceDescriptorTeacher:
     first=HYPOTHESES,
     data=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=25),
 )
+# the first hypothesis comes on datum 1, after the least datum 0: the anchor is 0
+@example(tables=explicit_tables(lambda state, datum: (0, datum or None)), first=None, data=[0, 1])
 def test_count_encoding_teacher_matches_the_reference(tables, first, data):
     """Drawn step learners, querying now and then: the same items per datum, or both refuse."""
     learner = derived_learner(*tables, first)
