@@ -16,9 +16,9 @@ import random
 from dataclasses import dataclass, field
 
 from .codec import encode_tuple, poly_eval
-from .evaluate import hypothesis_correct
+from .evaluate import _walk_covering_words, hypothesis_correct
 from .session import Budget, Learner, resolve_step, run_on_sequence, run_session, step_through
-from .sets import FiniteSet, Interval, SetSpec, set_equal
+from .sets import FiniteSet, Interval, set_equal
 from .text import Text, make_text
 
 
@@ -313,57 +313,6 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
         yield arrangement
 
 
-def _every_order_ends_on(
-    learner: Learner, core: tuple[int, ...], target: int, oracle: SetSpec | None, max_steps=math.inf
-) -> bool:
-    """Whether the step learner ends on ``target`` after reading every order of ``core``.
-
-    ``oracle`` answers the learner's queries, through ``resolve_step``.
-
-    What a step learner does next depends only on its state and the data still
-    to come, so two orders of one subset that reach the same state with the
-    same last hypothesis end alike on every extension.  A depth-first walk
-    over the orders keys each node by (consumed subset as a bitmask, state,
-    last hypothesis) and records it once its whole subtree has passed; it
-    returns at the first order that ends elsewhere.  This is the subset
-    recursion of Held and Karp: when every order of a subset reaches one
-    state and hypothesis, it decides all n! orders in n·2^(n−1) steps, and
-    it checks order-independence rather than assuming it.  The walk's first
-    leaf, the core in its own order, is stepped flat first (``step_through``):
-    most failing cores fail there, without a memo.  An unhashable state raises
-    ``TypeError``; past ``max_steps`` steps, the flat ones included, it is False,
-    and a core too large to pass within them is not stepped at all.
-    """
-    n = len(core)  # a walk that passes leaves each subset once per datum it lacks
-    if n * 2 ** (n - 1) > max_steps - n or step_through(learner, core, oracle) != target:
-        return False
-    full = (1 << n) - 1
-    passed: set[tuple] = set()
-    steps = itertools.count(n + 1)  # numbers the walk's steps after the flat ones
-
-    def walk(consumed: int, state, last) -> bool:
-        if consumed == full:
-            return last == target
-        node = (consumed, state, last)
-        if node in passed:
-            return True
-        for i, datum in enumerate(core):
-            bit = 1 << i
-            if not consumed & bit:
-                if next(steps) > max_steps:
-                    return False
-                after, hypothesis = resolve_step(learner, state, datum, oracle)
-                if not walk(consumed | bit, after, last if hypothesis is None else hypothesis):
-                    return False
-        passed.add(node)
-        return True
-
-    try:
-        return walk(0, learner.start, learner.first)
-    finally:
-        del walk  # it refers to itself: free its memo now, not at the next cyclic gc
-
-
 def search_trap_sets(
     registry: dict[int, Learner],
     m_id: int,
@@ -384,13 +333,17 @@ def search_trap_sets(
 
     The learner must be made by ``Learner.from_step`` (``TypeError``
     otherwise, before any candidate is tried), and the interval answers its
-    queries.  With at most ``TRAP_ARRANGEMENT_LIMIT`` orders a memoized walk
-    over its states decides every order (``_every_order_ends_on``); past the
-    limit it is stepped through ``TRAP_SAMPLE_SIZE`` seeded orders, drawn
-    lazily from one stream the candidates share, unless the first one ends
-    on 2k and the walk, within the sample's cost, passes every order and so
-    every drawn one.  The decoy run is the one program run.  Past ``TRAP_MAX_CANDIDATES``
-    candidates the search returns unresolved with ``stats["exhausted_budget"]``.
+    queries.  The orders of a core are its covering words over universe =
+    sample = core of length |core|, so the memoized covering-word walk
+    (``evaluate._walk_covering_words``) decides a core once its own order,
+    stepped flat, ends on 2k: it passes when no order ends elsewhere.  With
+    at most ``TRAP_ARRANGEMENT_LIMIT`` orders the walk decides every core;
+    past the limit a core is stepped through ``TRAP_SAMPLE_SIZE`` seeded
+    orders, drawn lazily from one stream the candidates share, unless the
+    first one ends on 2k and the walk, within the sample's cost, passes
+    every order and so every drawn one.  The decoy run is the one program
+    run.  Past ``TRAP_MAX_CANDIDATES`` candidates the search returns
+    unresolved with ``stats["exhausted_budget"]``.
     """
     learner = registry[m_id]
     if learner.step is None:
@@ -416,14 +369,23 @@ def search_trap_sets(
     stats["exhaustive_arrangements"] = exhaustive
     stats["arrangements_per_candidate"] = perm_count if exhaustive else TRAP_SAMPLE_SIZE
 
+    def every_order_ends_on_2k(core: tuple[int, ...], max_steps=math.inf) -> bool:
+        # the core's own order, the walk's first word, is stepped flat first: most failing
+        # cores fail there, without a memo; a walk that passes takes n·2^(n−1) steps
+        n = len(core)
+        if n * 2 ** (n - 1) > max_steps or step_through(learner, core, interval) != 2 * k:
+            return False
+        _, locked, bad, _ = _walk_covering_words(learner, core, core, n, interval, max_steps)
+        return bad is None and locked == 2 * k
+
     def candidate_passes(core: tuple[int, ...]) -> bool:
         if exhaustive:
-            return _every_order_ends_on(learner, core, 2 * k, interval)
+            return every_order_ends_on_2k(core)
         orders = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
         ends_on = (step_through(learner, order, interval) == 2 * k for order in orders)
         if not all(itertools.islice(ends_on, 1)):
             return False
-        walked = _every_order_ends_on(learner, core, 2 * k, interval, TRAP_SAMPLE_SIZE * core_size)
+        walked = every_order_ends_on_2k(core, (TRAP_SAMPLE_SIZE - 1) * core_size)
         return walked or all(ends_on)
 
     # In lexicographic order the first TRAP_MAX_CANDIDATES + 1 combinations of

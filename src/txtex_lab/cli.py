@@ -70,10 +70,11 @@ def _cmd_run(args) -> int:
         return 2
     config = None
     if args.config:
+        # ValueError covers bad JSON, undecodable bytes and an int past the digit limit
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 2
         if not isinstance(config, dict):

@@ -11,6 +11,7 @@ covering sequences; it starts no learner program.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -150,7 +151,12 @@ def _sampled_sequences(
 
 
 def _walk_covering_words(
-    learner: Learner, universe: list[int], sample: list[int], max_len: int, oracle: SetSpec | None
+    learner: Learner,
+    universe: Sequence[int],
+    sample: Sequence[int],
+    max_len: int,
+    oracle: SetSpec | None,
+    max_steps=math.inf,
 ) -> tuple[int, int | None, tuple[int, ...] | None, int | None]:
     """``(words, locked, bad, output)`` over the words of length 1..max_len over
     ``universe`` that hold all of ``sample``, in ``itertools.product`` order:
@@ -159,14 +165,23 @@ def _walk_covering_words(
 
     The walk steps the learner once per prefix, over any letter while fewer
     sample elements are missing than slots remain, else over the missing ones
-    in universe order.  A node whose words all ended on ``locked`` is counted
-    again, not walked: its key (slots left, state, last hypothesis, missing
-    elements) decides them, so an unhashable state raises ``TypeError``.
+    in universe order.  What a step learner does next depends only on its
+    state and the data still to come, so a node whose words all ended on
+    ``locked`` is counted again, not walked: its key (slots left, state, last
+    hypothesis, missing elements) decides them, so an unhashable state raises
+    ``TypeError``.  With universe = sample = a core and ``max_len`` its size,
+    the words are the core's orders, and this is the subset recursion of Held
+    and Karp: when every order of a subset reaches one state and hypothesis,
+    it decides all n! orders in n·2^(n−1) steps, and it checks
+    order-independence rather than assuming it.  Past ``max_steps`` steps the
+    walk stops before the next one, with that unstepped prefix as ``bad`` and
+    output None, so a bounded walk never reads as a pass.
     """
     bits = {x: 1 << i for i, x in enumerate(sample)}
     needed = [(x, bits[x]) for x in universe if x in bits]
     counted: dict[tuple, int] = {}
     locked = bad = output = None
+    steps = itertools.count(1)
 
     def below(prefix, slots, state, last, missing) -> int:
         nonlocal locked, bad, output
@@ -176,6 +191,9 @@ def _walk_covering_words(
         words = 0
         letters = universe if missing.bit_count() < slots else [x for x, b in needed if missing & b]
         for x in letters:
+            if next(steps) > max_steps:
+                bad = prefix + (x,)
+                return words
             after, hypothesis = resolve_step(learner, state, x, oracle)
             out = last if hypothesis is None else hypothesis
             if slots > 1:

@@ -161,13 +161,6 @@ MUTANTS = [
         "marker_stream(min(ell - 1, COMPUTE_Q_MAX_ACTIONS))",
         ("tests/test_defeat_properties.py::test_the_marker_trap_defeats_every_oracle_learner",),
     ),
-    # the trap walk memoizes on the consumed subset alone
-    Mutant(
-        ADVERSARY,
-        "node = (consumed, state, last)",
-        "node = consumed",
-        (f"{STEP_PROPERTIES}::test_the_walk_decides_every_order",),
-    ),
     # the covering-word walk keeps to the missing letters one slot early
     Mutant(
         EVALUATE,
@@ -183,14 +176,27 @@ MUTANTS = [
         EVALUATE,
         "node = (slots, state, last, missing)",
         "node = (slots, state, missing)",
-        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
+        (
+            f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",
+            f"{STEP_PROPERTIES}::test_the_walk_decides_every_order",
+        ),
     ),
     # the covering-word walk's memo forgets which sample elements are missing
     Mutant(
         EVALUATE,
         "node = (slots, state, last, missing)",
         "node = (slots, state, last)",
-        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
+        (
+            f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",
+            f"{STEP_PROPERTIES}::test_the_walk_decides_every_order",
+        ),
+    ),
+    # a bounded walk takes one step less than its bound
+    Mutant(
+        EVALUATE,
+        "            if next(steps) > max_steps:\n",
+        "            if next(steps) >= max_steps:\n",
+        ("tests/test_adversary.py::test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound",),
     ),
     # the covering-word walk takes the missing letters in sample order, not universe order
     # (the check itself sorts its sample and its universe, so only the walk's own test sees it)
@@ -221,16 +227,16 @@ MUTANTS = [
     # a core whose walk could just pass within its bound is not walked
     Mutant(
         ADVERSARY,
-        "if n * 2 ** (n - 1) > max_steps - n or",
-        "if n * 2 ** (n - 1) >= max_steps - n or",
+        "if n * 2 ** (n - 1) > max_steps or",
+        "if n * 2 ** (n - 1) >= max_steps or",
         ("tests/test_adversary.py::test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound",),
     ),
-    # the trap walk's memo lives on in a reference cycle until the next gc
+    # a core is walked without its own order stepped flat first: same verdict, more steps
     Mutant(
         ADVERSARY,
-        "        del walk  # it refers to itself: free its memo now, not at the next cyclic gc\n",
-        "        pass\n",
-        (f"{STEP_PROPERTIES}::test_the_walks_leave_no_cyclic_garbage",),
+        " or step_through(learner, core, interval) != 2 * k:",
+        ":",
+        ("tests/test_adversary.py::test_a_core_whose_own_order_fails_is_not_walked",),
     ),
     # a session reuses an emit record for an equal action, not the same one: 1 and True merge
     Mutant(

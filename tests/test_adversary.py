@@ -326,11 +326,11 @@ def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, 
     """The candidate pool is a prefix of the interval, yet the cores tried are unchanged."""
     tried = []
 
-    def recording_walk(learner, core, target, oracle):
-        tried.append(core)
-        return False
+    def recording_walk(learner, universe, sample, max_len, oracle, max_steps):
+        tried.append(universe)
+        return 0, None, None, None  # no word: the core fails
 
-    monkeypatch.setattr(adversary, "_every_order_ends_on", recording_walk)
+    monkeypatch.setattr(adversary, "_walk_covering_words", recording_walk)
     monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 3)
     trap = adversary.search_trap_sets(registry, 1, poly_encode([2]), 2)
     assert trap.stats["candidates_checked"] == 4
@@ -389,7 +389,7 @@ def test_a_trap_search_runs_only_the_decoy_order(registry, monkeypatch):
 def test_a_learner_without_a_step_is_refused_by_name(monkeypatch):
     """Nothing is stepped, walked or run before the refusal."""
     calls = []
-    for name in ("run_on_sequence", "step_through", "_every_order_ends_on"):
+    for name in ("run_on_sequence", "step_through", "_walk_covering_words"):
         monkeypatch.setattr(adversary, name, recording(calls, getattr(adversary, name)))
 
     def program():
@@ -610,28 +610,51 @@ def test_a_walk_past_its_bound_falls_back_to_the_drawn_orders(registry, monkeypa
     assert sample_steps < len(steps) - 9 <= 2 * sample_steps  # less the decoy run's 9 steps
 
 
-def test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound(registry):
-    """A walk that passes leaves each of the 2^n subsets once per datum it lacks.
-
-    Learner 1's orders all merge, so on 10 elements it takes exactly those
-    10·2^9 steps after the 10 flat ones; one step less of bound, and the
-    core is not stepped at all.
-    """
-    even_guesser = registry[1]
-    steps = []
+def counting(learner, steps):
+    """``learner``'s step learner, appending each datum it steps to ``steps``."""
 
     def step(state, datum):
         steps.append(datum)
-        return even_guesser.step(state, datum)
+        return learner.step(state, datum)
 
-    learner = Learner.from_step("counted", None, step, "drawn")
-    core, interval = tuple(INTERVAL_K2[:10]), adversary.trap_interval(2)
+    return Learner.from_step("counted", learner.start, step, "drawn", learner.first)
+
+
+def test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound(registry, monkeypatch):
+    """A walk that passes leaves each of the 2^n subsets once per datum it lacks.
+
+    Learner 1's orders all merge, so on its 10-element core at p(x) = x + 4
+    the walk takes exactly those 10·2^9 steps after the 10 flat ones, and a
+    sample of 513 orders bounds the walk and its flat order by their cost,
+    10 + 10·2^9 steps.  With one order less the core is not walked or
+    stepped flat, and all 512 drawn orders decide it.
+    """
+    steps = []
+    learner = counting(registry[1], steps)
     least = 10 + 10 * 2**9
-    assert adversary._every_order_ends_on(learner, core, 4, interval, least)
-    assert len(steps) == least
-    steps.clear()
-    assert not adversary._every_order_ends_on(learner, core, 4, interval, least - 1)
-    assert steps == []
+    for size, walked in [(513, True), (512, False)]:
+        monkeypatch.setattr(adversary, "TRAP_SAMPLE_SIZE", size)
+        steps.clear()
+        trap = adversary.search_trap_sets({5: learner}, 5, poly_encode([4, 1]), 2)
+        assert sorted(trap.trap_core) == INTERVAL_K2[:10] and trap.resolved
+        drawn = 10 if walked else 10 * size
+        assert len(steps) == drawn + walked * least + 10  # and the decoy run's 10 steps
+
+
+def test_a_core_whose_own_order_fails_is_not_walked(registry):
+    """Learner 2 ends every order on an odd index, so each core fails on its flat order:
+    8 steps for each of the 2,000 cores checked at p(x) = x + 2, and no walk."""
+    steps = []
+    trap = adversary.search_trap_sets({5: counting(registry[2], steps)}, 5, poly_encode([2, 1]), 2)
+    assert not trap.resolved and trap.stats["exhausted_budget"] == "max_candidates"
+    assert len(steps) == 8 * adversary.TRAP_MAX_CANDIDATES == 16_000
+
+
+def test_a_core_without_room_for_its_decoys_is_unresolved(registry):
+    """At k = 0 the interval {3, 4} is the core, and holds no 2·p(1) + 1 = 3 decoys."""
+    trap = adversary.search_trap_sets(registry, 1, poly_encode([1]), 0)
+    assert trap.trap_core == {3, 4} and not trap.decoys and not trap.resolved
+    assert trap.stats["decoy_padding_failed"] is True
 
 
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))

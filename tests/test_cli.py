@@ -89,12 +89,13 @@ def test_list_output_is_pinned(capsys, kind):
 class Raw(NamedTuple):
     """A usage error outside the config schema.
 
-    ``text`` is the config file's text (None: no file) and ``seed`` the value
-    of ``TXTEX_SEED`` (None: unset).  The row's message is then the whole
-    stderr line, with ``{path}`` standing for the config path.
+    ``text`` is the config file's text or bytes (None: no file) and ``seed``
+    the value of ``TXTEX_SEED`` (None: unset).  The row's message is then the
+    whole stderr line, with ``{path}`` standing for the config path, or a
+    pattern of it where the interpreter's wording differs across versions.
     """
 
-    text: str | None
+    text: str | bytes | None
     seed: str | None = None
 
 
@@ -305,6 +306,28 @@ class Raw(NamedTuple):
             )
             for m_id in (0, 3, 4)
         ],
+        pytest.param(
+            "msd-linear",
+            Raw('{"seeds": ' + "9" * 5000 + "}"),
+            re.compile(
+                r"cannot read config: Exceeds the limit \(4300( digits)?\) for integer string "
+                r"conversion: value has 5000 digits; .*"
+            ),
+            id="huge-integer",
+        ),
+        pytest.param(
+            "msd-linear",
+            Raw("[" * 100_000),
+            re.compile(r"cannot read config: maximum recursion depth exceeded.*"),
+            id="deep-nesting",
+        ),
+        pytest.param(
+            "msd-linear",
+            Raw(b"\xff\xfe{}"),
+            "cannot read config: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+            id="undecodable-bytes",
+        ),
     ],
 )
 def test_run_config_outside_schema_is_usage_error(
@@ -314,11 +337,13 @@ def test_run_config_outside_schema_is_usage_error(
     path = tmp_path / "config.json"
     monkeypatch.delenv("TXTEX_SEED", raising=False)
     if isinstance(config, Raw):
-        if config.text is not None:
+        if isinstance(config.text, bytes):
+            path.write_bytes(config.text)
+        elif config.text is not None:
             path.write_text(config.text)
         if config.seed is not None:
             monkeypatch.setenv("TXTEX_SEED", config.seed)
-        line = message.format(path=path)
+        line = message if isinstance(message, re.Pattern) else message.format(path=path)
     else:
         path.write_text(json.dumps(config))
         line = f"bad config for {experiment}: {message}"
@@ -330,7 +355,10 @@ def test_run_config_outside_schema_is_usage_error(
     assert {path.name for path in tmp_path.iterdir()} <= {"config.json"}
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == line + "\n"
+    if isinstance(line, re.Pattern):
+        assert line.fullmatch(captured.err.removesuffix("\n")), captured.err
+    else:
+        assert captured.err == line + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))

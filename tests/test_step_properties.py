@@ -9,14 +9,15 @@ before its first read.  ``Learner.from_step`` derives its program; a
 hand-written generator of the same tables must log the same session, and
 both must match the script that the tables unroll to over the text and the
 oracle, under ``session_scripts``' reference.  ``step_through`` must give
-the run's last emission.  The trap search's memoized walk
-(``adversary._every_order_ends_on``) must give the outcome of running every
-order of a drawn core through ``run_on_sequence``, and the
-characteristic-sample walk (``evaluate._walk_covering_words``) the fold of
-the last emissions of a run over each word, up to the first word that ends
-on None or on another hypothesis: the same value, or the same error, empty
-input included.  Both walks memoize the learner's states, and free their
-memos when they return; a step learner is freed with its last reference.
+the run's last emission.  One memoized walk (``evaluate._walk_covering_words``)
+serves both searches.  It must give the fold of the last emissions of a run
+over each word, up to the first word that ends on None or on another
+hypothesis: the same value, or the same error, empty input included.  Over
+universe = sample = a drawn core, with the core's size as the length, its
+words are the core's orders, and its verdict, as the trap search reads it,
+is that of running every order through ``run_on_sequence``.  The walk
+memoizes the learner's states, and frees its memo when it returns; a step
+learner is freed with its last reference.
 """
 
 import gc
@@ -46,7 +47,7 @@ from session_scripts import (
 )
 
 from txtex_lab import agents, families
-from txtex_lab.adversary import _every_order_ends_on, search_trap_sets
+from txtex_lab.adversary import search_trap_sets
 from txtex_lab.codec import poly_encode
 from txtex_lab.evaluate import _walk_covering_words, check_characteristic_sample
 from txtex_lab.session import (
@@ -171,7 +172,7 @@ def two_then_one(state, datum):
 @given(
     tables=step_tables(),
     first=HYPOTHESES,
-    core=st.lists(st.sampled_from(STEP_DATA), max_size=6, unique=True),
+    core=st.lists(st.sampled_from(STEP_DATA), min_size=1, max_size=6, unique=True),
     target=st.integers(0, 2),
     members=oracles(),
 )
@@ -179,18 +180,25 @@ def two_then_one(state, datum):
     tables=explicit_tables(two_then_one, states=4), first=None, core=[1, 2, 3], target=0,
     members=None,
 )
+# one state throughout: orders of {1, 2} differ only in their last hypothesis, and 3 keeps it
+@example(
+    tables=explicit_tables(lambda state, datum: (0, None if datum == 3 else datum)), first=None,
+    core=[1, 2, 3], target=2, members=None,
+)
 def test_the_walk_decides_every_order(tables, first, core, target, members):
+    """With universe = sample = the core and its size as the length, the covering words
+    are the core's orders: the walk folds their run outputs, and it passes on ``target``,
+    as the trap search reads it, exactly when every order ends there."""
     learner = derived_learner(*tables, first)
     oracle = None if members is None else FiniteSet(members)
-
-    def every_order():
-        return all(
-            run_on_sequence(learner, order, oracle=oracle).emissions[-1:] == [target]
-            for order in itertools.permutations(core)
-        )
-
-    want = outcome(every_order)
-    assert outcome(lambda: _every_order_ends_on(learner, tuple(core), target, oracle)) is want
+    orders = list(itertools.permutations(core))
+    want = outcome(lambda: fold_outputs(orders, lambda order: last_emission(learner, order, oracle)))
+    got = outcome(lambda: _walk_covering_words(learner, core, core, len(core), oracle))
+    assert got == want
+    if type(got) is tuple:
+        _, locked, bad, _ = got
+        every_order = all(last_emission(learner, order, oracle) == target for order in orders)
+        assert (bad is None and locked == target) is every_order
 
 
 @settings(max_examples=150, deadline=None)
@@ -214,10 +222,11 @@ def test_the_covering_word_walk_folds_each_run_output(tables, first, universe, m
     assert outcome(lambda: _walk_covering_words(learner, universe, [], max_len, oracle)) == want
 
 
-def test_both_walks_memoize_states_so_an_unhashable_state_is_refused():
+def test_the_walk_memoizes_states_so_an_unhashable_state_is_refused():
+    """The trap search at k = 0 walks its core {3, 4}, whose own order ends on 0."""
     learner = Learner.from_step("list-state", [], lambda read, datum: (read + [datum], 0), "drawn")
     with pytest.raises(TypeError, match="unhashable type: 'list'"):
-        _every_order_ends_on(learner, (3, 4), 0, None)
+        search_trap_sets({0: learner}, 0, poly_encode([1]), 0)
     with pytest.raises(TypeError, match="unhashable type: 'list'"):
         _walk_covering_words(learner, [3, 4], [], 2, None)
 
@@ -237,7 +246,7 @@ def test_a_step_learner_is_freed_with_its_last_reference():
 
 
 def test_the_walks_leave_no_cyclic_garbage():
-    """Each walk is a closure that calls itself; it is freed on return, not by the cyclic gc.
+    """The walk is a closure that calls itself; it is freed on return, not by the cyclic gc.
 
     The learners, families and registry are built with the collector off and
     dropped before it runs: a step learner is no cycle either.
@@ -275,13 +284,13 @@ def test_the_walks_leave_no_cyclic_garbage():
     assert trap.resolved and not trap.stats["exhaustive_arrangements"]
 
 
-def test_a_second_query_on_one_datum_is_refused_by_the_program_and_both_walks():
+def test_a_second_query_on_one_datum_is_refused_by_the_program_and_both_searches():
     learner = Learner.from_step("asks-twice", 0, lambda state, datum: (state, query(1)), "drawn")
     oracle = FiniteSet({1})
     with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
         run_on_sequence(learner, [3], oracle=oracle)
     with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
-        _every_order_ends_on(learner, (3,), 0, oracle)
+        search_trap_sets({0: learner}, 0, poly_encode([0]), 0)
     with pytest.raises(TypeError, match="asks-twice queried twice on one datum"):
         check_characteristic_sample(
             lambda: learner,
