@@ -41,12 +41,9 @@ def marker_element(j: int) -> int:
     return encode_tuple([2 * j, 1, 1, 0])
 
 
-def marker_stream(ell: int) -> tuple[int, ...]:
-    """Marker-only input: the base marker ``marker_element(0)`` repeated ``ell`` times.
-
-    A tuple, which ``run_on_sequence`` and ``make_text`` keep as a text's prefix without a copy.
-    """
-    return (marker_element(0),) * ell
+def marker_stream(ell: int) -> tuple[tuple[int, int]]:
+    """Marker-only prefix: one run of the base marker ``marker_element(0)``, ``ell`` long."""
+    return ((marker_element(0), ell),)
 
 
 def compute_q(learner: Learner, ell: int) -> int:
@@ -60,7 +57,7 @@ def compute_q(learner: Learner, ell: int) -> int:
     markers, and the stream stops there.
     """
     oracle = FiniteSet({marker_element(0)})
-    stream = marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))
+    stream = itertools.repeat(marker_element(0), min(ell, COMPUTE_Q_MAX_ACTIONS))
     run = run_on_sequence(learner, stream, oracle=oracle, max_actions=COMPUTE_Q_MAX_ACTIONS)
     return max((x for x, _ in run.queries), default=0)
 
@@ -86,8 +83,7 @@ def repeat_prefix_texts(
         raise ValueError("targets must be distinct sets")
     a = family.min_index(index_a)
     b = family.min_index(index_b)
-    reps = poly_eval(p_code, a) + poly_eval(p_code, b)
-    prefix = [x] * reps
+    prefix = ((x, poly_eval(p_code, a) + poly_eval(p_code, b)),)
     return (
         make_text("prefixed", set_a, prefix=prefix),
         make_text("prefixed", set_b, prefix=prefix),

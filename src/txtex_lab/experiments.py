@@ -126,7 +126,7 @@ def _pow2_gap(config: dict) -> ExperimentResult:
 
 def _msd_linear(config: dict) -> ExperimentResult:
     registry = agents.build_default_registry()
-    family = families.make_msd(registry, config["learner_id"], poly_encode(config["poly"]), None)
+    family = families.make_msd(registry, config["learner_id"], poly_encode(config["poly"]))
     learner, teacher_factory = agents.make_msd_pair()
     rows = []
     ok = True
@@ -354,7 +354,7 @@ def _psd_finite(config: dict) -> ExperimentResult:
     texts = adversary.repeat_prefix_texts(
         family, index_a, index_b, config["shared_element"], poly_encode([1, 1])
     )
-    shared = len(texts[0].prefix)
+    shared = sum(count for _, count in texts[0].prefix)
     budget = Budget(horizon=shared + 20, window=5)
     hyp_a, hyp_b = (
         [
@@ -599,16 +599,16 @@ def _pow2_gap_values(config: dict) -> None:
         raise ConfigError(f"n_range must start at 1 or above, got {config['n_range']}")
 
 
-def _marker_values(stretch: int, cap: int | None = None) -> Callable[[dict], None]:
-    """Checks for a marker family: poly must grow, and each named learner's prefix must
-    fit ``cap`` (None: any) and take it at most ``adversary.COMPUTE_Q_MAX_ACTIONS`` to read."""
+def _marker_values(stretch: int) -> Callable[[dict], None]:
+    """Checks for a marker family: poly must grow, its codes stay small, and each named
+    learner takes at most ``adversary.COMPUTE_Q_MAX_ACTIONS`` to read its prefix."""
 
     def check(config: dict) -> None:
         poly = config["poly"]
         m_ids = config["learner_ids"] if "learner_ids" in config else [config["learner_id"]]
         try:
             families.require_increasing_poly(poly)
-            ells = {m_id: families.marker_prefix_length(poly, m_id, stretch, cap) for m_id in m_ids}
+            ells = {m_id: families.marker_prefix_length(poly, m_id, stretch) for m_id in m_ids}
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         registry = agents.build_default_registry()
@@ -758,7 +758,7 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
             {"learner_ids": [3, 4, 0], "poly": [0, 1]},
             _msd_defeat,
             {"learner_ids": LEARNER_IDS, "poly": POLY},
-            _marker_values(1, families.MARKER_MAX_PREFIX),
+            _marker_values(1),
         ),
         ExperimentSpec(
             "csd-chain",

@@ -172,33 +172,25 @@ def require_increasing_poly(poly: list[int]) -> None:
         raise ValueError(f"poly must be increasing (some coefficient at degree >= 1), got {poly}")
 
 
-# Longest marker prefix msd-defeat may build, one tuple of ell 8-byte slots: under
-# a 2 GB address-space limit, ell 105,713,070 (poly [4, 1]) runs in 828 MB, and
-# 322,579,555 (poly [3, 2]) raises MemoryError.
-MARKER_MAX_PREFIX = 100_000_000
+# Greatest partial code of p* that is paired further: each code stays small, so ell
+# stays printable (Python refuses to print an int of more than 4,300 digits).
+MARKER_MAX_CODE = 100_000_000
 
 
-def marker_prefix_length(poly: list[int], m_id: int, stretch: int, cap: int | None) -> int:
+def marker_prefix_length(poly: list[int], m_id: int, stretch: int) -> int:
     """ell of the marker family on ``poly`` trapping learner ``m_id``.
 
-    ell = p*(stretch * t), t = <m, p*, 1>.  Raises ``ValueError`` when ell is
-    above ``cap``, None for a family that never builds its prefix, or when a
-    partial code of p* passes ``MARKER_MAX_PREFIX``: p* is paired up one
-    coefficient at a time, so no code grows large.  A pair is at least each
-    of its arguments and an increasing p has p(x) >= x, so ell >= t >= p*.
+    ell = p*(stretch * t), t = <m, p*, 1>.  p* is paired up one coefficient
+    at a time, and a partial code above ``MARKER_MAX_CODE`` raises
+    ``ValueError``.  A pair is at least each of its arguments and an
+    increasing p has p(x) >= x, so ell >= t >= p*.
     """
     code = poly[-1]
     for x in [*reversed(poly[:-1]), len(poly) - 1]:  # p* = pair(degree, encode_tuple(poly))
-        if code > MARKER_MAX_PREFIX:
-            break
+        if code > MARKER_MAX_CODE:
+            raise ValueError(f"poly {poly} gives a marker family code above {MARKER_MAX_CODE}")
         code = pair(x, code)
-    else:
-        t = encode_tuple([m_id, code, 1])
-        if cap is None or (t <= cap and poly_eval(code, stretch * t) <= cap):
-            return poly_eval(code, stretch * t)
-    if cap is None:
-        raise ValueError(f"poly {poly} gives a marker family code above {MARKER_MAX_PREFIX}")
-    raise ValueError(f"poly {poly} gives learner {m_id} a marker prefix longer than {cap}")
+    return poly_eval(code, stretch * encode_tuple([m_id, code, 1]))
 
 
 class MsdFamily(IndexedFamily):
@@ -209,15 +201,15 @@ class MsdFamily(IndexedFamily):
     attacked learner's query ceiling on the marker stream of length
     ``marker_prefix_length``; all other indices use floor 0.  ``stretch`` is
     3 inside the merged family, which holds member t at index 2t+1 <= 3t, and
-    1 elsewhere; ``cap`` bounds ell as in ``marker_prefix_length``.
+    1 elsewhere.
     """
 
-    def __init__(self, registry: dict, m_id: int, p_code: int, stretch: int, cap: int | None):
+    def __init__(self, registry: dict, m_id: int, p_code: int, stretch: int):
         poly = list(poly_decode(p_code))
         require_increasing_poly(poly)
         self.learner = registry[m_id]  # unregistered ids fail here
         self.targeted = (encode_tuple([m_id, p_code, 0]), encode_tuple([m_id, p_code, 1]))
-        self.ell = marker_prefix_length(poly, m_id, stretch, cap)
+        self.ell = marker_prefix_length(poly, m_id, stretch)
         self.query_ceiling = adversary.compute_q(self.learner, self.ell)
         self.markers = frozenset({adversary.marker_element(0)})
         self.floor = max(self.query_ceiling, max(self.markers))
@@ -230,8 +222,8 @@ class MsdFamily(IndexedFamily):
         return n  # described numbers differ, so members are pairwise distinct
 
 
-def make_msd(registry: dict[int, Learner], m_id: int, p_code: int, cap=MARKER_MAX_PREFIX):
-    return MsdFamily(registry, m_id, p_code, 1, cap)
+def make_msd(registry: dict[int, Learner], m_id: int, p_code: int):
+    return MsdFamily(registry, m_id, p_code, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +351,7 @@ class MergedFamily(IndexedFamily):
     """
 
     def __init__(self, registry: dict[int, Learner], m_id: int, p_code: int):
-        self.descriptors = MsdFamily(registry, m_id, p_code, MERGED_STRETCH, None)
+        self.descriptors = MsdFamily(registry, m_id, p_code, MERGED_STRETCH)
         self.chains = CsdFamily(3)
 
     def member(self, n):

@@ -64,7 +64,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Generator, Hashable, NamedTuple, Sequence
+from itertools import groupby
+from typing import Callable, Generator, Hashable, Iterable, NamedTuple, Sequence
 
 from .sets import FiniteSet, SetSpec
 from .text import Text
@@ -373,9 +374,7 @@ def run_session(
                     raw += 1
                 else:
                     while not buffer and raw < horizon:
-                        datum = next(source, None)
-                        if datum is None:
-                            break
+                        datum = next(source)
                         raw += 1
                         seen.add(datum)
                         items = on_input(datum)
@@ -473,7 +472,7 @@ class PrefixRun:
 
 def run_on_sequence(
     learner: Learner,
-    sequence: Sequence[int],
+    sequence: Iterable[int],
     *,
     oracle: SetSpec | None = None,
     max_actions: int = 100_000,
@@ -486,12 +485,12 @@ def run_on_sequence(
     requests an element past the end of ``sequence``; that request counts as
     one of the run's ``actions``.  A run whose ticks reach ``max_actions``
     before it idles or reads past the end raises
-    :class:`ActionBudgetExceeded`, even if the next step would idle.  A tuple
-    input is used as it is; anything else is copied into one.
+    :class:`ActionBudgetExceeded`, even if the next step would idle.  The
+    input, any finite iterable, becomes the text's runs of equal elements.
     """
-    items = tuple(sequence)
-    text = Text("prefixed", FiniteSet(items), items)
-    budget = Budget(max_ticks=max_actions, horizon=len(items))
+    runs = tuple((x, sum(1 for _ in group)) for x, group in groupby(sequence))
+    text = Text("prefixed", FiniteSet(x for x, _ in runs), runs)
+    budget = Budget(max_ticks=max_actions, horizon=sum(count for _, count in runs))
     transcript = run_session(learner, text, oracle=oracle, budget=budget)
     run = PrefixRun(
         transcript.hypothesis_stream(),

@@ -3,14 +3,17 @@
 A text lists every target element at least once, repetitions allowed.  Each
 generator kind is fully determined by its parameters, so replaying a session
 reproduces the same stream.  Finite targets are padded with their minimum
-element once exhausted.
+element once exhausted, so every stream is infinite.  A ``prefixed`` text
+holds its prefix as runs ``(element, count)``: ``count`` copies of
+``element``, so a long repeated prefix takes one pair.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+import sys
 from dataclasses import dataclass
+from itertools import chain, islice, repeat, starmap
 from typing import Iterator, Sequence
 
 from .sets import SetSpec
@@ -22,18 +25,24 @@ SHUFFLE_BLOCK = 16
 class Text:
     kind: str
     target: SetSpec
-    prefix: tuple[int, ...] = ()
+    prefix: tuple[tuple[int, int], ...] = ()  # runs (element, count)
     seed: int = 0
 
     def stream(self) -> Iterator[int]:
-        """A fresh iterator over the text; identical on every call."""
+        """A fresh, infinite iterator over the text; identical on every call."""
         if self.kind == "canonical":
             return _pad_tail(self.target)
         if self.kind == "seeded":
             return _seeded_stream(self.target, self.seed)
         if self.kind == "prefixed":
-            return itertools.chain(self.prefix, _pad_tail(self.target))
+            return chain(chain.from_iterable(starmap(_run, self.prefix)), _pad_tail(self.target))
         raise ValueError(f"unknown text kind: {self.kind}")
+
+
+def _run(element: int, count: int) -> Iterator[int]:
+    """``count`` copies of ``element``.  ``repeat`` counts up to ``sys.maxsize``; a longer
+    run repeats without end, since no session reads that many elements."""
+    return repeat(element, count) if count <= sys.maxsize else repeat(element)
 
 
 def _pad_tail(target: SetSpec) -> Iterator[int]:
@@ -54,7 +63,7 @@ def _seeded_stream(target: SetSpec, seed: int) -> Iterator[int]:
     rng = random.Random(seed)
     source = target.iter_increasing()
     while True:
-        block = list(itertools.islice(source, SHUFFLE_BLOCK))
+        block = list(islice(source, SHUFFLE_BLOCK))
         if not block:
             break
         rng.shuffle(block)
@@ -68,17 +77,18 @@ def make_text(
     kind: str,
     target: SetSpec,
     *,
-    prefix: Sequence[int] = (),
+    prefix: Sequence[tuple[int, int]] = (),
     seed: int = 0,
 ) -> Text:
     """Build a text of ``target``; rejects empty targets and foreign prefixes.
 
-    Each distinct prefix element is tested once; a tuple prefix is kept, not copied.
+    ``prefix`` is runs ``(element, count)``.  Each run's element is tested
+    once; a tuple prefix is kept, not copied.
     """
     if target.is_empty():
         raise ValueError("cannot build a text of the empty set")
     if kind == "prefixed":
-        for x in dict.fromkeys(prefix):
+        for x, _ in prefix:
             if not target.contains(x):
                 raise ValueError(f"prefix element {x} is outside the target")
     if kind not in ("canonical", "seeded", "prefixed"):

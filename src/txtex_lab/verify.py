@@ -336,7 +336,7 @@ def verify_agents() -> list[CheckResult]:
         target = pow2.member(n)
         texts = [pow2.canonical_text(n)]
         texts += [make_text("seeded", target, seed=s) for s in range(3)]
-        texts += [make_text("prefixed", target, prefix=[0] * 9)]
+        texts += [make_text("prefixed", target, prefix=[(0, 9)])]
         for text in texts:
             budget = Budget(horizon=2**n + 70, window=20)
             pmc_run = run_session(catalog["pow2_pmc_learner"], text, budget=budget)

@@ -43,6 +43,8 @@ SESSION = "src/txtex_lab/session.py"
 AGENTS = "src/txtex_lab/agents.py"
 ADVERSARY = "src/txtex_lab/adversary.py"
 EVALUATE = "src/txtex_lab/evaluate.py"
+TEXT = "src/txtex_lab/text.py"
+SETS_TEXT = "tests/test_sets_text.py"
 SESSION_PROPERTIES = "tests/test_session_properties.py"
 STEP_PROPERTIES = "tests/test_step_properties.py"
 CHAR_SAMPLE_PROPERTIES = "tests/test_char_sample_properties.py"
@@ -157,9 +159,27 @@ MUTANTS = [
     # compute_q's marker run stops one marker short of the prefix
     Mutant(
         ADVERSARY,
-        "marker_stream(min(ell, COMPUTE_Q_MAX_ACTIONS))",
-        "marker_stream(min(ell - 1, COMPUTE_Q_MAX_ACTIONS))",
+        "repeat(marker_element(0), min(ell, COMPUTE_Q_MAX_ACTIONS))",
+        "repeat(marker_element(0), min(ell - 1, COMPUTE_Q_MAX_ACTIONS))",
         ("tests/test_defeat_properties.py::test_the_marker_trap_defeats_every_oracle_learner",),
+    ),
+    # a prefixed text streams each run one element short
+    Mutant(
+        TEXT,
+        "repeat(element, count) if",
+        "repeat(element, count - 1) if",
+        (
+            f"{SETS_TEXT}::test_prefixed_text_and_content_guard",
+            "tests/test_session.py::test_teacher_edge_sessions_are_pinned[skip-through-teacher]",
+            "tests/test_defeat_properties.py::test_a_shared_repeat_prefix_defeats_every_text_learner",
+        ),
+    ),
+    # make_text tests only the first run's element against the target
+    Mutant(
+        TEXT,
+        "        for x, _ in prefix:\n",
+        "        for x, _ in prefix[:1]:\n",
+        (f"{SETS_TEXT}::test_prefix_guard_asks_each_runs_element_once",),
     ),
     # the covering-word walk keeps to the missing letters one slot early
     Mutant(

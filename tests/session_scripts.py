@@ -35,9 +35,11 @@ does over the raw data, so the same reference covers both.
 This is a helper module, not a test module: the session properties import
 it, ``test_teacher_properties`` draws its learners from it, the step and
 characteristic-sample properties draw their step learners from it, and the
-chain-forcing property draws its scripted teachers from it.
+chain-forcing property draws its scripted teachers from it.  ``runs_of``
+groups a drawn word into a ``prefixed`` text's runs.
 """
 
+from itertools import groupby
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -351,6 +353,11 @@ def table_step(table, answers):
         return ((after,) if type(out) is Query else after), out
 
     return step
+
+
+def runs_of(word):
+    """``word`` as runs ``(element, count)`` of equal neighbours: a ``make_text`` prefix."""
+    return [(x, sum(1 for _ in group)) for x, group in groupby(word)]
 
 
 def derived_learner(start, table, answers, first=None):

@@ -27,20 +27,20 @@ P_LIN = poly_encode([0, 1])
 
 
 def test_marker_streams():
-    assert adversary.marker_stream(3) == (adversary.marker_element(0),) * 3
-    assert adversary.marker_stream(0) == ()
+    assert adversary.marker_stream(3) == ((adversary.marker_element(0), 3),)
+    assert adversary.marker_stream(0) == ((adversary.marker_element(0), 0),)
 
 
 def test_compute_q_reads_no_further_than_its_budget(registry, monkeypatch):
     """The stream stops at the action budget, which no run reads past."""
     lengths = []
-    marker_stream = adversary.marker_stream
 
-    def recorded_stream(ell):
-        lengths.append(ell)
-        return marker_stream(ell)
+    def recorded_run(learner, sequence, **options):
+        sequence = list(sequence)
+        lengths.append(len(sequence))
+        return run_on_sequence(learner, sequence, **options)
 
-    monkeypatch.setattr(adversary, "marker_stream", recorded_stream)
+    monkeypatch.setattr(adversary, "run_on_sequence", recorded_run)
     assert adversary.compute_q(registry[3], 10**12) == adversary.compute_q(registry[3], 10)
     assert lengths == [adversary.COMPUTE_Q_MAX_ACTIONS, 10]
 
@@ -102,8 +102,7 @@ def test_repeat_prefix_texts():
     p_inc = poly_encode([1, 1])  # x + 1
     text_a, text_b = adversary.repeat_prefix_texts(family, index_a, index_b, 0, p_inc)
     expected = (index_a + 1) + (index_b + 1)
-    assert len(text_a.prefix) == expected == len(text_b.prefix)
-    assert set(text_a.prefix) == {0}
+    assert text_a.prefix == ((0, expected),) == text_b.prefix
 
     with pytest.raises(ValueError):
         adversary.repeat_prefix_texts(family, index_a, index_b, 2, p_inc)  # 2 not common
@@ -117,9 +116,9 @@ def test_shared_prefix_forces_shared_hypothesis():
     index_b = family.index_of_set({0, 5})
     text_a, text_b = adversary.repeat_prefix_texts(family, index_a, index_b, 0, poly_encode([1, 1]))
     learner = agents.make_finite_psd_learner()
-    shared = len(text_a.prefix)
-    run_a = run_on_sequence(learner, list(text_a.prefix))
-    run_b = run_on_sequence(learner, list(text_b.prefix))
+    [(_, shared)] = text_a.prefix
+    run_a = run_on_sequence(learner, itertools.islice(text_a.stream(), shared))
+    run_b = run_on_sequence(learner, itertools.islice(text_b.stream(), shared))
     assert run_a.emissions == run_b.emissions
     assert run_a.emissions[-1] == run_b.emissions[-1]
 

@@ -363,7 +363,7 @@ def test_pcsG_learner_behavior():
     target = family.member(5)
     transcript = run_session(
         learner,
-        make_text("prefixed", target, prefix=[5]),
+        make_text("prefixed", target, prefix=[(5, 1)]),
         oracle=target,
         budget=Budget(horizon=30, window=5),
     )
@@ -445,7 +445,7 @@ def test_step_built_pcs_learners_log_their_generators_sessions(make_learner, ref
     learner, want = make_learner(), reference()
     assert learner.step is not None and learner.spec() == want.spec()
     for data in itertools.product([0, 3, 4, 5, 6, 9, 17], repeat=3):
-        text = make_text("prefixed", FiniteSet(set(data)), prefix=list(data))
+        text = make_text("prefixed", FiniteSet(set(data)), prefix=[(x, 1) for x in data])
         budget = Budget(horizon=3, window=1)
         got = run_session(learner, text, oracle=oracle, budget=budget)
         assert got == run_session(want, text, oracle=oracle, budget=budget)

@@ -1,12 +1,9 @@
 import hashlib
 import json
-import os
 import re
-import subprocess
-import sys
 import time
+import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -222,8 +219,8 @@ class Raw(NamedTuple):
         ),
         (
             "msd-defeat",
-            {"learner_ids": [3], "poly": [0, 1, 1]},
-            "poly [0, 1, 1] gives learner 3 a marker prefix longer than 100000000",
+            {"learner_ids": [3], "poly": [99999, 1]},
+            "poly [99999, 1] gives a marker family code above 100000000",
         ),
         (
             "merged-split",
@@ -478,14 +475,14 @@ def test_marker_prefix_length_is_the_family_ell():
         for m_id in m_ids:
             for stretch in (1, families.MERGED_STRETCH):
                 t = encode_tuple([m_id, p_code, 1])
-                assert families.marker_prefix_length(poly, m_id, stretch, None) == (
+                assert families.marker_prefix_length(poly, m_id, stretch) == (
                     poly_eval(p_code, stretch * t)
                 )
             assert families.make_msd(registry, m_id, p_code).ell == (
-                families.marker_prefix_length(poly, m_id, 1, families.MARKER_MAX_PREFIX)
+                families.marker_prefix_length(poly, m_id, 1)
             )
             assert families.make_merged(registry, m_id, p_code).descriptors.ell == (
-                families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH, None)
+                families.marker_prefix_length(poly, m_id, families.MERGED_STRETCH)
             )
 
 
@@ -497,7 +494,8 @@ def test_marker_prefix_length_is_the_family_ell():
         ("merged-split", {"learner_id": 3, "poly": [0, 2]}, 441_192),
         ("msd-defeat", {"learner_ids": [3], "poly": [1, 2, 0]}, 81_911_543),
         ("merged-split", {"learner_id": 3, "poly": [2, 2]}, 89_615_048),
-        ("msd-defeat", {"learner_ids": [3], "poly": [4, 1]}, None),
+        ("msd-defeat", {"learner_ids": [3], "poly": [4, 1]}, 105_713_070),
+        ("msd-defeat", {"learner_ids": [3], "poly": [0, 1, 1]}, 4_344_446_780_694_306),
         ("merged-split", {"learner_id": 3, "poly": [1, 2, 0]}, 245_734_627),
         ("msd-linear", {"learner_id": 4, "poly": [1] * 64}, None),
         ("merged-split", {"learner_id": 3, "poly": [4, 1]}, 317_139_202),
@@ -506,72 +504,61 @@ def test_marker_prefix_length_is_the_family_ell():
             {"learner_id": 0, "poly": [0, 1, 6]},
             240_254_518_123_360_008_721_381_658_745_868_144_114_880,
         ),
+        (
+            "msd-defeat",
+            {"learner_ids": [0], "poly": [0, 1, 6]},
+            240_254_518_123_360_008_721_381_658_745_868_144_114_880,
+        ),
         ("merged-split", {"learner_id": 3, "poly": [99999, 1]}, None),
+        ("msd-defeat", {"learner_ids": [3], "poly": [99999, 1]}, None),
     ],
 )
-def test_marker_prefix_cap_admits_what_runs(experiment, config, ell, tmp_path):
-    """msd-defeat, the one experiment that builds its prefix, admits the prefixes that run
-    under a 2 GB address-space limit; the others admit any prefix whose codes stay small.
+def test_marker_code_bound_admits_what_runs(experiment, config, ell, tmp_path):
+    """Each marker experiment admits any prefix whose codes stay small, and it runs.
 
-    msd-defeat ran the largest admitted ell there in 647 MB, and the smallest
-    rejected one, [4, 1], in 828 MB.  msd-linear and merged-split read at most
-    ``adversary.COMPUTE_Q_MAX_ACTIONS`` markers of their prefix, so only a
-    partial code of p* above ``MARKER_MAX_PREFIX`` refuses them, before any
-    code grows large: a 64-coefficient poly after a few pairs; an admitted
-    prefix past the cap runs to exit 0.  ``ell`` None is a refusal.
+    A partial code of p* above ``MARKER_MAX_CODE`` refuses a poly before any
+    code grows large: a 64-coefficient poly after a few pairs.  msd-defeat
+    streams its prefix as one run, so even an ell past ``sys.maxsize`` runs
+    to exit 0; the other two read at most ``adversary.COMPUTE_Q_MAX_ACTIONS``
+    markers of theirs.  ``ell`` None is a refusal.
     """
     spec = EXPERIMENTS[experiment]
     merged = {**spec.defaults, **config}
     [m_id] = merged.get("learner_ids", [merged.get("learner_id")])
     stretch = families.MERGED_STRETCH if experiment == "merged-split" else 1
-    cap = families.MARKER_MAX_PREFIX if experiment == "msd-defeat" else None
     if ell is None:
-        refusal = "marker prefix longer than" if cap else "marker family code above"
+        refusal = "marker family code above"
         with pytest.raises(ValueError, match=f"{refusal} 100000000"):
-            families.marker_prefix_length(merged["poly"], m_id, stretch, cap)
+            families.marker_prefix_length(merged["poly"], m_id, stretch)
         with pytest.raises(experiments.ConfigError, match=refusal):
             spec.check_values(merged)
     else:
-        assert families.marker_prefix_length(merged["poly"], m_id, stretch, cap) == ell
+        assert families.marker_prefix_length(merged["poly"], m_id, stretch) == ell
         spec.check_values(merged)
-        if ell > families.MARKER_MAX_PREFIX:
-            assert experiments.run_experiment(experiment, config, tmp_path / "run") == 0
+        assert experiments.run_experiment(experiment, config, tmp_path / "run") == 0
 
 
-# VmHWM, not ru_maxrss, which Linux carries across fork and exec from the test runner.
-_MARKER_RSS_PROBE = """
-import re, sys
-from txtex_lab.experiments import run_experiment
+def test_a_long_marker_defeat_takes_under_a_second_and_5_mb(tmp_path):
+    """A defeat on an 81,911,543-marker prefix stays within 1 s and a 5 MB ``tracemalloc``
+    peak: the prefix is one run, so the defeat's cost does not grow with ell.
 
-def peak_rss():
-    with open("/proc/self/status") as fh:
-        return int(re.search(r"^VmHWM:\\s+(\\d+) kB", fh.read(), re.M).group(1)) * 1024
-
-before = peak_rss()
-code = run_experiment("msd-defeat", {"learner_ids": [0], "poly": [1, 2]}, sys.argv[1])
-print(code, peak_rss() - before)
-"""
-
-
-def test_marker_defeat_holds_one_copy_of_its_prefix(tmp_path):
-    """In a fresh interpreter, a defeat on a 2,212,655-marker prefix grows peak RSS by under
-    1.5 prefixes of 8-byte slots: the prefix is one tuple, which the texts share."""
-    if not Path("/proc/self/status").exists():
-        pytest.skip("reads the peak resident set from Linux procfs")
-    ell = families.marker_prefix_length([1, 2], 0, 1, families.MARKER_MAX_PREFIX)
-    assert ell == 2_212_655
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", _MARKER_RSS_PROBE, str(tmp_path / "defeat")],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout.split()
-    assert out[0] == "0"
-    growth = int(out[1])
-    assert growth < 1.5 * 8 * ell, f"the defeat raised peak RSS by {growth / 2**20:.1f} MB"
+    This prefix was the longest that ran in 1 GB when the prefix was a flat tuple.
+    """
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = experiments.run_experiment(
+            "msd-defeat", {"learner_ids": [3], "poly": [1, 2, 0]}, tmp_path / "defeat"
+        )
+        seconds = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    report = json.loads((tmp_path / "defeat" / "report.json").read_text())
+    assert report["summary"]["reports"][0]["prefix_length"] == 81_911_543
+    assert seconds < 1.0, f"the defeat took {seconds:.2f} s"
+    assert peak < 5 << 20, f"the defeat's tracemalloc peak was {peak / 2**20:.1f} MB"
 
 
 def test_reference_pair_budget_covers_its_search_space(tmp_path, capsys):

@@ -163,8 +163,8 @@ def test_a_shared_repeat_prefix_defeats_every_text_learner(pair, plan, stop_afte
     set_a, set_b, x = pair
     indices = (FINITE.index_of_set(set_a), FINITE.index_of_set(set_b))
     texts = adversary.repeat_prefix_texts(FINITE, *indices, x, P_INCREMENT)
-    shared = len(texts[0].prefix)
-    assert texts[0].prefix == texts[1].prefix == (x,) * (sum(indices) + 2)
+    shared = sum(indices) + 2
+    assert texts[0].prefix == texts[1].prefix == ((x, shared),)
     learner = text_learner(plan, stop_after, indices)
     budget = Budget(horizon=shared + 20, window=5)
     transcripts = [run_session(learner, text, budget=budget) for text in texts]

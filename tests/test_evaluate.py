@@ -48,6 +48,16 @@ def test_evaluate_wrong_hypothesis(pow2):
     verdict = evaluate_run(transcript, pow2, 3, poly_encode([2, 1]), "PMC")
     assert not verdict.passed and verdict.reason == "wrong-hypothesis"
 
+    def negative():
+        yield Emit(-1)
+
+    finite = families.make_basic_family("finite-canonical")  # no index below 0
+    transcript = run_session(
+        Learner("negative", negative), finite.canonical_text(3), budget=Budget(horizon=10)
+    )
+    verdict = evaluate_run(transcript, finite, 3, poly_encode([2, 1]), "PMC")
+    assert verdict == Verdict(False, "bad-hypothesis", {"hypothesis": -1})
+
 
 def test_evaluate_pmc_pass_and_fail(pow2):
     learner = agents.make_pow2_pmc_learner()
@@ -75,6 +85,11 @@ def test_evaluate_prt_counts_queries(pow2):
     assert evaluate_run(transcript, pow2, 4, poly_encode([8, 0, 0, 1]), "PRT").passed
     verdict = evaluate_run(transcript, pow2, 4, poly_encode([1]), "PRT")
     assert not verdict.passed and verdict.reason == "query-bound-exceeded"
+    # 7 queries fit a bound of 8, but the 8 ticks at convergence reach it
+    verdict = evaluate_run(transcript, pow2, 4, poly_encode([8]), "PRT")
+    assert not verdict.passed and verdict.reason == "tick-bound-exceeded"
+    details = verdict.details
+    assert (details["queries_at_convergence"], details["ticks_at_convergence"]) == (7, 8)
 
 
 def test_evaluate_deterministic_on_replay(pow2):

@@ -91,9 +91,8 @@ def test_msd_rejects_bad_inputs(registry):
         families.make_msd(registry, 99, P_LIN)
     with pytest.raises(ValueError, match="poly must be increasing"):
         families.make_msd(registry, 0, poly_encode([5]))  # constant, not increasing
-    # ell 105,713,070 is above the cap, and nothing of that length is built
-    with pytest.raises(ValueError, match="^poly \\[4, 1\\] gives learner 3 a marker prefix longer"):
-        families.make_msd(registry, 3, poly_encode([4, 1]))
+    with pytest.raises(ValueError, match="^poly \\[99999, 1\\] gives a marker family code above"):
+        families.make_msd(registry, 3, poly_encode([99999, 1]))
 
 
 def test_csd_anchor_table_small_values():

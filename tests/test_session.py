@@ -188,7 +188,7 @@ class CheatingTeacher(Teacher):
 
 
 def test_teacher_filters_duplicates():
-    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
+    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[(5, 4)])
     transcript = run_session(
         echo_counter_learner(),
         text,
@@ -212,7 +212,7 @@ def test_teacher_contract_violation_aborts():
 
 
 def test_composed_step_pair_matches_two_agent_session():
-    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[5] * 4)
+    text = make_text("prefixed", FiniteSet({5, 9}), prefix=[(5, 4)])
     pair_run = run_session(
         distinct_step_counter(),
         text,
@@ -480,7 +480,7 @@ def skip_read_learner():
 
 def _teacher_edge_session(case):
     if case == "skip-through-teacher":
-        text = make_text("prefixed", FiniteSet({5, 9, 12, 20}), prefix=[5] * 3)
+        text = make_text("prefixed", FiniteSet({5, 9, 12, 20}), prefix=[(5, 3)])
         return run_session(
             skip_read_learner(), text, teacher=FirstOccurrenceTeacher(), budget=Budget(horizon=30)
         )

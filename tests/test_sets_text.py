@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 
 import pytest
@@ -77,10 +78,13 @@ def test_canonical_text_pads_with_minimum():
 
 
 def test_prefixed_text_and_content_guard():
-    text = make_text("prefixed", Interval(0, 2), prefix=[2, 2, 1])
+    text = make_text("prefixed", Interval(0, 2), prefix=[(2, 2), (1, 1), (0, 0)])
     assert list(itertools.islice(text.stream(), 6)) == [2, 2, 1, 0, 1, 2]
     with pytest.raises(ValueError):
-        make_text("prefixed", Interval(0, 2), prefix=[5])
+        make_text("prefixed", Interval(0, 2), prefix=[(5, 1)])
+    # ``itertools.repeat`` counts up to ``sys.maxsize``; a longer run streams all the same
+    text = make_text("prefixed", Interval(0, 2), prefix=[(1, sys.maxsize + 1), (2, 1)])
+    assert list(itertools.islice(text.stream(), 5)) == [1] * 5
 
 
 class CountingInterval(Interval):
@@ -91,15 +95,15 @@ class CountingInterval(Interval):
         return super().contains(x)
 
 
-def test_prefix_guard_asks_each_distinct_element_once():
+def test_prefix_guard_asks_each_runs_element_once():
     target = CountingInterval(0, 9)
     object.__setattr__(target, "asked", [])
-    prefix = (4, 4, 1, 4, 9, 1, 0)
+    prefix = ((4, 10**12), (1, 1), (4, 3), (9, 1), (0, 2))
     text = make_text("prefixed", target, prefix=prefix)
-    assert target.asked == [4, 1, 9, 0]  # first-occurrence order
+    assert target.asked == [4, 1, 4, 9, 0]  # run order, once per run, whatever its count
     assert text.prefix is prefix  # a tuple prefix is kept, not copied
     with pytest.raises(ValueError, match="^prefix element 7 is outside the target$"):
-        make_text("prefixed", Interval(0, 2), prefix=[1, 1, 7, 2, 9, 7])
+        make_text("prefixed", Interval(0, 2), prefix=[(1, 2), (7, 1), (2, 1), (9, 1)])
 
 
 def test_empty_target_rejected():

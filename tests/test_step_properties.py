@@ -42,6 +42,7 @@ from session_scripts import (
     oracles,
     outcome,
     reference_session,
+    runs_of,
     step_tables,
     ticks_and_taken,
 )
@@ -126,7 +127,7 @@ def test_a_derived_program_is_its_table_unrolled(
     tables, first, data, members, tick_offset, horizon_offset, window
 ):
     horizon = max(0, len(data) + horizon_offset)
-    text = make_text("prefixed", FiniteSet(set(data)), prefix=data)
+    text = make_text("prefixed", FiniteSet(set(data)), prefix=runs_of(data))
     raw = list(itertools.islice(text.stream(), horizon))
     script = unrolled_script(*tables, first, raw, members)
     budget = Budget(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from txtex_lab import codec, verify
+from txtex_lab import adversary, codec, verify
 from txtex_lab.codec import signed_int, signed_int_inv
 from txtex_lab.descriptor import StepResult, recognizer_step
 from txtex_lab.families import HaltingFamily
@@ -136,6 +136,14 @@ def test_codec_suite_stops_at_the_first_broken_tuple(monkeypatch, broken_n, brok
     assert check.name == "tuple roundtrip with bounded coordinates"
     assert not check.passed and check.cases == position
     assert decoded == {"calls": position, "last": (broken_n, broken_k)}
+
+
+def test_adversary_suite_catches_a_defeat_whose_hypothesis_fits_both_targets(monkeypatch):
+    """With every hypothesis judged correct, no defeat is wrong for a target: only the
+    defeat check fails."""
+    monkeypatch.setattr(adversary, "hypothesis_correct", lambda *args: True)
+    failed = [r.name for r in verify.verify_adversary() if not r.passed]
+    assert failed == ["defeat transcripts agree through the marker prefix"]
 
 
 # VmHWM is the peak resident set of the probe's own address space.  Its
