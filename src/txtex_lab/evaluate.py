@@ -110,13 +110,14 @@ def _arrangement_count(alphabet_size: int, max_len: int) -> int:
 def _sampled_sequences(
     universe: list[int], sample: list[int], max_len: int, seed: int, count: int
 ):
-    """Seeded sequences biased to cover the sample set.
+    """The draws that cover the sample set, in draw order, of ``count`` seeded draws.
 
     Each index is one rejection draw ``r = getrandbits(k)``, repeated while
     ``r >= n`` with ``k = n.bit_length()``, which is how ``random.Random``
-    draws below n.  So the stream is the one that ``randint(1, max_len)``, a
+    draws below n.  So the draws are the ones that ``randint(1, max_len)``, a
     ``choice(universe)`` per position and a ``shuffle`` of the positions
-    before the splice would give, at one call per draw.
+    before the splice would give, at one call per draw.  Every draw makes
+    its calls, but only a covering one is built as a tuple.
     """
     if max_len < 1:
         raise ValueError(f"empty range for the length: 1..{max_len}")
@@ -125,6 +126,7 @@ def _sampled_sequences(
     rng = random.Random(seed)
     bits, coin = rng.getrandbits, rng.random
     n, n_bits, len_bits = len(universe), len(universe).bit_length(), max_len.bit_length()
+    needed = set(sample)
     for _ in range(count):
         length = bits(len_bits)
         while length >= max_len:
@@ -147,7 +149,9 @@ def _sampled_sequences(
                 positions[i], positions[j] = positions[j], positions[i]
             for x, pos in zip(sample, itertools.cycle(positions)):
                 seq[pos] = x
-        yield tuple(seq)
+        # a draw shorter than the sample's distinct elements cannot hold them all
+        if length >= len(needed) and needed.issubset(seq):
+            yield tuple(seq)
 
 
 def _walk_covering_words(
@@ -247,9 +251,10 @@ def check_characteristic_sample(
     universe, so no sequence covers the sample.
     Exhaustive mode walks the covering words in ``itertools.product`` order
     and memoizes the learner's states (``_walk_covering_words``); sampled mode
-    steps the learner (``step_through``) through each covering sequence of the
-    seeded ``getrandbits`` stream that ``randint``, ``choice`` and ``shuffle``
-    give (``_sampled_sequences``), counting repeats in ``covering_prefixes_checked``.
+    takes the covering draws of the seeded ``getrandbits`` stream that
+    ``randint``, ``choice`` and ``shuffle`` give (``_sampled_sequences``), and
+    steps the learner (``step_through``) through each distinct one once: a
+    repeat is counted in ``covering_prefixes_checked`` but not stepped again.
     Both stop at the first bad output; the verdict is that of a run on each.
     """
     if max_text_len > CHECK_MAX_TEXT_LEN:
@@ -280,14 +285,17 @@ def check_characteristic_sample(
             learner, universe, sample, max_text_len, oracle
         )
     else:
-        words, locked, bad = 0, None, None
-        drawn = _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS)
-        for seq in filter(set(sample).issubset, drawn):
-            output = step_through(learner, seq, oracle)
-            if output is None or locked not in (None, output):
-                bad = seq
-                break
-            locked, words = output, words + 1
+        # a repeat of a passed sequence passes: the output is the sequence's, the oracle fixed
+        words, locked, bad, passed = 0, None, None, set()
+        for seq in _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS):
+            if seq not in passed:
+                output = step_through(learner, seq, oracle)
+                if output is None or locked not in (None, output):
+                    bad = seq
+                    break
+                locked = output
+                passed.add(seq)
+            words += 1
     if bad is not None and output is None:
         return Verdict(False, "no-output", {"prefix": list(bad)})
     if bad is not None:

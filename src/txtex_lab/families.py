@@ -84,10 +84,7 @@ class TupleContents(IndexedFamily):
 
     def min_index(self, n):
         content = set(decode_tuple(n, 2))
-        for candidate in range(n + 1):
-            if set(decode_tuple(candidate, 2)) == content:
-                return candidate
-        return n
+        return next(c for c in range(n + 1) if set(decode_tuple(c, 2)) == content)
 
 
 class FiniteCanonical(IndexedFamily):

@@ -211,6 +211,26 @@ MUTANTS = [
             f"{STEP_PROPERTIES}::test_the_walk_decides_every_order",
         ),
     ),
+    # a sampled check counts a repeated covering draw as none: it counts distinct draws
+    Mutant(
+        EVALUATE,
+        "                passed.add(seq)\n            words += 1\n",
+        "                passed.add(seq)\n                words += 1\n",
+        (
+            "tests/test_evaluate.py::test_sampled_char_sample_verdicts_are_pinned[0-6]",
+            "tests/test_evaluate.py::test_sampled_char_sample_verdicts_are_pinned[11-8]",
+        ),
+    ),
+    # the sampler drops the draws as long as the sample's distinct elements, which can cover it
+    Mutant(
+        EVALUATE,
+        "if length >= len(needed) and needed.issubset(seq):",
+        "if length > len(needed) and needed.issubset(seq):",
+        (
+            f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[0-1]",
+            f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[7-66]",
+        ),
+    ),
     # a bounded walk takes one step less than its bound
     Mutant(
         EVALUATE,

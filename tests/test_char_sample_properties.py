@@ -2,11 +2,11 @@
 
 Exhaustive mode walks only the covering words; it must fold them as a run
 over each covering word of the full product, in product order, would.
-Sampled mode draws with ``getrandbits``; it must give exactly the stream
-that ``randint``, ``choice`` and ``shuffle`` give for the same seed.  In
-either mode the check steps a step learner; it must give the verdict, or the
-error, of running the learner's derived program over each covering sequence
-through ``run_on_sequence``.
+Sampled mode draws with ``getrandbits``; it must give exactly the covering
+draws of the stream that ``randint``, ``choice`` and ``shuffle`` give for the
+same seed.  In either mode the check steps a step learner; it must give the
+verdict, or the error, of running the learner's derived program over each
+covering sequence, repeats included, through ``run_on_sequence``.
 """
 
 import itertools
@@ -107,7 +107,9 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
     """The check's verdict from one ``run_on_sequence`` per covering sequence over the universe.
 
     The drawn samples lie in the target and fit the size bound, so only the
-    universe can end the check before the runs.
+    universe can end the check before the runs.  Sampled mode draws from
+    ``reference_sampled_sequences``, not the sampler under test, and runs
+    every covering draw, a repeat again.
     """
     universe = family.member(target_index).elements_up_to(max_universe)
     if not universe:
@@ -118,7 +120,9 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
     if exhaustive:
         sequences = filtered_product(universe, set(sample), max_len)
     else:
-        drawn = _sampled_sequences(universe, sample, max_len, seed, evaluate.SAMPLED_ARRANGEMENTS)
+        drawn = reference_sampled_sequences(
+            universe, sample, max_len, seed, evaluate.SAMPLED_ARRANGEMENTS
+        )
         sequences = (seq for seq in drawn if set(sample) <= set(seq) <= set(universe))
     locked, checked = None, 0
     for seq in sequences:
@@ -202,16 +206,20 @@ def reference_sampled_sequences(universe, sample, max_len, seed, count):
         yield tuple(seq)
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 1024, 1026])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 66, 130, 1024, 1026])
 @pytest.mark.parametrize("seed", [0, 7, 11, 123])
 def test_sampled_sequences_keep_the_randint_choice_shuffle_stream(seed, size):
-    # sizes at the bit_length edges, where a rejection draw is most and least likely
+    # sizes at the bit_length edges, where a rejection draw is most and least likely;
+    # 66 and 130 are the offset-power universes for n = 6 and 7
     universe = list(range(3, 3 + 2 * size, 2))
+    # the last sample, [a, b, c, b], wraps: spliced over a length-3 draw it leaves only b
+    # and c, where a splice without itertools.cycle would leave a, b and c
+    samples = [[universe[0], 10**6, 7][:k] for k in range(4)] + [[universe[0], 10**6, 7, 10**6]]
     for max_len in range(1, 5):
-        for sample_size in range(4):
-            sample = [universe[0], 10**6, 7, 3][:sample_size]
+        for sample in samples:
             args = universe, sample, max_len, seed, 300
-            assert list(_sampled_sequences(*args)) == list(reference_sampled_sequences(*args))
+            covering = [seq for seq in reference_sampled_sequences(*args) if set(sample) <= set(seq)]
+            assert list(_sampled_sequences(*args)) == covering
 
 
 @pytest.mark.parametrize("max_len", [0, -1])

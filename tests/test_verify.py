@@ -138,6 +138,28 @@ def test_codec_suite_stops_at_the_first_broken_tuple(monkeypatch, broken_n, brok
     assert decoded == {"calls": position, "last": (broken_n, broken_k)}
 
 
+def _poly_eval_off_at_3(code, x):
+    return codec.poly_eval(code, x) + (x == 3)
+
+
+def _canonical_decode_without_20(code):
+    return codec.canonical_decode(code) - {20}
+
+
+@pytest.mark.parametrize(
+    "name,faulty,check",
+    [
+        ("poly_eval", _poly_eval_off_at_3, "polynomial evaluation vs direct sum"),
+        ("canonical_decode", _canonical_decode_without_20, "canonical set codes roundtrip"),
+    ],
+    ids=["poly-eval-off-at-3", "canonical-decode-drops-20"],
+)
+def test_codec_suite_fails_only_the_check_of_a_broken_map(monkeypatch, name, faulty, check):
+    monkeypatch.setattr(verify, name, faulty)
+    failed = [r.name for r in verify.verify_codec() if not r.passed]
+    assert failed == [check]
+
+
 def test_adversary_suite_catches_a_defeat_whose_hypothesis_fits_both_targets(monkeypatch):
     """With every hypothesis judged correct, no defeat is wrong for a target: only the
     defeat check fails."""
