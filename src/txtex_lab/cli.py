@@ -1,7 +1,7 @@
 """txtex-lab command line: run experiments, verify invariant suites, list catalogs.
 
 Exit codes: 0 success, 1 verification/experiment failure, 2 usage error,
-3 budget-partial results.  TXTEX_SEED overrides the config seed.
+3 budget-partial results.
 """
 
 from __future__ import annotations
@@ -79,14 +79,6 @@ def _cmd_run(args) -> int:
             return 2
         if not isinstance(config, dict):
             print("config must be a JSON object", file=sys.stderr)
-            return 2
-    seed_override = os.environ.get("TXTEX_SEED")
-    if seed_override is not None:
-        config = dict(config or {})
-        try:
-            config["seed"] = int(seed_override)
-        except ValueError:
-            print(f"TXTEX_SEED must be an integer, got {seed_override!r}", file=sys.stderr)
             return 2
     refusal = _out_refusal(Path(args.out))
     if refusal:

@@ -43,17 +43,22 @@ class ConfigType(NamedTuple):
     check: Callable[[object], bool]
 
 
+class ConfigKey(NamedTuple):
+    """One config key: its default, its type and, for a sweep key, a cap set from a stated cost."""
+
+    default: object
+    type: ConfigType
+    cap: int | None = None
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     name: str
     description: str
-    defaults: dict  # besides ``seed``, which every experiment accepts and defaults to 0
     fn: Callable[[dict], ExperimentResult]
-    schema: dict[str, ConfigType]  # every accepted key but ``seed``: the same keys as ``defaults``
+    keys: dict[str, ConfigKey]  # every accepted key but ``seed``; run_experiment adds ``SEED``
     # checks that relate values of a well-typed config; raises ConfigError
     check_values: Callable[[dict], None] | None = None
-    # upper bounds of natural sweep keys, each set from a stated cost
-    caps: dict[str, int] = field(default_factory=dict)
 
 
 def _texts(family, n: int, seeds: int) -> list:
@@ -638,8 +643,10 @@ def _psd_finite_values(config: dict) -> None:
         raise ConfigError(f"overlap_pair must be two different sets, got {first} and {second}")
 
 
-# Most indices the csd-chain sweep may cover; it runs one oracle session each.
-CSD_CHAIN_MAX_SWEEP = 1_000
+# Greatest csd-chain max_anchor: its sweep runs one oracle session for each of the
+# anchor(i) + top(i) + 1 indices, 714 at 24 and 1,430 at 25.  max_anchor 24 with the
+# other keys' defaults took 0.56-0.69 s at 21 MB peak RSS (Python 3.11, 2 cores).
+CSD_CHAIN_MAX_ANCHOR = 24
 # Most candidates the csd-chain reference pair may search; read at call time.
 CSD_PAIR_MAX_CANDIDATES = 100_000
 # Greatest pcs-suite offset-power n: its check lists a universe of 2^n + 2 elements.
@@ -680,23 +687,17 @@ MERGED_SPLIT_MAX_INDEX = 1_000
 
 
 def _csd_chain_values(config: dict) -> None:
-    """The chain anchor lies in the swept table, above anchor 0, and the sweep is bounded.
+    """The chain anchor lies in the swept table, above anchor 0.
 
     Anchor 0's chain is a lone top set whose index the chaser emits before any
     datum, so it forces nothing; a larger anchor than the sweep's can have a
-    chain too long to build.  A ``max_anchor`` of i sweeps anchor(i) + top(i)
-    + 1 indices, a count growing with i; the walk stops at the first i whose
-    sweep passes the limit, so a huge ``max_anchor`` is rejected as fast as 25.
+    chain too long to build.
     """
     anchor, max_anchor = config["chain_anchor"], config["max_anchor"]
     if not 1 <= anchor <= max_anchor:
         raise ConfigError(
             f"chain_anchor must be between 1 and max_anchor {max_anchor}, got {anchor}"
         )
-    chains = families.CsdFamily(1)
-    for i in range(max_anchor + 1):
-        if chains.anchor(i) + chains.top(i) + 1 > CSD_CHAIN_MAX_SWEEP:
-            raise ConfigError(f"max_anchor must be at most {i - 1}, got {max_anchor}")
 
 
 # Greatest swept i of W with a printable tower index 2^(2^i): Python prints ints of
@@ -714,7 +715,6 @@ def _halting_values(config: dict) -> None:
         )
 
 
-INTEGER = ConfigType("an integer", lambda v: type(v) is int)
 NATURAL = ConfigType("a natural number", _is_natural)
 POSITIVE = ConfigType("a positive integer", lambda v: type(v) is int and v >= 1)
 NATURALS = ConfigType("a list of natural numbers", _is_naturals)
@@ -731,6 +731,8 @@ NATURAL_SET_PAIR = ConfigType(
 TRAP_LEARNERS = ConfigType(
     "a list of [step learner id, coefficients] pairs", _list_of(_is_trap_learner)
 )
+# every experiment takes an integer seed; only pcs-suite's sampled checks read it
+SEED = ConfigKey(0, ConfigType("an integer", lambda v: type(v) is int))
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
     spec.name: spec
@@ -738,108 +740,89 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         ExperimentSpec(
             "pow2-gap",
             "distinct-data vs oracle-query vs teacher-item costs on dyadic intervals",
-            {"n_range": [1, 12]},
             _pow2_gap,
-            {"n_range": N_RANGE},
+            {"n_range": ConfigKey([1, 12], N_RANGE)},
             _pow2_gap_values,
         ),
         ExperimentSpec(
             "msd-linear",
             "descriptor teacher pair: hypothesis = index, ticks linear in index",
-            {"max_n": 100, "learner_id": 0, "poly": [0, 1], "seeds": 10},
             _msd_linear,
-            {"max_n": NATURAL, "learner_id": LEARNER_ID, "poly": POLY, "seeds": NATURAL},
+            {
+                "max_n": ConfigKey(100, NATURAL, MSD_LINEAR_MAX_N),
+                "learner_id": ConfigKey(0, LEARNER_ID),
+                "poly": ConfigKey([0, 1], POLY),
+                "seeds": ConfigKey(10, NATURAL, MSD_LINEAR_MAX_SEEDS),
+            },
             _marker_values(1),
-            caps={"max_n": MSD_LINEAR_MAX_N, "seeds": MSD_LINEAR_MAX_SEEDS},
         ),
         ExperimentSpec(
             "msd-defeat",
             "marker-trapped descriptor family defeats registered oracle learners",
-            {"learner_ids": [3, 4, 0], "poly": [0, 1]},
             _msd_defeat,
-            {"learner_ids": LEARNER_IDS, "poly": POLY},
+            {"learner_ids": ConfigKey([3, 4, 0], LEARNER_IDS), "poly": ConfigKey([0, 1], POLY)},
             _marker_values(1),
         ),
         ExperimentSpec(
             "csd-chain",
             "chain-column family: oracle learner exact, forced mind changes on chains",
-            {"max_anchor": 5, "chain_anchor": 5, "chain_length": 2},
             _csd_chain,
             {
-                "max_anchor": NATURAL,
-                "chain_anchor": NATURAL,
-                "chain_length": POSITIVE,  # an empty chain forces nothing
+                "max_anchor": ConfigKey(5, NATURAL, CSD_CHAIN_MAX_ANCHOR),
+                "chain_anchor": ConfigKey(5, NATURAL),
+                "chain_length": ConfigKey(2, POSITIVE),  # an empty chain forces nothing
             },
             _csd_chain_values,
         ),
         ExperimentSpec(
             "merged-split",
             "parity-merged family: one oracle probe picks the branch",
-            {"learner_id": 0, "poly": [0, 1], "max_index": 24},
             _merged_split,
-            {"learner_id": LEARNER_ID, "poly": POLY, "max_index": NATURAL},
+            {
+                "learner_id": ConfigKey(0, LEARNER_ID),
+                "poly": ConfigKey([0, 1], POLY),
+                "max_index": ConfigKey(24, NATURAL, MERGED_SPLIT_MAX_INDEX),
+            },
             _marker_values(families.MERGED_STRETCH),
-            caps={"max_index": MERGED_SPLIT_MAX_INDEX},
         ),
         ExperimentSpec(
             "psd-finite",
             "size+mask learner on finite sets; shared-prefix indistinguishability",
-            {
-                "poly": [2, 2, 1],
-                "sets": [[0], [0, 2], [1, 3, 4], [0, 1, 2, 3], [2, 5, 9]],
-                "overlap_pair": [[0, 2], [0, 5]],
-                "shared_element": 0,
-            },
             _psd_finite,
             {
-                "poly": POLY,
-                "sets": NATURAL_SETS,
-                "overlap_pair": NATURAL_SET_PAIR,
-                "shared_element": NATURAL,
+                "poly": ConfigKey([2, 2, 1], POLY),
+                "sets": ConfigKey([[0], [0, 2], [1, 3, 4], [0, 1, 2, 3], [2, 5, 9]], NATURAL_SETS),
+                "overlap_pair": ConfigKey([[0, 2], [0, 5]], NATURAL_SET_PAIR),
+                "shared_element": ConfigKey(0, NATURAL),
             },
             _psd_finite_values,
         ),
         ExperimentSpec(
             "conversions-roundtrip",
             "teacher-dataset and mind-change conversions preserve learning",
-            {"max_n": 10, "seeds_per_n": 5},
             _conversions,
-            {"max_n": NATURAL, "seeds_per_n": NATURAL},
-            caps={
-                "max_n": CONVERSIONS_ROUNDTRIP_MAX_N,
-                "seeds_per_n": CONVERSIONS_ROUNDTRIP_MAX_SEEDS,
+            {
+                "max_n": ConfigKey(10, NATURAL, CONVERSIONS_ROUNDTRIP_MAX_N),
+                "seeds_per_n": ConfigKey(5, NATURAL, CONVERSIONS_ROUNDTRIP_MAX_SEEDS),
             },
         ),
         ExperimentSpec(
             "pcs-suite",
             "characteristic samples: segments, joins, offset powers, trap families",
-            {
-                "max_g": 8,
-                "max_thm64": 8,
-                "max_join": 8,
-                "max_k": 2,
-                "trap_learners": [[1, [0]], [2, [0]]],
-            },
             _pcs_suite,
             {
-                "max_g": NATURAL,
-                "max_thm64": NATURAL,
-                "max_join": NATURAL,
-                "max_k": NATURAL,
-                "trap_learners": TRAP_LEARNERS,
-            },
-            caps={
-                "max_g": PCS_SUITE_MAX_G,
-                "max_thm64": PCS_SUITE_MAX_THM64,
-                "max_join": PCS_SUITE_MAX_JOIN,
+                "max_g": ConfigKey(8, NATURAL, PCS_SUITE_MAX_G),
+                "max_thm64": ConfigKey(8, NATURAL, PCS_SUITE_MAX_THM64),
+                "max_join": ConfigKey(8, NATURAL, PCS_SUITE_MAX_JOIN),
+                "max_k": ConfigKey(2, NATURAL),
+                "trap_learners": ConfigKey([[1, [0]], [2, [0]]], TRAP_LEARNERS),
             },
         ),
         ExperimentSpec(
             "halting-psd",
             "two distinct data suffice on the staged pair family",
-            {"max_i": 10, "w_set": [1, 3]},
             _halting,
-            {"max_i": NATURAL, "w_set": NATURALS},
+            {"max_i": ConfigKey(10, NATURAL), "w_set": ConfigKey([1, 3], NATURALS)},
             _halting_values,
         ),
     ]
@@ -851,30 +834,33 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _check_config(schema: dict[str, ConfigType], config: dict) -> None:
-    unknown = sorted(set(config) - set(schema))
+def _check_config(keys: dict[str, ConfigKey], config: dict) -> None:
+    """Refuse an unknown key, then a value of the wrong type, then a value above its cap."""
+    unknown = sorted(set(config) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown key {unknown[0]!r}; expected one of {sorted(schema)}")
+        raise ConfigError(f"unknown key {unknown[0]!r}; expected one of {sorted(keys)}")
     for key, value in config.items():
-        if not schema[key].check(value):
-            raise ConfigError(f"{key} must be {schema[key].description}, got {value!r}")
+        if not keys[key].type.check(value):
+            raise ConfigError(f"{key} must be {keys[key].type.description}, got {value!r}")
+    for key, value in config.items():
+        cap = keys[key].cap
+        if cap is not None and value > cap:
+            raise ConfigError(f"{key} must be at most {cap}, got {value}")
 
 
 def run_experiment(name: str, config: dict | None, out_dir) -> int:
     """Execute one experiment; returns the process exit code.
 
     Raises :class:`ConfigError` for an unknown key, a value outside its
-    schema type or above its cap, or values the spec's ``check_values``
+    key's type or above its cap, or values the spec's ``check_values``
     rejects, before the output directory is created.
     """
     if name not in EXPERIMENTS:
         raise KeyError(name)
     spec = EXPERIMENTS[name]
-    merged = {**spec.defaults, "seed": 0, **(config or {})}
-    _check_config({**spec.schema, "seed": INTEGER}, merged)
-    for key, cap in spec.caps.items():
-        if merged[key] > cap:
-            raise ConfigError(f"{key} must be at most {cap}, got {merged[key]}")
+    keys = {**spec.keys, "seed": SEED}
+    merged = {**{key: entry.default for key, entry in keys.items()}, **(config or {})}
+    _check_config(keys, merged)
     if spec.check_values is not None:
         spec.check_values(merged)
     out = Path(out_dir)

@@ -44,6 +44,7 @@ AGENTS = "src/txtex_lab/agents.py"
 ADVERSARY = "src/txtex_lab/adversary.py"
 EVALUATE = "src/txtex_lab/evaluate.py"
 TEXT = "src/txtex_lab/text.py"
+EXPERIMENTS = "src/txtex_lab/experiments.py"
 SETS_TEXT = "tests/test_sets_text.py"
 SESSION_PROPERTIES = "tests/test_session_properties.py"
 STEP_PROPERTIES = "tests/test_step_properties.py"
@@ -297,7 +298,7 @@ MUTANTS = [
     ),
     # pow2-gap holds index n - 1's transcripts while index n runs
     Mutant(
-        "src/txtex_lab/experiments.py",
+        EXPERIMENTS,
         "        del plain, oracle_run, pair, sessions"
         "  # free index n's transcripts before n + 1 runs\n",
         "",
@@ -311,6 +312,20 @@ MUTANTS = [
         (
             "tests/test_chaser_properties.py::test_stepped_chain_forcing_finds_what_runs_from_scratch_find",
         ),
+    ),
+    # a config key's cap refuses the cap itself
+    Mutant(
+        EXPERIMENTS,
+        "        if cap is not None and value > cap:\n",
+        "        if cap is not None and value >= cap:\n",
+        ("tests/test_cli.py::test_default_configs_match_their_schema[pcs-suite]",),
+    ),
+    # run_experiment checks and fills only the spec's own keys, so no seed reaches a run
+    Mutant(
+        EXPERIMENTS,
+        '    keys = {**spec.keys, "seed": SEED}\n',
+        "    keys = spec.keys\n",
+        ("tests/test_acceptance.py::test_criterion_11_determinism",),
     ),
 ]
 

@@ -86,14 +86,13 @@ def test_list_output_is_pinned(capsys, kind):
 class Raw(NamedTuple):
     """A usage error outside the config schema.
 
-    ``text`` is the config file's text or bytes (None: no file) and ``seed``
-    the value of ``TXTEX_SEED`` (None: unset).  The row's message is then the
-    whole stderr line, with ``{path}`` standing for the config path, or a
-    pattern of it where the interpreter's wording differs across versions.
+    ``text`` is the config file's text or bytes (None: no file).  The row's
+    message is then the whole stderr line, with ``{path}`` standing for the
+    config path, or a pattern of it where the interpreter's wording differs
+    across versions.
     """
 
     text: str | bytes | None
-    seed: str | None = None
 
 
 @pytest.mark.parametrize(
@@ -205,12 +204,6 @@ class Raw(NamedTuple):
         ),
         pytest.param(
             "halting-psd", Raw("[1, 2]"), "config must be a JSON object", id="non-object"
-        ),
-        pytest.param(
-            "halting-psd",
-            Raw("{}", seed="zzz"),
-            "TXTEX_SEED must be an integer, got 'zzz'",
-            id="non-integer-seed",
         ),
         (
             "msd-linear",
@@ -327,19 +320,14 @@ class Raw(NamedTuple):
         ),
     ],
 )
-def test_run_config_outside_schema_is_usage_error(
-    tmp_path, capsys, monkeypatch, experiment, config, message
-):
+def test_run_config_outside_schema_is_usage_error(tmp_path, capsys, experiment, config, message):
     """Each usage error of ``run`` exits 2 within a second, with one stderr line and no output."""
     path = tmp_path / "config.json"
-    monkeypatch.delenv("TXTEX_SEED", raising=False)
     if isinstance(config, Raw):
         if isinstance(config.text, bytes):
             path.write_bytes(config.text)
         elif config.text is not None:
             path.write_text(config.text)
-        if config.seed is not None:
-            monkeypatch.setenv("TXTEX_SEED", config.seed)
         line = message if isinstance(message, re.Pattern) else message.format(path=path)
     else:
         path.write_text(json.dumps(config))
@@ -360,11 +348,12 @@ def test_run_config_outside_schema_is_usage_error(
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_default_configs_match_their_schema(name):
+    """A spec's defaults pass its checks, and so do they with each capped key at its cap."""
     spec = EXPERIMENTS[name]
-    assert set(spec.defaults) == set(spec.schema)
-    for config in (spec.defaults, {**spec.defaults, **spec.caps}):
-        _check_config(spec.schema, config)
-        assert all(config[key] <= cap for key, cap in spec.caps.items())
+    defaults = {key: entry.default for key, entry in spec.keys.items()}
+    caps = {key: entry.cap for key, entry in spec.keys.items() if entry.cap is not None}
+    for config in (defaults, {**defaults, **caps}):
+        _check_config(spec.keys, config)
         if spec.check_values is not None:
             spec.check_values(config)
 
@@ -385,15 +374,6 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert csv_lines[0] == "w,index,hypothesis,correct,distinct_data"
     echoed = json.loads((out / "config.json").read_text())
     assert echoed == report["config"]
-
-
-def test_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TXTEX_SEED", "42")
-    out = tmp_path / "seeded"
-    code = main(["run", "--experiment", "halting-psd", "--out", str(out)])
-    assert code == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["seed"] == 42
 
 
 def test_verify_suite_exit_codes(capsys, monkeypatch, verify_run):
@@ -523,7 +503,7 @@ def test_marker_code_bound_admits_what_runs(experiment, config, ell, tmp_path):
     markers of theirs.  ``ell`` None is a refusal.
     """
     spec = EXPERIMENTS[experiment]
-    merged = {**spec.defaults, **config}
+    merged = {**{key: entry.default for key, entry in spec.keys.items()}, **config}
     [m_id] = merged.get("learner_ids", [merged.get("learner_id")])
     stretch = families.MERGED_STRETCH if experiment == "merged-split" else 1
     if ell is None:

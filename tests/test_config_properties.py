@@ -1,8 +1,8 @@
 """Property: a config with one wrong-typed value or one unknown key is a usage error.
 
 ``run_experiment`` must raise ``ConfigError`` (exit 2 from the CLI) before it
-creates the output directory, for every experiment's schema.  Nothing runs,
-so the property is cheap.
+creates the output directory, for every key of every experiment.  Nothing
+runs, so the property is cheap.
 """
 
 import tempfile
@@ -20,7 +20,7 @@ from txtex_lab.experiments import EXPERIMENTS, ConfigError, run_experiment
 
 # The JSON kind each config type expects; a value of any other kind is wrong.
 KIND = {
-    experiments.INTEGER: int,
+    experiments.SEED.type: int,
     experiments.NATURAL: int,
     experiments.POSITIVE: int,
     experiments.LEARNER_ID: int,
@@ -69,22 +69,22 @@ def wrong_values(draw, expected: type):
 def bad_configs(draw):
     name = draw(st.sampled_from(sorted(EXPERIMENTS)))
     spec = EXPERIMENTS[name]
-    schema = {**spec.schema, "seed": experiments.INTEGER}
+    keys = {**spec.keys, "seed": experiments.SEED}
     # any valid defaults ride along, so the bad entry is not always alone
-    config = {key: value for key, value in spec.defaults.items() if draw(st.booleans())}
+    config = {key: entry.default for key, entry in spec.keys.items() if draw(st.booleans())}
     if draw(st.booleans()):
         letters = "abcdefghijklmnopqrstuvwxyz_"
-        key = draw(st.text(letters, min_size=1, max_size=8).filter(lambda key: key not in schema))
+        key = draw(st.text(letters, min_size=1, max_size=8).filter(lambda key: key not in keys))
         config[key] = draw(json_values)
     else:
-        key = draw(st.sampled_from(sorted(schema)))
-        config[key] = draw(wrong_values(KIND[schema[key]]))
+        key = draw(st.sampled_from(sorted(keys)))
+        config[key] = draw(wrong_values(KIND[keys[key].type]))
     return name, config
 
 
 def test_every_schema_type_has_a_kind():
     for spec in EXPERIMENTS.values():
-        assert set(spec.schema.values()) <= set(KIND)
+        assert {entry.type for entry in spec.keys.values()} <= set(KIND)
 
 
 @settings(max_examples=400, deadline=None)

@@ -4,7 +4,8 @@
 session reads no further, so skipping a repeat must change no row, summary
 or verdict.  ``merged-split`` sizes its horizon from the index, so a large
 odd index still reads its whole descriptor count.  ``pow2-gap`` holds one
-index's transcripts at a time.
+index's transcripts at a time.  ``csd-chain``'s ``max_anchor`` cap is the
+greatest anchor whose sweep covers at most 1,000 indices.
 """
 
 import csv
@@ -64,7 +65,8 @@ def every_text_msd_linear(config):
 def test_msd_linear_equals_a_session_for_every_text(monkeypatch, teacher):
     learner, _ = agents.make_msd_pair()
     monkeypatch.setattr(agents, "make_msd_pair", lambda: (learner, teacher))
-    config = {**experiments.EXPERIMENTS["msd-linear"].defaults, "max_n": 15, "seeds": 10}
+    keys = experiments.EXPERIMENTS["msd-linear"].keys
+    config = {**{key: entry.default for key, entry in keys.items()}, "max_n": 15, "seeds": 10}
     result = experiments._msd_linear(config)
     expected = every_text_msd_linear(config)
     assert (result.rows, result.summary, result.ok) == expected
@@ -83,6 +85,16 @@ def test_default_msd_linear_runs_each_distinct_prefix_once(default_catalog):
     assert len(keys) == 606
     assert len(set(keys)) == len(keys)
     assert {horizon - 60 for horizon, _ in keys} == set(range(101))
+
+
+def test_csd_chain_cap_is_the_last_anchor_whose_sweep_fits_1000_indices():
+    """A ``max_anchor`` of i sweeps anchor(i) + top(i) + 1 indices, one oracle session each."""
+    chains = families.CsdFamily(1)
+    cap = experiments.CSD_CHAIN_MAX_ANCHOR
+    sweeps = [chains.anchor(i) + chains.top(i) + 1 for i in range(cap + 2)]
+    assert sweeps == sorted(sweeps)  # so no anchor below the cap sweeps more
+    assert sweeps[cap] <= 1_000 < sweeps[cap + 1]
+    assert experiments.EXPERIMENTS["csd-chain"].keys["max_anchor"].cap == cap
 
 
 def test_merged_split_sessions_reach_an_odd_index_past_236(tmp_path):

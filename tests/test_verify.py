@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from txtex_lab import adversary, codec, verify
+from txtex_lab import adversary, agents, codec, families, verify
 from txtex_lab.codec import signed_int, signed_int_inv
 from txtex_lab.descriptor import StepResult, recognizer_step
 from txtex_lab.families import HaltingFamily
@@ -146,17 +146,63 @@ def _canonical_decode_without_20(code):
     return codec.canonical_decode(code) - {20}
 
 
+def _quarter_query_bound(n, a, bound=agents.exp_search_query_bound):
+    return max(1, bound(n, a) // 4)  # a bound of 0 would divide by zero in the worst ratio
+
+
 @pytest.mark.parametrize(
-    "name,faulty,check",
+    "suite,owner,name,faulty,check",
     [
-        ("poly_eval", _poly_eval_off_at_3, "polynomial evaluation vs direct sum"),
-        ("canonical_decode", _canonical_decode_without_20, "canonical set codes roundtrip"),
+        (
+            verify.verify_codec,
+            verify,
+            "poly_eval",
+            _poly_eval_off_at_3,
+            "polynomial evaluation vs direct sum",
+        ),
+        (
+            verify.verify_codec,
+            verify,
+            "canonical_decode",
+            _canonical_decode_without_20,
+            "canonical set codes roundtrip",
+        ),
+        (
+            verify.verify_families,
+            verify,
+            "is_subset",
+            lambda sub, sup: False,
+            "chain inclusions strict below each chain top",
+        ),
+        (
+            verify.verify_agents,
+            agents,
+            "exp_search_query_bound",
+            _quarter_query_bound,
+            "endpoint search exact within the query bound",
+        ),
+        (
+            verify.verify_families,
+            families.TupleContents,
+            "min_index",
+            lambda self, n: n + 1,
+            "member(min_index) equals member",
+        ),
     ],
-    ids=["poly-eval-off-at-3", "canonical-decode-drops-20"],
+    ids=[
+        "poly-eval-off-at-3",
+        "canonical-decode-drops-20",
+        "is-subset-never",
+        "query-bound-quartered",
+        "tuple-min-index-one-past",
+    ],
 )
-def test_codec_suite_fails_only_the_check_of_a_broken_map(monkeypatch, name, faulty, check):
-    monkeypatch.setattr(verify, name, faulty)
-    failed = [r.name for r in verify.verify_codec() if not r.passed]
+def test_codec_suite_fails_only_the_check_of_a_broken_map(
+    monkeypatch, suite, owner, name, faulty, check
+):
+    """A suite with one map broken fails that map's check and no other."""
+    monkeypatch.setattr(owner, name, faulty)
+    failed = [r.name for r in suite() if not r.passed]
     assert failed == [check]
 
 
