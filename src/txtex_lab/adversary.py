@@ -14,10 +14,20 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .codec import encode_tuple, poly_eval
 from .evaluate import _walk_covering_words, hypothesis_correct
-from .session import Budget, Learner, resolve_step, run_on_sequence, run_session, step_through
+from .session import (
+    Budget,
+    Learner,
+    Query,
+    answer_query,
+    resolve_step,
+    run_on_sequence,
+    run_session,
+    step_through,
+)
 from .sets import FiniteSet, Interval, set_equal
 from .text import Text, make_text
 
@@ -284,7 +294,7 @@ def trap_interval(k: int) -> Interval:
     return Interval(2 ** (2 * k + 1) + 1, 2 ** (2 * k + 2))
 
 
-def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random):
+def _sampled_arrangements(core: Sequence[int], count: int, rng: random.Random):
     """``count`` seeded orders of ``core``, lazily: the stream of
     ``rng.sample(core, len(core))``, at one ``getrandbits`` per position.
 
@@ -292,7 +302,8 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
     below m = n - i (``r = getrandbits(m.bit_length())`` until ``r < m``, as
     ``random.Random`` draws below m), takes ``pool[j]`` and moves the last
     unchosen element into its place.  The last position draws below 1 too,
-    since ``sample`` spends bits there.
+    since ``sample`` spends bits there.  The per-position bounds are listed
+    once per call, so a search draws every order from one call.
     """
     bits = rng.getrandbits
     n = len(core)
@@ -301,12 +312,49 @@ def _sampled_arrangements(core: tuple[int, ...], count: int, rng: random.Random)
         pool = list(core)
         arrangement = [0] * n
         for i, m, k in draws:
-            j = bits(k)
-            while j >= m:
-                j = bits(k)
+            while (j := bits(k)) >= m:
+                pass
             arrangement[i] = pool[j]
             pool[j] = pool[m - 1]
         yield arrangement
+
+
+def _prefix_shared_outputs(learner: Learner, oracle):
+    """``step_through(learner, word, oracle)`` as a function of ``word``, with the data it steps.
+
+    Each word is stepped from the longest prefix it shares with the word
+    stepped before it, ``held``: a stack holds ``(state, last hypothesis)``
+    at the start and after each datum of ``held``, and is cut back to the
+    shared prefix before the rest of the word is stepped.  A step that
+    raises leaves ``held`` the shared prefix, which the stack still holds.
+    Consecutive cores in lexicographic order differ mostly in their last
+    elements, so a search over them steps about one datum per core, not a
+    core's length.
+    """
+    step = learner.step
+    stack = [(learner.start, learner.first)]
+    held: tuple[int, ...] = ()
+
+    def output(word: Sequence[int]) -> tuple[int | None, int]:
+        nonlocal held
+        word = tuple(word)
+        shared = min(len(word), len(held))
+        while word[:shared] != held[:shared]:
+            shared -= 1
+        del stack[shared + 1 :]
+        held = word[:shared]
+        state, last = stack[-1]
+        for datum in word[shared:]:
+            state, hypothesis = step(state, datum)
+            if type(hypothesis) is Query:
+                state, hypothesis = answer_query(learner, state, hypothesis, oracle)
+            if hypothesis is not None:
+                last = hypothesis
+            stack.append((state, last))
+        held = word
+        return last, len(word) - shared
+
+    return output
 
 
 def search_trap_sets(
@@ -332,13 +380,17 @@ def search_trap_sets(
     queries.  The orders of a core are its covering words over universe =
     sample = core of length |core|, so the memoized covering-word walk
     (``evaluate._walk_covering_words``) decides a core once its own order,
-    stepped flat, ends on 2k: it passes when no order ends elsewhere.  With
-    at most ``TRAP_ARRANGEMENT_LIMIT`` orders the walk decides every core;
-    past the limit a core is stepped through ``TRAP_SAMPLE_SIZE`` seeded
-    orders, drawn lazily from one stream the candidates share, unless the
-    first one ends on 2k and the walk, within the sample's cost, passes
-    every order and so every drawn one.  The decoy run is the one program
-    run.  Past ``TRAP_MAX_CANDIDATES`` candidates the search returns
+    stepped flat, ends on 2k: it passes when no order ends elsewhere.  The
+    candidates come in lexicographic order, so each one's own order is
+    stepped from the longest prefix it shares with the last one stepped
+    flat (``_prefix_shared_outputs``).  With at most
+    ``TRAP_ARRANGEMENT_LIMIT`` orders the walk decides every core; past the
+    limit a core is stepped through ``TRAP_SAMPLE_SIZE`` seeded orders,
+    drawn lazily from one stream of orders of a core's positions that the
+    candidates share, unless the first one ends on 2k and the walk, within
+    the sample's cost, passes every order and so every drawn one.  The decoy
+    run is the one program run; ``stats["steps"]`` counts the data stepped
+    before it.  Past ``TRAP_MAX_CANDIDATES`` candidates the search returns
     unresolved with ``stats["exhausted_budget"]``.
     """
     learner = registry[m_id]
@@ -352,33 +404,50 @@ def search_trap_sets(
     core_size = pk + 1
     decoy_size = 2 * pk + 1
 
-    rng = random.Random(seed)
     stats = {
         "k": k,
         "interval": [interval.lo, interval.hi],
         "poly_at_odd_index": pk,
         "candidates_checked": 0,
+        "steps": 0,
     }
 
     perm_count = math.factorial(core_size)
     exhaustive = perm_count <= TRAP_ARRANGEMENT_LIMIT
     stats["exhaustive_arrangements"] = exhaustive
     stats["arrangements_per_candidate"] = perm_count if exhaustive else TRAP_SAMPLE_SIZE
+    flat_output = _prefix_shared_outputs(learner, interval)
+    # one stream of orders of a core's positions, drawn as the candidates need them: each
+    # candidate checked draws at most TRAP_SAMPLE_SIZE of them
+    rng = random.Random(seed)
+    most = TRAP_SAMPLE_SIZE * TRAP_MAX_CANDIDATES
+    positions = None if exhaustive else _sampled_arrangements(range(core_size), most, rng)
 
     def every_order_ends_on_2k(core: tuple[int, ...], max_steps=math.inf) -> bool:
         # the core's own order, the walk's first word, is stepped flat first: most failing
         # cores fail there, without a memo; a walk that passes takes n·2^(n−1) steps
         n = len(core)
-        if n * 2 ** (n - 1) > max_steps or step_through(learner, core, interval) != 2 * k:
+        if n * 2 ** (n - 1) > max_steps:
             return False
-        _, locked, bad, _ = _walk_covering_words(learner, core, core, n, interval, max_steps)
+        output, stepped = flat_output(core)
+        stats["steps"] += stepped
+        if output != 2 * k:
+            return False
+        _, locked, bad, _, stepped = _walk_covering_words(
+            learner, core, core, n, interval, max_steps
+        )
+        stats["steps"] += stepped
         return bad is None and locked == 2 * k
+
+    def drawn_order_ends_on_2k(core: tuple[int, ...], order: list[int]) -> bool:
+        stats["steps"] += core_size
+        return step_through(learner, [core[i] for i in order], interval) == 2 * k
 
     def candidate_passes(core: tuple[int, ...]) -> bool:
         if exhaustive:
             return every_order_ends_on_2k(core)
-        orders = _sampled_arrangements(core, TRAP_SAMPLE_SIZE, rng)
-        ends_on = (step_through(learner, order, interval) == 2 * k for order in orders)
+        orders = itertools.islice(positions, TRAP_SAMPLE_SIZE)
+        ends_on = (drawn_order_ends_on_2k(core, order) for order in orders)
         if not all(itertools.islice(ends_on, 1)):
             return False
         walked = every_order_ends_on_2k(core, (TRAP_SAMPLE_SIZE - 1) * core_size)

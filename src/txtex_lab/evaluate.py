@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .codec import poly_eval
-from .session import Learner, SessionTranscript, resolve_step, step_through
+from .session import Learner, Query, SessionTranscript, answer_query, step_through
 from .sets import SetSpec, set_equal
 
 CRITERIA = ("PRT", "PSD", "PMC")
@@ -117,7 +117,11 @@ def _sampled_sequences(
     draws below n.  So the draws are the ones that ``randint(1, max_len)``, a
     ``choice(universe)`` per position and a ``shuffle`` of the positions
     before the splice would give, at one call per draw.  Every draw makes
-    its calls, but only a covering one is built as a tuple.
+    its calls, but only a covering one is built as a tuple.  The shuffle's
+    bit counts are listed once per call.  A draw shorter than the sample's
+    distinct elements cannot cover it, so it makes its calls and builds
+    nothing.  A spliced draw at least as long as the sample holds each of
+    its entries at a position of its own, so it covers without a test.
     """
     if max_len < 1:
         raise ValueError(f"empty range for the length: 1..{max_len}")
@@ -127,30 +131,41 @@ def _sampled_sequences(
     bits, coin = rng.getrandbits, rng.random
     n, n_bits, len_bits = len(universe), len(universe).bit_length(), max_len.bit_length()
     needed = set(sample)
+    # (i, bits of a draw below i + 1) for i from max_len - 1 down: a draw of length L
+    # shuffles its positions with the last L - 1 of them
+    swaps = [(i, (i + 1).bit_length()) for i in range(max_len - 1, 0, -1)]
     for _ in range(count):
-        length = bits(len_bits)
-        while length >= max_len:
-            length = bits(len_bits)
+        while (length := bits(len_bits)) >= max_len:
+            pass
         length += 1
+        if length < len(needed):
+            # the same calls as below, with nothing built: measured to pay in the sampled checks
+            for _ in range(length):
+                while bits(n_bits) >= n:
+                    pass
+            if coin() < 0.5:
+                for i, k in swaps[max_len - length :]:
+                    while bits(k) > i:
+                        pass
+            continue
         seq = []
         for _ in range(length):
-            r = bits(n_bits)
-            while r >= n:
-                r = bits(n_bits)
+            while (r := bits(n_bits)) >= n:
+                pass
             seq.append(universe[r])
         if coin() < 0.5 and sample:
             # splice the sample in, at shuffled positions, so the covering condition is exercised
             positions = list(range(length))
-            for i in range(length - 1, 0, -1):
-                k = (i + 1).bit_length()
-                j = bits(k)
-                while j > i:
-                    j = bits(k)
+            for i, k in swaps[max_len - length :]:
+                while (j := bits(k)) > i:
+                    pass
                 positions[i], positions[j] = positions[j], positions[i]
             for x, pos in zip(sample, itertools.cycle(positions)):
                 seq[pos] = x
-        # a draw shorter than the sample's distinct elements cannot hold them all
-        if length >= len(needed) and needed.issubset(seq):
+            if length >= len(sample):
+                yield tuple(seq)
+                continue
+        if needed.issubset(seq):
             yield tuple(seq)
 
 
@@ -161,19 +176,23 @@ def _walk_covering_words(
     max_len: int,
     oracle: SetSpec | None,
     max_steps=math.inf,
-) -> tuple[int, int | None, tuple[int, ...] | None, int | None]:
-    """``(words, locked, bad, output)`` over the words of length 1..max_len over
-    ``universe`` that hold all of ``sample``, in ``itertools.product`` order:
-    the first word whose output is None or not the first word's, ``locked``,
-    with its output (both None if none), and the count of words before it.
+) -> tuple[int, int | None, tuple[int, ...] | None, int | None, int]:
+    """``(words, locked, bad, output, steps)`` over the words of length
+    1..max_len over ``universe`` that hold all of ``sample``, in
+    ``itertools.product`` order: the first word whose output is None or not
+    the first word's, ``locked``, with its output (both None if none), the
+    count of words before it, and the data stepped.
 
     The walk steps the learner once per prefix, over any letter while fewer
     sample elements are missing than slots remain, else over the missing ones
-    in universe order.  What a step learner does next depends only on its
-    state and the data still to come, so a node whose words all ended on
-    ``locked`` is counted again, not walked: its key (slots left, state, last
-    hypothesis, missing elements) decides them, so an unhashable state raises
-    ``TypeError``.  With universe = sample = a core and ``max_len`` its size,
+    in universe order, which it lists once per set of missing elements.  It
+    calls ``learner.step`` and hands only a returned ``Query`` to
+    ``session.answer_query``.  It keeps the word it is in as one list, and
+    builds a tuple only for ``bad``.  What a step learner does next depends
+    only on its state and the data still to come, so a node whose words all
+    ended on ``locked`` is counted again, not walked: its key (slots left,
+    state, last hypothesis, missing elements) decides them, so an unhashable
+    state raises ``TypeError``.  With universe = sample = a core and ``max_len`` its size,
     the words are the core's orders, and this is the subset recursion of Held
     and Karp: when every order of a subset reaches one state and hypothesis,
     it decides all n! orders in n·2^(n−1) steps, and it checks
@@ -183,29 +202,42 @@ def _walk_covering_words(
     """
     bits = {x: 1 << i for i, x in enumerate(sample)}
     needed = [(x, bits[x]) for x in universe if x in bits]
+    # missing mask -> the missing letters, in universe order
+    missing_letters: dict[int, list[int]] = {}
+    path: list[int] = []
     counted: dict[tuple, int] = {}
     locked = bad = output = None
     steps = itertools.count(1)
+    step = learner.step
 
-    def below(prefix, slots, state, last, missing) -> int:
+    def below(slots, state, last, missing) -> int:
         nonlocal locked, bad, output
         node = (slots, state, last, missing)
         if node in counted:
             return counted[node]
         words = 0
-        letters = universe if missing.bit_count() < slots else [x for x, b in needed if missing & b]
+        if missing.bit_count() < slots:
+            letters = universe
+        elif missing in missing_letters:
+            letters = missing_letters[missing]
+        else:
+            letters = missing_letters[missing] = [x for x, b in needed if missing & b]
         for x in letters:
             if next(steps) > max_steps:
-                bad = prefix + (x,)
+                bad = (*path, x)
                 return words
-            after, hypothesis = resolve_step(learner, state, x, oracle)
+            after, hypothesis = step(state, x)
+            if type(hypothesis) is Query:
+                after, hypothesis = answer_query(learner, after, hypothesis, oracle)
             out = last if hypothesis is None else hypothesis
             if slots > 1:
-                words += below(prefix + (x,), slots - 1, after, out, missing & ~bits.get(x, 0))
+                path.append(x)
+                words += below(slots - 1, after, out, missing & ~bits.get(x, 0))
                 if bad is not None:
                     return words
+                path.pop()
             elif out is None or locked not in (None, out):
-                bad, output = prefix + (x,), out
+                bad, output = (*path, x), out
                 return words
             else:
                 locked = out
@@ -216,12 +248,13 @@ def _walk_covering_words(
     words, full = 0, (1 << len(bits)) - 1
     try:
         for length in range(max(1, len(bits)), max_len + 1):
-            words += below((), length, learner.start, learner.first, full)
+            words += below(length, learner.start, learner.first, full)
             if bad is not None:
                 break
     finally:
         del below  # it refers to itself: free its memo now, not at the next cyclic gc
-    return words, locked, bad, output
+    # a walk stopped at its bound drew one count past it, and did not step there
+    return words, locked, bad, output, min(next(steps) - 1, max_steps)
 
 
 def check_characteristic_sample(
@@ -256,6 +289,7 @@ def check_characteristic_sample(
     steps the learner (``step_through``) through each distinct one once: a
     repeat is counted in ``covering_prefixes_checked`` but not stepped again.
     Both stop at the first bad output; the verdict is that of a run on each.
+    A passing verdict's ``steps`` counts the data the learner was stepped on.
     """
     if max_text_len > CHECK_MAX_TEXT_LEN:
         raise ValueError(f"max_text_len {max_text_len} is above {CHECK_MAX_TEXT_LEN}")
@@ -281,15 +315,16 @@ def check_characteristic_sample(
         return Verdict(False, "no-covering-prefix", {"exhaustive": exhaustive})
     oracle = target if use_oracle else None
     if exhaustive:
-        words, locked, bad, output = _walk_covering_words(
+        words, locked, bad, output, steps = _walk_covering_words(
             learner, universe, sample, max_text_len, oracle
         )
     else:
         # a repeat of a passed sequence passes: the output is the sequence's, the oracle fixed
-        words, locked, bad, passed = 0, None, None, set()
+        words, locked, bad, steps, passed = 0, None, None, 0, set()
         for seq in _sampled_sequences(universe, sample, max_text_len, seed, SAMPLED_ARRANGEMENTS):
             if seq not in passed:
                 output = step_through(learner, seq, oracle)
+                steps += len(seq)
                 if output is None or locked not in (None, output):
                     bad = seq
                     break
@@ -313,5 +348,6 @@ def check_characteristic_sample(
             "covering_prefixes_checked": words,
             "exhaustive": exhaustive,
             "sample_size": len(sample),
+            "steps": steps,
         },
     )

@@ -28,9 +28,10 @@ built by ``Learner.from_step`` from a hashable start state, a step
 optional first hypothesis.  A ``Query`` is answered by the next call,
 ``step(state, answer)``, which must return a hypothesis or None.
 ``run_session`` runs its derived program like any other; the learner keeps
-its step, so a search may walk its states instead, resolving each datum and
-its query with ``resolve_step``, or fold them over a finite input with
-``step_through``, which gives that input's run output.
+its step, so a search may walk its states instead, calling the step and
+handing a returned ``Query`` to ``answer_query`` (``resolve_step`` does both
+for one datum), or fold them over a finite input with ``step_through``,
+which gives that input's run output.
 
 Teachers are stream transducers over the text: per input datum they return
 the finite list of elements they pass on, which must all have occurred in
@@ -182,29 +183,46 @@ class Learner:
         return {"kind": "learner", "name": self.name, "costs": self.cost_note}
 
 
+def answer_query(learner: Learner, state, asked: Query, oracle: SetSpec | None):
+    """A step learner's step on the answer to ``asked``, the ``Query`` its step returned.
+
+    Returns ``(state, hypothesis or None)``.  A query raises ``ValueError``
+    without an oracle, as in ``run_session``, and a second query
+    ``TypeError``, as in the program.  Every search that steps a learner
+    hands its queries here, so these answers and errors are one code.
+    """
+    if oracle is None:
+        raise ValueError(f"learner {learner.name} queried without an oracle")
+    state, out = learner.step(state, oracle.contains(asked.x))
+    if type(out) is Query:
+        raise TypeError(f"learner {learner.name} queried twice on one datum")
+    return state, out
+
+
 def resolve_step(learner: Learner, state, datum, oracle: SetSpec | None):
     """A step learner's step on ``datum``, with its query answered by ``oracle``.
 
     Returns ``(state, hypothesis or None)``, as the derived program reaches
-    them.  A query raises ``ValueError`` without an oracle, as in
-    ``run_session``, and a second query ``TypeError``, as in the program.
+    them; a returned ``Query`` goes to ``answer_query``.
     """
-    step = learner.step
-    state, out = step(state, datum)
+    state, out = learner.step(state, datum)
     if type(out) is Query:
-        if oracle is None:
-            raise ValueError(f"learner {learner.name} queried without an oracle")
-        state, out = step(state, oracle.contains(out.x))
-        if type(out) is Query:
-            raise TypeError(f"learner {learner.name} queried twice on one datum")
+        return answer_query(learner, state, out, oracle)
     return state, out
 
 
 def step_through(learner: Learner, data: Sequence[int], oracle: SetSpec | None) -> int | None:
-    """A step learner's last hypothesis over ``data``, or None: the output of its run on them."""
+    """A step learner's last hypothesis over ``data``, or None: the output of its run on them.
+
+    It calls ``learner.step`` per datum and hands only a returned ``Query``
+    to ``answer_query``: the fold of ``resolve_step`` without its frame.
+    """
+    step = learner.step
     state, last = learner.start, learner.first
     for datum in data:
-        state, hypothesis = resolve_step(learner, state, datum, oracle)
+        state, hypothesis = step(state, datum)
+        if type(hypothesis) is Query:
+            state, hypothesis = answer_query(learner, state, hypothesis, oracle)
         if hypothesis is not None:
             last = hypothesis
     return last

@@ -185,8 +185,8 @@ MUTANTS = [
     # the covering-word walk keeps to the missing letters one slot early
     Mutant(
         EVALUATE,
-        "if missing.bit_count() < slots else",
-        "if missing.bit_count() < slots - 1 else",
+        "        if missing.bit_count() < slots:\n",
+        "        if missing.bit_count() < slots - 1:\n",
         (
             f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",
             f"{STEP_PROPERTIES}::test_the_covering_word_walk_folds_each_run_output",
@@ -225,12 +225,37 @@ MUTANTS = [
     # the sampler drops the draws as long as the sample's distinct elements, which can cover it
     Mutant(
         EVALUATE,
-        "if length >= len(needed) and needed.issubset(seq):",
-        "if length > len(needed) and needed.issubset(seq):",
+        "        if length < len(needed):\n",
+        "        if length <= len(needed):\n",
         (
             f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[0-1]",
             f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[7-66]",
         ),
+    ),
+    # a spliced draw shorter than a sample with repeats wraps, yet skips the coverage test
+    Mutant(
+        EVALUATE,
+        "            if length >= len(sample):\n",
+        "            if length >= len(needed):\n",
+        (
+            f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[0-1]",
+        ),
+    ),
+    # a draw too short to cover skips its splice draws, and the stream shifts under the next
+    Mutant(
+        EVALUATE,
+        "            if coin() < 0.5:\n",
+        "            if coin() < 0.0:\n",
+        (
+            f"{CHAR_SAMPLE_PROPERTIES}::test_sampled_sequences_keep_the_randint_choice_shuffle_stream[0-1]",
+        ),
+    ),
+    # the covering-word walk keeps a letter on its path after the letter's subtree
+    Mutant(
+        EVALUATE,
+        "                path.pop()\n",
+        "",
+        (f"{CHAR_SAMPLE_PROPERTIES}::test_the_walk_folds_the_covering_product_words_in_order",),
     ),
     # a bounded walk takes one step less than its bound
     Mutant(
@@ -268,16 +293,37 @@ MUTANTS = [
     # a core whose walk could just pass within its bound is not walked
     Mutant(
         ADVERSARY,
-        "if n * 2 ** (n - 1) > max_steps or",
-        "if n * 2 ** (n - 1) >= max_steps or",
+        "        if n * 2 ** (n - 1) > max_steps:\n",
+        "        if n * 2 ** (n - 1) >= max_steps:\n",
         ("tests/test_adversary.py::test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound",),
     ),
     # a core is walked without its own order stepped flat first: same verdict, more steps
     Mutant(
         ADVERSARY,
-        " or step_through(learner, core, interval) != 2 * k:",
-        ":",
+        "        output, stepped = flat_output(core)\n"
+        "        stats[\"steps\"] += stepped\n"
+        "        if output != 2 * k:\n"
+        "            return False\n",
+        "",
         ("tests/test_adversary.py::test_a_core_whose_own_order_fails_is_not_walked",),
+    ),
+    # the flat steps' stack is not cut back to the shared prefix: a word resumes from a stale state
+    Mutant(
+        ADVERSARY,
+        "        del stack[shared + 1 :]\n",
+        "",
+        (f"{STEP_PROPERTIES}::test_prefix_shared_steps_give_each_words_own_output",),
+    ),
+    # each trap candidate draws its orders from a fresh rng, not from one stream they share
+    Mutant(
+        ADVERSARY,
+        "        orders = itertools.islice(positions, TRAP_SAMPLE_SIZE)\n",
+        "        positions = _sampled_arrangements(range(core_size), most, random.Random(seed))\n"
+        "        orders = itertools.islice(positions, TRAP_SAMPLE_SIZE)\n",
+        (
+            "tests/test_adversary.py::"
+            "test_sampled_trap_search_draws_one_arrangement_per_failing_candidate",
+        ),
     ),
     # a session reuses an emit record for an equal action, not the same one: 1 and True merge
     Mutant(

@@ -25,9 +25,11 @@ It also draws step learners as tables: ``step_tables`` gives a start state,
 a step table over ``STEP_DATA`` whose outputs include queries, and the table
 the step reads a query's answer from, and ``explicit_tables`` states such
 tables for the explicit examples; ``derived_learner`` builds them with
-``Learner.from_step``, with an optional first hypothesis.  ``last_emission``
+``Learner.from_step``, with an optional first hypothesis, and
+``data_counted`` lists the data such a learner is stepped on.  ``last_emission``
 is a step learner's output on a word by a run, and ``fold_outputs`` folds
-such outputs as the characteristic-sample walk must.
+such outputs as the characteristic-sample walk must; ``shared_prefix``
+measures what two words share, as the trap search's flat steps do.
 ``composed_script`` states as a script what a step learner composed with a
 teacher by ``compose_pair``, or gated by ``agents.convert_psdT_to_pmc``,
 does over the raw data, so the same reference covers both.
@@ -39,7 +41,7 @@ chain-forcing property draws its scripted teachers from it.  ``runs_of``
 groups a drawn word into a ``prefixed`` text's runs.
 """
 
-from itertools import groupby
+from itertools import groupby, takewhile
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -364,6 +366,22 @@ def derived_learner(start, table, answers, first=None):
     return Learner.from_step("table", start, table_step(table, answers), "drawn", first)
 
 
+def data_counted(learner, data):
+    """``learner``, appending each datum it is stepped on to ``data``.
+
+    A state ``(s,)`` awaits a query's answer (``table_step``), and an answer
+    is not a datum, so a step learner whose states are not tuples counts
+    right here.
+    """
+
+    def step(state, datum):
+        if type(state) is not tuple:
+            data.append(datum)
+        return learner.step(state, datum)
+
+    return Learner.from_step(learner.name, learner.start, step, learner.cost_note, learner.first)
+
+
 def outcome(run):
     """``run()``'s value, or the type of the error it raises."""
     try:
@@ -375,6 +393,11 @@ def outcome(run):
 def last_emission(learner, word, oracle=None):
     """The last hypothesis a run of ``learner`` over ``word`` emits, or None."""
     return (run_on_sequence(learner, word, oracle=oracle).emissions or [None])[-1]
+
+
+def shared_prefix(a, b) -> int:
+    """The length of the longest common prefix of ``a`` and ``b``."""
+    return sum(1 for _ in takewhile(lambda pair: pair[0] == pair[1], zip(a, b)))
 
 
 def fold_outputs(words, output_of):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from session_scripts import shared_prefix
 
 from txtex_lab import adversary, agents, families, session
 from txtex_lab.codec import poly_encode, poly_eval
@@ -305,12 +306,12 @@ def test_search_trap_sets_invariants(registry):
 
 INTERVAL_K2 = list(range(33, 65))
 
-# (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked) at k=2, seed 0
+# (m_id, p coefficients) -> (core, decoys, resolved, candidates_checked, steps) at k=2, seed 0
 TRAP_SEARCHES_K2 = {
-    (1, (2, 1)): (INTERVAL_K2[:8], INTERVAL_K2[:15], True, 1),
-    (1, (3, 1)): (INTERVAL_K2[:9], INTERVAL_K2[:17], True, 1),
-    (2, (2, 1)): ([], [], False, 2001),
-    (2, (3, 1)): ([], [], False, 2001),
+    (1, (2, 1)): (INTERVAL_K2[:8], INTERVAL_K2[:15], True, 1, 8 + 8 * 2**7),
+    (1, (3, 1)): (INTERVAL_K2[:9], INTERVAL_K2[:17], True, 1, 9 + 9 + 9 * 2**8),
+    (2, (2, 1)): ([], [], False, 2001, 2_189),
+    (2, (3, 1)): ([], [], False, 2001, 9 * 2000),
 }
 
 
@@ -327,7 +328,7 @@ def test_search_trap_sets_tries_the_first_cores_of_the_whole_interval(registry, 
 
     def recording_walk(learner, universe, sample, max_len, oracle, max_steps):
         tried.append(universe)
-        return 0, None, None, None  # no word: the core fails
+        return 0, None, None, None, 0  # no word: the core fails
 
     monkeypatch.setattr(adversary, "_walk_covering_words", recording_walk)
     monkeypatch.setattr(adversary, "TRAP_MAX_CANDIDATES", 3)
@@ -559,8 +560,10 @@ def test_sampled_trap_search_draws_one_arrangement_per_failing_candidate(registr
 def test_a_sampled_core_the_walk_passes_steps_one_drawn_order(registry, monkeypatch):
     """Learner 1 at x+3 steps the first drawn order, then the walk passes all 9! orders.
 
-    The walk steps its own first order flat, and memoizes the rest: two
-    ``step_through`` calls decide the core that 10,000 drawn orders would.
+    The core's own order is stepped flat, from the prefix it shares with the
+    last order so stepped (none here), and the walk memoizes the rest: one
+    ``step_through`` call and 9 + 9 + 9·2^8 = 2,322 steps decide the core
+    that 10,000 drawn orders, 90,000 steps, would.
     """
     orders = []
     monkeypatch.setattr(adversary, "step_through", recording(orders, adversary.step_through))
@@ -569,7 +572,8 @@ def test_a_sampled_core_the_walk_passes_steps_one_drawn_order(registry, monkeypa
     assert sorted(trap.trap_core) == list(core) and trap.resolved
     assert trap.stats["exhaustive_arrangements"] is False
     assert trap.stats["arrangements_per_candidate"] == 10_000
-    assert orders == [tuple(random.Random(3).sample(core, 9)), core]
+    assert orders == [tuple(random.Random(3).sample(core, 9))]
+    assert trap.stats["steps"] == 9 + 9 + 9 * 2**8 == 2_322
 
 
 def test_a_walk_past_its_bound_falls_back_to_the_drawn_orders(registry, monkeypatch):
@@ -607,6 +611,7 @@ def test_a_walk_past_its_bound_falls_back_to_the_drawn_orders(registry, monkeypa
     sample_steps = sum(map(len, drawn))
     assert sample_steps == 9 * size
     assert sample_steps < len(steps) - 9 <= 2 * sample_steps  # less the decoy run's 9 steps
+    assert got.stats["steps"] == len(steps) - 9
 
 
 def counting(learner, steps):
@@ -638,15 +643,21 @@ def test_a_walk_is_stepped_only_if_it_can_pass_within_its_bound(registry, monkey
         assert sorted(trap.trap_core) == INTERVAL_K2[:10] and trap.resolved
         drawn = 10 if walked else 10 * size
         assert len(steps) == drawn + walked * least + 10  # and the decoy run's 10 steps
+        assert trap.stats["steps"] == len(steps) - 10
 
 
 def test_a_core_whose_own_order_fails_is_not_walked(registry):
-    """Learner 2 ends every order on an odd index, so each core fails on its flat order:
-    8 steps for each of the 2,000 cores checked at p(x) = x + 2, and no walk."""
+    """Learner 2 ends every order on an odd index, so each core fails on its flat order,
+    and no core is walked.  Each order is stepped from the longest prefix it shares with
+    the order before it: the 2,000 cores checked at p(x) = x + 2 take 2,189 steps, where
+    8 steps each would take 16,000."""
     steps = []
     trap = adversary.search_trap_sets({5: counting(registry[2], steps)}, 5, poly_encode([2, 1]), 2)
     assert not trap.resolved and trap.stats["exhausted_budget"] == "max_candidates"
-    assert len(steps) == 8 * adversary.TRAP_MAX_CANDIDATES == 16_000
+    combos = itertools.combinations(INTERVAL_K2[1:], 7)
+    cores = [(INTERVAL_K2[0], *combo) for combo in itertools.islice(combos, 2000)]
+    unshared = [8 - shared_prefix(a, b) for a, b in zip([()] + cores, cores)]
+    assert len(steps) == trap.stats["steps"] == sum(unshared) == 2_189
 
 
 def test_a_core_without_room_for_its_decoys_is_unresolved(registry):
@@ -659,9 +670,10 @@ def test_a_core_without_room_for_its_decoys_is_unresolved(registry):
 @pytest.mark.parametrize("m_id,p_coeffs", sorted(TRAP_SEARCHES_K2))
 def test_search_trap_sets_k2_is_pinned(registry, m_id, p_coeffs):
     trap = adversary.search_trap_sets(registry, m_id, poly_encode(list(p_coeffs)), 2, seed=0)
-    core, decoys, resolved, candidates = TRAP_SEARCHES_K2[m_id, p_coeffs]
+    core, decoys, resolved, candidates, steps = TRAP_SEARCHES_K2[m_id, p_coeffs]
     assert sorted(trap.trap_core) == core
     assert sorted(trap.decoys) == decoys
     assert trap.resolved is resolved
     assert trap.stats["candidates_checked"] == candidates
+    assert trap.stats["steps"] == steps
     assert trap.stats["exhaustive_arrangements"] is (p_coeffs == (2, 1))

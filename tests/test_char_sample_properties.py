@@ -6,7 +6,8 @@ Sampled mode draws with ``getrandbits``; it must give exactly the covering
 draws of the stream that ``randint``, ``choice`` and ``shuffle`` give for the
 same seed.  In either mode the check steps a step learner; it must give the
 verdict, or the error, of running the learner's derived program over each
-covering sequence, repeats included, through ``run_on_sequence``.
+covering sequence, repeats included, through ``run_on_sequence``, and a pass
+must report as ``steps`` the data a counting learner was stepped on.
 """
 
 import itertools
@@ -20,7 +21,14 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from session_scripts import derived_learner, fold_outputs, last_emission, outcome, step_tables
+from session_scripts import (
+    data_counted,
+    derived_learner,
+    fold_outputs,
+    last_emission,
+    outcome,
+    step_tables,
+)
 
 from txtex_lab import evaluate
 from txtex_lab.codec import poly_encode
@@ -86,7 +94,9 @@ def mostly_agreeing_learners(draw):
 def test_the_walk_folds_the_covering_product_words_in_order(learner, universe, sample, max_len):
     # the universe is drawn in any order, so a walk that takes sorted or sample order fails
     want = fold_outputs(filtered_product(universe, sample, max_len), partial(last_emission, learner))
-    assert _walk_covering_words(learner, universe, sorted(sample), max_len, None) == want
+    data = []
+    got = _walk_covering_words(data_counted(learner, data), universe, sorted(sample), max_len, None)
+    assert got == (*want, len(data))
 
 
 class DrawnFamily:
@@ -109,7 +119,11 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
     The drawn samples lie in the target and fit the size bound, so only the
     universe can end the check before the runs.  Sampled mode draws from
     ``reference_sampled_sequences``, not the sampler under test, and runs
-    every covering draw, a repeat again.
+    every covering draw, a repeat again.  A pass reports as ``steps`` the
+    data of the distinct sequences, which sampled mode steps once each; the
+    walk steps each prefix of a covering word at most once, per length, and
+    fewer where its memo decides, so in exhaustive mode that count of
+    prefixes bounds the check's ``steps``.
     """
     universe = family.member(target_index).elements_up_to(max_universe)
     if not universe:
@@ -124,9 +138,10 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
             universe, sample, max_len, seed, evaluate.SAMPLED_ARRANGEMENTS
         )
         sequences = (seq for seq in drawn if set(sample) <= set(seq) <= set(universe))
-    locked, checked = None, 0
+    locked, checked, distinct = None, 0, set()
     for seq in sequences:
         checked += 1
+        distinct.add(tuple(seq))
         output = (run_on_sequence(learner, seq, oracle=oracle).emissions or [None])[-1]
         if output is None:
             return Verdict(False, "no-output", {"prefix": list(seq)})
@@ -144,6 +159,9 @@ def verdict_of_runs(learner, family, target_index, sample, max_len, max_universe
         "covering_prefixes_checked": checked,
         "exhaustive": exhaustive,
         "sample_size": len(sample),
+        "steps": len({(len(seq), seq[:i]) for seq in distinct for i in range(1, len(seq) + 1)})
+        if exhaustive
+        else sum(map(len, distinct)),
     }
     return Verdict(True, "ok", details)
 
@@ -169,6 +187,7 @@ def test_the_check_gives_the_verdict_of_a_run_per_covering_sequence(
     oracle = family.target if use_oracle else None
     # with no exhaustive arrangements, every max_len of at least 1 is sampled
     limit = 0 if sampled else evaluate.EXHAUSTIVE_ARRANGEMENT_LIMIT
+    data = []
     with mock.patch.multiple(evaluate, EXHAUSTIVE_ARRANGEMENT_LIMIT=limit, SAMPLED_ARRANGEMENTS=40):
         want = outcome(
             lambda: verdict_of_runs(
@@ -177,7 +196,7 @@ def test_the_check_gives_the_verdict_of_a_run_per_covering_sequence(
         )
         got = outcome(
             lambda: check_characteristic_sample(
-                lambda: learner,
+                lambda: data_counted(learner, data),
                 family,
                 target_index,
                 sample,
@@ -188,6 +207,11 @@ def test_the_check_gives_the_verdict_of_a_run_per_covering_sequence(
                 seed=seed,
             )
         )
+    if isinstance(want, Verdict) and want.passed:
+        if want.details["exhaustive"]:
+            assert len(data) <= want.details["steps"]
+            want.details["steps"] = len(data)
+        assert len(data) == want.details["steps"]
     assert got == want
 
 

@@ -110,9 +110,14 @@ def test_hypothesis_correct_accepts_any_index_of_the_set():
     assert not hypothesis_correct(family, 5, 3)
 
 
+# data the memoized walk steps in the pcs-G check of n, for n = 1..12: 2,086 in all,
+# for 30,936 covering words
+PCS_G_STEPS = [18, 33, 52, 75, 102, 133, 168, 207, 250, 297, 348, 403]
+
+
 def test_char_sample_pcsg():
     family = families.make_basic_family("pcs-G")
-    for n in range(1, 9):
+    for n, steps in enumerate(PCS_G_STEPS, 1):
         verdict = check_characteristic_sample(
             agents.make_pcsG_oracle_learner,
             family,
@@ -125,6 +130,7 @@ def test_char_sample_pcsg():
         assert verdict.passed
         assert verdict.details["locked_output"] == n
         assert verdict.details["exhaustive"]
+        assert verdict.details["steps"] == steps
 
 
 def test_char_sample_join_singletons_size_one():
@@ -236,6 +242,15 @@ SAMPLED_COVERING_COUNTS = {
     (11, 7): 3394,
     (11, 8): 3403,
 }
+# (seed, n) -> data stepped by those checks: the lengths of their distinct covering draws
+SAMPLED_STEP_COUNTS = {
+    (0, 6): 1156,
+    (0, 7): 2032,
+    (0, 8): 3031,
+    (11, 6): 1162,
+    (11, 7): 2092,
+    (11, 8): 3061,
+}
 
 
 @pytest.mark.parametrize("seed,n", sorted(SAMPLED_COVERING_COUNTS))
@@ -247,6 +262,7 @@ def test_sampled_char_sample_verdicts_are_pinned(seed, n):
         "covering_prefixes_checked": SAMPLED_COVERING_COUNTS[seed, n],
         "exhaustive": False,
         "sample_size": 2,
+        "steps": SAMPLED_STEP_COUNTS[seed, n],
     }
 
 

@@ -15,9 +15,13 @@ over each word, up to the first word that ends on None or on another
 hypothesis: the same value, or the same error, empty input included.  Over
 universe = sample = a drawn core, with the core's size as the length, its
 words are the core's orders, and its verdict, as the trap search reads it,
-is that of running every order through ``run_on_sequence``.  The walk
-memoizes the learner's states, and frees its memo when it returns; a step
-learner is freed with its last reference.
+is that of running every order through ``run_on_sequence``, and it steps
+the data a counting learner sees.  The trap search steps each core's own
+order from the prefix it shares with the order before it; over drawn words
+in lexicographic order, that must give each word's ``step_through`` output,
+the ``resolve_step`` fold, or the same error.  The walk memoizes the
+learner's states, and frees its memo when it returns; a step learner is
+freed with its last reference.
 """
 
 import gc
@@ -35,6 +39,7 @@ from session_scripts import (
     HYPOTHESES,
     STEP_DATA,
     TICK_OFFSETS,
+    data_counted,
     derived_learner,
     explicit_tables,
     fold_outputs,
@@ -43,12 +48,13 @@ from session_scripts import (
     outcome,
     reference_session,
     runs_of,
+    shared_prefix,
     step_tables,
     ticks_and_taken,
 )
 
 from txtex_lab import agents, families
-from txtex_lab.adversary import search_trap_sets
+from txtex_lab.adversary import _prefix_shared_outputs, search_trap_sets
 from txtex_lab.codec import poly_encode
 from txtex_lab.evaluate import _walk_covering_words, check_characteristic_sample
 from txtex_lab.session import (
@@ -58,6 +64,7 @@ from txtex_lab.session import (
     Query,
     emit,
     query,
+    resolve_step,
     run_on_sequence,
     run_session,
     step_through,
@@ -194,10 +201,12 @@ def test_the_walk_decides_every_order(tables, first, core, target, members):
     oracle = None if members is None else FiniteSet(members)
     orders = list(itertools.permutations(core))
     want = outcome(lambda: fold_outputs(orders, lambda order: last_emission(learner, order, oracle)))
-    got = outcome(lambda: _walk_covering_words(learner, core, core, len(core), oracle))
-    assert got == want
+    data = []
+    counted = data_counted(learner, data)
+    got = outcome(lambda: _walk_covering_words(counted, core, core, len(core), oracle))
+    assert got == (want if type(want) is type else (*want, len(data)))
     if type(got) is tuple:
-        _, locked, bad, _ = got
+        _, locked, bad, _, _ = got
         every_order = all(last_emission(learner, order, oracle) == target for order in orders)
         assert (bad is None and locked == target) is every_order
 
@@ -220,7 +229,64 @@ def test_the_covering_word_walk_folds_each_run_output(tables, first, universe, m
     oracle = None if members is None else FiniteSet(members)
     words = [w for n in range(1, max_len + 1) for w in itertools.product(universe, repeat=n)]
     want = outcome(lambda: fold_outputs(words, lambda word: last_emission(learner, word, oracle)))
-    assert outcome(lambda: _walk_covering_words(learner, universe, [], max_len, oracle)) == want
+    data = []
+    counted = data_counted(learner, data)
+    got = outcome(lambda: _walk_covering_words(counted, universe, [], max_len, oracle))
+    assert got == (want if type(want) is type else (*want, len(data)))
+
+
+@st.composite
+def lexicographic_words(draw):
+    """Words in lexicographic order: the first combinations of a drawn pool, as the trap
+    search takes its cores, or drawn words sorted, with repeats and words that are prefixes
+    of others."""
+    if draw(st.booleans()):
+        pool = sorted(draw(st.sets(st.sampled_from(STEP_DATA))))
+        combos = itertools.combinations(pool, draw(st.integers(0, len(pool))))
+        return list(itertools.islice(combos, draw(st.integers(0, 20))))
+    word = st.lists(st.sampled_from(STEP_DATA), max_size=5).map(tuple)
+    return sorted(draw(st.lists(word, max_size=12)))
+
+
+def resolve_fold(learner, word, oracle):
+    """The last hypothesis of ``resolve_step`` folded over ``word``, or None."""
+    state, last = learner.start, learner.first
+    for datum in word:
+        state, hypothesis = resolve_step(learner, state, datum, oracle)
+        if hypothesis is not None:
+            last = hypothesis
+    return last
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=step_tables(), first=HYPOTHESES, words=lexicographic_words(), members=oracles())
+# a step counts the data read: a stack that is not cut back resumes (1,) after (1, 2)
+@example(
+    tables=explicit_tables(lambda state, datum: ((state + 1) % 4, state), states=4), first=None,
+    words=[(1, 2), (1,)], members=None,
+)
+def test_prefix_shared_steps_give_each_words_own_output(tables, first, words, members):
+    """Stepped from the prefix it shares with the word before it, each word gets what
+    ``step_through`` gets on it alone, which is the ``resolve_step`` fold: the same value or
+    the same error, also after an earlier word raised.  A word is stepped over what follows
+    that prefix; after an error, only the prefix the two words share is kept."""
+    learner = derived_learner(*tables, first)
+    oracle = None if members is None else FiniteSet(members)
+    data = []
+    output = _prefix_shared_outputs(data_counted(learner, data), oracle)
+    held = ()
+    for word in words:
+        want = outcome(lambda: step_through(learner, word, oracle))
+        assert outcome(lambda: resolve_fold(learner, word, oracle)) == want
+        common = shared_prefix(held, word)
+        data.clear()
+        got = outcome(lambda: output(word))
+        if type(want) is type:
+            assert got is want
+            held = word[:common]
+        else:
+            assert got == (want, len(word) - common) and len(data) == len(word) - common
+            held = word
 
 
 def test_the_walk_memoizes_states_so_an_unhashable_state_is_refused():
